@@ -43,10 +43,10 @@ def _nonzero_fraction(rng: random.Random) -> Fraction:
 
 def factorization_certificate(seed: int = 0) -> str:
     for n in FACTOR_NS:
-        quotient, root = factor_hecke(n)
+        hp, quotient, root = factor_hecke(n)
         assert quotient.degree == n - 1 and quotient.is_monic(), n
         recomposed = quotient * TPoly.linear(root)
-        assert recomposed == hecke_polynomial(n), f"recomposition fails at n={n}"
+        assert recomposed == hp, f"recomposition fails at n={n}"
     return f"exact remainder 0 and recomposition for n in {FACTOR_NS}"
 
 
@@ -54,8 +54,8 @@ def weyl_invariance(seed: int = 0) -> str:
     checked = 0
     for n in WEYL_NS:
         group = weyl_group(n)
-        quotient, _ = factor_hecke(n)
-        for coeff in (*hecke_polynomial(n).coeffs, *quotient.coeffs):
+        hp, quotient, _ = factor_hecke(n)
+        for coeff in (*hp.coeffs, *quotient.coeffs):
             assert check_weyl_invariance(coeff, n, group), n
             checked += 1
     return (f"{checked} coefficients fixed by all group elements, "

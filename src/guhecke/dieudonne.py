@@ -619,22 +619,28 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
 # Newton slopes of integral models
 
 
-def char_poly(mat: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Characteristic polynomial det(t - mat), coefficients by ascending
-    power, computed by the trace recursion (exact rational arithmetic)."""
+def char_poly(mat: Sequence[Sequence[int]]) -> list[int]:
+    """Characteristic polynomial det(t - mat) of an integer matrix,
+    coefficients by ascending power.
+
+    Faddeev-LeVerrier trace recursion over Python ints: M_1 = I,
+    c_{d-k} = -tr(A*M_k)/k, M_{k+1} = A*M_k + c_{d-k}*I.  The division by
+    k is exact because det(t - A) has integer coefficients; a nonzero
+    remainder raises ArithmeticError rather than give a wrong coefficient.
+    Products skip the zero entries of A (a banded F has one per row)."""
     size = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(0)] * size + [Fraction(1)]
-    m = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    rows = [[(l, x) for l, x in enumerate(row) if x] for row in mat]
+    coeffs = [0] * size + [1]
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
     for k in range(1, size + 1):
-        if k > 1:
-            prev = coeffs[size - k + 1]
-            m = [[sum((a[i][l] * m[l][j] for l in range(size)), Fraction(0))
-                  + (prev if i == j else 0)
-                  for j in range(size)] for i in range(size)]
-        am_trace = sum((sum(a[i][l] * m[l][i] for l in range(size))
-                        for i in range(size)), Fraction(0))
-        coeffs[size - k] = -am_trace / k
+        m = [[sum(x * m[l][j] for l, x in row) for j in range(size)]
+             for row in rows]
+        c, rem = divmod(-sum(m[i][i] for i in range(size)), k)
+        if rem:
+            raise ArithmeticError(f"inexact division by {k}: non-integer entries")
+        coeffs[size - k] = c
+        for i in range(size):
+            m[i][i] += c
     return coeffs
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .laurent import LaurentPoly, Monomial, TPoly
 from .rootdatum import (Weight, WeylElement, pairing, rho, sigma_twist_poly,
-                        weyl_act, weyl_group)
+                        weyl_generators, weyl_group)
 
 
 def _require_odd(n: int) -> None:
@@ -75,28 +75,41 @@ def hecke_polynomial(n: int) -> TPoly:
     return poly
 
 
-def factor_hecke(n: int) -> tuple[TPoly, LaurentPoly]:
+def factor_hecke(n: int) -> tuple[TPoly, TPoly, LaurentPoly]:
     """Certified factorization H(t) = R(t) * (t - q^(n-1)*x0^2*x1...xn).
 
-    Returns (R, linear_root).  The division is exact rational arithmetic;
-    a nonzero remainder raises NonZeroRemainderError, which would falsify
-    the factorization and must never happen.
+    Returns (H, R, linear_root), with H built once and divided.  The
+    division is exact rational arithmetic; a nonzero remainder raises
+    NonZeroRemainderError, which would falsify the factorization and must
+    never happen.
     """
     _require_odd(n)
+    hp = hecke_polynomial(n)
     linear_root = LaurentPoly.from_term(
         Monomial(n - 1, central_monomial(n).x_exps))
-    quotient = hecke_polynomial(n).divide_exact(TPoly.linear(linear_root))
-    return quotient, linear_root
+    return hp, hp.divide_exact(TPoly.linear(linear_root)), linear_root
 
 
 def check_weyl_invariance(p: LaurentPoly, n: int,
                           group: Sequence[WeylElement] | None = None) -> bool:
     """True iff p is fixed by every element of the Weyl group of size
     2^m * m!.  Pass an explicit element list to check a subset (e.g. a
-    generating set, which is equivalent by closure)."""
+    generating set, which is equivalent by closure).  As w permutes
+    monomials bijectively, w fixes p iff each term's image under w has the
+    same coefficient in p, so no polynomial is built."""
     if group is None:
         group = weyl_group(n)
-    return all(weyl_act(w, p) == p for w in group)
+    terms = p.terms
+    items = [(mono.q_exp, mono.x_exps, coeff) for mono, coeff in terms.items()]
+    for w in group:
+        if w.n != p.n:
+            raise ValueError("size mismatch")
+        idx = (0,) + w.inverse().perm
+        for q_exp, exps, coeff in items:
+            # A Monomial hashes and compares as its (q_exp, x_exps) tuple.
+            if terms.get((q_exp, tuple([exps[i] for i in idx]))) != coeff:
+                return False
+    return True
 
 
 def check_sigma_invariance(p: LaurentPoly) -> bool:
@@ -216,27 +229,13 @@ def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
 # ---------------------------------------------------------------------------
 # Report assembly for the CLI.
 
-# Full enumeration is the contractual check; beyond this bound the report
-# falls back to the generating set, which is equivalent by group closure
-# but orders of magnitude cheaper (the group has 2^m * m! elements).
-FULL_ENUMERATION_MAX_N = 9
-
-
 def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:
     """(H, R, linear_root, weyl_invariant) with the division certified and
-    every coefficient of H and R checked for Weyl invariance."""
-    from .rootdatum import weyl_generators
-
-    _require_odd(n)
-    hp = hecke_polynomial(n)
-    linear_root = LaurentPoly.from_term(
-        Monomial(n - 1, central_monomial(n).x_exps))
-    quotient = hp.divide_exact(TPoly.linear(linear_root))
-    if n <= FULL_ENUMERATION_MAX_N:
-        group = weyl_group(n)
-    else:
-        group = weyl_generators(n)
-    invariant = all(check_weyl_invariance(c, n, group)
+    every coefficient of H and R checked against the Weyl generators (a
+    polynomial fixed by each generator is fixed by the group)."""
+    hp, quotient, linear_root = factor_hecke(n)
+    gens = weyl_generators(n)
+    invariant = all(check_weyl_invariance(c, n, gens)
                     for c in (*hp.coeffs, *quotient.coeffs))
     return hp, quotient, linear_root, invariant
 

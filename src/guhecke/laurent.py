@@ -264,7 +264,7 @@ class LaurentPoly:
                 raise ValueError("substitution images must be invertible single terms")
             (mono, coeff), = img.terms.items()
             pairs.append((mono, coeff))
-        out = LaurentPoly.zero(self.n)
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             acc_mono = Monomial.one(self.n)
             acc_coeff = coeff
@@ -272,8 +272,8 @@ class LaurentPoly:
                 if exp:
                     acc_mono = acc_mono * im.power(exp)
                     acc_coeff *= ic ** exp
-            out = out + LaurentPoly(self.n, {acc_mono: acc_coeff})
-        return out
+            out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
+        return LaurentPoly(self.n, out)
 
     def evaluate(self, q_val, x_vals: Sequence) -> Fraction:
         """Exact value at q=q_val, x_i=x_vals[i]; all values must be nonzero

@@ -174,24 +174,16 @@ def sigma_images(n: int) -> list[LaurentPoly]:
 
 
 def sigma_twist_poly(p: LaurentPoly) -> LaurentPoly:
-    """The twist extended multiplicatively to a whole Laurent polynomial."""
-    return p.substitute(sigma_images(p.n))
+    """The twist extended multiplicatively to a whole Laurent polynomial:
+    a bijective monomial map, so coefficients move unchanged."""
+    return LaurentPoly(p.n, {sigma_twist(mono): coeff
+                             for mono, coeff in p.terms.items()})
 
 
 def norm_monomial(mono: Monomial) -> Monomial:
     """m times its Galois twist; sends x0 to the central monomial
     x0^2*x1*...*xn and x_i to x_i/x_{n+1-i}."""
     return mono * sigma_twist(mono)
-
-
-def weyl_act_monomial(w: WeylElement, mono: Monomial) -> Monomial:
-    n = len(mono.x_exps) - 1
-    if w.n != n:
-        raise ValueError("size mismatch")
-    exps = mono.x_exps
-    winv = w.inverse().perm
-    return Monomial(mono.q_exp,
-                    (exps[0],) + tuple(exps[winv[j - 1]] for j in range(1, n + 1)))
 
 
 def weyl_act(w: WeylElement, p: LaurentPoly) -> LaurentPoly:

@@ -307,16 +307,34 @@ def _det_by_permutation_expansion(mat):
 
 def test_char_poly_matches_permanent_style_determinant():
     rng = random.Random(9)
-    for size in (2, 3, 4):
+    mats = [[[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+            for size in (2, 3, 4) for _ in range(5)]
+    rng = random.Random(10)
+    for size in (2, 3, 4, 5):
         for _ in range(5):
-            mat = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-            coeffs = char_poly(mat)
-            for lam in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
-                direct = _det_by_permutation_expansion(
-                    [[lam * int(i == j) - mat[i][j] for j in range(size)]
-                     for i in range(size)])
-                value = sum(c * lam ** k for k, c in enumerate(coeffs))
-                assert value == direct
+            # sparse: about three entries in four are zero
+            mats.append([[rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                          for _ in range(size)] for _ in range(size)])
+            # monomial: one nonzero per row and column, like make_B's F
+            perm = rng.sample(range(size), size)
+            mats.append([[rng.choice((-27, -3, 1, 3, 9)) if j == perm[i] else 0
+                          for j in range(size)] for i in range(size)])
+    mats.append([[0, 0], [0, 0]])
+    for mat in mats:
+        size = len(mat)
+        coeffs = char_poly(mat)
+        assert all(type(c) is int for c in coeffs)
+        for lam in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2)):
+            direct = _det_by_permutation_expansion(
+                [[lam * int(i == j) - mat[i][j] for j in range(size)]
+                 for i in range(size)])
+            value = sum(c * lam ** k for k, c in enumerate(coeffs))
+            assert value == direct
+
+
+def test_char_poly_refuses_an_inexact_division():
+    with pytest.raises(ArithmeticError):
+        char_poly([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
 
 
 def test_padic_newton_slopes_on_factored_polynomials():
@@ -334,9 +352,9 @@ def test_padic_newton_slopes_on_factored_polynomials():
 @pytest.mark.parametrize("p", PRIMES)
 def test_newton_slopes_of_models(p):
     assert newton_slopes(make_SS(p)).entries == ((Fraction(1, 2), 2),)
-    for d in range(1, 10, 2):
+    for d in range(1, 13, 2):
         assert newton_slopes(make_B(d, p)).entries == ((Fraction(1, 2), 2 * d),)
-    for d in range(2, 9, 2):
+    for d in range(2, 13, 2):
         assert newton_slopes(make_B(d, p)).entries == (
             (Fraction(1, 2) - Fraction(1, d), d),
             (Fraction(1, 2) + Fraction(1, d), d))

@@ -89,15 +89,16 @@ def test_central_monomial_and_norm():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_factorization_certificate(n):
-    quotient, root = factor_hecke(n)
+    hp, quotient, root = factor_hecke(n)
+    assert hp == hecke_polynomial(n)
     assert root == LaurentPoly.from_term(Monomial(n - 1, (2,) + (1,) * n))
     assert quotient.degree == n - 1
     assert quotient.is_monic()
-    assert quotient * TPoly.linear(root) == hecke_polynomial(n)
+    assert quotient * TPoly.linear(root) == hp
 
 
 def test_factor_hecke_n3_frozen_quotient():
-    quotient, _ = factor_hecke(3)
+    _, quotient, _ = factor_hecke(3)
     a = LaurentPoly.from_term(Monomial(2, (2, 0, 1, 2)))
     b = LaurentPoly.from_term(Monomial(2, (2, 2, 1, 0)))
     assert quotient == TPoly.linear(a) * TPoly.linear(b)
@@ -106,8 +107,8 @@ def test_factor_hecke_n3_frozen_quotient():
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_hecke_coefficients_are_weyl_invariant(n):
     group = weyl_group(n)
-    quotient, _ = factor_hecke(n)
-    for coeff in (*hecke_polynomial(n).coeffs, *quotient.coeffs):
+    hp, quotient, _ = factor_hecke(n)
+    for coeff in (*hp.coeffs, *quotient.coeffs):
         assert check_weyl_invariance(coeff, n, group)
 
 
@@ -115,6 +116,36 @@ def test_weyl_invariance_negative_and_trivial_cases():
     assert not check_weyl_invariance(LaurentPoly.var(3, 1), 3)
     assert check_weyl_invariance(LaurentPoly.constant(3, Fraction(5, 3)), 3)
     assert check_weyl_invariance(LaurentPoly.zero(3), 3)
+
+
+def test_weyl_check_agrees_with_polynomial_action():
+    from guhecke.rootdatum import weyl_act
+    rng = random.Random(11)
+    for n in (3, 5):
+        group = weyl_group(n)
+        for _ in range(10):
+            p = LaurentPoly(n, {Monomial(rng.randint(-1, 1), tuple(
+                rng.randint(-2, 2) for _ in range(n + 1))): rng.randint(1, 3)
+                for _ in range(3)})
+            orbit_sum = sum((weyl_act(w, p) for w in group), LaurentPoly.zero(n))
+            for cand in (p, orbit_sum, orbit_sum + p):
+                expected = all(weyl_act(w, cand) == cand for w in group)
+                assert check_weyl_invariance(cand, n) == expected
+            assert check_weyl_invariance(orbit_sum, n)
+    with pytest.raises(ValueError):
+        check_weyl_invariance(LaurentPoly.one(5), 5, weyl_group(3))
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_weyl_check_rejects_polynomial_fixed_by_a_proper_subgroup(n):
+    # x1 + ... + xm is fixed by the pair swaps but not by the reflection.
+    m = (n - 1) // 2
+    p = sum((LaurentPoly.var(n, i) for i in range(1, m + 1)),
+            LaurentPoly.zero(n))
+    gens = weyl_generators(n)
+    assert check_weyl_invariance(p, n, gens[:-1])
+    assert not check_weyl_invariance(p, n, gens)
+    assert not check_weyl_invariance(p, n)
 
 
 def test_generator_check_agrees_with_full_enumeration():
