@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .dieudonne import (check_bt1, classify_type, fingerprint, isocrystal_shape,
-                        make_B, make_SS, model_space, newton_slopes,
-                        random_basechange, signature, strata_dims)
+from .dieudonne import (_model_fingerprints, check_bt1, classify_type,
+                        isocrystal_shape, make_B, make_SS, model_space,
+                        newton_slopes, random_basechange, signature,
+                        strata_dims)
 from .hecke import (central_monomial, check_weyl_invariance, factor_hecke,
                     hecke_polynomial, hecke_value_by_determinant, satake_alpha)
 from .laurent import LaurentPoly, Monomial, TPoly
@@ -135,7 +136,8 @@ def classification_roundtrip(seed: int = 0) -> str:
     recovered = 0
     for n in CLASSIFY_NS:
         for p in CLASSIFY_PRIMES:
-            prints = [fingerprint(model_space(n, r, p)) for r in range(1, n + 1)]
+            # The same memoised fingerprints classify_type matches against.
+            prints = [fp for _, fp in _model_fingerprints(n, p)]
             assert len(set(prints)) == n, f"fingerprint collision at n={n}, p={p}"
             for r in range(1, n + 1):
                 model = model_space(n, r, p)

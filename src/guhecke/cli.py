@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage or malformed input, 2 certificate failure,
 3 data or classification error.  Output is byte-identical across runs for
 identical flags and seeds; JSON is emitted compact, one document per run.
-The environment variable GUHECKE_MAX_N (default 15) caps accepted --n.
+The environment variable GUHECKE_MAX_N (default 15) caps accepted --n;
+a value that is not an integer is a usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -49,10 +50,13 @@ class UsageError(Exception):
 
 def _max_n() -> int:
     raw = os.environ.get("GUHECKE_MAX_N", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_N
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_N
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(
+            f"GUHECKE_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _check_n(n: int) -> int:

@@ -26,14 +26,39 @@ Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly for
+# every p below this bound (Sorenson and Webster, 2015).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, O(log p) multiplications per base.
+
+    Raises ValueError for p >= MR_EXACT_BOUND, where these bases are no
+    longer known to be a proof.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MR_EXACT_BOUND:
+        raise ValueError(f"p must be below {MR_EXACT_BOUND} for an exact "
+                         f"primality test, got {p}")
+    for a in MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -48,8 +73,9 @@ class GFp2:
         if not _is_prime(p) or p == 2:
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
-        squares = {(x * x) % p for x in range(1, p)}
-        self.nonresidue = next(c for c in range(2, p) if c not in squares)
+        # Euler's criterion: c is a non-residue iff c^((p-1)/2) = -1 mod p.
+        self.nonresidue = next(c for c in range(2, p)
+                               if pow(c, (p - 1) // 2, p) == p - 1)
         self.size = p * p
         self.zero = 0
         self.one = 1

@@ -23,6 +23,7 @@ rational points cross-checks the expansion.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .laurent import LaurentPoly, Monomial, TPoly
@@ -100,14 +101,15 @@ def check_weyl_invariance(p: LaurentPoly, n: int,
     if group is None:
         group = weyl_group(n)
     terms = p.terms
-    items = [(mono.q_exp, mono.x_exps, coeff) for mono, coeff in terms.items()]
+    items = list(terms.items())
+    get = terms.get
     for w in group:
         if w.n != p.n:
             raise ValueError("size mismatch")
-        idx = (0,) + w.inverse().perm
-        for q_exp, exps, coeff in items:
+        permute = itemgetter(0, *w.inverse().perm)
+        for (q_exp, exps), coeff in items:
             # A Monomial hashes and compares as its (q_exp, x_exps) tuple.
-            if terms.get((q_exp, tuple([exps[i] for i in idx]))) != coeff:
+            if get((q_exp, permute(exps))) != coeff:
                 return False
     return True
 

@@ -3,9 +3,14 @@
 The ring has a formal prime variable ``q`` and torus variables
 ``x0, x1, ..., xn``, all invertible.  A :class:`LaurentPoly` stores a map
 from :class:`Monomial` (an integer q-exponent plus an integer exponent
-vector of length n+1) to a nonzero :class:`~fractions.Fraction`; the zero
-polynomial is the empty map.  All arithmetic is exact -- there is no
-floating point anywhere in this package.
+vector of length n+1) to a nonzero rational coefficient: an ``int`` when
+it is integral, else a :class:`~fractions.Fraction`.  The two hash,
+compare, sort and print alike, so the choice never shows in equality,
+ordering or output; it only lets the integral polynomials of the Hecke
+certificate run on Python int arithmetic.  Every ``/`` and every
+negative power of a coefficient goes through ``Fraction``, so all
+arithmetic is exact -- there is no floating point anywhere in this
+package.  The zero polynomial is the empty map.
 
 :class:`TPoly` is a polynomial in an extra indeterminate ``t`` whose
 coefficients are LaurentPolys; it supports exact long division by a
@@ -21,7 +26,10 @@ canonical and deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+Coeff = int | Fraction
 
 
 class Monomial(NamedTuple):
@@ -78,7 +86,30 @@ class NonZeroRemainderError(ArithmeticError):
         self.quotient = quotient
 
 
-def _term_str(mono: Monomial, coeff: Fraction) -> str:
+def _exact(c) -> Coeff:
+    """The rational number c as an int when it is integral, else as a
+    Fraction; the one place a coefficient's representation is chosen."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _mul_into(sums: dict, lhs: Mapping, rhs: Mapping) -> None:
+    """Add the product of the term maps lhs and rhs into sums, in place.
+
+    The sums may be left with zeros and integral Fractions;
+    :meth:`LaurentPoly._from_sums` clears both.
+    """
+    get = sums.get
+    right = list(rhs.items())
+    for (q1, e1), c1 in lhs.items():
+        for (q2, e2), c2 in right:
+            mono = Monomial(q1 + q2, tuple(map(add, e1, e2)))
+            sums[mono] = get(mono, 0) + c1 * c2
+
+
+def _term_str(mono: Monomial, coeff: Coeff) -> str:
     factors = []
     if mono.q_exp:
         factors.append("q" if mono.q_exp == 1 else f"q^{mono.q_exp}")
@@ -96,21 +127,35 @@ def _term_str(mono: Monomial, coeff: Fraction) -> str:
 
 
 class LaurentPoly:
-    """An exact Laurent polynomial in q, x0..xn with rational coefficients."""
+    """An exact Laurent polynomial in q, x0..xn with rational coefficients.
+
+    ``terms`` maps each monomial to its nonzero coefficient: an int when
+    integral, else a Fraction.  ``/`` and negative powers of a coefficient
+    go through Fraction, so no coefficient is ever a float.
+    """
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, n: int, terms: Mapping[Monomial, Coeff] | None = None):
+        clean: dict[Monomial, Coeff] = {}
         if terms:
             for mono, coeff in terms.items():
                 if len(mono.x_exps) != n + 1:
                     raise ValueError("monomial dimension mismatch")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
                     clean[mono] = c
         self.n = n
         self.terms = clean
+
+    @classmethod
+    def _from_sums(cls, n: int, sums: Mapping[Monomial, Coeff]) -> "LaurentPoly":
+        """Wrap a term map built by this module's own arithmetic: drop the
+        zero sums and normalise the rest, without re-checking monomials."""
+        res = cls.__new__(cls)
+        res.n = n
+        res.terms = {m: _exact(c) for m, c in sums.items() if c}
+        return res
 
     # -- constructors ------------------------------------------------------
 
@@ -147,7 +192,7 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("only single-term Laurent polynomials are invertible")
         (mono, coeff), = self.terms.items()
-        return LaurentPoly(self.n, {mono.inverse(): 1 / coeff})
+        return LaurentPoly(self.n, {mono.inverse(): Fraction(1) / coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -161,16 +206,10 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
+        sums = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.n, res.terms = self.n, out
-        return res
+            sums[mono] = sums.get(mono, 0) + coeff
+        return LaurentPoly._from_sums(self.n, sums)
 
     __radd__ = __add__
 
@@ -192,31 +231,15 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return LaurentPoly.zero(self.n)
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.n = self.n
-            res.terms = {m: c * v for m, v in self.terms.items()}
-            return res
+            c = _exact(other)
+            return LaurentPoly._from_sums(
+                self.n, {m: c * v for m, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            q1 = m1.q_exp
-            e1 = m1.x_exps
-            for m2, c2 in other.terms.items():
-                mono = Monomial(q1 + m2.q_exp,
-                                tuple(a + b for a, b in zip(e1, m2.x_exps)))
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.n, res.terms = self.n, out
-        return res
+        sums: dict[Monomial, Coeff] = {}
+        _mul_into(sums, self.terms, other.terms)
+        return LaurentPoly._from_sums(self.n, sums)
 
     __rmul__ = __mul__
 
@@ -264,14 +287,14 @@ class LaurentPoly:
                 raise ValueError("substitution images must be invertible single terms")
             (mono, coeff), = img.terms.items()
             pairs.append((mono, coeff))
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for mono, coeff in self.terms.items():
             acc_mono = Monomial.one(self.n)
             acc_coeff = coeff
             for exp, (im, ic) in zip((mono.q_exp, *mono.x_exps), pairs):
                 if exp:
                     acc_mono = acc_mono * im.power(exp)
-                    acc_coeff *= ic ** exp
+                    acc_coeff *= Fraction(ic) ** exp
             out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
         return LaurentPoly(self.n, out)
 
@@ -295,7 +318,7 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items())
 
     def __str__(self) -> str:
@@ -324,7 +347,7 @@ class LaurentPoly:
         terms: dict[Monomial, Fraction] = {}
         for item in data:
             mono = Monomial(int(item["q"]), tuple(int(e) for e in item["x"]))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(item["coeff"])
+            terms[mono] = terms.get(mono, 0) + Fraction(item["coeff"])
         return cls(n, terms)
 
 
@@ -395,14 +418,12 @@ class TPoly:
             raise ValueError("variable-count mismatch")
         if self.is_zero() or other.is_zero():
             return TPoly.zero(self.n)
-        out = [LaurentPoly.zero(self.n)
-               for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        sums: list[dict[Monomial, Coeff]] = [
+            {} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return TPoly(self.n, out)
+                _mul_into(sums[i + j], a.terms, b.terms)
+        return TPoly(self.n, [LaurentPoly._from_sums(self.n, s) for s in sums])
 
     def __eq__(self, other):
         if not isinstance(other, TPoly):
@@ -422,19 +443,24 @@ class TPoly:
             raise ValueError("divisor leading coefficient must be a unit monomial")
         lead_inv = divisor.leading.unit_inverse()
         dd = divisor.degree
-        rem = list(self.coeffs)
-        if len(rem) <= dd:
+        if len(self.coeffs) <= dd:
             return TPoly.zero(self.n), self
+        rem = [dict(c.terms) for c in self.coeffs]
         qcoeffs = [LaurentPoly.zero(self.n)] * (len(rem) - dd)
         for j in range(len(rem) - 1, dd - 1, -1):
-            c = rem[j]
+            c = LaurentPoly._from_sums(self.n, rem[j])
             if c.is_zero():
                 continue
             f = c * lead_inv
             qcoeffs[j - dd] = f
-            for i, dcoef in enumerate(divisor.coeffs):
-                rem[j - dd + i] = rem[j - dd + i] - f * dcoef
-        return TPoly(self.n, qcoeffs), TPoly(self.n, rem[:dd])
+            # f times the leading coefficient cancels rem[j] exactly, and
+            # rem[j] is never read again, so only the lower terms are
+            # subtracted.
+            neg_f = (-f).terms
+            for i, dcoef in enumerate(divisor.coeffs[:-1]):
+                _mul_into(rem[j - dd + i], neg_f, dcoef.terms)
+        return TPoly(self.n, qcoeffs), TPoly(
+            self.n, [LaurentPoly._from_sums(self.n, r) for r in rem[:dd]])
 
     def divide_exact(self, divisor: "TPoly") -> "TPoly":
         """Exact quotient; raises NonZeroRemainderError if division is inexact."""

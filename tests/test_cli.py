@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,20 @@ def test_hecke_json(capsys):
     assert report["weyl_invariant"] is True
     assert report["linear_root"] == {"coeff": "1", "q": 2, "x": [2, 1, 1, 1]}
     assert len(report["Hp"]) == 4 and len(report["R"]) == 3
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+HECKE_GOLDEN = {key: entry for key, entry in
+                json.loads(GOLDEN.read_text(encoding="utf-8"))["outputs"].items()
+                if key.startswith("hecke ")}
+
+
+@pytest.mark.parametrize("key", sorted(HECKE_GOLDEN))
+def test_hecke_output_matches_recorded_bytes(capsys, key):
+    code, out, _ = run_cli(capsys, *key.split())
+    assert code == HECKE_GOLDEN[key]["exit"]
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == HECKE_GOLDEN[key]["sha256"]
 
 
 def test_hecke_rejects_even_n(capsys):
@@ -51,6 +67,14 @@ def test_max_n_cap(capsys, monkeypatch):
     assert code == 1 and "GUHECKE_MAX_N=3" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "15.0", "1e3"])
+def test_malformed_max_n_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GUHECKE_MAX_N", raw)
+    code, out, err = run_cli(capsys, "hecke", "--n", "3")
+    assert code == 1 and out == ""
+    assert "GUHECKE_MAX_N" in err and repr(raw) in err
+
+
 def test_dd_slopes_exact_output(capsys):
     code, out, _ = run_cli(capsys, "dd", "slopes", "--d", "4", "--p", "5")
     assert code == 0
@@ -67,6 +91,19 @@ def test_dd_slopes_csv(capsys):
 def test_dd_slopes_bad_prime(capsys):
     code, _, err = run_cli(capsys, "dd", "slopes", "--d", "2", "--p", "4")
     assert code == 1
+
+
+def test_dd_slopes_at_a_large_prime(capsys):
+    code, out, _ = run_cli(capsys, "dd", "slopes", "--d", "2",
+                           "--p", "1000000000000000003")
+    assert code == 0
+    assert out == '[{"slope":"0","mult":2},{"slope":"1","mult":2}]\n'
+    code, _, err = run_cli(capsys, "dd", "slopes", "--d", "2",
+                           "--p", "1000000000000000001")
+    assert code == 1 and "odd prime" in err
+    code, _, err = run_cli(capsys, "dd", "slopes", "--d", "2",
+                           "--p", str(10 ** 25 + 13))
+    assert code == 1 and "primality" in err
 
 
 def test_dd_strata_table(capsys):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from guhecke.finitefield import (annihilator_rows, gfp2, identity_mat,
+from guhecke.finitefield import (MR_EXACT_BOUND, GFp2, _is_prime,
+                                 annihilator_rows, gfp2, identity_mat,
                                  in_row_span, kernel_basis, mat_inv, mat_mul,
                                  mat_vec, rank, rref, vec_frob)
 
@@ -54,6 +55,42 @@ def test_pair_roundtrip():
     for x in fld.elements():
         assert fld.from_pair(fld.pair(x)) == x
     assert fld.pair(fld.from_pair((3, 4))) == (3, 4)
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [p for p in range(-5, 20000) if _is_prime(p)] == \
+        [p for p in range(-5, 20000) if trial_division_is_prime(p)]
+
+
+def test_primality_rejects_strong_pseudoprimes_and_accepts_large_primes():
+    # Carmichael numbers and strong pseudoprimes to the bases 2, 3, 5, 7
+    # (3215031751) and to every prime base up to 37 (318665857834031151167461)
+    for composite in (561, 1105, 2047, 3215031751, 341550071728321,
+                      318665857834031151167461, 10 ** 18 + 1):
+        assert not _is_prime(composite), composite
+    for prime in (2 ** 31 - 1, 10 ** 9 + 7, 10 ** 18 + 3, 2 ** 61 - 1,
+                  2 ** 64 - 59):
+        assert _is_prime(prime), prime
+
+
+def test_primality_refuses_beyond_the_exact_bound():
+    assert not _is_prime(MR_EXACT_BOUND - 1)  # even
+    with pytest.raises(ValueError, match="primality"):
+        _is_prime(MR_EXACT_BOUND)
+    with pytest.raises(ValueError):
+        GFp2(2 ** 89 - 1)
+
+
+def test_nonresidue_is_the_smallest_non_square():
+    for p in range(3, 400):
+        if trial_division_is_prime(p):
+            squares = {(x * x) % p for x in range(1, p)}
+            expected = next(c for c in range(2, p) if c not in squares)
+            assert GFp2(p).nonresidue == expected, p
 
 
 def test_rejects_bad_primes():

@@ -97,6 +97,14 @@ def test_factorization_certificate(n):
     assert quotient * TPoly.linear(root) == hp
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_hecke_and_quotient_coefficients_are_ints(n):
+    hp, quotient, _ = factor_hecke(n)
+    for poly in (*hp.coeffs, *quotient.coeffs):
+        assert poly.terms
+        assert all(type(c) is int for c in poly.terms.values())
+
+
 def test_factor_hecke_n3_frozen_quotient():
     _, quotient, _ = factor_hecke(3)
     a = LaurentPoly.from_term(Monomial(2, (2, 0, 1, 2)))

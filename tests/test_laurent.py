@@ -228,3 +228,78 @@ def test_tpoly_evaluate():
     p = TPoly.linear(x(1)) * TPoly.linear(x(2))
     point = [1, Fraction(2), Fraction(3), 1]
     assert p.evaluate(Fraction(7), 11, point) == (7 - 2) * (7 - 3)
+
+
+# -- coefficient representation: int when integral, else Fraction -------------
+
+
+def assert_exact_coeffs(poly):
+    for coeff in poly.terms.values():
+        assert type(coeff) is int or (type(coeff) is Fraction
+                                      and coeff.denominator != 1), coeff
+
+
+def test_unit_inverse_of_integer_unit_is_a_fraction():
+    inv = (3 * x(1)).unit_inverse()
+    assert inv == LaurentPoly(N, {Monomial.var(N, 1, -1): Fraction(1, 3)})
+    assert inv.terms[Monomial.var(N, 1, -1)] == Fraction(1, 3)
+    assert_exact_coeffs(inv)
+    assert_exact_coeffs(inv * (3 * x(1)))
+    assert inv * (3 * x(1)) == LaurentPoly.one(N)
+
+
+def test_substitute_scaled_inverse_images_stays_exact():
+    # x1 -> 3*x3^-1, x3 -> 3*x1^-1 on a polynomial with negative exponents
+    # (3 ** -2 as a float would not be exact)
+    images = identity_images(N)
+    images[1] = LaurentPoly.from_term(Monomial.var(N, 3, -1), 3)
+    images[3] = LaurentPoly.from_term(Monomial.var(N, 1, -1), 3)
+    p = 5 * x(1, -2) * x(3) + x(1, 3)
+    got = p.substitute(images)
+    expected = (LaurentPoly.from_term(Monomial(0, (0, -1, 0, 2)), Fraction(5, 3))
+                + LaurentPoly.from_term(Monomial.var(N, 3, -3), 27))
+    assert got == expected
+    assert_exact_coeffs(got)
+    # the swap is an involution on the ring: applying it twice is the identity
+    assert got.substitute(images) == p
+
+
+def test_negative_power_of_integer_unit_is_exact():
+    u = LaurentPoly.from_term(Monomial(1, (0, 2, 0, -1)), 3)
+    for k in range(1, 5):
+        inv = u ** -k
+        assert inv.terms == {Monomial(-k, (0, -2 * k, 0, k)): Fraction(1, 3 ** k)}
+        assert inv * u ** k == LaurentPoly.one(N)
+        assert_exact_coeffs(inv)
+
+
+def test_fraction_scalar_times_integer_polynomial():
+    p = 2 * x(1) + 3 * x(2)
+    half = Fraction(1, 2) * p
+    assert half.terms == {Monomial.var(N, 1): 1, Monomial.var(N, 2): Fraction(3, 2)}
+    assert type(half.terms[Monomial.var(N, 1)]) is int
+    assert_exact_coeffs(half)
+    assert 2 * half == p
+    assert_exact_coeffs(2 * half)
+
+
+def test_operations_never_leave_floats_or_integral_fractions():
+    rng = random.Random(1312)
+    flip = identity_images(N)
+    flip[1] = LaurentPoly.from_term(Monomial.var(N, 2, -1), Fraction(2, 3))
+    flip[2] = LaurentPoly.from_term(Monomial.var(N, 1, -1), 3)
+    for _ in range(40):
+        a, b = rand_poly(rng), rand_poly(rng)
+        # integer polynomials too, so integral sums of Fractions show up
+        c = a * 6 * 7 * 8 * 9
+        results = [a + b, a - b, a * b, c, c + a, c - (c - a), a * Fraction(9, 2),
+                   a.substitute(flip), LaurentPoly.from_json(N, a.to_json())]
+        divisor = TPoly(N, [rand_poly(rng, terms=2), rand_unit(rng)])
+        dividend = TPoly(N, [a, b, c])
+        quotient, remainder = dividend.divmod(divisor)
+        product = quotient * divisor + remainder
+        assert product == dividend
+        for tp in (quotient, remainder, product):
+            results.extend(tp.coeffs)
+        for poly in results:
+            assert_exact_coeffs(poly)
