@@ -23,7 +23,11 @@ isomorphism-invariant fingerprint: close {0, everything} under taking
 F-images and V-preimages of graded subspaces, then record the multiset
 of (dim X, dim F(X), dim(X & ker F)) over the closure.  The fingerprints
 of the n candidate models are pairwise distinct (asserted by the test
-suite), which makes the lookup well defined.
+suite), which makes the lookup well defined.  An input's closure is
+computed by row reduction over F_{p^2}; a model's F and V blocks are
+partial signed permutations, so its closure consists of coordinate
+subspaces and is computed on index sets instead (the test suite checks
+the two agree on every model).
 
 Newton slopes of an integral model are read off the p-adic Newton
 polygon of the characteristic polynomial of F; this identification is
@@ -42,6 +46,7 @@ from typing import Sequence
 from .finitefield import (GFp2, Mat, Vec, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
                           mat_transpose, mat_vec, rank, rref, vec_frob)
+from .hecke import mat_det
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -106,30 +111,17 @@ def _as_int_mat(rows) -> IntMat:
 
 
 def _int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
-
-
-def _int_det(mat: IntMat) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in mat]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= f * m[col][c]
-    return det
+    """a @ b over the integers; row i sums a[i][k] * (row k of b) over the
+    nonzero a[i][k] only (a model's F and V have one per row)."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,7 @@ class DieudonneModuleZ:
                     raise ValueError("pairing must be alternating")
                 if (i < ne) == (j < ne) and self.gram[i][j]:
                     raise ValueError("graded pieces must be isotropic")
-        if abs(_int_det(self.gram)) != 1:
+        if abs(mat_det(self.gram)) != 1:
             raise ValueError("pairing must be unimodular")
 
     @property
@@ -339,23 +331,6 @@ class DieudonneSpace:
         fld = self.field
         return mat_vec(fld, self.v_matrix(grade), vec_frob(fld, v))
 
-    def pair(self, grade1: int, v1: Vec, grade2: int, v2: Vec) -> int:
-        """Full pairing; graded pieces are isotropic and the cross block is
-        the stored gram matrix (antisymmetrized on the other side)."""
-        if grade1 == grade2:
-            return 0
-        fld = self.field
-        if grade1 == 1:
-            return fld.neg(self.pair(0, v2, 1, v1))
-        acc = 0
-        for a, row in zip(v1, self.gram):
-            if not a:
-                continue
-            for g, b in zip(row, v2):
-                if g and b:
-                    acc = fld.add(acc, fld.mul(fld.mul(a, g), b))
-        return acc
-
     def to_json(self) -> dict:
         fld = self.field
 
@@ -409,22 +384,25 @@ def _semilinear_kernel(fld: GFp2, mat: Mat, ncols: int) -> Mat:
 
 
 def pairing_law_holds(space: DieudonneSpace) -> bool:
-    """<F x, y> = <x, V y>^p on all pairs of graded basis vectors."""
+    """<F x, y> = <x, V y>^p on all pairs of graded basis vectors.
+
+    The graded pieces are isotropic, so only x and y of the same grade
+    can give a nonzero pairing; there <x, y> = x^T G y for x in the e
+    piece and y in the conjugate piece, with G the gram block, and
+    <y, x> = -<x, y>.  With F_e, V_e the maps out of the e piece and
+    F_ebar, V_ebar those out of the conjugate piece, the law on basis
+    vectors is the two matrix identities
+
+        -(G F_e)^T = frob(G V_e)   and   -(G^T F_ebar)^T = frob(G^T V_ebar).
+    """
     fld = space.field
-    dims = space.dims()
-    for gx in (0, 1):
-        f_cols = mat_transpose(space.f_matrix(gx))
-        for i in range(dims[gx]):
-            x = tuple(int(t == i) for t in range(dims[gx]))
-            fx = f_cols[i]
-            for gy in (0, 1):
-                v_cols = mat_transpose(space.v_matrix(gy))
-                for j in range(dims[gy]):
-                    y = tuple(int(t == j) for t in range(dims[gy]))
-                    lhs = space.pair(1 - gx, fx, gy, y)
-                    rhs = fld.frob(space.pair(gx, x, 1 - gy, v_cols[j]))
-                    if lhs != rhs:
-                        return False
+    gram_t = mat_transpose(space.gram)
+    for g, f, v in ((space.gram, space.f_e2ebar, space.v_e2ebar),
+                    (gram_t, space.f_ebar2e, space.v_ebar2e)):
+        lhs = tuple(tuple(fld.neg(x) for x in col)
+                    for col in zip(*mat_mul(fld, g, f)))
+        if lhs != mat_frob(fld, mat_mul(fld, g, v)):
+            return False
     return True
 
 
@@ -445,24 +423,33 @@ def check_bt1(space: DieudonneSpace) -> bool:
     return pairing_law_holds(space)
 
 
-def direct_sum(a: DieudonneSpace, b: DieudonneSpace) -> DieudonneSpace:
-    """Block sum of all structure matrices; gram block-diagonal."""
-    if a.p != b.p:
-        raise ValueError(f"prime mismatch: {a.p} vs {b.p}")
+def direct_sum(first: DieudonneSpace, *rest: DieudonneSpace) -> DieudonneSpace:
+    """Block sum of all structure matrices, in order; gram block-diagonal.
+    The sum is validated once, as a new space."""
+    spaces = (first, *rest)
+    for other in rest:
+        if other.p != first.p:
+            raise ValueError(f"prime mismatch: {first.p} vs {other.p}")
 
-    def block(m1, m2, rows1, cols1, rows2, cols2):
-        top = [tuple(row) + (0,) * cols2 for row in m1]
-        bottom = [(0,) * cols1 + tuple(row) for row in m2]
-        assert len(top) == rows1 and len(bottom) == rows2
-        return tuple(top + bottom)
+    def block(name, source_is_e):
+        widths = [s.ne if source_is_e else s.nebar for s in spaces]
+        total = sum(widths)
+        rows = []
+        offset = 0
+        for s, width in zip(spaces, widths):
+            left, right = (0,) * offset, (0,) * (total - offset - width)
+            rows.extend(left + row + right for row in getattr(s, name))
+            offset += width
+        return tuple(rows)
 
     return DieudonneSpace(
-        p=a.p, ne=a.ne + b.ne, nebar=a.nebar + b.nebar,
-        f_e2ebar=block(a.f_e2ebar, b.f_e2ebar, a.nebar, a.ne, b.nebar, b.ne),
-        f_ebar2e=block(a.f_ebar2e, b.f_ebar2e, a.ne, a.nebar, b.ne, b.nebar),
-        v_e2ebar=block(a.v_e2ebar, b.v_e2ebar, a.nebar, a.ne, b.nebar, b.ne),
-        v_ebar2e=block(a.v_ebar2e, b.v_ebar2e, a.ne, a.nebar, b.ne, b.nebar),
-        gram=block(a.gram, b.gram, a.ne, a.nebar, b.ne, b.nebar),
+        p=first.p, ne=sum(s.ne for s in spaces),
+        nebar=sum(s.nebar for s in spaces),
+        f_e2ebar=block("f_e2ebar", True),
+        f_ebar2e=block("f_ebar2e", False),
+        v_e2ebar=block("v_e2ebar", True),
+        v_ebar2e=block("v_ebar2e", False),
+        gram=block("gram", False),
     )
 
 
@@ -472,11 +459,8 @@ def model_space(n: int, r: int, p: int) -> DieudonneSpace:
     supersingular planes; signature (n-1, 1) for every r."""
     if not 1 <= r <= n:
         raise ValueError(f"type r={r} out of range 1..{n}")
-    space = make_B(r, p).reduction()
-    ss = make_SS(p).reduction()
-    for _ in range(n - r):
-        space = direct_sum(space, ss)
-    return space
+    return direct_sum(make_B(r, p).reduction(),
+                      *[make_SS(p).reduction()] * (n - r))
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +516,23 @@ def _subspace_dim_sum(fld: GFp2, a: Mat, b: Mat) -> int:
     return len(rref(fld, a + b))
 
 
+def _closure(start, successors) -> set:
+    """The smallest set holding ``start`` and closed under ``successors``
+    (a node -> iterable of nodes); every node is expanded exactly once."""
+    seen = set(start)
+    work = list(start)
+    steps = 0
+    while work:
+        steps += 1
+        if steps > 100_000:
+            raise RuntimeError("canonical filtration failed to stabilize")
+        for nxt in successors(work.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
 def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     """Isomorphism-invariant signature of the canonical filtration.
 
@@ -555,42 +556,74 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
         lin = kernel_basis(fld, mat_mul(fld, ann, v_mat), dims[src])
         return src, rref(fld, tuple(vec_frob(fld, u) for u in lin))
 
-    start = [
-        (0, ()), (1, ()),
-        (0, identity_mat(dims[0])), (1, identity_mat(dims[1])),
-    ]
     image_of: dict = {}
-    seen = set(start)
-    work = list(start)
-    steps = 0
-    while work:
-        steps += 1
-        if steps > 100_000:
-            raise RuntimeError("canonical filtration failed to stabilize")
-        grade, basis = work.pop()
-        img = f_image(grade, basis)
-        image_of[(grade, basis)] = img
-        pre = v_preimage(grade, basis)
-        for nxt in (img, pre):
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
+
+    def successors(node):
+        image_of[node] = img = f_image(*node)
+        return img, v_preimage(*node)
+
+    seen = _closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
+                     (1, identity_mat(dims[1]))], successors)
     ker_f = {g: _semilinear_kernel(fld, space.f_matrix(g), dims[g])
              for g in (0, 1)}
     triples = []
     for grade, basis in seen:
-        img = image_of.get((grade, basis))
-        if img is None:
-            img = f_image(grade, basis)
         inter = len(basis) + len(ker_f[grade]) \
             - _subspace_dim_sum(fld, basis, ker_f[grade])
-        triples.append((len(basis), len(img[1]), inter))
+        triples.append((len(basis), len(image_of[grade, basis][1]), inter))
     return tuple(sorted(triples))
+
+
+def _arrows(mat: Mat) -> tuple[int | None, ...]:
+    """For each column of a block with at most one nonzero entry in every
+    row and column, the row of that entry, or None for a zero column;
+    ValueError for any other block."""
+    arrows: list[int | None] = [None] * (len(mat[0]) if mat else 0)
+    for i, row in enumerate(mat):
+        hits = [j for j, x in enumerate(row) if x]
+        if len(hits) > 1 or any(arrows[j] is not None for j in hits):
+            raise ValueError("block is not monomial")
+        for j in hits:
+            arrows[j] = i
+    return tuple(arrows)
+
+
+def _coordinate_fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
+    """:func:`fingerprint` of a space whose F and V blocks are monomial
+    (at most one nonzero entry in every row and column), as the models'
+    are, with no row reduction.
+
+    Every subspace in the closure is then spanned by basis vectors, so it
+    is kept as its index set: F(X) is the set of arrow targets of X, the
+    V-preimage of X is {j : column j of V is zero or its arrow lands in
+    X}, Ker F is spanned by the zero columns of F, and the coordinate
+    twist fixes basis vectors.  Raises ValueError when a block is not
+    monomial.
+    """
+    dims = space.dims()
+    f_to = {g: _arrows(space.f_matrix(g)) for g in (0, 1)}
+    v_to = {g: _arrows(space.v_matrix(g)) for g in (0, 1)}
+
+    def successors(node):
+        grade, idx = node
+        image = frozenset(f_to[grade][j] for j in idx) - {None}
+        preimage = frozenset(j for j, t in enumerate(v_to[1 - grade])
+                             if t is None or t in idx)
+        return (1 - grade, image), (1 - grade, preimage)
+
+    empty = frozenset()
+    seen = _closure([(0, empty), (1, empty), (0, frozenset(range(dims[0]))),
+                     (1, frozenset(range(dims[1])))], successors)
+    ker_f = {g: frozenset(j for j, t in enumerate(f_to[g]) if t is None)
+             for g in (0, 1)}
+    return tuple(sorted((len(idx), len(idx - ker_f[g]), len(idx & ker_f[g]))
+                        for g, idx in seen))
 
 
 @lru_cache(maxsize=None)
 def _model_fingerprints(n: int, p: int) -> tuple[tuple[int, tuple], ...]:
-    return tuple((r, fingerprint(model_space(n, r, p))) for r in range(1, n + 1))
+    return tuple((r, _coordinate_fingerprint(model_space(n, r, p)))
+                 for r in range(1, n + 1))
 
 
 def classify_type(space: DieudonneSpace, n: int) -> int:

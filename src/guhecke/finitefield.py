@@ -200,19 +200,21 @@ def mat_vec(fld: GFp2, m: Mat, v: Vec) -> Vec:
 
 
 def mat_mul(fld: GFp2, a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
+    """The product a @ b.  Row i is built as the sum of a[i][k] * (row k
+    of b) over the nonzero a[i][k] only, each through the multiplication
+    table row of a[i][k], so a sparse or monomial a costs about one row
+    operation per nonzero entry."""
     mul = fld._mul
     add = fld._add
+    width = len(b[0]) if b else 0
     out = []
     for row in a:
-        new = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add[acc][mul[x][y]]
-            new.append(acc)
-        out.append(tuple(new))
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                mul_x = mul[x]
+                acc = [add[s][mul_x[y]] for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -140,7 +140,8 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-side evaluation (exact, over Fraction) for the numeric cross-check.
+# Matrix-side evaluation (exact, over Fraction) for the numeric cross-check;
+# mat_det also decides whether an integral Dieudonne pairing is unimodular.
 
 Matrix = list[list[Fraction]]
 
@@ -151,8 +152,12 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
              for j in range(size)] for i in range(size)]
 
 
-def _mat_det(a: Matrix) -> Fraction:
-    m = [row[:] for row in a]
+def mat_det(a: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions by
+    Gaussian elimination over Fraction.  Each pivot is inverted as a
+    Fraction, so an int entry never divides to a float; entries the
+    elimination never touches stay as given."""
+    m = [list(row) for row in a]
     size = len(m)
     det = Fraction(1)
     for col in range(size):
@@ -163,7 +168,7 @@ def _mat_det(a: Matrix) -> Fraction:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det *= m[col][col]
-        inv = 1 / m[col][col]
+        inv = 1 / Fraction(m[col][col])
         for r in range(col + 1, size):
             if m[r][col]:
                 f = m[r][col] * inv
@@ -213,19 +218,19 @@ def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
     for i, v in enumerate(xs):
         a[i][i] = Fraction(v)
     j_signs = _antidiagonal_signs(n)
-    det_a = _mat_det(a)
+    det_a = mat_det(a)
     # twist(A, y) = (J * transpose(A)^(-1) * J, det(A) * y)
     twisted = _mat_mul(_mat_mul(j_signs, _mat_inv(_transpose(a))), j_signs)
     prod_mat = _mat_mul(a, twisted)
     prod_scalar = x0 * det_a * x0
     # r(M, y) = y * det(M) * transpose(M)^(-1)
     r_mat = _mat_inv(_transpose(prod_mat))
-    scale = prod_scalar * _mat_det(prod_mat)
+    scale = prod_scalar * mat_det(prod_mat)
     tv = Fraction(t)
     pn = Fraction(p) ** (n - 1)
     char = [[(tv if i == j else Fraction(0)) - pn * scale * r_mat[i][j]
              for j in range(n)] for i in range(n)]
-    return _mat_det(char)
+    return mat_det(char)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from guhecke.cli import fixture_path, main
+from guhecke.dieudonne import model_space, random_basechange
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,19 @@ def test_dd_classify_roundtrip_via_models(capsys, tmp_path):
                            "--n", "3")
     assert code == 0
     assert json.loads(out) == {"type": 1}
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (9, 11, 13, 15)
+                                 for p in (3, 11)])
+def test_dd_classify_large_n_basechanged_models(capsys, tmp_path, n, p):
+    for r in (1, 2, (n + 1) // 2, n - 1, n):
+        space = random_basechange(model_space(n, r, p), 1000 * n + 10 * p + r)
+        target = tmp_path / f"space-{r}.json"
+        target.write_text(json.dumps(space.to_json()))
+        code, out, _ = run_cli(capsys, "dd", "classify", "--input",
+                               str(target), "--n", str(n))
+        assert code == 0
+        assert out == f'{{"type":{r}}}\n'
 
 
 def test_dd_classify_malformed_json(capsys, tmp_path):

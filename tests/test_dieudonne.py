@@ -1,18 +1,24 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from guhecke.dieudonne import (DieudonneModuleZ, DieudonneSpace, NoMatchError,
-                               NotBT1Error, SlopeMultiset, basechange,
-                               char_poly, check_bt1, classify_type, direct_sum,
+                               NotBT1Error, SlopeMultiset,
+                               _coordinate_fingerprint, _int_mat_mul,
+                               _random_invertible, basechange, char_poly,
+                               check_bt1, classify_type, direct_sum,
                                fingerprint, isocrystal_shape, make_B, make_SS,
                                model_space, newton_slopes,
                                padic_newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange, signature,
                                strata_dims)
-from guhecke.finitefield import gfp2, identity_mat
+from guhecke.finitefield import gfp2, identity_mat, mat_transpose
+from guhecke.hecke import mat_det
 
 PRIMES = (3, 5, 7)
 
@@ -60,7 +66,7 @@ def test_b3_generating_relations():
     assert col(v, 4) == tuple(p * x for x in e[2])       # V f_2 = p e_3
 
 
-def _int_mat_mul(a, b):
+def _dense_int_mat_mul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col))
                        for col in zip(*b)) for row in a)
 
@@ -70,8 +76,41 @@ def test_fv_equals_p_for_all_models(p):
     for module in [make_SS(p)] + [make_B(d, p) for d in range(1, 10)]:
         dim = module.dim
         p_id = tuple(tuple(p * int(i == j) for j in range(dim)) for i in range(dim))
-        assert _int_mat_mul(module.f_mat, module.v_mat) == p_id
-        assert _int_mat_mul(module.v_mat, module.f_mat) == p_id
+        assert _dense_int_mat_mul(module.f_mat, module.v_mat) == p_id
+        assert _dense_int_mat_mul(module.v_mat, module.f_mat) == p_id
+
+
+def test_sparse_int_mat_mul_matches_dense_definition():
+    rng = random.Random(17)
+    cases = [(((0, 0), (0, 0)), ((0, 0), (0, 0))),
+             (((1, 2, 3),), ((0,), (0,), (0,))),
+             (make_B(4, 5).f_mat, make_B(4, 5).v_mat)]
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        for density in (0.0, 0.2, 0.6, 1.0):
+            a = tuple(tuple(rng.randint(-9, 9) if rng.random() < density else 0
+                            for _ in range(inner)) for _ in range(rows))
+            b = tuple(tuple(rng.randint(-9, 9) if rng.random() < density else 0
+                            for _ in range(cols)) for _ in range(inner))
+            cases.append((a, b))
+    for a, b in cases:
+        assert _int_mat_mul(a, b) == _dense_int_mat_mul(a, b), (a, b)
+
+
+def test_mat_det_is_exact_on_integer_and_rational_matrices():
+    rng = random.Random(23)
+    mats = [[[0, 1], [-1, 0]], [[3, 1], [1, 1]], [[0, 0], [0, 0]],
+            [list(row) for row in make_B(3, 7).gram]]
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            mats.append([[rng.choice((0, 0, rng.randint(-5, 5)))
+                          for _ in range(size)] for _ in range(size)])
+            mats.append([[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                          for _ in range(size)] for _ in range(size)])
+    for mat in mats:
+        det = mat_det(mat)
+        assert type(det) is Fraction
+        assert det == _det_by_permutation_expansion(mat), mat
 
 
 @pytest.mark.parametrize("p", (3, 7))
@@ -174,6 +213,124 @@ def test_space_validation_rejects_fv_nonzero():
                        gram=((0,),))
 
 
+# -- the pairing law --------------------------------------------------------------
+
+
+def _pair(space, grade1, v1, grade2, v2):
+    """The full pairing from its definition: graded pieces isotropic,
+    <x, y> = x^T G y for x in the e piece, antisymmetric."""
+    if grade1 == grade2:
+        return 0
+    fld = space.field
+    if grade1 == 1:
+        return fld.neg(_pair(space, 0, v2, 1, v1))
+    acc = 0
+    for a, row in zip(v1, space.gram):
+        for g, b in zip(row, v2):
+            acc = fld.add(acc, fld.mul(fld.mul(a, g), b))
+    return acc
+
+
+def _pairing_law_by_basis_pairs(space):
+    """Reference for pairing_law_holds: <F x, y> = <x, V y>^p tested on
+    every pair of graded basis vectors, one pairing at a time."""
+    fld = space.field
+    dims = space.dims()
+    for gx in (0, 1):
+        f_cols = mat_transpose(space.f_matrix(gx))
+        for i in range(dims[gx]):
+            x = tuple(int(t == i) for t in range(dims[gx]))
+            for gy in (0, 1):
+                v_cols = mat_transpose(space.v_matrix(gy))
+                for j in range(dims[gy]):
+                    y = tuple(int(t == j) for t in range(dims[gy]))
+                    lhs = _pair(space, 1 - gx, f_cols[i], gy, y)
+                    rhs = fld.frob(_pair(space, gx, x, 1 - gy, v_cols[j]))
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def _random_space(p, k, rng):
+    """A random space with both pieces of dimension k, usually not BT1.
+
+    F_e (e -> ebar) and V_ebar (ebar -> e) get random entries on supports
+    that make F_e frob(V_ebar) and V_ebar frob(F_e) vanish: V_ebar's rows
+    avoid F_e's columns and its columns avoid F_e's rows; likewise F_ebar
+    and V_e.  The gram is a random invertible matrix, and a random base
+    change then fills in the zeros."""
+    fld = gfp2(p)
+    blocks = {}
+    for f_name, v_name in (("f_e2ebar", "v_ebar2e"), ("f_ebar2e", "v_e2ebar")):
+        f_rows = {i for i in range(k) if rng.random() < 0.6}
+        f_cols = {j for j in range(k) if rng.random() < 0.6}
+        v_rows = {i for i in range(k) if i not in f_cols and rng.random() < 0.8}
+        v_cols = {j for j in range(k) if j not in f_rows and rng.random() < 0.8}
+        for name, rows, cols in ((f_name, f_rows, f_cols),
+                                 (v_name, v_rows, v_cols)):
+            blocks[name] = tuple(
+                tuple(rng.randrange(fld.size) if i in rows and j in cols else 0
+                      for j in range(k)) for i in range(k))
+    space = DieudonneSpace(p=p, ne=k, nebar=k,
+                           gram=_random_invertible(fld, k, rng), **blocks)
+    return basechange(space, _random_invertible(fld, k, rng),
+                      _random_invertible(fld, k, rng))
+
+
+def test_pairing_law_matches_basis_pair_loop_on_random_spaces():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for p in PRIMES:
+        for k in (1, 2, 3, 4):
+            for _ in range(40):
+                space = _random_space(p, k, rng)
+                law = pairing_law_holds(space)
+                assert law == _pairing_law_by_basis_pairs(space), space
+                outcomes[law] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_pairing_law_matches_basis_pair_loop_on_base_changed_models():
+    for p in PRIMES:
+        for n in (1, 2, 3, 4):
+            for r in range(1, n + 1):
+                for seed in range(3):
+                    space = random_basechange(model_space(n, r, p), seed)
+                    assert pairing_law_holds(space)
+                    assert _pairing_law_by_basis_pairs(space)
+
+
+PERTURBED_BLOCKS = ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e", "gram")
+
+
+@pytest.mark.parametrize("name", PERTURBED_BLOCKS)
+def test_pairing_law_matches_basis_pair_loop_on_perturbed_models(name):
+    # Every single-entry change of the block that still gives a valid
+    # space (F V = V F = 0, nondegenerate pairing) is compared.
+    rng = random.Random(PERTURBED_BLOCKS.index(name))
+    checked = 0
+    for p in PRIMES:
+        fld = gfp2(p)
+        for n in (1, 2, 3, 4):
+            for r in range(1, n + 1):
+                model = model_space(n, r, p)
+                for base in (model, random_basechange(model, 10 * n + r)):
+                    block = getattr(base, name)
+                    for i, j in itertools.product(range(len(block)),
+                                                  range(len(block[0]))):
+                        rows = [list(row) for row in block]
+                        rows[i][j] = fld.add(rows[i][j],
+                                             rng.randrange(1, fld.size))
+                        try:
+                            moved = dataclasses.replace(base, **{name: rows})
+                        except ValueError:
+                            continue
+                        assert pairing_law_holds(moved) \
+                            == _pairing_law_by_basis_pairs(moved), (p, n, r, i, j)
+                        checked += 1
+    assert checked >= 30
+
+
 # -- direct sums ---------------------------------------------------------------
 
 
@@ -188,6 +345,40 @@ def test_direct_sum_adds_signatures_and_dims():
     assert check_bt1(total)
     with pytest.raises(ValueError):
         direct_sum(make_SS(3).reduction(), make_SS(5).reduction())
+
+
+def test_nary_direct_sum_equals_pairwise_fold():
+    for p in (3, 5):
+        pieces = [make_B(3, p).reduction(), make_SS(p).reduction(),
+                  random_basechange(model_space(2, 1, p), p),
+                  make_B(1, p).reduction()]
+        assert direct_sum(pieces[0]) == pieces[0]
+        for count in range(2, len(pieces) + 1):
+            folded = pieces[0]
+            for piece in pieces[1:count]:
+                folded = direct_sum(folded, piece)
+            assert direct_sum(*pieces[:count]) == folded
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_nary_direct_sum_refuses_a_prime_mismatch_anywhere(position):
+    pieces = [make_SS(3).reduction()] * 4
+    pieces[position] = make_SS(5).reduction()
+    with pytest.raises(ValueError, match="prime mismatch"):
+        direct_sum(*pieces)
+
+
+def test_model_space_json_is_unchanged():
+    # sha256 of the compact JSON of every model with odd n <= 9 and
+    # p in {3, 5, 7}, recorded with the pairwise direct sum.
+    digest = hashlib.sha256()
+    for p in (3, 5, 7):
+        for n in range(3, 10, 2):
+            for r in range(1, n + 1):
+                digest.update(json.dumps(model_space(n, r, p).to_json(),
+                                         separators=(",", ":")).encode())
+    assert digest.hexdigest() == (
+        "aaacc5b07389def7ffe224ceb5f9e1eefc3d10fd4342f62a9df3a39dec546e51")
 
 
 # -- base change ---------------------------------------------------------------
@@ -222,6 +413,30 @@ def test_random_basechange_is_seeded():
 def test_model_fingerprints_pairwise_distinct(n, p):
     prints = [fingerprint(model_space(n, r, p)) for r in range(1, n + 1)]
     assert len(set(prints)) == n
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_coordinate_fingerprint_matches_row_reduced_closure(p):
+    for n in range(3, 16, 2):
+        for r in range(1, n + 1):
+            model = model_space(n, r, p)
+            assert _coordinate_fingerprint(model) == fingerprint(model), (n, r)
+
+
+def test_coordinate_fingerprint_refuses_non_monomial_blocks():
+    for n, r, p in ((3, 1, 3), (5, 2, 5), (7, 7, 3)):
+        moved = random_basechange(model_space(n, r, p), n + r)
+        with pytest.raises(ValueError, match="not monomial"):
+            _coordinate_fingerprint(moved)
+    # one extra entry in a row, then in a column, of an otherwise monomial
+    # F block (V = 0 keeps the space valid)
+    zero = ((0, 0), (0, 0))
+    for f in (((1, 1), (0, 0)), ((1, 0), (1, 0))):
+        space = DieudonneSpace(p=3, ne=2, nebar=2, f_e2ebar=f,
+                               f_ebar2e=zero, v_e2ebar=zero, v_ebar2e=zero,
+                               gram=identity_mat(2))
+        with pytest.raises(ValueError, match="not monomial"):
+            _coordinate_fingerprint(space)
 
 
 def test_classify_models_and_roundtrip():

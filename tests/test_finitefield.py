@@ -156,6 +156,44 @@ def test_mat_inv_roundtrip():
         assert mat_mul(fld, m, mat_inv(fld, m)) == identity_mat(3)
 
 
+def _dense_mat_mul(fld, a, b):
+    """The definition: entry (i, j) is the sum over k of a[i][k] * b[k][j]."""
+    out = []
+    for row in a:
+        new = []
+        for j in range(len(b[0])):
+            acc = 0
+            for k, x in enumerate(row):
+                acc = fld.add(acc, fld.mul(x, b[k][j]))
+            new.append(acc)
+        out.append(tuple(new))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sparse_mat_mul_matches_dense_definition(p):
+    fld = gfp2(p)
+    rng = random.Random(41 + p)
+
+    def sample(rows, cols, density):
+        return tuple(tuple(rng.randrange(1, fld.size)
+                           if rng.random() < density else 0
+                           for _ in range(cols)) for _ in range(rows))
+
+    cases = [(sample(3, 3, 0.0), sample(3, 3, 1.0)),   # zero left factor
+             (sample(3, 3, 1.0), sample(3, 3, 0.0)),   # zero right factor
+             (sample(1, 4, 1.0), sample(4, 1, 1.0)),   # row times column
+             (sample(4, 1, 1.0), sample(1, 4, 1.0))]   # column times row
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        for density in (0.15, 0.5, 1.0):
+            a = [list(row) for row in sample(rows, inner, density)]
+            a[rng.randrange(rows)] = [0] * inner         # a zero row
+            cases.append((tuple(map(tuple, a)), sample(inner, cols, density)))
+    for a, b in cases:
+        assert mat_mul(fld, a, b) == _dense_mat_mul(fld, a, b), (a, b)
+
+
 def test_mat_inv_rejects_singular():
     fld = gfp2(3)
     with pytest.raises(ZeroDivisionError):
