@@ -29,6 +29,13 @@ partial signed permutations, so its closure consists of coordinate
 subspaces and is computed on index sets instead (the test suite checks
 the two agree on every model).
 
+Both the BT1 test and the fingerprint rest on rank-nullity for a
+semilinear map x -> A frob(x): its image is the column span of A and
+its kernel has dimension (source dim) - rank A, since frob is a
+bijection.  So dim(X & ker F) = dim X - dim F(X), and, as F V = V F = 0
+already gives Im F <= Ker V and Im V <= Ker F, the BT1 equalities are
+rank identities; no kernel or intersection is formed.
+
 Newton slopes of an integral model are read off the p-adic Newton
 polygon of the characteristic polynomial of F; this identification is
 valid precisely because the model's F-matrix has integer (Frobenius-
@@ -47,6 +54,7 @@ from .finitefield import (GFp2, Mat, Vec, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
                           mat_transpose, mat_vec, rank, rref, vec_frob)
 from .hecke import mat_det
+from .rootdatum import _require_odd
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -63,6 +71,10 @@ class NotBT1Error(ClassificationError):
 class NoMatchError(ClassificationError):
     """No model fingerprint matches; the input is malformed or the
     fingerprint failed to separate (which the test suite rules out)."""
+
+
+class ClosureLimitError(ClassificationError):
+    """The fingerprint closure took more than CLOSURE_STEP_LIMIT steps."""
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +383,6 @@ def signature(space: DieudonneSpace) -> tuple[int, int]:
             space.nebar - rank(fld, mat_transpose(space.v_e2ebar)))
 
 
-def _image_basis(fld: GFp2, mat: Mat) -> Mat:
-    """Row basis of the column span (images of the standard basis; the
-    coordinate twist does not change the span)."""
-    return rref(fld, mat_transpose(mat))
-
-
-def _semilinear_kernel(fld: GFp2, mat: Mat, ncols: int) -> Mat:
-    """Kernel of v -> mat @ frob(v): the Frobenius of the linear kernel."""
-    lin = kernel_basis(fld, mat, ncols)
-    return rref(fld, tuple(vec_frob(fld, v) for v in lin))
-
-
 def pairing_law_holds(space: DieudonneSpace) -> bool:
     """<F x, y> = <x, V y>^p on all pairs of graded basis vectors.
 
@@ -408,17 +408,16 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
 
 def check_bt1(space: DieudonneSpace) -> bool:
     """True iff Im F = Ker V and Im V = Ker F (gradedwise, as subspace
-    equalities) and the pairing law holds on all basis pairs."""
+    equalities) and the pairing law holds on all basis pairs.
+
+    The space already has F V = V F = 0, so Im F_g <= Ker V_(1-g) and
+    Im V_(1-g) <= Ker F_g; a semilinear kernel has dimension dim - rank
+    and both pieces have dimension n, so these two equalities are the
+    one rank identity rank F_g + rank V_(1-g) = n, for g = 0 and 1."""
     fld = space.field
-    dims = space.dims()
     for g in (0, 1):
-        im_f = _image_basis(fld, space.f_matrix(g))
-        ker_v = _semilinear_kernel(fld, space.v_matrix(1 - g), dims[1 - g])
-        if im_f != ker_v:
-            return False
-        im_v = _image_basis(fld, space.v_matrix(g))
-        ker_f = _semilinear_kernel(fld, space.f_matrix(1 - g), dims[1 - g])
-        if im_v != ker_f:
+        if rank(fld, space.f_matrix(g)) + rank(fld, space.v_matrix(1 - g)) \
+                != space.ne:
             return False
     return pairing_law_holds(space)
 
@@ -512,20 +511,21 @@ def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
 # Fingerprint and classification
 
 
-def _subspace_dim_sum(fld: GFp2, a: Mat, b: Mat) -> int:
-    return len(rref(fld, a + b))
+# Worklist steps after which a fingerprint closure is given up.
+CLOSURE_STEP_LIMIT = 100_000
 
 
 def _closure(start, successors) -> set:
     """The smallest set holding ``start`` and closed under ``successors``
-    (a node -> iterable of nodes); every node is expanded exactly once."""
+    (a node -> iterable of nodes); every node is expanded exactly once.
+    Raises ClosureLimitError after CLOSURE_STEP_LIMIT expansions."""
     seen = set(start)
     work = list(start)
     steps = 0
     while work:
         steps += 1
-        if steps > 100_000:
-            raise RuntimeError("canonical filtration failed to stabilize")
+        if steps > CLOSURE_STEP_LIMIT:
+            raise ClosureLimitError("canonical filtration failed to stabilize")
         for nxt in successors(work.pop()):
             if nxt not in seen:
                 seen.add(nxt)
@@ -538,7 +538,9 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
 
     Close {0, full} (in each graded piece) under X -> F(X) and
     X -> preimage of X under V, then collect the sorted multiset of
-    (dim X, dim F(X), dim(X & Ker F)) over all subspaces found.
+    (dim X, dim F(X), dim(X & Ker F)) over all subspaces found.  The
+    last entry is dim X - dim F(X), by rank-nullity for F restricted to
+    X; every subspace is kept as its reduced basis.
     """
     fld = space.field
     dims = space.dims()
@@ -556,22 +558,23 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
         lin = kernel_basis(fld, mat_mul(fld, ann, v_mat), dims[src])
         return src, rref(fld, tuple(vec_frob(fld, u) for u in lin))
 
-    image_of: dict = {}
+    image_dim: dict = {}
 
     def successors(node):
-        image_of[node] = img = f_image(*node)
+        img = f_image(*node)
+        image_dim[node] = len(img[1])
         return img, v_preimage(*node)
 
     seen = _closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
                      (1, identity_mat(dims[1]))], successors)
-    ker_f = {g: _semilinear_kernel(fld, space.f_matrix(g), dims[g])
-             for g in (0, 1)}
-    triples = []
-    for grade, basis in seen:
-        inter = len(basis) + len(ker_f[grade]) \
-            - _subspace_dim_sum(fld, basis, ker_f[grade])
-        triples.append((len(basis), len(image_of[grade, basis][1]), inter))
-    return tuple(sorted(triples))
+    return _triples(seen, image_dim)
+
+
+def _triples(seen, image_dim) -> tuple[tuple[int, int, int], ...]:
+    """The sorted (dim X, dim F(X), dim X - dim F(X)) over the closure;
+    a node (grade, X) holds X as a basis or an index set."""
+    return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
+                        for g, x in seen))
 
 
 def _arrows(mat: Mat) -> tuple[int | None, ...]:
@@ -596,17 +599,19 @@ def _coordinate_fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int]
     Every subspace in the closure is then spanned by basis vectors, so it
     is kept as its index set: F(X) is the set of arrow targets of X, the
     V-preimage of X is {j : column j of V is zero or its arrow lands in
-    X}, Ker F is spanned by the zero columns of F, and the coordinate
-    twist fixes basis vectors.  Raises ValueError when a block is not
-    monomial.
+    X}, and the coordinate twist fixes basis vectors; dim(X & Ker F) is
+    dim X - dim F(X), as in :func:`fingerprint`.  Raises ValueError when
+    a block is not monomial.
     """
     dims = space.dims()
     f_to = {g: _arrows(space.f_matrix(g)) for g in (0, 1)}
     v_to = {g: _arrows(space.v_matrix(g)) for g in (0, 1)}
+    image_dim: dict = {}
 
     def successors(node):
         grade, idx = node
         image = frozenset(f_to[grade][j] for j in idx) - {None}
+        image_dim[node] = len(image)
         preimage = frozenset(j for j, t in enumerate(v_to[1 - grade])
                              if t is None or t in idx)
         return (1 - grade, image), (1 - grade, preimage)
@@ -614,10 +619,7 @@ def _coordinate_fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int]
     empty = frozenset()
     seen = _closure([(0, empty), (1, empty), (0, frozenset(range(dims[0]))),
                      (1, frozenset(range(dims[1])))], successors)
-    ker_f = {g: frozenset(j for j, t in enumerate(f_to[g]) if t is None)
-             for g in (0, 1)}
-    return tuple(sorted((len(idx), len(idx - ker_f[g]), len(idx & ker_f[g]))
-                        for g, idx in seen))
+    return _triples(seen, image_dim)
 
 
 @lru_cache(maxsize=None)
@@ -772,8 +774,7 @@ def isocrystal_shape(n: int, r: int) -> IsocrystalShape:
     For even r the two paired factors are simple of dimension 2r and
     appear once each; for odd r they split as two copies of dimension r.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    _require_odd(n)
     if not 0 <= r <= (n - 1) // 2:
         raise ValueError(f"r={r} out of range 0..{(n - 1) // 2}")
     factors = []
@@ -812,8 +813,7 @@ def strata_dims(n: int) -> list[StratumRow]:
     type r/2; odd types have dimension (r-1)/2 and are supersingular.
     The unique open stratum (the ordinary one) is r = 2.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    _require_odd(n)
     rows = []
     for r in range(1, n + 1):
         if r % 2 == 0:

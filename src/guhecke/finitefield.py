@@ -143,17 +143,6 @@ class GFp2:
         """Frobenius x -> x^p; an involution."""
         return self._frob[x]
 
-    def pow(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inv(x), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self._mul[out][x]
-            x = self._mul[x][x]
-            k >>= 1
-        return out
-
     def embed(self, value: int) -> int:
         """The prime-field element value mod p as a field code."""
         return value % self.p
@@ -234,7 +223,14 @@ def mat_transpose(m: Mat) -> Mat:
 
 def rref(fld: GFp2, rows: Iterable[Vec]) -> Mat:
     """Reduced row echelon form with zero rows dropped: the canonical basis
-    of the row span, usable as a hashable subspace identifier."""
+    of the row span, usable as a hashable subspace identifier.
+
+    Column ``col``'s pivot row is zero left of ``col`` (every earlier
+    column was cleared in it or had no pivot below the rank), so it is
+    scaled, and the other rows are updated, from ``col`` on only; row r
+    subtracts f times the pivot row by adding ``mul[neg[f]]`` of each
+    entry, one table row per update.
+    """
     work = [list(r) for r in rows]
     if not work:
         return ()
@@ -249,18 +245,18 @@ def rref(fld: GFp2, rows: Iterable[Vec]) -> Mat:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        piv_inv = inv[work[rank][col]]
-        work[rank] = [mul[piv_inv][x] for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                row_r = work[r]
-                row_p = work[rank]
-                work[r] = [add[x][neg[mul[f][y]]] for x, y in zip(row_r, row_p)]
+        scale = mul[inv[work[rank][col]]]
+        tail = [scale[x] for x in work[rank][col:]]
+        work[rank][col:] = tail
+        for r, row_r in enumerate(work):
+            f = row_r[col]
+            if f and r != rank:
+                sub = mul[neg[f]]
+                row_r[col:] = [add[x][sub[y]] for x, y in zip(row_r[col:], tail)]
         rank += 1
         if rank == len(work):
             break
-    return tuple(tuple(r) for r in work[:rank] if any(r))
+    return tuple(tuple(r) for r in work[:rank])
 
 
 def rank(fld: GFp2, rows: Iterable[Vec]) -> int:
@@ -273,20 +269,7 @@ def kernel_basis(fld: GFp2, m: Mat, ncols: int | None = None) -> Mat:
         if not m:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(m[0])
-    red = rref(fld, m)
-    pivots = []
-    for row in red:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-    free = [c for c in range(ncols) if c not in pivots]
-    neg = fld._neg
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = neg[row[fc]]
-        basis.append(tuple(v))
-    return tuple(basis)
+    return annihilator_rows(fld, rref(fld, m), ncols)
 
 
 def mat_inv(fld: GFp2, m: Mat) -> Mat:
@@ -314,10 +297,23 @@ def mat_inv(fld: GFp2, m: Mat) -> Mat:
 
 def annihilator_rows(fld: GFp2, basis: Mat, ambient: int) -> Mat:
     """Rows c with c . b = 0 for every basis row b; cuts out the row span:
-    a vector lies in span(basis) iff it is killed by all returned rows."""
-    if not basis:
-        return identity_mat(ambient)
-    return kernel_basis(fld, basis, ambient)
+    a vector lies in span(basis) iff it is killed by all returned rows.
+
+    ``basis`` must be in reduced row echelon form; it is not reduced
+    again.  Each non-pivot column gives one row, so an empty basis gives
+    the identity."""
+    pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
+    neg = fld._neg
+    out = []
+    for fc in range(ambient):
+        if fc in pivots:
+            continue
+        v = [0] * ambient
+        v[fc] = 1
+        for row, pc in zip(basis, pivots):
+            v[pc] = neg[row[fc]]
+        out.append(tuple(v))
+    return tuple(out)
 
 
 def in_row_span(fld: GFp2, basis: Mat, v: Vec) -> bool:

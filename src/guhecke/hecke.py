@@ -27,13 +27,8 @@ from operator import itemgetter
 from typing import Sequence
 
 from .laurent import LaurentPoly, Monomial, TPoly
-from .rootdatum import (Weight, WeylElement, pairing, rho, sigma_twist_poly,
-                        weyl_generators, weyl_group)
-
-
-def _require_odd(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+from .rootdatum import (Weight, WeylElement, _require_odd, pairing, rho,
+                        sigma_twist_poly, weyl_generators, weyl_group)
 
 
 def r_weights(n: int) -> list[Weight]:
@@ -147,9 +142,18 @@ Matrix = list[list[Fraction]]
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0))
-             for j in range(size)] for i in range(size)]
+    """a @ b over the nonzero products a[i][k] * b[k][j] only; the
+    operands here are diagonal or antidiagonal."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_det(a: Sequence[Sequence]) -> Fraction:
@@ -178,6 +182,7 @@ def mat_det(a: Sequence[Sequence]) -> Fraction:
 
 
 def _mat_inv(a: Matrix) -> Matrix:
+    """Gauss-Jordan inverse; zero entries of the pivot row are skipped."""
     size = len(a)
     m = [row[:] + [Fraction(int(i == j)) for j in range(size)]
          for i, row in enumerate(a)]
@@ -187,11 +192,11 @@ def _mat_inv(a: Matrix) -> Matrix:
             raise ZeroDivisionError("singular matrix")
         m[col], m[pivot] = m[pivot], m[col]
         inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
+        m[col] = [v * inv if v else v for v in m[col]]
         for r in range(size):
             if r != col and m[r][col]:
                 f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+                m[r] = [v - f * w if w else v for v, w in zip(m[r], m[col])]
     return [row[size:] for row in m]
 
 
@@ -226,10 +231,10 @@ def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
     # r(M, y) = y * det(M) * transpose(M)^(-1)
     r_mat = _mat_inv(_transpose(prod_mat))
     scale = prod_scalar * mat_det(prod_mat)
-    tv = Fraction(t)
-    pn = Fraction(p) ** (n - 1)
-    char = [[(tv if i == j else Fraction(0)) - pn * scale * r_mat[i][j]
-             for j in range(n)] for i in range(n)]
+    factor, tv = -Fraction(p) ** (n - 1) * scale, Fraction(t)
+    char = [[factor * v if v else v for v in row] for row in r_mat]
+    for i in range(n):
+        char[i][i] += tv
     return mat_det(char)
 
 

@@ -26,7 +26,8 @@ canonical and deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import lcm, prod
+from operator import add, getitem
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Coeff = int | Fraction
@@ -300,21 +301,32 @@ class LaurentPoly:
 
     def evaluate(self, q_val, x_vals: Sequence) -> Fraction:
         """Exact value at q=q_val, x_i=x_vals[i]; all values must be nonzero
-        rationals whenever a negative exponent touches them."""
+        rationals whenever a negative exponent touches them.
+
+        The sum runs over Python ints with one Fraction division at the
+        end.  For a value a/b whose exponents lie in [lo, hi] with
+        lo <= 0 <= hi, (a/b)^e = a^(e-lo) * b^(hi-e) / (a^-lo * b^hi),
+        both exponents >= 0; coefficients are scaled by the lcm of their
+        denominators.  A zero value under a negative exponent makes the
+        common denominator 0, which raises ZeroDivisionError.
+        """
         if len(x_vals) != self.n + 1:
             raise ValueError(f"need {self.n + 1} values, got {len(x_vals)}")
-        qv = Fraction(q_val)
-        xv = [Fraction(v) for v in x_vals]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            if mono.q_exp:
-                term *= qv ** mono.q_exp
-            for e, v in zip(mono.x_exps, xv):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        rows = [((m.q_exp, *m.x_exps), c) for m, c in self.terms.items()]
+        scale = lcm(*(c.denominator for _, c in rows))
+        den = scale
+        tables = []
+        values = [Fraction(v) for v in (q_val, *x_vals)]
+        for v, col in zip(values, zip(*(exps for exps, _ in rows))):
+            lo, hi = min(0, *col), max(0, *col)
+            a, b = v.numerator, v.denominator
+            # Entry e is a^(e-lo) * b^(hi-e); a negative e counts from the end.
+            tables.append([a ** (e - lo) * b ** (hi - e)
+                           for e in (*range(hi + 1), *range(lo, 0))])
+            den *= a ** -lo * b ** hi
+        total = sum(c.numerator * (scale // c.denominator)
+                    * prod(map(getitem, tables, exps)) for exps, c in rows)
+        return Fraction(total, den)
 
     # -- rendering ---------------------------------------------------------
 

@@ -27,8 +27,8 @@ def test_hecke_json(capsys):
 
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
-HECKE_GOLDEN = {key: entry for key, entry in
-                json.loads(GOLDEN.read_text(encoding="utf-8"))["outputs"].items()
+GOLDEN_OUTPUTS = json.loads(GOLDEN.read_text(encoding="utf-8"))["outputs"]
+HECKE_GOLDEN = {key: entry for key, entry in GOLDEN_OUTPUTS.items()
                 if key.startswith("hecke ")}
 
 
@@ -195,6 +195,16 @@ def test_dd_classify_corrupted_space(capsys, tmp_path):
     assert code == 3
 
 
+def test_dd_classify_closure_step_limit_is_data_error(capsys, monkeypatch):
+    import guhecke.dieudonne as dieudonne
+    monkeypatch.setattr(dieudonne, "CLOSURE_STEP_LIMIT", 5)
+    code, out, err = run_cli(capsys, "dd", "classify",
+                             "--input", str(fixture_path()), "--n", "5")
+    assert code == 3
+    assert out == ""
+    assert "failed to stabilize" in err
+
+
 def test_dd_classify_wrong_n_is_data_error(capsys):
     code, _, err = run_cli(capsys, "dd", "classify",
                            "--input", str(fixture_path()), "--n", "7")
@@ -230,6 +240,8 @@ def test_selftest_passes_and_counts_criteria(capsys):
     assert "fixture ss_sum.json: type 5 ok" in out
     assert f"{len(CRITERIA)}/{len(CRITERIA)} criteria passed" in out
     assert out.count("PASS") == len(CRITERIA)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_OUTPUTS["selftest"]["sha256"]
 
 
 def test_selftest_corrupted_fixture_exits_3(capsys, tmp_path, monkeypatch):

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.dieudonne import (DieudonneModuleZ, DieudonneSpace, NoMatchError,
+import guhecke.dieudonne as dieudonne
+from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
+                               DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                NotBT1Error, SlopeMultiset,
                                _coordinate_fingerprint, _int_mat_mul,
                                _random_invertible, basechange, char_poly,
@@ -17,7 +19,8 @@ from guhecke.dieudonne import (DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                padic_newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange, signature,
                                strata_dims)
-from guhecke.finitefield import gfp2, identity_mat, mat_transpose
+from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_mul,
+                                  mat_transpose, mat_vec, rref, vec_frob)
 from guhecke.hecke import mat_det
 
 PRIMES = (3, 5, 7)
@@ -329,6 +332,114 @@ def test_pairing_law_matches_basis_pair_loop_on_perturbed_models(name):
                             == _pairing_law_by_basis_pairs(moved), (p, n, r, i, j)
                         checked += 1
     assert checked >= 30
+
+
+# -- rank identities against the earlier subspace computations ----------------
+
+
+def _semilinear_kernel(fld, mat, ncols):
+    """Kernel of v -> mat @ frob(v): the Frobenius of the linear kernel."""
+    return rref(fld, tuple(vec_frob(fld, v) for v in kernel_basis(fld, mat, ncols)))
+
+
+def _bt1_equalities(space):
+    """The earlier check_bt1's reduced-subspace equalities, by the grade g
+    of their target piece: (Im F = Ker V, Im V = Ker F) in grade 1, then
+    in grade 0."""
+    fld = space.field
+    dims = space.dims()
+    out = []
+    for g in (0, 1):
+        out.append((
+            rref(fld, mat_transpose(space.f_matrix(g)))
+            == _semilinear_kernel(fld, space.v_matrix(1 - g), dims[1 - g]),
+            rref(fld, mat_transpose(space.v_matrix(g)))
+            == _semilinear_kernel(fld, space.f_matrix(1 - g), dims[1 - g])))
+    return tuple(out)
+
+
+def _fingerprint_by_intersections(space):
+    """The earlier fingerprint, kept as the reference: the third entry is
+    dim X + dim Ker F - dim(X + Ker F), and every annihilator is computed
+    from a freshly reduced basis."""
+    fld = space.field
+    dims = space.dims()
+
+    def successors(node):
+        grade, basis = node
+        rows = tuple(mat_vec(fld, space.f_matrix(grade), vec_frob(fld, b))
+                     for b in basis)
+        ann = kernel_basis(fld, basis, dims[grade]) if basis \
+            else identity_mat(dims[grade])
+        lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(1 - grade)),
+                           dims[1 - grade])
+        return ((1 - grade, rref(fld, rows)),
+                (1 - grade, rref(fld, tuple(vec_frob(fld, u) for u in lin))))
+
+    seen = dieudonne._closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
+                               (1, identity_mat(dims[1]))], successors)
+    ker_f = {g: _semilinear_kernel(fld, space.f_matrix(g), dims[g])
+             for g in (0, 1)}
+    triples = []
+    for grade, basis in seen:
+        image = successors((grade, basis))[0][1]
+        inter = len(basis) + len(ker_f[grade]) \
+            - len(rref(fld, basis + ker_f[grade]))
+        triples.append((len(basis), len(image), inter))
+    return tuple(sorted(triples))
+
+
+def test_check_bt1_ranks_match_subspace_equalities_on_random_spaces(monkeypatch):
+    rng = random.Random(57)
+    spaces = [_random_space(p, k, rng)
+              for p in PRIMES for k in (1, 2, 3, 4, 5) for _ in range(30)]
+    for space in spaces:
+        equal = all(all(pair) for pair in _bt1_equalities(space))
+        assert check_bt1(space) == (equal and pairing_law_holds(space))
+    # With the pairing law out of the way the rank identities alone decide,
+    # including on the spaces where, in one grade, exactly one of the two
+    # equalities fails.
+    monkeypatch.setattr(dieudonne, "pairing_law_holds", lambda space: True)
+    outcomes = set()
+    for space in spaces:
+        pairs = _bt1_equalities(space)
+        assert check_bt1(space) == all(all(pair) for pair in pairs), space
+        outcomes.update(pairs)
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+
+def test_check_bt1_ranks_match_subspace_equalities_on_base_changed_models():
+    for p in PRIMES:
+        for n in (1, 2, 3, 5):
+            for r in range(1, n + 1):
+                for seed in range(3):
+                    space = random_basechange(model_space(n, r, p), 7 * seed + r)
+                    assert _bt1_equalities(space) == ((True, True),) * 2
+                    assert check_bt1(space)
+
+
+def test_fingerprint_matches_intersection_reference():
+    rng = random.Random(58)
+    for p in PRIMES:
+        for k in (1, 2, 3, 4, 5):
+            for _ in range(12):
+                space = _random_space(p, k, rng)
+                assert fingerprint(space) == _fingerprint_by_intersections(space)
+        for n, r in ((3, 1), (3, 2), (5, 4), (5, 5)):
+            space = random_basechange(model_space(n, r, p), n * r)
+            assert fingerprint(space) == _fingerprint_by_intersections(space)
+
+
+def test_closure_step_limit_is_a_classification_error(monkeypatch):
+    assert dieudonne.CLOSURE_STEP_LIMIT == 100_000
+    assert issubclass(ClosureLimitError, ClassificationError)
+    space = random_basechange(model_space(3, 2, 3), 1)
+    monkeypatch.setattr(dieudonne, "CLOSURE_STEP_LIMIT", 3)
+    with pytest.raises(ClosureLimitError, match="failed to stabilize"):
+        fingerprint(space)
+    with pytest.raises(ClosureLimitError):
+        _coordinate_fingerprint(model_space(3, 2, 3))
 
 
 # -- direct sums ---------------------------------------------------------------

@@ -35,11 +35,22 @@ def test_field_axioms_exhaustive(p):
         assert fld.mul(fld.mul(x, y), z) == fld.mul(x, fld.mul(y, z))
 
 
+def _power(fld, x, k):
+    """x^k for k >= 0 by square-and-multiply over fld.mul."""
+    out = 1
+    while k:
+        if k & 1:
+            out = fld.mul(out, x)
+        x = fld.mul(x, x)
+        k >>= 1
+    return out
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_frobenius_is_pth_power_and_involution(p):
     fld = gfp2(p)
     for x in fld.elements():
-        assert fld.frob(x) == fld.pow(x, p)
+        assert fld.frob(x) == _power(fld, x, p)
         assert fld.frob(fld.frob(x)) == x
 
 
@@ -115,6 +126,64 @@ def test_rref_canonical_on_known_matrix():
     red = rref(fld, m)
     assert red == ((1, 2, 0), (0, 0, 1))
     assert rank(fld, m) == 2
+
+
+def _full_row_rref(fld, rows):
+    """The earlier rref, kept as the reference: scales and updates whole
+    rows, subtracting f times the pivot row entry by entry."""
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    rank_ = 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank_, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank_], work[pivot] = work[pivot], work[rank_]
+        piv_inv = fld.inv(work[rank_][col])
+        work[rank_] = [fld.mul(piv_inv, x) for x in work[rank_]]
+        for r in range(len(work)):
+            if r != rank_ and work[r][col]:
+                f = work[r][col]
+                work[r] = [fld.sub(x, fld.mul(f, y))
+                           for x, y in zip(work[r], work[rank_])]
+        rank_ += 1
+        if rank_ == len(work):
+            break
+    return tuple(tuple(r) for r in work[:rank_] if any(r))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_rref_matches_full_row_reference(p):
+    fld = gfp2(p)
+    rng = random.Random(600 + p)
+    cases = [((0, 0, 0),), ((0, 0), (0, 0)), (), identity_mat(4)]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)   # wide and tall
+        m = [list(row) for row in rand_mat(fld, rng, nrows, ncols)]
+        if nrows > 1 and rng.random() < 0.5:                  # rank-deficient
+            c = rng.randrange(fld.size)
+            m[-1] = [fld.add(x, fld.mul(c, y)) for x, y in zip(m[0], m[-2])]
+            m[-2] = list(m[0])
+        if rng.random() < 0.3:                                # a zero row
+            m[rng.randrange(nrows)] = [0] * ncols
+        if rng.random() < 0.3:                                # a zero column
+            zero = rng.randrange(ncols)
+            for row in m:
+                row[zero] = 0
+        cases.append(tuple(map(tuple, m)))
+    deficient = set()
+    for m in cases:
+        red = rref(fld, m)
+        assert red == _full_row_rref(fld, m), m
+        assert all(any(row) for row in red)
+        if m:
+            deficient.add(len(red) < min(len(m), len(m[0])))
+    assert deficient == {True, False}
+
+
+def test_annihilator_of_the_empty_basis_is_the_identity():
+    assert annihilator_rows(gfp2(5), (), 3) == identity_mat(3)
 
 
 def test_rref_is_idempotent_and_span_invariant():

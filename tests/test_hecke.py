@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.hecke import (central_monomial, check_sigma_invariance,
+from guhecke.hecke import (_mat_mul, central_monomial, check_sigma_invariance,
                            check_weyl_invariance, factor_hecke,
                            hecke_polynomial, hecke_report, hecke_roots,
                            hecke_value_by_determinant, r_weights, satake_alpha)
@@ -216,6 +216,37 @@ def test_product_form_matches_determinant_at_random_points():
                 t = Fraction(rng.randint(-10, 10), rng.randint(1, 4))
                 assert hp.evaluate(t, p, [x0, *xs]) == \
                     hecke_value_by_determinant(n, x0, xs, p, t)
+
+
+def _dense_mat_mul(a, b):
+    """The earlier product: every a[i][k] * b[k][j], summed from Fraction(0)."""
+    size = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0))
+             for j in range(size)] for i in range(size)]
+
+
+def test_sparse_mat_mul_matches_dense_products():
+    rng = random.Random(88)
+
+    def sample(size, density):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 if rng.random() < density else Fraction(0)
+                 for _ in range(size)] for _ in range(size)]
+
+    cases = []
+    for size in (1, 3, 5):
+        diag = [[Fraction(rng.randint(1, 7)) if i == j else Fraction(0)
+                 for j in range(size)] for i in range(size)]
+        anti = [[Fraction((-1) ** i) if i + j == size - 1 else Fraction(0)
+                 for j in range(size)] for i in range(size)]
+        cases += [(diag, anti), (anti, diag), (anti, anti),
+                  (sample(size, 0.0), sample(size, 1.0))]
+        cases += [(sample(size, d), sample(size, d))
+                  for d in (0.2, 0.6, 1.0) for _ in range(10)]
+    for a, b in cases:
+        got = _mat_mul(a, b)
+        assert got == _dense_mat_mul(a, b), (a, b)
+        assert all(type(v) is Fraction for row in got for v in row)
 
 
 def test_determinant_route_validates_arguments():

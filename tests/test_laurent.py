@@ -149,6 +149,53 @@ def test_evaluate_is_ring_homomorphism():
         assert (a + b).evaluate(q_val, point) == a.evaluate(q_val, point) + b.evaluate(q_val, point)
 
 
+def _evaluate_by_fractions(poly, q_val, x_vals):
+    """The earlier evaluate, kept as the reference: every power and every
+    partial sum is a Fraction."""
+    qv, xv = Fraction(q_val), [Fraction(v) for v in x_vals]
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        if mono.q_exp:
+            term *= qv ** mono.q_exp
+        for e, v in zip(mono.x_exps, xv):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+def test_integer_evaluate_matches_fraction_loop():
+    rng = random.Random(77)
+    values = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4)]
+    polys = [LaurentPoly.zero(N), LaurentPoly.one(N), 3 * x(1) * x(2, -3)]
+    polys += [rand_poly(rng, terms=8, span=4) for _ in range(60)]
+    integral = [p for p in polys if all(type(c) is int for c in p.terms.values())]
+    assert len(integral) > 2 and len(integral) < len(polys)
+    for poly in polys:
+        for _ in range(5):
+            q_val = rng.choice(values)
+            point = [rng.choice(values) for _ in range(N + 1)]
+            got = poly.evaluate(q_val, point)
+            assert type(got) is Fraction
+            assert got == _evaluate_by_fractions(poly, q_val, point)
+    assert LaurentPoly.zero(N).evaluate(0, [0] * (N + 1)) == 0
+
+
+def test_evaluate_at_zero_under_a_negative_exponent_raises():
+    poly = x(1) + LaurentPoly.from_term(Monomial(-1, (0, 0, 2, 0)), Fraction(1, 3))
+    assert poly.evaluate(2, [5, 0, 1, 1]) == Fraction(1, 6)   # 0 under x1^1
+    assert poly.evaluate(2, [5, 1, 0, 1]) == 1                # 0 under x2^2
+    for p, q_val, point in ((poly, 0, [5, 1, 1, 1]),          # 0 under q^-1
+                            (x(3, -2), 1, [1, 1, 1, 0])):     # 0 under x3^-2
+        with pytest.raises(ZeroDivisionError):
+            _evaluate_by_fractions(p, q_val, point)
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(q_val, point)
+    with pytest.raises(ValueError):
+        x(1).evaluate(1, [1, 1, 1])
+
+
 # -- rendering and JSON -------------------------------------------------------
 
 

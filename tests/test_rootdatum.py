@@ -238,3 +238,18 @@ def test_weyl_act_is_a_group_action():
         a, b = rng.choice(group), rng.choice(group)
         p = LaurentPoly.from_term(rand_monomial(rng, n))
         assert weyl_act(a * b, p) == weyl_act(a, weyl_act(b, p))
+
+
+@pytest.mark.parametrize("n", (-1, 0, 1, 2, 4, 10))
+def test_every_odd_n_guard_gives_the_same_message(n):
+    from guhecke.dieudonne import isocrystal_shape, strata_dims
+    from guhecke.hecke import (factor_hecke, hecke_roots,
+                               hecke_value_by_determinant, r_weights)
+    message = f"n must be odd and >= 3, got {n}"
+    for call in (lambda: weyl_group(n), lambda: r_weights(n),
+                 lambda: hecke_roots(n), lambda: factor_hecke(n),
+                 lambda: hecke_value_by_determinant(n, 1, [1] * n, 3, 0),
+                 lambda: isocrystal_shape(n, 0), lambda: strata_dims(n)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
