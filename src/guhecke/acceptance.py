@@ -21,8 +21,9 @@ from .dieudonne import (_model_fingerprints, check_bt1, classify_type,
                         isocrystal_shape, make_B, make_SS, model_space,
                         newton_slopes, random_basechange, signature,
                         strata_dims)
-from .hecke import (central_monomial, check_weyl_invariance, factor_hecke,
-                    hecke_polynomial, hecke_value_by_determinant, satake_alpha)
+from .hecke import (central_monomial, check_sigma_invariance,
+                    check_weyl_invariance, factor_hecke, hecke_polynomial,
+                    hecke_value_by_determinant, satake_alpha)
 from .laurent import LaurentPoly, Monomial, TPoly
 from .rootdatum import norm_monomial, pairing, rho, weyl_group
 
@@ -48,6 +49,8 @@ def factorization_certificate(seed: int = 0) -> str:
         assert quotient.degree == n - 1 and quotient.is_monic(), n
         recomposed = quotient * TPoly.linear(root)
         assert recomposed == hp, f"recomposition fails at n={n}"
+        for coeff in (*hp.coeffs, *quotient.coeffs):
+            assert check_sigma_invariance(coeff), f"twist moves H or R at n={n}"
     return f"exact remainder 0 and recomposition for n in {FACTOR_NS}"
 
 

@@ -26,7 +26,7 @@ from .acceptance import run_all
 from .dieudonne import (ClassificationError, DieudonneSpace, check_bt1,
                         classify_type, isocrystal_shape, make_B, model_space,
                         newton_slopes, signature, strata_dims)
-from .hecke import hecke_report
+from .hecke import PairingCertificateError, hecke_report
 from .laurent import NonZeroRemainderError
 
 EXIT_OK = 0
@@ -279,6 +279,10 @@ def main(argv=None) -> int:
     except NonZeroRemainderError as exc:
         print(f"guhecke: factorization certificate FAILED: remainder "
               f"{exc.remainder}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    except PairingCertificateError as exc:
+        print(f"guhecke: factorization certificate FAILED: {exc}",
+              file=sys.stderr)
         return EXIT_CERTIFICATE
     except ClassificationError as exc:
         print(f"guhecke: {exc}", file=sys.stderr)

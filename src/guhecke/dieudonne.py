@@ -376,11 +376,20 @@ class DieudonneSpace:
         )
 
 
-def signature(space: DieudonneSpace) -> tuple[int, int]:
-    """(dim M_e / V M_ebar, dim M_ebar / V M_e) by exact rank computation."""
+def v_ranks(space: DieudonneSpace) -> tuple[int, int]:
+    """(rank V_e2ebar, rank V_ebar2e): the rank of V out of each grade.
+    :func:`check_bt1` and :func:`signature` both read these, so a caller
+    that needs both passes them in once computed."""
     fld = space.field
-    return (space.ne - rank(fld, mat_transpose(space.v_ebar2e)),
-            space.nebar - rank(fld, mat_transpose(space.v_e2ebar)))
+    return rank(fld, space.v_e2ebar), rank(fld, space.v_ebar2e)
+
+
+def signature(space: DieudonneSpace,
+              ranks: tuple[int, int] | None = None) -> tuple[int, int]:
+    """(dim M_e / V M_ebar, dim M_ebar / V M_e) by exact rank computation;
+    ``ranks`` are the space's :func:`v_ranks` if already known."""
+    rank_v_e, rank_v_ebar = ranks or v_ranks(space)
+    return space.ne - rank_v_ebar, space.nebar - rank_v_e
 
 
 def pairing_law_holds(space: DieudonneSpace) -> bool:
@@ -406,18 +415,20 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
     return True
 
 
-def check_bt1(space: DieudonneSpace) -> bool:
+def check_bt1(space: DieudonneSpace,
+              ranks: tuple[int, int] | None = None) -> bool:
     """True iff Im F = Ker V and Im V = Ker F (gradedwise, as subspace
-    equalities) and the pairing law holds on all basis pairs.
+    equalities) and the pairing law holds on all basis pairs; ``ranks``
+    are the space's :func:`v_ranks` if already known.
 
     The space already has F V = V F = 0, so Im F_g <= Ker V_(1-g) and
     Im V_(1-g) <= Ker F_g; a semilinear kernel has dimension dim - rank
     and both pieces have dimension n, so these two equalities are the
     one rank identity rank F_g + rank V_(1-g) = n, for g = 0 and 1."""
     fld = space.field
+    rank_v = ranks or v_ranks(space)
     for g in (0, 1):
-        if rank(fld, space.f_matrix(g)) + rank(fld, space.v_matrix(1 - g)) \
-                != space.ne:
+        if rank(fld, space.f_matrix(g)) + rank_v[1 - g] != space.ne:
             return False
     return pairing_law_holds(space)
 
@@ -638,9 +649,10 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
     if space.dims() != (n, n):
         raise NotBT1Error(
             f"graded dimensions {space.dims()} != ({n}, {n})")
-    if not check_bt1(space):
+    ranks = v_ranks(space)
+    if not check_bt1(space, ranks):
         raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
-    sig = signature(space)
+    sig = signature(space, ranks)
     if sig != (n - 1, 1):
         raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")
     fp = fingerprint(space)
@@ -796,7 +808,7 @@ class StratumRow:
 
     r: int
     dim: int
-    ordinary: bool
+    ordinary: bool  # the mu-ordinary row, r = 2 (see strata_dims)
     supersingular: bool
     slopes: SlopeMultiset
 
@@ -811,7 +823,11 @@ def strata_dims(n: int) -> list[StratumRow]:
 
     Even types have dimension n - r/2 and refine the Newton stratum of
     type r/2; odd types have dimension (r-1)/2 and are supersingular.
-    The unique open stratum (the ordinary one) is r = 2.
+    The unique open stratum is r = 2.  Its slopes are 0 and 1 twice each
+    and 1/2 with multiplicity 2(n-2): it is the mu-ordinary Newton type,
+    not the ordinary one (slopes 0 and 1 only), which no row has.  The
+    row's flag keeps the name ``ordinary``, as it is part of the JSON
+    and CSV output; it marks the mu-ordinary row.
     """
     _require_odd(n)
     rows = []

@@ -100,10 +100,18 @@ def _mul_into(sums: dict, lhs: Mapping, rhs: Mapping) -> None:
     """Add the product of the term maps lhs and rhs into sums, in place.
 
     The sums may be left with zeros and integral Fractions;
-    :meth:`LaurentPoly._from_sums` clears both.
+    :meth:`LaurentPoly._from_sums` clears both.  A constant rhs (the
+    leading 1 of a monic factor, a unit divisor's inverse) keeps the lhs
+    monomials as they are instead of rebuilding each one.
     """
     get = sums.get
     right = list(rhs.items())
+    if len(right) == 1:
+        (q2, e2), c2 = right[0]
+        if not q2 and not any(e2):
+            for mono, c1 in lhs.items():
+                sums[mono] = get(mono, 0) + c1 * c2
+            return
     for (q1, e1), c1 in lhs.items():
         for (q2, e2), c2 in right:
             mono = Monomial(q1 + q2, tuple(map(add, e1, e2)))

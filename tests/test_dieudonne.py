@@ -18,7 +18,7 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                model_space, newton_slopes,
                                padic_newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange, signature,
-                               strata_dims)
+                               strata_dims, v_ranks)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_mul,
                                   mat_transpose, mat_vec, rref, vec_frob)
 from guhecke.hecke import mat_det
@@ -409,6 +409,40 @@ def test_check_bt1_ranks_match_subspace_equalities_on_random_spaces(monkeypatch)
                         (False, False)}
 
 
+def test_precomputed_v_ranks_give_the_same_signature_and_bt1_answer():
+    rng = random.Random(58)
+    spaces = [_random_space(p, k, rng)
+              for p in PRIMES for k in (1, 2, 3, 4) for _ in range(10)]
+    spaces += [random_basechange(model_space(n, r, p), 3 * r + n)
+               for p in PRIMES for n in (3, 5) for r in range(1, n + 1)]
+    for space in spaces:
+        fld = space.field
+        ranks = v_ranks(space)
+        # The earlier signature: ranks of the transposed V blocks.
+        transposed = (space.ne - len(rref(fld, mat_transpose(space.v_ebar2e))),
+                      space.nebar - len(rref(fld, mat_transpose(space.v_e2ebar))))
+        assert signature(space) == signature(space, ranks) == transposed
+        assert check_bt1(space) == check_bt1(space, ranks)
+
+
+def test_classify_ranks_each_block_once(monkeypatch):
+    space = random_basechange(model_space(5, 2, 3), 11)
+    dieudonne._model_fingerprints(5, 3)  # built (and validated) beforehand
+    ranked = []
+    real_rank = dieudonne.rank
+
+    def counting_rank(fld, rows):
+        ranked.append(rows)
+        return real_rank(fld, rows)
+
+    monkeypatch.setattr(dieudonne, "rank", counting_rank)
+    assert classify_type(space, 5) == 2
+    # F_e, F_ebar, V_e, V_ebar, each once (the fingerprint uses rref).
+    assert len(ranked) == 4
+    blocks = (space.f_e2ebar, space.f_ebar2e, space.v_e2ebar, space.v_ebar2e)
+    assert sorted(map(id, ranked)) == sorted(map(id, blocks))
+
+
 def test_check_bt1_ranks_match_subspace_equalities_on_base_changed_models():
     for p in PRIMES:
         for n in (1, 2, 3, 5):
@@ -766,6 +800,20 @@ def test_strata_dims_formulas_and_flags():
         odd_dims = [row.dim for row in rows if row.r % 2 == 1]
         assert max(odd_dims) == (n - 1) // 2 == rows[n - 1].dim
         assert rows[1].dim == n - 1
+
+
+def test_open_stratum_is_mu_ordinary_not_ordinary():
+    # r = 2 has slopes {0 x2, 1/2 x 2(n-2), 1 x2}: the mu-ordinary Newton
+    # type.  No row is ordinary in the strict sense (slopes 0 and 1 only).
+    for n in range(3, 16, 2):
+        rows = strata_dims(n)
+        assert rows[1].r == 2 and rows[1].ordinary
+        assert rows[1].slopes.entries == ((Fraction(0), 2),
+                                          (Fraction(1, 2), 2 * (n - 2)),
+                                          (Fraction(1), 2))
+        assert [row.r for row in rows if row.ordinary] == [2]
+        for row in rows:
+            assert any(s == Fraction(1, 2) for s, _ in row.slopes.entries)
 
 
 def test_strata_even_rows_carry_newton_shape():

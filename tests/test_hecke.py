@@ -1,14 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from guhecke.hecke import (_mat_mul, central_monomial, check_sigma_invariance,
+import guhecke.hecke as hecke
+from guhecke.cli import main
+from guhecke.hecke import (PairingCertificateError, _mat_mul,
+                           central_monomial, certified_factorization,
+                           certify_root_pairs, check_sigma_invariance,
                            check_weyl_invariance, factor_hecke,
-                           hecke_polynomial, hecke_report, hecke_roots,
-                           hecke_value_by_determinant, r_weights, satake_alpha)
+                           factors_weyl_invariant, hecke_polynomial,
+                           hecke_report, hecke_roots,
+                           hecke_value_by_determinant, r_weights, root_pairs,
+                           satake_alpha)
 from guhecke.laurent import LaurentPoly, Monomial, TPoly
-from guhecke.rootdatum import weyl_generators, weyl_group
+from guhecke.rootdatum import sigma_twist_poly, weyl_generators, weyl_group
 
 
 def test_r_weights_n3_frozen():
@@ -164,10 +171,144 @@ def test_generator_check_agrees_with_full_enumeration():
     assert not check_weyl_invariance(LaurentPoly.var(n, 2), n, gens)
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_hecke_coefficients_are_sigma_invariant(n):
-    for coeff in hecke_polynomial(n).coeffs:
+    hp, quotient, _ = factor_hecke(n)
+    for coeff in (*hp.coeffs, *quotient.coeffs):
         assert check_sigma_invariance(coeff)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_sigma_check_rejects_a_weyl_invariant_sum(n):
+    # The twist sends x1 + ... + xn to 1/x1 + ... + 1/xn.
+    p = sum((LaurentPoly.var(n, i) for i in range(1, n + 1)),
+            LaurentPoly.zero(n))
+    assert check_weyl_invariance(p, n)
+    assert not check_sigma_invariance(p)
+
+
+def test_sigma_lookup_agrees_with_the_twisted_polynomial():
+    rng = random.Random(23)
+    for n in (3, 5, 7):
+        for _ in range(40):
+            p = LaurentPoly(n, {Monomial(rng.randint(-1, 1), tuple(
+                rng.randint(-2, 2) for _ in range(n + 1))): rng.randint(-3, 3)
+                for _ in range(rng.randint(0, 4))})
+            twisted = sigma_twist_poly(p)
+            for cand in (p, p + twisted, p - twisted, p + 2 * twisted):
+                assert check_sigma_invariance(cand) == \
+                    (sigma_twist_poly(cand) == cand)
+            assert check_sigma_invariance(p + twisted)
+
+
+def test_factorization_criterion_gates_the_twist(monkeypatch):
+    import guhecke.acceptance as acceptance
+    monkeypatch.setattr(acceptance, "check_sigma_invariance", lambda p: False)
+    with pytest.raises(AssertionError, match="twist"):
+        acceptance.factorization_certificate()
+
+
+# -- the root-pair route --------------------------------------------------------
+
+
+def _index_order_product(n):
+    """The earlier expansion, kept as the reference: t - root multiplied
+    in for root i = 1..n in turn."""
+    poly = TPoly(n, [LaurentPoly.one(n)])
+    for root in hecke_roots(n):
+        poly = poly * TPoly.linear(root)
+    return poly
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_pair_route_equals_product_route(n):
+    hp, quotient, root = factor_hecke(n)
+    assert hp == _index_order_product(n)
+    center, pairs = root_pairs(n)
+    assert center == root
+    quadratics = certify_root_pairs(n, center, pairs)
+    product = quadratics[0]
+    for quadratic in quadratics[1:]:
+        product = product * quadratic
+    assert product == quotient
+    assert product * TPoly.linear(center) == hp
+    assert certified_factorization(n) == (hp, quotient, root, True)
+    for poly in (*hp.coeffs, *quotient.coeffs):
+        assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_certificate_rejects_a_wrong_pairing():
+    center, pairs = root_pairs(5)
+    (a1, b1), (a2, b2) = pairs
+    # Same roots, so (a) holds; (c*y1)*(c*y2) is not c^2, so (b) fails.
+    with pytest.raises(PairingCertificateError, match="c\\^2"):
+        certify_root_pairs(5, center, [(a1, a2), (b1, b2)])
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_certificate_rejects_a_missing_or_duplicated_pair(n):
+    center, pairs = root_pairs(n)
+    # One pair left out, one pair twice (in place of another or extra),
+    # and a non-root as the center.
+    for bad in (pairs[1:], pairs[:-1], [pairs[0], *pairs[:-1]],
+                pairs + pairs[:1]):
+        with pytest.raises(PairingCertificateError, match="not the roots"):
+            certify_root_pairs(n, center, bad)
+    with pytest.raises(PairingCertificateError, match="not the roots"):
+        certify_root_pairs(n, center * center, pairs)
+
+
+def test_cli_maps_a_failed_pair_certificate_to_exit_2(capsys, monkeypatch):
+    def wrong_pairs(n):
+        center, pairs = root_pairs(n)
+        (a1, b1), (a2, b2), *rest = pairs
+        return center, [(a1, a2), (b1, b2), *rest]
+
+    monkeypatch.setattr(hecke, "root_pairs", wrong_pairs)
+    for fmt in ("json", "pretty"):
+        assert main(["hecke", "--n", "5", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "certificate FAILED" in captured.err
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_factor_weyl_certificate_agrees_with_expanded_check(n):
+    # Over every nonempty subset S of the factors: the factor certificate
+    # and the expanded generator check on prod(S) and prod(S)*(t - c)
+    # agree (true only for the full set: the group moves every pair).
+    center, pairs = root_pairs(n)
+    quadratics = certify_root_pairs(n, center, pairs)
+    gens = weyl_generators(n)
+    outcomes = set()
+    for size in range(1, len(quadratics) + 1):
+        for subset in itertools.combinations(quadratics, size):
+            product = subset[0]
+            for quadratic in subset[1:]:
+                product = product * quadratic
+            full = product * TPoly.linear(center)
+            expanded = all(check_weyl_invariance(c, n, gens)
+                           for c in (*full.coeffs, *product.coeffs))
+            assert factors_weyl_invariant(n, center, subset) == expanded
+            outcomes.add(expanded)
+    assert outcomes == ({True} if n == 3 else {True, False})
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_factor_weyl_certificate_rejects_unpermuted_factors(n):
+    center, pairs = root_pairs(n)
+    true_factors = certify_root_pairs(n, center, pairs)
+    assert factors_weyl_invariant(n, center, true_factors)
+    # (t - c*y1)(t - c*y2) and (t - c/y1)(t - c/y2) have the same product
+    # as the first two true factors, but some generator moves them off the
+    # set (at n = 5 the reflection, which inverts y2 alone).
+    (a1, b1), (a2, b2) = pairs[:2]
+    crossed = [TPoly.linear(a1) * TPoly.linear(a2),
+               TPoly.linear(b1) * TPoly.linear(b2), *true_factors[2:]]
+    assert not factors_weyl_invariant(n, center, crossed)
+    # A center some generator moves.
+    moved = center * LaurentPoly.var(n, 1)
+    assert not factors_weyl_invariant(n, moved, true_factors)
 
 
 # -- Satake normalization -----------------------------------------------------

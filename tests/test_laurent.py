@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.laurent import LaurentPoly, Monomial, NonZeroRemainderError, TPoly
+from guhecke.laurent import (LaurentPoly, Monomial, NonZeroRemainderError,
+                             TPoly, _mul_into)
 
 N = 3
 
@@ -350,3 +351,32 @@ def test_operations_never_leave_floats_or_integral_fractions():
             results.extend(tp.coeffs)
         for poly in results:
             assert_exact_coeffs(poly)
+
+
+def test_constant_factor_fast_path_matches_term_by_term_product():
+    # _mul_into keeps the lhs monomials when the rhs is one constant term;
+    # the reference rebuilds every product monomial.
+    def by_terms(lhs, rhs):
+        sums = {}
+        for m1, c1 in lhs.items():
+            for m2, c2 in rhs.items():
+                mono = m1 * m2
+                sums[mono] = sums.get(mono, 0) + c1 * c2
+        return sums
+
+    rng = random.Random(77)
+    one = Monomial.one(N)
+    rhs_cases = [{one: 1}, {one: -1}, {one: Fraction(2, 3)},
+                 {Monomial.q(N): 1}, {Monomial.var(N, 2): 1},
+                 {Monomial.var(N, 0, -1): 5}, {one: 1, Monomial.q(N): 2}]
+    for _ in range(30):
+        lhs = rand_poly(rng).terms
+        start = rand_poly(rng).terms
+        for rhs in rhs_cases:
+            got = dict(start)
+            _mul_into(got, lhs, rhs)
+            expected = dict(start)
+            for mono, coeff in by_terms(lhs, rhs).items():
+                expected[mono] = expected.get(mono, 0) + coeff
+            assert LaurentPoly._from_sums(N, got) == \
+                LaurentPoly._from_sums(N, expected)
