@@ -38,6 +38,13 @@ BASECHANGE_COUNT = 100
 AUDIT_MAX_N = 99
 
 
+def _check(ok, *detail) -> None:
+    """Raise AssertionError(*detail) unless ok: the criteria's assert,
+    which ``python -O`` does not strip."""
+    if not ok:
+        raise AssertionError(*detail)
+
+
 def _nonzero_fraction(rng: random.Random) -> Fraction:
     num = rng.choice([k for k in range(-9, 10) if k])
     return Fraction(num, rng.randint(1, 9))
@@ -46,11 +53,11 @@ def _nonzero_fraction(rng: random.Random) -> Fraction:
 def factorization_certificate(seed: int = 0) -> str:
     for n in FACTOR_NS:
         hp, quotient, root = factor_hecke(n)
-        assert quotient.degree == n - 1 and quotient.is_monic(), n
-        recomposed = quotient * TPoly.linear(root)
-        assert recomposed == hp, f"recomposition fails at n={n}"
+        _check(quotient.degree == n - 1 and quotient.is_monic(), n)
+        _check(quotient * TPoly.linear(root) == hp,
+               f"recomposition fails at n={n}")
         for coeff in (*hp.coeffs, *quotient.coeffs):
-            assert check_sigma_invariance(coeff), f"twist moves H or R at n={n}"
+            _check(check_sigma_invariance(coeff), f"twist moves H or R at n={n}")
     return f"exact remainder 0 and recomposition for n in {FACTOR_NS}"
 
 
@@ -60,7 +67,7 @@ def weyl_invariance(seed: int = 0) -> str:
         group = weyl_group(n)
         hp, quotient, _ = factor_hecke(n)
         for coeff in (*hp.coeffs, *quotient.coeffs):
-            assert check_weyl_invariance(coeff, n, group), n
+            _check(check_weyl_invariance(coeff, n, group), n)
             checked += 1
     return (f"{checked} coefficients fixed by all group elements, "
             f"n in {WEYL_NS}")
@@ -78,7 +85,7 @@ def determinant_crosscheck(seed: int = 0) -> str:
                 t = _nonzero_fraction(rng)
                 lhs = hp.evaluate(t, p, [x0, *xs])
                 rhs = hecke_value_by_determinant(n, x0, xs, p, t)
-                assert lhs == rhs, (n, p, x0, xs, t)
+                _check(lhs == rhs, (n, p, x0, xs, t))
                 total += 1
     return f"{total} exact agreements of product form vs determinant"
 
@@ -87,20 +94,20 @@ def central_element(seed: int = 0) -> str:
     for n in FACTOR_NS:
         x0 = Monomial.var(n, 0)
         e = central_monomial(n)
-        assert norm_monomial(x0) == e, n
+        _check(norm_monomial(x0) == e, n)
         as_poly = LaurentPoly.from_term(e)
-        assert satake_alpha(as_poly, n) == as_poly, n
-        assert pairing(rho(n), e.x_exps) == 0, n
+        _check(satake_alpha(as_poly, n) == as_poly, n)
+        _check(pairing(rho(n), e.x_exps) == 0, n)
     return f"twist-norm of x0 is central and alpha-fixed for n in {FACTOR_NS}"
 
 
 def signatures(seed: int = 0) -> str:
     count = 0
     for p in MODEL_PRIMES:
-        assert signature(make_SS(p).reduction()) == (1, 0), p
+        _check(signature(make_SS(p).reduction()) == (1, 0), p)
         count += 1
         for d in range(1, 10):
-            assert signature(make_B(d, p).reduction()) == (d - 1, 1), (d, p)
+            _check(signature(make_B(d, p).reduction()) == (d - 1, 1), (d, p))
             count += 1
     return f"{count} model signatures exact, p in {MODEL_PRIMES}"
 
@@ -115,7 +122,7 @@ def slopes(seed: int = 0) -> str:
             else:
                 expected = ((Fraction(1, 2) - Fraction(1, d), d),
                             (Fraction(1, 2) + Fraction(1, d), d))
-            assert got == expected, (d, p, got)
+            _check(got == expected, (d, p, got))
             count += 1
     return f"{count} Newton polygons match the half +- 1/d law"
 
@@ -127,10 +134,10 @@ def bt1_axioms(seed: int = 0) -> str:
         for d in range(1, 10):
             spaces.append(make_B(d, p).reduction())
     for space in spaces:
-        assert check_bt1(space)
+        _check(check_bt1(space))
     for i in range(BASECHANGE_COUNT):
         space = spaces[i % len(spaces)]
-        assert check_bt1(random_basechange(space, seed * 100_003 + i)), i
+        _check(check_bt1(random_basechange(space, seed * 100_003 + i)), i)
     return (f"{len(spaces)} model reductions and {BASECHANGE_COUNT} "
             f"base changes pass")
 
@@ -141,12 +148,12 @@ def classification_roundtrip(seed: int = 0) -> str:
         for p in CLASSIFY_PRIMES:
             # The same memoised fingerprints classify_type matches against.
             prints = [fp for _, fp in _model_fingerprints(n, p)]
-            assert len(set(prints)) == n, f"fingerprint collision at n={n}, p={p}"
+            _check(len(set(prints)) == n, f"fingerprint collision at n={n}, p={p}")
             for r in range(1, n + 1):
                 model = model_space(n, r, p)
                 for s in range(CLASSIFY_SEEDS):
                     moved = random_basechange(model, seed * 100_003 + s)
-                    assert classify_type(moved, n) == r, (n, p, r, s)
+                    _check(classify_type(moved, n) == r, (n, p, r, s))
                     recovered += 1
     return (f"{recovered} seeded base changes classified back, "
             f"fingerprints pairwise distinct")
@@ -157,9 +164,9 @@ def isocrystal_dimension_audit(seed: int = 0) -> str:
     for n in range(3, AUDIT_MAX_N + 1, 2):
         for r in range((n - 1) // 2 + 1):
             shape = isocrystal_shape(n, r)
-            assert shape.slopes.total() == 2 * n, (n, r)
-            assert shape.slopes.is_symmetric(), (n, r)
-            assert sum(f.dim * f.count for f in shape.factors) == 2 * n, (n, r)
+            _check(shape.slopes.total() == 2 * n, (n, r))
+            _check(shape.slopes.is_symmetric(), (n, r))
+            _check(sum(f.dim * f.count for f in shape.factors) == 2 * n, (n, r))
             count += 1
     return f"{count} shapes: multiplicities sum to 2n, symmetric about 1/2"
 
@@ -167,16 +174,16 @@ def isocrystal_dimension_audit(seed: int = 0) -> str:
 def strata_table(seed: int = 0) -> str:
     for n in range(3, AUDIT_MAX_N + 1, 2):
         rows = {row.r: row for row in strata_dims(n)}
-        assert sorted(rows) == list(range(1, n + 1))
+        _check(sorted(rows) == list(range(1, n + 1)))
         for i in range(1, n // 2 + 1):
-            assert rows[2 * i].dim == n - i, (n, i)
+            _check(rows[2 * i].dim == n - i, (n, i))
         for i in range((n + 1) // 2):
-            assert rows[2 * i + 1].dim == i, (n, i)
+            _check(rows[2 * i + 1].dim == i, (n, i))
         odd_dims = [row.dim for row in rows.values() if row.r % 2 == 1]
-        assert max(odd_dims) == (n - 1) // 2 == rows[n].dim, n
-        assert rows[2].dim == n - 1 and rows[2].ordinary, n
-        assert all(row.supersingular == (row.r % 2 == 1)
-                   for row in rows.values()), n
+        _check(max(odd_dims) == (n - 1) // 2 == rows[n].dim, n)
+        _check(rows[2].dim == n - 1 and rows[2].ordinary, n)
+        _check(all(row.supersingular == (row.r % 2 == 1)
+                   for row in rows.values()), n)
     return f"dimension formulas verified for odd n <= {AUDIT_MAX_N}"
 
 

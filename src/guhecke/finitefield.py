@@ -314,10 +314,3 @@ def annihilator_rows(fld: GFp2, basis: Mat, ambient: int) -> Mat:
             v[pc] = neg[row[fc]]
         out.append(tuple(v))
     return tuple(out)
-
-
-def in_row_span(fld: GFp2, basis: Mat, v: Vec) -> bool:
-    if not any(v):
-        return True
-    stacked = rref(fld, basis + (v,))
-    return len(stacked) == len(rref(fld, basis))

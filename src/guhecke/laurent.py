@@ -1,36 +1,62 @@
 """Exact sparse Laurent-polynomial arithmetic over the rationals.
 
 The ring has a formal prime variable ``q`` and torus variables
-``x0, x1, ..., xn``, all invertible.  A :class:`LaurentPoly` stores a map
-from :class:`Monomial` (an integer q-exponent plus an integer exponent
-vector of length n+1) to a nonzero rational coefficient: an ``int`` when
-it is integral, else a :class:`~fractions.Fraction`.  The two hash,
-compare, sort and print alike, so the choice never shows in equality,
-ordering or output; it only lets the integral polynomials of the Hecke
-certificate run on Python int arithmetic.  Every ``/`` and every
-negative power of a coefficient goes through ``Fraction``, so all
-arithmetic is exact -- there is no floating point anywhere in this
-package.  The zero polynomial is the empty map.
+``x0, x1, ..., xn``, all invertible.  A :class:`LaurentPoly` maps each
+monomial (an integer q-exponent plus an integer exponent vector of length
+n+1) to a nonzero rational coefficient: an ``int`` when it is integral,
+else a :class:`~fractions.Fraction`.  The two hash, compare, sort and
+print alike, so the choice never shows in equality, ordering or output;
+it only lets the integral polynomials of the Hecke certificate run on
+Python int arithmetic.  Every ``/`` and every negative power of a
+coefficient goes through ``Fraction``, so all arithmetic is exact --
+there is no floating point anywhere in this package.  The zero
+polynomial is the empty map.
+
+Packed monomial codes.  Internally each monomial is one nonnegative int,
+its *code*: n+2 lanes of 16 bits, in the order q, x0, ..., xn with q in
+the most significant lane, each lane holding its exponent e plus the bias
+2^15.  Hence:
+
+* the code of a product is the sum of the codes minus the code of 1
+  (every lane at its bias), one integer add;
+* the code of an inverse is twice the code of 1 minus the code;
+* the integer order of codes is the lexicographic order on
+  ``(q_exp, x_exps)``, so sorting, printing, JSON output and hashing
+  sort plain ints.
+
+A lane holds |e| <= :data:`LANE_MAX` = 2^15 - 1 and no more.  Each
+polynomial carries a bound on its largest |exponent|: the exact maximum
+when built from monomials, the sum of the operands' bounds for a
+product, the larger bound for a sum.  A product whose bound would pass
+:data:`LANE_MAX` first retries with the operands' exact maxima, then
+raises :class:`OverflowError`, so a lane never wraps; encoding a
+monomial checks every exponent the same way.  Codes are decoded in C,
+a whole polynomial at a time (``int.to_bytes`` into an ``array``);
+:attr:`LaurentPoly.terms` is the :class:`Monomial`-keyed view, decoded
+once and cached.
 
 :class:`TPoly` is a polynomial in an extra indeterminate ``t`` whose
 coefficients are LaurentPolys; it supports exact long division by a
 divisor whose leading coefficient is a unit (a single invertible term),
 raising :class:`NonZeroRemainderError` when the division does not come
 out exact.
-
-Monomials are totally ordered lexicographically on ``(q_exp, x_exps)``;
-printing, JSON output and hashing all use that order, so renderings are
-canonical and deterministic.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, getitem
+from operator import getitem
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Coeff = int | Fraction
+
+LANE_MAX = 2 ** 15 - 1
+"""The largest |exponent| a monomial code holds in each of its lanes."""
+
+_SWAP = sys.byteorder == "little"
 
 
 class Monomial(NamedTuple):
@@ -96,26 +122,82 @@ def _exact(c) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
-def _mul_into(sums: dict, lhs: Mapping, rhs: Mapping) -> None:
-    """Add the product of the term maps lhs and rhs into sums, in place.
+# -- packed monomial codes ----------------------------------------------------
 
-    The sums may be left with zeros and integral Fractions;
-    :meth:`LaurentPoly._from_sums` clears both.  A constant rhs (the
-    leading 1 of a monic factor, a unit divisor's inverse) keeps the lhs
-    monomials as they are instead of rebuilding each one.
+def _one_code(n: int) -> int:
+    """The code of the monomial 1: each of the n+2 lanes at its bias."""
+    return int.from_bytes(b"\x80\x00" * (n + 2), "big")
+
+
+def _encode(mono: Monomial, one: int) -> tuple[int, int]:
+    """(code, max |exponent|) of mono; one is :func:`_one_code` for its n.
+
+    A lane read as a signed 16-bit int is e's two's complement, which is
+    the biased lane with its top bit flipped, hence the xor with ``one``.
     """
+    lanes = array("h", (mono.q_exp, *mono.x_exps))  # OverflowError past 16 bits
+    bound = max(map(abs, lanes))
+    if bound > LANE_MAX:
+        raise OverflowError(f"{mono} has an exponent past the lane limit "
+                            f"{LANE_MAX}")
+    if _SWAP:
+        lanes.byteswap()
+    return int.from_bytes(lanes, "big") ^ one, bound
+
+
+def _decode(n: int, codes: Iterable[int]) -> list[int]:
+    """The exponents of codes, flat: n+2 ints (q, x0..xn) per code."""
+    one, width = _one_code(n), 2 * (n + 2)
+    lanes = array("h", b"".join([(c ^ one).to_bytes(width, "big")
+                                 for c in codes]))
+    if _SWAP:
+        lanes.byteswap()
+    return lanes.tolist()
+
+
+def _monomials(n: int, codes: Iterable[int]) -> list[Monomial]:
+    """The Monomials of codes, in order."""
+    flat, width = tuple(_decode(n, codes)), n + 2
+    return [Monomial(flat[k], flat[k + 1:k + width])
+            for k in range(0, len(flat), width)]
+
+
+def _mul_into(sums: dict[int, Coeff], lhs: "LaurentPoly",
+              rhs: "LaurentPoly") -> int:
+    """Add lhs * rhs into the code map sums, in place, and return the
+    product's exponent bound.
+
+    Raises OverflowError, before touching sums, if a product exponent
+    could leave its lane.  The sums may be left with zeros and integral
+    Fractions; :meth:`LaurentPoly._from_sums` clears both.  A constant
+    rhs (the leading 1 of a monic factor, a unit divisor's inverse) adds
+    the lhs codes as they are.
+    """
+    bound = lhs._bound + rhs._bound
+    if bound > LANE_MAX:
+        bound = lhs._exact_bound() + rhs._exact_bound()
+        if bound > LANE_MAX:
+            raise OverflowError(
+                f"a product exponent up to {bound} would pass the lane "
+                f"limit {LANE_MAX}")
     get = sums.get
-    right = list(rhs.items())
-    if len(right) == 1:
-        (q2, e2), c2 = right[0]
-        if not q2 and not any(e2):
-            for mono, c1 in lhs.items():
-                sums[mono] = get(mono, 0) + c1 * c2
-            return
-    for (q1, e1), c1 in lhs.items():
-        for (q2, e2), c2 in right:
-            mono = Monomial(q1 + q2, tuple(map(add, e1, e2)))
-            sums[mono] = get(mono, 0) + c1 * c2
+    one = _one_code(lhs.n)
+    right = rhs._codes
+    left = lhs._codes.items()
+    if len(right) == 1 and one in right:
+        c2 = right[one]
+        if c2 == 1 and not sums:
+            sums.update(lhs._codes)
+            return bound
+        for code, c1 in left:
+            sums[code] = get(code, 0) + c1 * c2
+        return bound
+    for code2, c2 in right.items():
+        shift = code2 - one
+        for code1, c1 in left:
+            code = code1 + shift
+            sums[code] = get(code, 0) + c1 * c2
+    return bound
 
 
 def _term_str(mono: Monomial, coeff: Coeff) -> str:
@@ -138,33 +220,65 @@ def _term_str(mono: Monomial, coeff: Coeff) -> str:
 class LaurentPoly:
     """An exact Laurent polynomial in q, x0..xn with rational coefficients.
 
-    ``terms`` maps each monomial to its nonzero coefficient: an int when
-    integral, else a Fraction.  ``/`` and negative powers of a coefficient
-    go through Fraction, so no coefficient is ever a float.
+    The terms are kept as a map from packed monomial code to nonzero
+    coefficient (an int when integral, else a Fraction), with a bound on
+    the largest |exponent|; see the module docstring.  ``/`` and negative
+    powers of a coefficient go through Fraction, so no coefficient is
+    ever a float.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_codes", "_bound", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Coeff] | None = None):
-        clean: dict[Monomial, Coeff] = {}
+        one = _one_code(n)
+        codes: dict[int, Coeff] = {}
+        bound = 0
         if terms:
             for mono, coeff in terms.items():
                 if len(mono.x_exps) != n + 1:
                     raise ValueError("monomial dimension mismatch")
                 c = _exact(coeff)
                 if c:
-                    clean[mono] = c
+                    code, b = _encode(mono, one)
+                    codes[code] = c
+                    bound = max(bound, b)
         self.n = n
-        self.terms = clean
+        self._codes = codes
+        self._bound = bound
+        self._terms = None
 
     @classmethod
-    def _from_sums(cls, n: int, sums: Mapping[Monomial, Coeff]) -> "LaurentPoly":
-        """Wrap a term map built by this module's own arithmetic: drop the
-        zero sums and normalise the rest, without re-checking monomials."""
+    def _wrap(cls, n: int, codes: dict[int, Coeff], bound: int) -> "LaurentPoly":
+        """A polynomial on a code map of nonzero normalised coefficients."""
         res = cls.__new__(cls)
         res.n = n
-        res.terms = {m: _exact(c) for m, c in sums.items() if c}
+        res._codes = codes
+        res._bound = bound
+        res._terms = None
         return res
+
+    @classmethod
+    def _from_sums(cls, n: int, sums: Mapping[int, Coeff],
+                   bound: int) -> "LaurentPoly":
+        """Wrap a code map built by this module's own arithmetic: drop the
+        zero sums and normalise the rest."""
+        return cls._wrap(n, {k: c if type(c) is int else _exact(c)
+                             for k, c in sums.items() if c}, bound)
+
+    @property
+    def terms(self) -> dict[Monomial, Coeff]:
+        """The map from Monomial to nonzero coefficient, decoded from the
+        codes on first use and cached; read it, do not change it."""
+        if self._terms is None:
+            codes = self._codes
+            self._terms = dict(zip(_monomials(self.n, codes), codes.values()))
+        return self._terms
+
+    def _exact_bound(self) -> int:
+        """The largest |exponent| in the polynomial, decoded; it replaces
+        the bound, which may have been a sum of operand bounds."""
+        self._bound = max(map(abs, _decode(self.n, self._codes)), default=0)
+        return self._bound
 
     # -- constructors ------------------------------------------------------
 
@@ -191,17 +305,19 @@ class LaurentPoly:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._codes
 
     def is_unit(self) -> bool:
         """True iff the polynomial is a single term (hence invertible)."""
-        return len(self.terms) == 1
+        return len(self._codes) == 1
 
     def unit_inverse(self) -> "LaurentPoly":
-        if len(self.terms) != 1:
+        if len(self._codes) != 1:
             raise ValueError("only single-term Laurent polynomials are invertible")
-        (mono, coeff), = self.terms.items()
-        return LaurentPoly(self.n, {mono.inverse(): Fraction(1) / coeff})
+        (code, coeff), = self._codes.items()
+        return LaurentPoly._wrap(
+            self.n, {2 * _one_code(self.n) - code: _exact(Fraction(1) / coeff)},
+            self._bound)
 
     # -- ring operations ---------------------------------------------------
 
@@ -215,18 +331,17 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        sums = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            sums[mono] = sums.get(mono, 0) + coeff
-        return LaurentPoly._from_sums(self.n, sums)
+        sums = dict(self._codes)
+        get = sums.get
+        for code, coeff in other._codes.items():
+            sums[code] = get(code, 0) + coeff
+        return LaurentPoly._from_sums(self.n, sums, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.n = self.n
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return LaurentPoly._wrap(
+            self.n, {k: -c for k, c in self._codes.items()}, self._bound)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -242,13 +357,13 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             c = _exact(other)
             return LaurentPoly._from_sums(
-                self.n, {m: c * v for m, v in self.terms.items()})
+                self.n, {k: c * v for k, v in self._codes.items()}, self._bound)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        sums: dict[Monomial, Coeff] = {}
-        _mul_into(sums, self.terms, other.terms)
-        return LaurentPoly._from_sums(self.n, sums)
+        sums: dict[int, Coeff] = {}
+        bound = _mul_into(sums, self, other)
+        return LaurentPoly._from_sums(self.n, sums, bound)
 
     __rmul__ = __mul__
 
@@ -269,43 +384,12 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self._codes == other._codes
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return hash((self.n, tuple(sorted(self._codes.items()))))
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def substitute(self, x_images: Sequence["LaurentPoly"],
-                   q_image: "LaurentPoly | None" = None) -> "LaurentPoly":
-        """Replace each x_i by x_images[i] (and q by q_image), exactly.
-
-        Every image must be a single invertible term, so that negative
-        exponents stay meaningful.
-        """
-        if len(x_images) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} images, got {len(x_images)}")
-        if q_image is None:
-            q_image = LaurentPoly.from_term(Monomial.q(self.n))
-        images = [q_image, *x_images]
-        pairs = []
-        for img in images:
-            if img.n != self.n:
-                raise ValueError("image variable-count mismatch")
-            if not img.is_unit():
-                raise ValueError("substitution images must be invertible single terms")
-            (mono, coeff), = img.terms.items()
-            pairs.append((mono, coeff))
-        out: dict[Monomial, Coeff] = {}
-        for mono, coeff in self.terms.items():
-            acc_mono = Monomial.one(self.n)
-            acc_coeff = coeff
-            for exp, (im, ic) in zip((mono.q_exp, *mono.x_exps), pairs):
-                if exp:
-                    acc_mono = acc_mono * im.power(exp)
-                    acc_coeff *= Fraction(ic) ** exp
-            out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
-        return LaurentPoly(self.n, out)
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, q_val, x_vals: Sequence) -> Fraction:
         """Exact value at q=q_val, x_i=x_vals[i]; all values must be nonzero
@@ -339,10 +423,12 @@ class LaurentPoly:
     # -- rendering ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
-        return sorted(self.terms.items())
+        codes = sorted(self._codes)
+        return list(zip(_monomials(self.n, codes),
+                        map(self._codes.__getitem__, codes)))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._codes:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
@@ -359,8 +445,11 @@ class LaurentPoly:
 
     def to_json(self) -> list[dict]:
         """Terms in canonical order, each `{"coeff": "3/2", "q": 2, "x": [...]}`."""
-        return [{"coeff": str(c), "q": m.q_exp, "x": list(m.x_exps)}
-                for m, c in self.sorted_terms()]
+        codes = sorted(self._codes)
+        flat, width = _decode(self.n, codes), self.n + 2
+        coeffs = map(str, map(self._codes.__getitem__, codes))
+        return [{"coeff": c, "q": flat[k], "x": flat[k + 1:k + width]}
+                for k, c in zip(range(0, len(flat), width), coeffs)]
 
     @classmethod
     def from_json(cls, n: int, data: Iterable[Mapping]) -> "LaurentPoly":
@@ -438,12 +527,14 @@ class TPoly:
             raise ValueError("variable-count mismatch")
         if self.is_zero() or other.is_zero():
             return TPoly.zero(self.n)
-        sums: list[dict[Monomial, Coeff]] = [
-            {} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        sums: list[dict[int, Coeff]] = [{} for _ in range(size)]
+        bounds = [0] * size
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                _mul_into(sums[i + j], a.terms, b.terms)
-        return TPoly(self.n, [LaurentPoly._from_sums(self.n, s) for s in sums])
+                bounds[i + j] = max(bounds[i + j], _mul_into(sums[i + j], a, b))
+        return TPoly(self.n, [LaurentPoly._from_sums(self.n, s, b)
+                              for s, b in zip(sums, bounds)])
 
     def __eq__(self, other):
         if not isinstance(other, TPoly):
@@ -462,25 +553,29 @@ class TPoly:
         if not divisor.leading.is_unit():
             raise ValueError("divisor leading coefficient must be a unit monomial")
         lead_inv = divisor.leading.unit_inverse()
+        monic = lead_inv == LaurentPoly.one(self.n)
+        lower = [-d for d in divisor.coeffs[:-1]]
         dd = divisor.degree
         if len(self.coeffs) <= dd:
             return TPoly.zero(self.n), self
-        rem = [dict(c.terms) for c in self.coeffs]
+        rem = [dict(c._codes) for c in self.coeffs]
+        bounds = [c._bound for c in self.coeffs]
         qcoeffs = [LaurentPoly.zero(self.n)] * (len(rem) - dd)
         for j in range(len(rem) - 1, dd - 1, -1):
-            c = LaurentPoly._from_sums(self.n, rem[j])
+            c = LaurentPoly._from_sums(self.n, rem[j], bounds[j])
             if c.is_zero():
                 continue
-            f = c * lead_inv
+            f = c if monic else c * lead_inv
             qcoeffs[j - dd] = f
             # f times the leading coefficient cancels rem[j] exactly, and
             # rem[j] is never read again, so only the lower terms are
             # subtracted.
-            neg_f = (-f).terms
-            for i, dcoef in enumerate(divisor.coeffs[:-1]):
-                _mul_into(rem[j - dd + i], neg_f, dcoef.terms)
+            for i, neg_d in enumerate(lower):
+                k = j - dd + i
+                bounds[k] = max(bounds[k], _mul_into(rem[k], f, neg_d))
         return TPoly(self.n, qcoeffs), TPoly(
-            self.n, [LaurentPoly._from_sums(self.n, r) for r in rem[:dd]])
+            self.n, [LaurentPoly._from_sums(self.n, r, b)
+                     for r, b in zip(rem[:dd], bounds)])
 
     def divide_exact(self, divisor: "TPoly") -> "TPoly":
         """Exact quotient; raises NonZeroRemainderError if division is inexact."""

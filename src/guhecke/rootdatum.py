@@ -89,10 +89,6 @@ class WeylElement:
         return "[" + ",".join(str(v) for v in self.perm) + "]"
 
 
-def weyl_identity(n: int) -> WeylElement:
-    return WeylElement(tuple(range(1, n + 1)))
-
-
 def weyl_group(n: int) -> list[WeylElement]:
     """All 2^m * m! elements (m = (n-1)/2), in a fixed deterministic order.
 
@@ -162,15 +158,6 @@ def sigma_twist(mono: Monomial) -> Monomial:
     e0 = exps[0]
     new = [e0] + [e0 - exps[n + 1 - i] for i in range(1, n + 1)]
     return Monomial(mono.q_exp, tuple(new))
-
-
-def sigma_images(n: int) -> list[LaurentPoly]:
-    """Substitution images [x0 -> x0*x1*...*xn, x_i -> x_{n+1-i}^(-1)]."""
-    prod = Monomial(0, (1,) * (n + 1))
-    images = [LaurentPoly.from_term(prod)]
-    for i in range(1, n + 1):
-        images.append(LaurentPoly.var(n, n + 1 - i, -1))
-    return images
 
 
 def sigma_twist_poly(p: LaurentPoly) -> LaurentPoly:

@@ -1,0 +1,102 @@
+"""Test-only references for the Laurent kernel.
+
+Plain term-by-term arithmetic on Monomial-keyed maps, the substitution
+engine the library no longer carries, and the Galois images it used.
+Tests check the packed kernel and the monomial maps against these.
+"""
+
+from fractions import Fraction
+
+from guhecke.laurent import LaurentPoly, Monomial
+
+
+def ref_add(a, b):
+    """a + b on Monomial -> coefficient maps, zeros dropped."""
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, 0) + coeff
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    """a * b, one Monomial product per pair of terms, zeros dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = m1 * m2
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_tmul(a, b):
+    """Product of t-polynomials given as lists of term maps."""
+    out = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = ref_add(out[i + j], ref_mul(ai, bj))
+    return out
+
+
+def ref_unit_inverse(a):
+    (mono, coeff), = a.items()
+    return {mono.inverse(): 1 / Fraction(coeff)}
+
+
+def ref_divmod(num, den):
+    """Long division of t-polynomials given as lists of term maps (by
+    ascending degree) by a divisor whose leading map is one term."""
+    dd = len(den) - 1
+    rem = [dict(c) for c in num]
+    quo = [{} for _ in range(max(len(num) - dd, 0))]
+    lead_inv = ref_unit_inverse(den[-1])
+    for j in range(len(rem) - 1, dd - 1, -1):
+        f = ref_mul(rem[j], lead_inv)
+        quo[j - dd] = f
+        neg_f = {m: -c for m, c in f.items()}
+        for i, d in enumerate(den):
+            rem[j - dd + i] = ref_add(rem[j - dd + i], ref_mul(neg_f, d))
+    while quo and not quo[-1]:
+        quo.pop()
+    rem = rem[:dd]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def substitute(poly, x_images, q_image=None):
+    """Replace each x_i by x_images[i] (and q by q_image), exactly.
+
+    Every image must be a single invertible term, so that negative
+    exponents stay meaningful.
+    """
+    n = poly.n
+    if len(x_images) != n + 1:
+        raise ValueError(f"need {n + 1} images, got {len(x_images)}")
+    if q_image is None:
+        q_image = LaurentPoly.from_term(Monomial.q(n))
+    pairs = []
+    for img in (q_image, *x_images):
+        if img.n != n:
+            raise ValueError("image variable-count mismatch")
+        if not img.is_unit():
+            raise ValueError("substitution images must be invertible single terms")
+        (mono, coeff), = img.terms.items()
+        pairs.append((mono, coeff))
+    out = {}
+    for mono, coeff in poly.terms.items():
+        acc_mono = Monomial.one(n)
+        acc_coeff = coeff
+        for exp, (im, ic) in zip((mono.q_exp, *mono.x_exps), pairs):
+            if exp:
+                acc_mono = acc_mono * im.power(exp)
+                acc_coeff *= Fraction(ic) ** exp
+        out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
+    return LaurentPoly(n, out)
+
+
+def sigma_images(n):
+    """Substitution images [x0 -> x0*x1*...*xn, x_i -> x_{n+1-i}^(-1)]."""
+    images = [LaurentPoly.from_term(Monomial(0, (1,) * (n + 1)))]
+    for i in range(1, n + 1):
+        images.append(LaurentPoly.var(n, n + 1 - i, -1))
+    return images

@@ -4,6 +4,9 @@ Runs each criterion from the registry at its stated scope and prints one
 pass/fail line per criterion (visible with ``pytest -s`` or on failure).
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from guhecke.acceptance import CRITERIA
@@ -22,3 +25,19 @@ def test_criterion(criterion):
         print(f"FAIL criterion {criterion.cid}/10 {criterion.name}: {exc!r}")
         raise
     print(f"PASS criterion {criterion.cid}/10 {criterion.name}: {detail}")
+
+
+def test_a_failed_check_raises_under_python_O():
+    # python -O strips assert statements; the criteria's checks must not.
+    script = "\n".join([
+        "import guhecke.acceptance as acceptance",
+        "print(__debug__)",
+        "acceptance.check_sigma_invariance = lambda poly: False",
+        "try:",
+        "    acceptance.factorization_certificate()",
+        "except AssertionError as exc:",
+        "    print(repr(exc))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\nAssertionError('twist moves H or R at n=3')\n"

@@ -4,10 +4,19 @@ import pytest
 
 from guhecke.finitefield import (MR_EXACT_BOUND, GFp2, _is_prime,
                                  annihilator_rows, gfp2, identity_mat,
-                                 in_row_span, kernel_basis, mat_inv, mat_mul,
-                                 mat_vec, rank, rref, vec_frob)
+                                 kernel_basis, mat_inv, mat_mul, mat_vec,
+                                 rank, rref, vec_frob)
 
 PRIMES = (3, 5, 7)
+
+
+def in_row_span(fld, basis, v):
+    """Reference: v lies in the span of the rref basis iff appending it
+    leaves the rank unchanged."""
+    if not any(v):
+        return True
+    stacked = rref(fld, basis + (v,))
+    return len(stacked) == len(rref(fld, basis))
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -16,6 +16,7 @@ from guhecke.hecke import (PairingCertificateError, _mat_mul,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, Monomial, TPoly
 from guhecke.rootdatum import sigma_twist_poly, weyl_generators, weyl_group
+from reference import ref_divmod, ref_tmul
 
 
 def test_r_weights_n3_frozen():
@@ -234,6 +235,26 @@ def test_pair_route_equals_product_route(n):
     assert product * TPoly.linear(center) == hp
     assert certified_factorization(n) == (hp, quotient, root, True)
     for poly in (*hp.coeffs, *quotient.coeffs):
+        assert all(type(c) is int for c in poly.terms.values())
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_packed_H_and_R_match_the_monomial_reference(n):
+    # H as the product of t - root multiplied out term by term on
+    # Monomials, and R as its reference long division by t - c.
+    one = Monomial.one(n)
+    ref_h = [{one: 1}]
+    for root in hecke_roots(n):
+        (mono, coeff), = root.terms.items()
+        ref_h = ref_tmul(ref_h, [{mono: -coeff}, {one: 1}])
+    center = Monomial(n - 1, central_monomial(n).x_exps)
+    ref_r, remainder = ref_divmod(ref_h, [{center: -1}, {one: 1}])
+    assert remainder == []
+    hp, quotient, _ = factor_hecke(n)
+    assert [c.terms for c in hp.coeffs] == ref_h
+    assert [c.terms for c in quotient.coeffs] == ref_r
+    for poly in (*hp.coeffs, *quotient.coeffs):
+        assert all(type(c) is int for c in poly._codes.values())
         assert all(type(c) is int for c in poly.terms.values())
 
 

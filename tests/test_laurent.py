@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.laurent import (LaurentPoly, Monomial, NonZeroRemainderError,
-                             TPoly, _mul_into)
+from guhecke.laurent import (LANE_MAX, LaurentPoly, Monomial,
+                             NonZeroRemainderError, TPoly, _mul_into)
+from reference import (ref_add, ref_divmod, ref_mul, ref_unit_inverse,
+                       substitute)
 
 N = 3
 
@@ -107,28 +109,28 @@ def identity_images(n):
 def test_substitute_swap():
     images = identity_images(N)
     images[1], images[3] = LaurentPoly.var(N, 3), LaurentPoly.var(N, 1)
-    assert (x(1) * x(3, -1)).substitute(images) == x(3) * x(1, -1)
+    assert substitute(x(1) * x(3, -1), images) == x(3) * x(1, -1)
 
 
 def test_substitute_identity():
     rng = random.Random(99)
     for _ in range(10):
         p = rand_poly(rng)
-        assert p.substitute(identity_images(N)) == p
+        assert substitute(p, identity_images(N)) == p
 
 
 def test_substitute_galois_images_on_x0():
     # x0 -> x0*x1*...*xn, x_i -> x_{n+1-i}^(-1)
     images = [LaurentPoly.from_term(Monomial(0, (1,) * (N + 1)))]
     images += [LaurentPoly.var(N, N + 1 - i, -1) for i in range(1, N + 1)]
-    assert x(0).substitute(images) == LaurentPoly.from_term(Monomial(0, (1, 1, 1, 1)))
+    assert substitute(x(0), images) == LaurentPoly.from_term(Monomial(0, (1, 1, 1, 1)))
 
 
 def test_substitute_rejects_non_unit_image():
     images = identity_images(N)
     images[2] = x(1) + x(2)
     with pytest.raises(ValueError):
-        x(2).substitute(images)
+        substitute(x(2), images)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -303,13 +305,13 @@ def test_substitute_scaled_inverse_images_stays_exact():
     images[1] = LaurentPoly.from_term(Monomial.var(N, 3, -1), 3)
     images[3] = LaurentPoly.from_term(Monomial.var(N, 1, -1), 3)
     p = 5 * x(1, -2) * x(3) + x(1, 3)
-    got = p.substitute(images)
+    got = substitute(p, images)
     expected = (LaurentPoly.from_term(Monomial(0, (0, -1, 0, 2)), Fraction(5, 3))
                 + LaurentPoly.from_term(Monomial.var(N, 3, -3), 27))
     assert got == expected
     assert_exact_coeffs(got)
     # the swap is an involution on the ring: applying it twice is the identity
-    assert got.substitute(images) == p
+    assert substitute(got, images) == p
 
 
 def test_negative_power_of_integer_unit_is_exact():
@@ -341,7 +343,7 @@ def test_operations_never_leave_floats_or_integral_fractions():
         # integer polynomials too, so integral sums of Fractions show up
         c = a * 6 * 7 * 8 * 9
         results = [a + b, a - b, a * b, c, c + a, c - (c - a), a * Fraction(9, 2),
-                   a.substitute(flip), LaurentPoly.from_json(N, a.to_json())]
+                   substitute(a, flip), LaurentPoly.from_json(N, a.to_json())]
         divisor = TPoly(N, [rand_poly(rng, terms=2), rand_unit(rng)])
         dividend = TPoly(N, [a, b, c])
         quotient, remainder = dividend.divmod(divisor)
@@ -354,29 +356,128 @@ def test_operations_never_leave_floats_or_integral_fractions():
 
 
 def test_constant_factor_fast_path_matches_term_by_term_product():
-    # _mul_into keeps the lhs monomials when the rhs is one constant term;
-    # the reference rebuilds every product monomial.
-    def by_terms(lhs, rhs):
-        sums = {}
-        for m1, c1 in lhs.items():
-            for m2, c2 in rhs.items():
-                mono = m1 * m2
-                sums[mono] = sums.get(mono, 0) + c1 * c2
-        return sums
-
+    # _mul_into adds the lhs codes as they are when the rhs is one constant
+    # term (and copies them into an empty sum when it is 1); the reference
+    # rebuilds every product monomial.
     rng = random.Random(77)
     one = Monomial.one(N)
     rhs_cases = [{one: 1}, {one: -1}, {one: Fraction(2, 3)},
                  {Monomial.q(N): 1}, {Monomial.var(N, 2): 1},
                  {Monomial.var(N, 0, -1): 5}, {one: 1, Monomial.q(N): 2}]
     for _ in range(30):
-        lhs = rand_poly(rng).terms
-        start = rand_poly(rng).terms
-        for rhs in rhs_cases:
-            got = dict(start)
-            _mul_into(got, lhs, rhs)
-            expected = dict(start)
-            for mono, coeff in by_terms(lhs, rhs).items():
-                expected[mono] = expected.get(mono, 0) + coeff
-            assert LaurentPoly._from_sums(N, got) == \
-                LaurentPoly._from_sums(N, expected)
+        lhs = rand_poly(rng)
+        before = dict(lhs.terms)
+        for start in (rand_poly(rng), LaurentPoly.zero(N)):
+            for rhs_terms in rhs_cases:
+                rhs = LaurentPoly(N, rhs_terms)
+                got = dict(start._codes)
+                bound = _mul_into(got, lhs, rhs)
+                # a later sum into the same map must not reach lhs
+                _mul_into(got, lhs, rhs)
+                expected = ref_add(start.terms, ref_mul(lhs.terms, rhs_terms))
+                expected = ref_add(expected, ref_mul(lhs.terms, rhs_terms))
+                result = LaurentPoly._from_sums(N, got, bound)
+                assert result == LaurentPoly(N, expected)
+                assert result.terms == expected
+                assert lhs.terms == before and LaurentPoly(N, before) == lhs
+                exps = [abs(e) for m in ref_mul(lhs.terms, rhs_terms)
+                        for e in (m.q_exp, *m.x_exps)]
+                assert bound >= max(exps, default=0)
+
+
+# -- the packed monomial codes ------------------------------------------------
+
+
+def test_packed_kernel_matches_term_by_term_reference():
+    rng = random.Random(6060)
+    for n in (3, 5):
+        for _ in range(40):
+            a, b = rand_poly(rng, n, terms=6), rand_poly(rng, n, terms=6)
+            assert (a + b).terms == ref_add(a.terms, b.terms)
+            assert (a - b).terms == ref_add(
+                a.terms, {m: -c for m, c in b.terms.items()})
+            assert (a * b).terms == ref_mul(a.terms, b.terms)
+            u = rand_unit(rng, n)
+            assert u.unit_inverse().terms == ref_unit_inverse(u.terms)
+            num = [rand_poly(rng, n, terms=4) for _ in range(rng.randint(1, 5))]
+            den = [rand_poly(rng, n, terms=2)
+                   for _ in range(rng.randint(0, 2))] + [u]
+            quotient, remainder = TPoly(n, num).divmod(TPoly(n, den))
+            ref_q, ref_r = ref_divmod([p.terms for p in TPoly(n, num).coeffs],
+                                      [p.terms for p in den])
+            assert [p.terms for p in quotient.coeffs] == ref_q
+            assert [p.terms for p in remainder.coeffs] == ref_r
+            for poly in (a + b, a * b, *quotient.coeffs, *remainder.coeffs):
+                assert_exact_coeffs(poly)
+
+
+def test_code_order_is_the_monomial_order():
+    rng = random.Random(404)
+    values = (-LANE_MAX, -LANE_MAX + 1, -256, 255, 256, LANE_MAX, *range(-3, 4))
+    for n in (3, 7):
+        terms = {}
+        for _ in range(300):
+            mono = Monomial(rng.choice(values),
+                            tuple(rng.choice(values) for _ in range(n + 1)))
+            terms[mono] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        p = LaurentPoly(n, terms)
+        assert [m for m, _ in p.sorted_terms()] == sorted(terms)
+        assert [(t["q"], tuple(t["x"])) for t in p.to_json()] == sorted(terms)
+        assert p.terms == terms
+
+
+def test_encode_decode_roundtrip_at_the_lane_limits():
+    for e in (-LANE_MAX, -LANE_MAX + 1, -1, 0, 1, LANE_MAX - 1, LANE_MAX):
+        for n in (3, 9):
+            for slot in range(n + 2):
+                exps = [0] * (n + 2)
+                exps[slot] = e
+                exps[(slot + 1) % (n + 2)] = -e
+                mono = Monomial(exps[0], tuple(exps[1:]))
+                u = LaurentPoly.from_term(mono, Fraction(-7, 2))
+                assert u.terms == {mono: Fraction(-7, 2)}
+                assert LaurentPoly.from_json(n, u.to_json()) == u
+                assert u.unit_inverse().terms == {mono.inverse(): Fraction(-2, 7)}
+                assert u.unit_inverse().unit_inverse() == u
+    top = LaurentPoly.var(N, 1, LANE_MAX // 2) * LaurentPoly.var(N, 1, LANE_MAX // 2 + 1)
+    assert top.terms == {Monomial.var(N, 1, LANE_MAX): 1}
+
+
+def test_exponents_past_the_lane_limit_raise_instead_of_wrapping():
+    for e in (LANE_MAX + 1, -LANE_MAX - 1, 2 ** 16, -(2 ** 40)):
+        with pytest.raises(OverflowError):
+            LaurentPoly.var(N, 2, e)
+        with pytest.raises(OverflowError):
+            LaurentPoly.from_term(Monomial(e, (0,) * (N + 1)))
+    u = LaurentPoly.var(N, 1, 20000)
+    with pytest.raises(OverflowError):
+        u * u
+    with pytest.raises(OverflowError):
+        u ** 2
+    with pytest.raises(OverflowError):
+        (x(2) + u * x(3)) * (x(1) + u)
+    with pytest.raises(OverflowError):
+        TPoly.linear(u) * TPoly.linear(u)
+    with pytest.raises(OverflowError):
+        TPoly(N, [x(1), u, LaurentPoly.one(N)]).divmod(TPoly.linear(u))
+    # A bound that only sums the operands' bounds is retried on the exact
+    # exponents: the factor below has bound 32000 but is the constant 1.
+    v = LaurentPoly.var(N, 1, 16000)
+    one = v * v.unit_inverse()
+    assert one == LaurentPoly.one(N)
+    assert one * v * LaurentPoly.var(N, 1, 16767) == LaurentPoly.var(N, 1, LANE_MAX)
+
+
+def test_no_float_and_exponents_stay_in_lane_range():
+    # no float is ever a coefficient or an exponent
+    with pytest.raises(TypeError):
+        LaurentPoly.from_term(Monomial(0, (0, 1.0, 0, 0)))
+    p = LaurentPoly.from_term(Monomial(-3, (1, -2, 0, 5)), 3)
+    q = (p + x(1)) * p.unit_inverse() * Fraction(1, 4) - p
+    for poly in (p, q, q * q):
+        for mono, coeff in poly.terms.items():
+            assert type(coeff) in (int, Fraction)
+            assert all(type(e) is int and abs(e) <= LANE_MAX
+                       for e in (mono.q_exp, *mono.x_exps))
+    with pytest.raises(OverflowError):
+        p ** 20000
