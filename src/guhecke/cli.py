@@ -26,7 +26,8 @@ from .acceptance import run_all
 from .dieudonne import (ClassificationError, DieudonneSpace, check_bt1,
                         classify_type, isocrystal_shape, make_B, model_space,
                         newton_slopes, signature, strata_dims)
-from .hecke import PairingCertificateError, hecke_report
+from .hecke import (PairingCertificateError, certified_factorization,
+                    hecke_report)
 from .laurent import NonZeroRemainderError
 
 EXIT_OK = 0
@@ -79,7 +80,6 @@ def _cmd_hecke(args) -> int:
     if args.format == "json":
         _emit_json(hecke_report(n))
         return EXIT_OK
-    from .hecke import certified_factorization
     hp, quotient, root, invariant = certified_factorization(n)
     print(f"n = {n}")
     print(f"H(t) = {hp}")
@@ -131,10 +131,7 @@ def _cmd_classify(args) -> int:
 def _cmd_slopes(args) -> int:
     if args.d < 1:
         raise UsageError("d must be >= 1")
-    try:
-        multiset = newton_slopes(make_B(args.d, args.p))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    multiset = newton_slopes(make_B(args.d, args.p))
     if args.format == "json":
         _emit_json(multiset.to_json())
     elif args.format == "csv":
@@ -148,10 +145,7 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_isoc(args) -> int:
     n = _check_n(args.n)
-    try:
-        shape = isocrystal_shape(n, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    shape = isocrystal_shape(n, args.r)
     if args.format == "json":
         _emit_json(shape.to_json())
     elif args.format == "csv":

@@ -53,7 +53,7 @@ from typing import Sequence
 from .finitefield import (GFp2, Mat, Vec, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
                           mat_transpose, mat_vec, rank, rref, vec_frob)
-from .hecke import mat_det
+from .hecke import gauss_jordan
 from .rootdatum import _require_odd
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -180,7 +180,7 @@ class DieudonneModuleZ:
                     raise ValueError("pairing must be alternating")
                 if (i < ne) == (j < ne) and self.gram[i][j]:
                     raise ValueError("graded pieces must be isotropic")
-        if abs(mat_det(self.gram)) != 1:
+        if abs(gauss_jordan(self.gram)[0]) != 1:
             raise ValueError("pairing must be unimodular")
 
     @property
@@ -789,16 +789,12 @@ def isocrystal_shape(n: int, r: int) -> IsocrystalShape:
     _require_odd(n)
     if not 0 <= r <= (n - 1) // 2:
         raise ValueError(f"r={r} out of range 0..{(n - 1) // 2}")
-    factors = []
-    if r > 0:
-        lo, hi = Fraction(r - 1, 2 * r), Fraction(r + 1, 2 * r)
-        if r % 2 == 0:
-            factors = [SimpleFactor(lo, 2 * r, 1), SimpleFactor(hi, 2 * r, 1)]
-        else:
-            factors = [SimpleFactor(lo, r, 2), SimpleFactor(hi, r, 2)]
+    paired = paired_block_slopes(r)
+    dim, count = (2 * r, 1) if r % 2 == 0 else (r, 2)
+    factors = [SimpleFactor(slope, dim, count) for slope, _ in paired]
     factors.append(SimpleFactor(Fraction(1, 2), 2, n - 2 * r))
     slopes = SlopeMultiset.from_pairs(
-        paired_block_slopes(r) + [(Fraction(1, 2), 2 * (n - 2 * r))])
+        paired + [(Fraction(1, 2), 2 * (n - 2 * r))])
     return IsocrystalShape(n=n, r=r, slopes=slopes, factors=tuple(factors))
 
 

@@ -4,8 +4,10 @@ Elements of F_{p^2} = F_p[u]/(u^2 - c), with c the smallest quadratic
 non-residue mod p, are encoded as the single integer a + p*b for the
 element a + b*u.  A :class:`GFp2` instance precomputes full addition,
 multiplication, negation, inversion and Frobenius tables, so all field
-operations are table lookups; this keeps the Gaussian-elimination loops
-below fast enough for the classification search.
+operations are table lookups; this keeps the elimination below fast
+enough for the classification search.  :func:`rref` is the only routine
+that does row operations: ranks, kernels and :func:`mat_inv` (the rref
+of [m | I]) all go through it.
 
 Frobenius x -> x^p sends a + b*u to a - b*u (conjugation), hence is an
 involution; in particular its inverse is itself, which the semilinear
@@ -273,26 +275,18 @@ def kernel_basis(fld: GFp2, m: Mat, ncols: int | None = None) -> Mat:
 
 
 def mat_inv(fld: GFp2, m: Mat) -> Mat:
+    """The inverse of a square matrix, read off the rref of [m | I].
+
+    [m | I] has full row rank, so its rref keeps every row, and it is
+    [I | m^-1] exactly when m is invertible.  Otherwise the left block has
+    a pivot missing, and the first row whose pivot lies right of the
+    diagonal has a 0 on it; raises ZeroDivisionError then."""
     size = len(m)
-    work = [list(row) + [int(i == j) for j in range(size)]
-            for i, row in enumerate(m)]
-    mul = fld._mul
-    add = fld._add
-    neg = fld._neg
-    inv = fld._inv
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        piv_inv = inv[work[col][col]]
-        work[col] = [mul[piv_inv][x] for x in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [add[x][neg[mul[f][y]]]
-                           for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[size:]) for row in work)
+    reduced = rref(fld, (tuple(row) + unit
+                         for row, unit in zip(m, identity_mat(size))))
+    if any(row[i] != 1 for i, row in enumerate(reduced)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[size:] for row in reduced)
 
 
 def annihilator_rows(fld: GFp2, basis: Mat, ambient: int) -> Mat:

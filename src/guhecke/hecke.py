@@ -30,8 +30,12 @@ definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
 with explicit matrix inverses and the antidiagonal sign matrix, push it
 through the similitude-twisted dual representation (A, y) -> y*det(A)*
 transpose(A)^(-1), and take an exact characteristic-determinant value.
-The two routes share nothing but the definition, so agreement at random
-rational points cross-checks the expansion.
+Every determinant and inverse comes from :func:`gauss_jordan`, one
+exact elimination over Fraction, three per point: det(A) and
+transpose(A)^(-1) share one, det(M) and transpose(M)^(-1) for the
+product M share another, and the characteristic determinant is the
+third.  The two routes share nothing but the definition, so agreement
+at random rational points cross-checks the expansion.
 """
 
 from __future__ import annotations
@@ -166,7 +170,8 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # Matrix-side evaluation (exact, over Fraction) for the numeric cross-check;
-# mat_det also decides whether an integral Dieudonne pairing is unimodular.
+# gauss_jordan, the one elimination here, also gives the determinant that
+# decides whether an integral Dieudonne pairing is unimodular.
 
 Matrix = list[list[Fraction]]
 
@@ -186,48 +191,35 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_det(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square matrix of ints or Fractions by
-    Gaussian elimination over Fraction.  Each pivot is inverted as a
-    Fraction, so an int entry never divides to a float; entries the
-    elimination never touches stay as given."""
-    m = [list(row) for row in a]
-    size = len(m)
-    det = Fraction(1)
+def gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, Matrix | None]:
+    """(det(a), a^-1) for a square matrix of ints or Fractions, from one
+    Gauss-Jordan elimination of [a | I]; the inverse is None when
+    det(a) = 0.  Each pivot is inverted as a Fraction, so an int entry
+    never divides to a float, and the inverse's entries are Fractions.
+    The pivot row is zero left of its column, and zero entries of it are
+    skipped."""
+    size = len(a)
+    zero, one = Fraction(0), Fraction(1)
+    m = [list(row) + [one if i == j else zero for j in range(size)]
+         for i, row in enumerate(a)]
+    det = one
     for col in range(size):
         pivot = next((r for r in range(col, size) if m[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return zero, None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
         det *= m[col][col]
         inv = 1 / Fraction(m[col][col])
-        for r in range(col + 1, size):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _mat_inv(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; zero entries of the pivot row are skipped."""
-    size = len(a)
-    m = [row[:] + [Fraction(int(i == j)) for j in range(size)]
-         for i, row in enumerate(a)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv if v else v for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w if w else v for v, w in zip(m[r], m[col])]
-    return [row[size:] for row in m]
+        tail = [v * inv if v else v for v in m[col][col:]]
+        m[col][col:] = tail
+        for r, row in enumerate(m):
+            f = row[col]
+            if f and r != col:
+                row[col:] = [v - f * w if w else v
+                             for v, w in zip(row[col:], tail)]
+    return det, [row[size:] for row in m]
 
 
 def _transpose(a: Matrix) -> Matrix:
@@ -244,28 +236,32 @@ def _antidiagonal_signs(n: int) -> Matrix:
 
 def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
     """det(t - p^(n-1) * r(g * twist(g))) for g the diagonal torus point
-    (diag(xs), x0), computed purely with matrix operations."""
+    (diag(xs), x0), computed purely with matrix operations.  Raises
+    ValueError unless g lies on the torus: x0 and every x_i nonzero."""
     _require_odd(n)
     if len(xs) != n:
         raise ValueError(f"need {n} torus coordinates")
+    if x0 == 0 or 0 in xs:
+        raise ValueError("torus coordinates must be nonzero")
     x0 = Fraction(x0)
     a = [[Fraction(0)] * n for _ in range(n)]
     for i, v in enumerate(xs):
         a[i][i] = Fraction(v)
     j_signs = _antidiagonal_signs(n)
-    det_a = mat_det(a)
+    # det(A) = det(transpose(A)), so one elimination gives both.
+    det_a, a_t_inv = gauss_jordan(_transpose(a))
     # twist(A, y) = (J * transpose(A)^(-1) * J, det(A) * y)
-    twisted = _mat_mul(_mat_mul(j_signs, _mat_inv(_transpose(a))), j_signs)
+    twisted = _mat_mul(_mat_mul(j_signs, a_t_inv), j_signs)
     prod_mat = _mat_mul(a, twisted)
     prod_scalar = x0 * det_a * x0
-    # r(M, y) = y * det(M) * transpose(M)^(-1)
-    r_mat = _mat_inv(_transpose(prod_mat))
-    scale = prod_scalar * mat_det(prod_mat)
+    # r(M, y) = y * det(M) * transpose(M)^(-1), again from one elimination
+    det_m, r_mat = gauss_jordan(_transpose(prod_mat))
+    scale = prod_scalar * det_m
     factor, tv = -Fraction(p) ** (n - 1) * scale, Fraction(t)
     char = [[factor * v if v else v for v in row] for row in r_mat]
     for i in range(n):
         char[i][i] += tv
-    return mat_det(char)
+    return gauss_jordan(char)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ def test_dd_slopes_csv(capsys):
 def test_dd_slopes_bad_prime(capsys):
     code, _, err = run_cli(capsys, "dd", "slopes", "--d", "2", "--p", "4")
     assert code == 1
+    assert err == "guhecke: error: p must be an odd prime, got 4\n"
 
 
 def test_dd_slopes_at_a_large_prime(capsys):
@@ -127,6 +128,7 @@ def test_dd_isoc(capsys):
                                {"slope": "3/4", "mult": 4}]
     code, _, err = run_cli(capsys, "dd", "isoc", "--n", "5", "--r", "3")
     assert code == 1
+    assert err == "guhecke: error: r=3 out of range 0..2\n"
 
 
 def test_dd_models_single_and_pretty(capsys):
@@ -212,14 +214,18 @@ def test_dd_classify_wrong_n_is_data_error(capsys):
 
 
 def test_missing_subcommand_is_usage_error():
-    assert subprocess.run([sys.executable, "-m", "guhecke"],
-                          capture_output=True).returncode == 1
+    proc = subprocess.run([sys.executable, "-m", "guhecke"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    # The parser's own line, not an import failure's exit 1.
+    assert "guhecke: error:" in proc.stderr
 
 
 def test_unknown_flag_is_usage_error():
     proc = subprocess.run([sys.executable, "-m", "guhecke", "hecke", "--bogus"],
-                          capture_output=True)
+                          capture_output=True, text=True)
     assert proc.returncode == 1
+    assert "guhecke hecke: error:" in proc.stderr
 
 
 def test_byte_identical_output_across_runs():

@@ -21,7 +21,7 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                strata_dims, v_ranks)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_mul,
                                   mat_transpose, mat_vec, rref, vec_frob)
-from guhecke.hecke import mat_det
+from guhecke.hecke import gauss_jordan
 
 PRIMES = (3, 5, 7)
 
@@ -100,7 +100,7 @@ def test_sparse_int_mat_mul_matches_dense_definition():
         assert _int_mat_mul(a, b) == _dense_int_mat_mul(a, b), (a, b)
 
 
-def test_mat_det_is_exact_on_integer_and_rational_matrices():
+def test_gauss_jordan_is_exact_on_integer_and_rational_matrices():
     rng = random.Random(23)
     mats = [[[0, 1], [-1, 0]], [[3, 1], [1, 1]], [[0, 0], [0, 0]],
             [list(row) for row in make_B(3, 7).gram]]
@@ -111,9 +111,19 @@ def test_mat_det_is_exact_on_integer_and_rational_matrices():
             mats.append([[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                           for _ in range(size)] for _ in range(size)])
     for mat in mats:
-        det = mat_det(mat)
+        det, inverse = gauss_jordan(mat)
         assert type(det) is Fraction
         assert det == _det_by_permutation_expansion(mat), mat
+        if det == 0:
+            assert inverse is None, mat
+            continue
+        assert all(type(v) is Fraction for row in inverse for v in row), mat
+        size = len(mat)
+        assert [[sum(mat[i][k] * inverse[k][j] for k in range(size))
+                 for j in range(size)] for i in range(size)] \
+            == [[int(i == j) for j in range(size)] for i in range(size)], mat
+    assert gauss_jordan([[1, 2], [2, 4]]) == (0, None)
+    assert gauss_jordan([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == (0, None)
 
 
 @pytest.mark.parametrize("p", (3, 7))

@@ -223,15 +223,19 @@ def test_kernel_vectors_are_killed():
 
 
 def test_mat_inv_roundtrip():
-    fld = gfp2(5)
-    rng = random.Random(19)
-    found = 0
-    while found < 10:
-        m = rand_mat(fld, rng, 3, 3)
-        if rank(fld, m) < 3:
-            continue
-        found += 1
-        assert mat_mul(fld, m, mat_inv(fld, m)) == identity_mat(3)
+    for p in PRIMES:
+        fld = gfp2(p)
+        rng = random.Random(19 + p)
+        for size in range(1, 10):
+            found = 0
+            while found < 3:
+                m = rand_mat(fld, rng, size, size)
+                if rank(fld, m) < size:
+                    continue
+                found += 1
+                inverse = mat_inv(fld, m)
+                assert mat_mul(fld, m, inverse) == identity_mat(size), m
+                assert mat_mul(fld, inverse, m) == identity_mat(size), m
 
 
 def _dense_mat_mul(fld, a, b):
@@ -276,6 +280,21 @@ def test_mat_inv_rejects_singular():
     fld = gfp2(3)
     with pytest.raises(ZeroDivisionError):
         mat_inv(fld, ((1, 2), (2, 1)))  # second row is twice the first
+    for p in PRIMES:
+        fld = gfp2(p)
+        rng = random.Random(27 + p)
+        for size in range(2, 8):
+            # One row is a random combination of the others.
+            rows = [list(row) for row in rand_mat(fld, rng, size - 1, size)]
+            combo = [0] * size
+            for row in rows:
+                c = rng.randrange(fld.size)
+                combo = [fld.add(x, fld.mul(c, y)) for x, y in zip(combo, row)]
+            rows.insert(rng.randrange(size), combo)
+            m = tuple(map(tuple, rows))
+            assert rank(fld, m) < size
+            with pytest.raises(ZeroDivisionError):
+                mat_inv(fld, m)
 
 
 def test_annihilator_cuts_out_the_span():

@@ -416,6 +416,10 @@ def test_determinant_route_validates_arguments():
         hecke_value_by_determinant(4, 1, [1, 1, 1, 1], 3, 0)
     with pytest.raises(ValueError):
         hecke_value_by_determinant(3, 1, [1, 1], 3, 0)
+    with pytest.raises(ValueError):
+        hecke_value_by_determinant(3, 0, [1, 2, 3], 3, 5)  # x0 = 0
+    with pytest.raises(ValueError):
+        hecke_value_by_determinant(5, 2, [1, 2, Fraction(0), 4, 5], 3, 5)
 
 
 # -- report -------------------------------------------------------------------
