@@ -8,8 +8,10 @@ Subcommands:
   selftest  -- run the full acceptance suite
 
 Exit codes: 0 success, 1 usage or malformed input, 2 certificate failure,
-3 data or classification error.  Output is byte-identical across runs for
-identical flags and seeds; JSON is emitted compact, one document per run.
+3 data or classification error.  Running out of memory also exits 1, with
+``guhecke: error: out of memory`` on stderr instead of a traceback.
+Output is byte-identical across runs for identical flags and seeds; JSON
+is emitted compact, one document per run.
 The environment variable GUHECKE_MAX_N (default 15) caps accepted --n;
 a value that is not an integer is a usage error (exit 1).
 """
@@ -28,7 +30,7 @@ from .dieudonne import (ClassificationError, DieudonneSpace, check_bt1,
                         newton_slopes, signature, strata_dims)
 from .hecke import (PairingCertificateError, certified_factorization,
                     hecke_report)
-from .laurent import NonZeroRemainderError
+from .laurent import LaurentPoly, NonZeroRemainderError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,8 +71,41 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _dumps(data) -> str:
+    return json.dumps(data, separators=(",", ":"))
+
+
+def _is_poly_list(value) -> bool:
+    return (isinstance(value, list) and bool(value)
+            and all(isinstance(c, LaurentPoly) for c in value))
+
+
 def _emit_json(data) -> None:
-    print(json.dumps(data, separators=(",", ":")))
+    """Write data to stdout as one line of compact JSON.
+
+    A dict value that is a list of LaurentPolys (the hecke report's H
+    and R) is written one coefficient at a time, each by its own
+    :meth:`LaurentPoly.json_text`, so the document is never held whole;
+    everything else goes through json.dumps.
+    """
+    write = sys.stdout.write
+    if not (isinstance(data, dict) and any(map(_is_poly_list, data.values()))):
+        write(_dumps(data) + "\n")
+        return
+    sep = "{"
+    for key, value in data.items():
+        write(f"{sep}{_dumps(key)}:")
+        sep = ","
+        if not _is_poly_list(value):
+            write(_dumps(value))
+            continue
+        write("[")
+        for i, coeff in enumerate(value):
+            if i:
+                write(",")
+            write(coeff.json_text())
+        write("]")
+    write("}\n")
 
 
 def _cmd_hecke(args) -> int:
@@ -283,6 +318,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except ValueError as exc:
         print(f"guhecke: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("guhecke: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

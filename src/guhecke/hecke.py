@@ -349,13 +349,20 @@ def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:
 
 
 def hecke_report(n: int) -> dict:
-    """JSON-ready summary: H, R, the linear root, and the invariance flag."""
+    """Summary of the certified factorization: H, R, the linear root, and
+    the invariance flag.
+
+    ``"Hp"`` and ``"R"`` are the coefficients themselves, lists of
+    :class:`LaurentPoly` by ascending degree in t, not term lists; the
+    CLI writes each one as its :meth:`LaurentPoly.json_text`.  The other
+    fields are plain JSON values.
+    """
     hp, quotient, linear_root, invariant = certified_factorization(n)
     (root_mono, root_coeff), = linear_root.terms.items()
     return {
         "n": n,
-        "Hp": hp.to_json(),
-        "R": quotient.to_json(),
+        "Hp": list(hp.coeffs),
+        "R": list(quotient.coeffs),
         "linear_root": {"coeff": str(root_coeff), "q": root_mono.q_exp,
                         "x": list(root_mono.x_exps)},
         "weyl_invariant": invariant,

@@ -35,6 +35,11 @@ a whole polynomial at a time (``int.to_bytes`` into an ``array``);
 :attr:`LaurentPoly.terms` is the :class:`Monomial`-keyed view, decoded
 once and cached.
 
+The JSON term format has one definition, :meth:`LaurentPoly.json_text`:
+compact text of the term list in canonical order, rendered straight from
+the sorted codes.  :meth:`LaurentPoly.to_json` parses that text back
+into term dicts, and the CLI writes the text as it is.
+
 :class:`TPoly` is a polynomial in an extra indeterminate ``t`` whose
 coefficients are LaurentPolys; it supports exact long division by a
 divisor whose leading coefficient is a unit (a single invertible term),
@@ -44,6 +49,7 @@ out exact.
 
 from __future__ import annotations
 
+import json
 import sys
 from array import array
 from fractions import Fraction
@@ -307,6 +313,10 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._codes
 
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._codes)
+
     def is_unit(self) -> bool:
         """True iff the polynomial is a single term (hence invertible)."""
         return len(self._codes) == 1
@@ -443,13 +453,29 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-    def to_json(self) -> list[dict]:
-        """Terms in canonical order, each `{"coeff": "3/2", "q": 2, "x": [...]}`."""
+    def json_text(self) -> str:
+        """The term list as compact JSON text, terms in canonical order,
+        each ``{"coeff":"3/2","q":2,"x":[...]}``: the bytes of
+        ``json.dumps(self.to_json(), separators=(",", ":"))``.
+
+        One %-template per term, filled from the sorted codes' coefficients
+        and their flat decoded exponents; the str of an int or a Fraction
+        needs no JSON escaping.
+        """
         codes = sorted(self._codes)
-        flat, width = _decode(self.n, codes), self.n + 2
-        coeffs = map(str, map(self._codes.__getitem__, codes))
-        return [{"coeff": c, "q": flat[k], "x": flat[k + 1:k + width]}
-                for k, c in zip(range(0, len(flat), width), coeffs)]
+        width = self.n + 2
+        args: list = [None] * (len(codes) * (width + 1))
+        args[::width + 1] = map(str, map(self._codes.__getitem__, codes))
+        flat = _decode(self.n, codes)
+        for lane in range(width):
+            args[lane + 1::width + 1] = flat[lane::width]
+        term = '{"coeff":"%s","q":%d,"x":[' + ",".join(["%d"] * (width - 1)) + "]}"
+        return "[" + ",".join([term] * len(codes)) % tuple(args) + "]"
+
+    def to_json(self) -> list[dict]:
+        """Terms in canonical order, each `{"coeff": "3/2", "q": 2, "x": [...]}`;
+        parsed from :meth:`json_text`, the one definition of the format."""
+        return json.loads(self.json_text())
 
     @classmethod
     def from_json(cls, n: int, data: Iterable[Mapping]) -> "LaurentPoly":

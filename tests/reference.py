@@ -1,8 +1,9 @@
 """Test-only references for the Laurent kernel.
 
 Plain term-by-term arithmetic on Monomial-keyed maps, the substitution
-engine the library no longer carries, and the Galois images it used.
-Tests check the packed kernel and the monomial maps against these.
+engine the library no longer carries, the Galois images it used, and the
+per-term dict builder of the JSON term format.  Tests check the packed
+kernel, the monomial maps and the JSON text against these.
 """
 
 from fractions import Fraction
@@ -61,6 +62,13 @@ def ref_divmod(num, den):
     while rem and not rem[-1]:
         rem.pop()
     return quo, rem
+
+
+def ref_to_json(poly):
+    """The term list of poly, one dict per term in Monomial order, each
+    ``{"coeff": "3/2", "q": 2, "x": [...]}``."""
+    return [{"coeff": str(coeff), "q": mono.q_exp, "x": list(mono.x_exps)}
+            for mono, coeff in sorted(poly.terms.items())]
 
 
 def substitute(poly, x_images, q_image=None):

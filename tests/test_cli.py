@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import guhecke.cli as cli_module
 from guhecke.cli import fixture_path, main
 from guhecke.dieudonne import model_space, random_basechange
+from guhecke.laurent import LaurentPoly, TPoly
 
 
 def run_cli(capsys, *argv):
@@ -33,11 +36,61 @@ HECKE_GOLDEN = {key: entry for key, entry in GOLDEN_OUTPUTS.items()
 
 
 @pytest.mark.parametrize("key", sorted(HECKE_GOLDEN))
-def test_hecke_output_matches_recorded_bytes(capsys, key):
+def test_hecke_output_matches_recorded_bytes(capsys, monkeypatch, key):
+    # The report is written as text, coefficient by coefficient; no
+    # per-term dicts are built on the way.
+    def no_term_dicts(self):
+        raise AssertionError("the hecke report built term dicts")
+
+    monkeypatch.setattr(LaurentPoly, "to_json", no_term_dicts)
+    monkeypatch.setattr(TPoly, "to_json", no_term_dicts)
     code, out, _ = run_cli(capsys, *key.split())
     assert code == HECKE_GOLDEN[key]["exit"]
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == HECKE_GOLDEN[key]["sha256"]
+
+
+# A child that starts from a small helper reports its own peak resident
+# set through wait4, not the high-water mark of the test process.
+_PEAK_RSS_HELPER = """
+import os, subprocess, sys
+for argv in sys.argv[1:]:
+    proc = subprocess.Popen([sys.executable, "-m", "guhecke", *argv.split()],
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_hecke_report_is_written_without_holding_the_document():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _PEAK_RSS_HELPER,
+         "hecke --n 15", "dd isoc --n 3 --r 1"],
+        capture_output=True, text=True, env=env, check=True)
+    (hecke_code, hecke_kb), (isoc_code, isoc_kb) = (
+        map(int, line.split()) for line in proc.stdout.splitlines())
+    assert hecke_code == isoc_code == 0
+    # Held whole, the 1.4 MB report and its term dicts cost about 15 MB.
+    assert hecke_kb <= isoc_kb + 6 * 1024
+
+
+def test_memory_error_exits_1_without_a_traceback(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "hecke_report", out_of_memory)
+    monkeypatch.setattr(cli_module, "model_space", out_of_memory)
+    for argv in (["hecke", "--n", "5"],
+                 ["dd", "models", "--n", "5", "--p", "3", "--r", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "guhecke: error: out of memory\n"
 
 
 def test_hecke_rejects_even_n(capsys):
@@ -257,7 +310,6 @@ def test_selftest_corrupted_fixture_exits_3(capsys, tmp_path, monkeypatch):
     data["V_ebar2e"] = zero
     bad = tmp_path / "ss_sum.json"
     bad.write_text(json.dumps(data))
-    import guhecke.cli as cli_module
     monkeypatch.setattr(cli_module, "fixture_path", lambda name="ss_sum.json": bad)
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3

@@ -431,4 +431,6 @@ def test_hecke_report_schema():
     assert report["weyl_invariant"] is True
     assert len(report["Hp"]) == 4 and len(report["R"]) == 3
     assert report["linear_root"] == {"coeff": "1", "q": 2, "x": [2, 1, 1, 1]}
-    assert report["Hp"][-1] == [{"coeff": "1", "q": 0, "x": [0, 0, 0, 0]}]
+    assert report["Hp"][-1].to_json() == [{"coeff": "1", "q": 0, "x": [0, 0, 0, 0]}]
+    for coeff in (*report["Hp"], *report["R"]):
+        assert len(coeff) == len(coeff.to_json()) == len(coeff.terms)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 from guhecke.laurent import (LANE_MAX, LaurentPoly, Monomial,
                              NonZeroRemainderError, TPoly, _mul_into)
-from reference import (ref_add, ref_divmod, ref_mul, ref_unit_inverse,
-                       substitute)
+from reference import (ref_add, ref_divmod, ref_mul, ref_to_json,
+                       ref_unit_inverse, substitute)
 
 N = 3
 
@@ -220,6 +221,39 @@ def test_json_roundtrip_randomized():
     for _ in range(20):
         p = rand_poly(rng)
         assert LaurentPoly.from_json(N, p.to_json()) == p
+
+
+def _dumps(data):
+    return json.dumps(data, separators=(",", ":"))
+
+
+def test_json_text_matches_the_reference_builder_byte_for_byte():
+    rng = random.Random(1010)
+    edges = (-LANE_MAX, LANE_MAX)
+    for n in range(3, 16):
+        polys = [LaurentPoly.zero(n), LaurentPoly.constant(n, 5),
+                 LaurentPoly.constant(n, Fraction(-3, 7))]
+        for _ in range(6):
+            polys.append(rand_poly(rng, n, terms=30, span=40)
+                         + rand_poly(rng, n, terms=10, span=3) * 11)
+        # Every lane, q first, at each end of its range.
+        for slot in range(n + 2):
+            for e in edges:
+                exps = [rng.randint(-5, 5) for _ in range(n + 2)]
+                exps[slot] = e
+                polys.append(LaurentPoly(n, {Monomial(exps[0], tuple(exps[1:])):
+                                             rng.choice([-4, Fraction(-9, 2)])}))
+        polys.append(LaurentPoly(n, {Monomial(e, (e,) * (n + 1)): k
+                                     for k, e in enumerate(edges, 1)}))
+        for p in polys:
+            expected = _dumps(ref_to_json(p))
+            assert p.json_text() == expected
+            assert p.to_json() == ref_to_json(p)
+            assert LaurentPoly.from_json(n, p.to_json()) == p
+            assert len(p) == len(p.terms)
+        assert polys[0].json_text() == "[]"
+        assert polys[1].json_text() == '[{"coeff":"5","q":0,"x":[%s]}]' % (
+            ",".join(["0"] * (n + 1)))
 
 
 def test_sorted_terms_are_deterministic():
