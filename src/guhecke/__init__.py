@@ -11,10 +11,10 @@ from .dieudonne import (ClassificationError, DieudonneModuleZ, DieudonneSpace,
                         newton_slopes, random_basechange, signature,
                         strata_dims)
 from .finitefield import GFp2, gfp2
-from .hecke import (central_monomial, check_sigma_invariance,
-                    check_weyl_invariance, factor_hecke, hecke_polynomial,
-                    hecke_report, hecke_roots, hecke_value_by_determinant,
-                    r_weights, satake_alpha)
+from .hecke import (central_monomial, certified_factorization,
+                    check_sigma_invariance, check_weyl_invariance,
+                    hecke_polynomial, hecke_report, hecke_roots,
+                    hecke_value_by_determinant, r_weights, satake_alpha)
 from .laurent import LaurentPoly, Monomial, NonZeroRemainderError, TPoly
 from .rootdatum import (WeylElement, norm_monomial, pairing, rho, sigma_twist,
                         sigma_twist_poly, weyl_act, weyl_generators,

@@ -8,7 +8,8 @@ Two levels of structure are modelled:
   perfect alternating integer pairing, and a grading into two pieces of
   which F and V swap.  The two building blocks are the rank-2
   supersingular module and the rank-2d banded module with a single
-  F-cycle through the graded basis.
+  F-cycle through the graded basis.  The checks use the exact integer
+  product and determinant of :mod:`guhecke.rational`.
 
 * :class:`DieudonneSpace` -- the mod-p reduction: graded pieces over
   F_{p^2} with F V = V F = 0 and a nondegenerate pairing between the
@@ -50,10 +51,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .finitefield import (GFp2, Mat, Vec, annihilator_rows, gfp2, identity_mat,
+from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
                           mat_transpose, mat_vec, rank, rref, vec_frob)
-from .hecke import gauss_jordan
+from .rational import gauss_jordan, mat_mul as int_mat_mul
 from .rootdatum import _require_odd
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -122,20 +123,6 @@ def _as_int_mat(rows) -> IntMat:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _int_mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    """a @ b over the integers; row i sums a[i][k] * (row k of b) over the
-    nonzero a[i][k] only (a model's F and V have one per row)."""
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, b_row in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b_row)]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class DieudonneModuleZ:
     """Integral model: rank-2d module with integer F, V, pairing matrices.
@@ -171,8 +158,8 @@ class DieudonneModuleZ:
                         raise ValueError("F and V must swap the graded pieces")
         p_id = tuple(tuple(self.p * int(i == j) for j in range(dim))
                      for i in range(dim))
-        if _int_mat_mul(self.f_mat, self.v_mat) != p_id \
-                or _int_mat_mul(self.v_mat, self.f_mat) != p_id:
+        if int_mat_mul(self.f_mat, self.v_mat) != p_id \
+                or int_mat_mul(self.v_mat, self.f_mat) != p_id:
             raise ValueError("F V = V F = p fails")
         for i in range(dim):
             for j in range(dim):
@@ -334,14 +321,6 @@ class DieudonneSpace:
     def v_matrix(self, grade: int) -> Mat:
         """Matrix of V restricted to the given source grade."""
         return self.v_e2ebar if grade == 0 else self.v_ebar2e
-
-    def apply_f(self, grade: int, v: Vec) -> Vec:
-        fld = self.field
-        return mat_vec(fld, self.f_matrix(grade), vec_frob(fld, v))
-
-    def apply_v(self, grade: int, v: Vec) -> Vec:
-        fld = self.field
-        return mat_vec(fld, self.v_matrix(grade), vec_frob(fld, v))
 
     def to_json(self) -> dict:
         fld = self.field

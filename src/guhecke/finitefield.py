@@ -64,11 +64,18 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# The largest p whose tables are built: at p = 47 the addition and
+# multiplication tables hold 2 * 47^4 entries, about 355 MB and 2.9 s.
+TABLE_MAX_P = 47
+
+
 class GFp2:
     """The field with p^2 elements, elements encoded as ints in [0, p^2).
 
-    Tables are built lazily on first arithmetic use; they are quadratic in
-    p^2, which is fine for the small primes the classification runs at.
+    Tables are built lazily on first arithmetic use; the addition and
+    multiplication tables are quadratic in p^2, so they are refused with
+    ValueError for p > TABLE_MAX_P.  A field that is only validated, or
+    only encodes and decodes elements, builds no table at any p.
     """
 
     def __init__(self, p: int):
@@ -82,27 +89,35 @@ class GFp2:
         self.zero = 0
         self.one = 1
 
+    def _table_size(self) -> int:
+        """p^2, the length of every table; ValueError past TABLE_MAX_P."""
+        if self.p > TABLE_MAX_P:
+            raise ValueError(f"F_(p^2) arithmetic tables are built only for "
+                             f"p <= {TABLE_MAX_P}, got p={self.p}")
+        return self.size
+
     @cached_property
     def _neg(self):
         p = self.p
         return tuple((-x % p) % p + p * ((-(x // p)) % p)
-                     for x in range(self.size))
+                     for x in range(self._table_size()))
 
     @cached_property
     def _frob(self):
         p = self.p
-        return tuple(x % p + p * ((-(x // p)) % p) for x in range(self.size))
+        return tuple(x % p + p * ((-(x // p)) % p)
+                     for x in range(self._table_size()))
 
     @cached_property
     def _add(self):
-        p, size = self.p, self.size
+        p, size = self.p, self._table_size()
         return tuple(tuple((x % p + y % p) % p + p * ((x // p + y // p) % p)
                            for y in range(size))
                      for x in range(size))
 
     @cached_property
     def _mul(self):
-        p, size, c = self.p, self.size, self.nonresidue
+        p, size, c = self.p, self._table_size(), self.nonresidue
         out = []
         for x in range(size):
             a1, b1 = x % p, x // p
@@ -114,7 +129,7 @@ class GFp2:
     @cached_property
     def _inv(self):
         p, c = self.p, self.nonresidue
-        inv = [0] * self.size
+        inv = [0] * self._table_size()
         for x in range(1, self.size):
             a1, b1 = x % p, x // p
             norm = (a1 * a1 - c * b1 * b1) % p

@@ -14,24 +14,26 @@ roots come in pairs c*y_i and c/y_i (i = 1..m, m = (n-1)/2), so
     R(t) = H(t) / (t - c) = prod_{i=1..m} ( t^2 - c*(y_i + 1/y_i)*t + c^2 ).
 
 H is expanded from its linear factors pair by pair, so every partial
-product is a factor of R, and dividing out t - c exactly is the
-factorization certificate (:func:`factor_hecke`).  The report's Weyl
-flag (:func:`certified_factorization`, behind :func:`hecke_report` and
-the CLI) is certified on the factors, with no expanded coefficient
-checked: the paired roots are the roots of H, each quadratic is its
-pair's product of linear factors, and every Weyl generator fixes c and
-permutes the quadratics.  The acceptance criteria and the tests check the
-expanded coefficients of H and R for Weyl invariance
-(:func:`check_weyl_invariance`, over the whole group) and for Galois-twist
-invariance (:func:`check_sigma_invariance`).
+product is a factor of R.  :func:`certified_factorization` is the one
+entry point, behind the acceptance criteria, :func:`hecke_report` and the
+CLI: it returns H, R, c and a Weyl flag.  Dividing out t - c exactly is
+the factorization certificate.  The Weyl flag is certified on the
+factors, with no expanded coefficient checked: the paired roots are the
+roots of H, each quadratic is its pair's product of linear factors, and
+every Weyl generator fixes c and permutes the quadratics.  The acceptance
+criteria and the tests check the expanded coefficients of H and R for
+Weyl invariance (:func:`check_weyl_invariance`, over the whole group)
+and for Galois-twist invariance (:func:`check_sigma_invariance`).
 
 An independent numeric route evaluates the same object from its matrix
 definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
 with explicit matrix inverses and the antidiagonal sign matrix, push it
 through the similitude-twisted dual representation (A, y) -> y*det(A)*
 transpose(A)^(-1), and take an exact characteristic-determinant value.
-Every determinant and inverse comes from :func:`gauss_jordan`, one
-exact elimination over Fraction, three per point: det(A) and
+The matrices come from :mod:`guhecke.rational`: every product from its
+sparse :func:`~guhecke.rational.mat_mul`, and every determinant and
+inverse from :func:`~guhecke.rational.gauss_jordan`, one exact
+elimination over Fraction, three per point.  det(A) and
 transpose(A)^(-1) share one, det(M) and transpose(M)^(-1) for the
 product M share another, and the characteristic determinant is the
 third.  The two routes share nothing but the definition, so agreement
@@ -42,12 +44,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 from typing import Sequence
 
 from .laurent import LaurentPoly, Monomial, TPoly
+from .rational import Matrix, gauss_jordan, mat_mul
 from .rootdatum import (Weight, WeylElement, _require_odd, pairing, rho,
-                        weyl_act, weyl_generators, weyl_group)
+                        twist_exps, weyl_act, weyl_generators, weyl_group,
+                        weyl_permuter)
 
 
 def r_weights(n: int) -> list[Weight]:
@@ -96,21 +99,6 @@ def hecke_polynomial(n: int) -> TPoly:
     return poly * TPoly.linear(roots[m])
 
 
-def factor_hecke(n: int) -> tuple[TPoly, TPoly, LaurentPoly]:
-    """Certified factorization H(t) = R(t) * (t - q^(n-1)*x0^2*x1...xn).
-
-    Returns (H, R, linear_root), with H built once and divided.  The
-    division is exact rational arithmetic; a nonzero remainder raises
-    NonZeroRemainderError, which would falsify the factorization and must
-    never happen.
-    """
-    _require_odd(n)
-    hp = hecke_polynomial(n)
-    linear_root = LaurentPoly.from_term(
-        Monomial(n - 1, central_monomial(n).x_exps))
-    return hp, hp.divide_exact(TPoly.linear(linear_root)), linear_root
-
-
 def check_weyl_invariance(p: LaurentPoly, n: int,
                           group: Sequence[WeylElement] | None = None) -> bool:
     """True iff p is fixed by every element of the Weyl group of size
@@ -126,7 +114,7 @@ def check_weyl_invariance(p: LaurentPoly, n: int,
     for w in group:
         if w.n != p.n:
             raise ValueError("size mismatch")
-        permute = itemgetter(0, *w.inverse().perm)
+        permute = weyl_permuter(w)
         for (q_exp, exps), coeff in items:
             # A Monomial hashes and compares as its (q_exp, x_exps) tuple.
             if get((q_exp, permute(exps))) != coeff:
@@ -142,9 +130,7 @@ def check_sigma_invariance(p: LaurentPoly) -> bool:
     the same coefficient in p, and no twisted polynomial is built."""
     get = p.terms.get
     for (q_exp, exps), coeff in p.terms.items():
-        # sigma_twist: slot 0 keeps e0, slot i gets e0 - e_(n+1-i).
-        e0 = exps[0]
-        if get((q_exp, (e0, *[e0 - e for e in exps[:0:-1]]))) != coeff:
+        if get((q_exp, twist_exps(exps))) != coeff:
             return False
     return True
 
@@ -169,61 +155,7 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-side evaluation (exact, over Fraction) for the numeric cross-check;
-# gauss_jordan, the one elimination here, also gives the determinant that
-# decides whether an integral Dieudonne pairing is unimodular.
-
-Matrix = list[list[Fraction]]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b over the nonzero products a[i][k] * b[k][j] only; the
-    operands here are diagonal or antidiagonal."""
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * len(b[0])
-        for x, b_row in zip(row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def gauss_jordan(a: Sequence[Sequence]) -> tuple[Fraction, Matrix | None]:
-    """(det(a), a^-1) for a square matrix of ints or Fractions, from one
-    Gauss-Jordan elimination of [a | I]; the inverse is None when
-    det(a) = 0.  Each pivot is inverted as a Fraction, so an int entry
-    never divides to a float, and the inverse's entries are Fractions.
-    The pivot row is zero left of its column, and zero entries of it are
-    skipped."""
-    size = len(a)
-    zero, one = Fraction(0), Fraction(1)
-    m = [list(row) + [one if i == j else zero for j in range(size)]
-         for i, row in enumerate(a)]
-    det = one
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            return zero, None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / Fraction(m[col][col])
-        tail = [v * inv if v else v for v in m[col][col:]]
-        m[col][col:] = tail
-        for r, row in enumerate(m):
-            f = row[col]
-            if f and r != col:
-                row[col:] = [v - f * w if w else v
-                             for v, w in zip(row[col:], tail)]
-    return det, [row[size:] for row in m]
-
-
-def _transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
+# Matrix-side evaluation (exact, over Fraction) for the numeric cross-check.
 
 
 def _antidiagonal_signs(n: int) -> Matrix:
@@ -249,13 +181,13 @@ def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
         a[i][i] = Fraction(v)
     j_signs = _antidiagonal_signs(n)
     # det(A) = det(transpose(A)), so one elimination gives both.
-    det_a, a_t_inv = gauss_jordan(_transpose(a))
+    det_a, a_t_inv = gauss_jordan(tuple(zip(*a)))
     # twist(A, y) = (J * transpose(A)^(-1) * J, det(A) * y)
-    twisted = _mat_mul(_mat_mul(j_signs, a_t_inv), j_signs)
-    prod_mat = _mat_mul(a, twisted)
+    twisted = mat_mul(mat_mul(j_signs, a_t_inv), j_signs)
+    prod_mat = mat_mul(a, twisted)
     prod_scalar = x0 * det_a * x0
     # r(M, y) = y * det(M) * transpose(M)^(-1), again from one elimination
-    det_m, r_mat = gauss_jordan(_transpose(prod_mat))
+    det_m, r_mat = gauss_jordan(tuple(zip(*prod_mat)))
     scale = prod_scalar * det_m
     factor, tv = -Fraction(p) ** (n - 1) * scale, Fraction(t)
     char = [[factor * v if v else v for v in row] for row in r_mat]
@@ -335,17 +267,21 @@ def factors_weyl_invariant(n: int, center: LaurentPoly,
 
 
 def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:
-    """(H, R, linear_root, weyl_invariant): H and R from
-    :func:`factor_hecke` (the exact division is the certificate), and the
-    Weyl flag certified on the m quadratic factors of R
-    (:func:`certify_root_pairs`, :func:`factors_weyl_invariant`) rather
-    than on the expanded coefficients, which acceptance criterion 2 and
-    the tests check with :func:`check_weyl_invariance`."""
-    hp, quotient, linear_root = factor_hecke(n)
+    """(H, R, c, weyl_invariant): the certified factorization
+    H(t) = R(t) * (t - c) with c = q^(n-1)*x0^2*x1...xn.
+
+    H is expanded once and divided by t - c in exact arithmetic; a
+    nonzero remainder raises NonZeroRemainderError, which would falsify
+    the factorization and must never happen.  The Weyl flag is certified
+    on the m quadratic factors of R (:func:`certify_root_pairs`,
+    :func:`factors_weyl_invariant`) rather than on the expanded
+    coefficients, which acceptance criterion 2 and the tests check with
+    :func:`check_weyl_invariance`."""
+    hp = hecke_polynomial(n)
     center, pairs = root_pairs(n)
+    quotient = hp.divide_exact(TPoly.linear(center))
     quadratics = certify_root_pairs(n, center, pairs)
-    invariant = factors_weyl_invariant(n, center, quadratics)
-    return hp, quotient, linear_root, invariant
+    return hp, quotient, center, factors_weyl_invariant(n, center, quadratics)
 
 
 def hecke_report(n: int) -> dict:
@@ -357,8 +293,8 @@ def hecke_report(n: int) -> dict:
     CLI writes each one as its :meth:`LaurentPoly.json_text`.  The other
     fields are plain JSON values.
     """
-    hp, quotient, linear_root, invariant = certified_factorization(n)
-    (root_mono, root_coeff), = linear_root.terms.items()
+    hp, quotient, center, invariant = certified_factorization(n)
+    (root_mono, root_coeff), = center.terms.items()
     return {
         "n": n,
         "Hp": list(hp.coeffs),

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .laurent import LaurentPoly, Monomial
 
@@ -75,9 +76,6 @@ class WeylElement:
         for i, j in enumerate(self.perm, start=1):
             inv[j - 1] = i
         return WeylElement(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i + 1 for i in range(self.n))
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.perm == other.perm
@@ -147,17 +145,16 @@ def pairing(chi: Sequence, nu: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(chi, nu)), Fraction(0))
 
 
-def sigma_twist(mono: Monomial) -> Monomial:
-    """Image of a monomial under the Galois twist (see module docstring).
-
-    Exponent bookkeeping: slot 0 keeps e0; slot i (i >= 1) receives
-    e0 - e_{n+1-i}; q is untouched.
-    """
-    exps = mono.x_exps
-    n = len(exps) - 1
+def twist_exps(exps: Weight) -> Weight:
+    """The Galois twist (see module docstring) on an exponent vector:
+    slot 0 keeps e0 and slot i (i >= 1) receives e0 - e_{n+1-i}."""
     e0 = exps[0]
-    new = [e0] + [e0 - exps[n + 1 - i] for i in range(1, n + 1)]
-    return Monomial(mono.q_exp, tuple(new))
+    return (e0, *[e0 - e for e in exps[:0:-1]])
+
+
+def sigma_twist(mono: Monomial) -> Monomial:
+    """Image of a monomial under the Galois twist; q is untouched."""
+    return Monomial(mono.q_exp, twist_exps(mono.x_exps))
 
 
 def sigma_twist_poly(p: LaurentPoly) -> LaurentPoly:
@@ -173,15 +170,17 @@ def norm_monomial(mono: Monomial) -> Monomial:
     return mono * sigma_twist(mono)
 
 
+def weyl_permuter(w: WeylElement) -> Callable[[Weight], Weight]:
+    """The action of w on exponent vectors: x_i -> x_{w(i)} puts the
+    exponent of slot i into slot w(i), and slot 0 (x0) stays."""
+    return itemgetter(0, *w.inverse().perm)
+
+
 def weyl_act(w: WeylElement, p: LaurentPoly) -> LaurentPoly:
-    """Permute x1..xn by w (x_i -> x_{w(i)}); x0 and q are fixed."""
+    """Permute x1..xn by w (x_i -> x_{w(i)}); x0 and q are fixed.  The
+    action is a bijection on monomials, so coefficients move unchanged."""
     if w.n != p.n:
         raise ValueError("size mismatch")
-    winv = w.inverse().perm
-    idx = (0,) + tuple(winv)
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        exps = mono.x_exps
-        new = Monomial(mono.q_exp, tuple(exps[i] for i in idx))
-        out[new] = out.get(new, Fraction(0)) + coeff
-    return LaurentPoly(p.n, out)
+    permute = weyl_permuter(w)
+    return LaurentPoly(p.n, {Monomial(mono.q_exp, permute(mono.x_exps)): coeff
+                             for mono, coeff in p.terms.items()})

@@ -1,13 +1,16 @@
-"""Test-only references for the Laurent kernel.
+"""Test-only references.
 
 Plain term-by-term arithmetic on Monomial-keyed maps, the substitution
 engine the library no longer carries, the Galois images it used, and the
 per-term dict builder of the JSON term format.  Tests check the packed
-kernel, the monomial maps and the JSON text against these.
+kernel, the monomial maps and the JSON text against these.  Below them
+are the dense matrix product by its definition, and the vector-level
+operators and identity test that only the tests use.
 """
 
 from fractions import Fraction
 
+from guhecke.finitefield import mat_vec, vec_frob
 from guhecke.laurent import LaurentPoly, Monomial
 
 
@@ -108,3 +111,27 @@ def sigma_images(n):
     for i in range(1, n + 1):
         images.append(LaurentPoly.var(n, n + 1 - i, -1))
     return images
+
+
+def dense_mat_mul(a, b):
+    """a @ b by the definition: every row of a against every column of b."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def apply_f(space, grade, v):
+    """F on a vector of the given grade of a Dieudonne space: Frobenius
+    on the coordinates, then the matrix."""
+    fld = space.field
+    return mat_vec(fld, space.f_matrix(grade), vec_frob(fld, v))
+
+
+def apply_v(space, grade, v):
+    """V on a vector of the given grade, as :func:`apply_f` does F."""
+    fld = space.field
+    return mat_vec(fld, space.v_matrix(grade), vec_frob(fld, v))
+
+
+def is_identity(w):
+    """True iff the Weyl element w fixes every index."""
+    return w.perm == tuple(range(1, w.n + 1))

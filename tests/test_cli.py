@@ -161,6 +161,23 @@ def test_dd_slopes_at_a_large_prime(capsys):
     assert code == 1 and "primality" in err
 
 
+def test_field_tables_past_the_bound_exit_1(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "dd", "models", "--n", "3",
+                             "--p", "1009", "--r", "1")
+    assert (code, out) == (1, "")
+    assert err == ("guhecke: error: F_(p^2) arithmetic tables are built "
+                   "only for p <= 47, got p=1009\n")
+    data = json.loads(fixture_path().read_text())
+    data["p"] = 1009
+    target = tmp_path / "big-p.json"
+    target.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(target),
+                             "--n", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("guhecke dd classify: malformed input: ")
+    assert "p <= 47, got p=1009" in err
+
+
 def test_dd_strata_table(capsys):
     code, out, _ = run_cli(capsys, "dd", "strata", "--n", "5")
     assert code == 0

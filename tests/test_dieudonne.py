@@ -11,8 +11,8 @@ import guhecke.dieudonne as dieudonne
 from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                NotBT1Error, SlopeMultiset,
-                               _coordinate_fingerprint, _int_mat_mul,
-                               _random_invertible, basechange, char_poly,
+                               _coordinate_fingerprint, _random_invertible,
+                               basechange, char_poly,
                                check_bt1, classify_type, direct_sum,
                                fingerprint, isocrystal_shape, make_B, make_SS,
                                model_space, newton_slopes,
@@ -21,7 +21,8 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                strata_dims, v_ranks)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_mul,
                                   mat_transpose, mat_vec, rref, vec_frob)
-from guhecke.hecke import gauss_jordan
+from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
+from reference import apply_f, apply_v, dense_mat_mul
 
 PRIMES = (3, 5, 7)
 
@@ -69,24 +70,20 @@ def test_b3_generating_relations():
     assert col(v, 4) == tuple(p * x for x in e[2])       # V f_2 = p e_3
 
 
-def _dense_int_mat_mul(a, b):
-    return tuple(tuple(sum(x * y for x, y in zip(row, col))
-                       for col in zip(*b)) for row in a)
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_fv_equals_p_for_all_models(p):
     for module in [make_SS(p)] + [make_B(d, p) for d in range(1, 10)]:
         dim = module.dim
         p_id = tuple(tuple(p * int(i == j) for j in range(dim)) for i in range(dim))
-        assert _dense_int_mat_mul(module.f_mat, module.v_mat) == p_id
-        assert _dense_int_mat_mul(module.v_mat, module.f_mat) == p_id
+        assert dense_mat_mul(module.f_mat, module.v_mat) == p_id
+        assert dense_mat_mul(module.v_mat, module.f_mat) == p_id
 
 
 def test_sparse_int_mat_mul_matches_dense_definition():
     rng = random.Random(17)
     cases = [(((0, 0), (0, 0)), ((0, 0), (0, 0))),
              (((1, 2, 3),), ((0,), (0,), (0,))),
+             ((), ((1, 2),)),
              (make_B(4, 5).f_mat, make_B(4, 5).v_mat)]
     for _ in range(60):
         rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
@@ -97,7 +94,10 @@ def test_sparse_int_mat_mul_matches_dense_definition():
                             for _ in range(cols)) for _ in range(inner))
             cases.append((a, b))
     for a, b in cases:
-        assert _int_mat_mul(a, b) == _dense_int_mat_mul(a, b), (a, b)
+        got = mat_mul_q(a, b)
+        assert got == dense_mat_mul(a, b), (a, b)
+        # A product of int matrices stays int, zeros included.
+        assert all(type(v) is int for row in got for v in row), (a, b)
 
 
 def test_gauss_jordan_is_exact_on_integer_and_rational_matrices():
@@ -193,13 +193,13 @@ def test_bt1_by_exhaustive_enumeration(space_maker):
     fld = gfp2(space.p)
     for g in (0, 1):
         dims = space.dims()
-        image = {space.apply_f(g, v) for v in _enumerate_vectors(dims[g], fld.size)}
+        image = {apply_f(space, g, v) for v in _enumerate_vectors(dims[g], fld.size)}
         kernel = {v for v in _enumerate_vectors(dims[1 - g], fld.size)
-                  if not any(space.apply_v(1 - g, v))}
+                  if not any(apply_v(space, 1 - g, v))}
         assert image == kernel
-        image_v = {space.apply_v(g, v) for v in _enumerate_vectors(dims[g], fld.size)}
+        image_v = {apply_v(space, g, v) for v in _enumerate_vectors(dims[g], fld.size)}
         kernel_f = {v for v in _enumerate_vectors(dims[1 - g], fld.size)
-                    if not any(space.apply_f(1 - g, v))}
+                    if not any(apply_f(space, 1 - g, v))}
         assert image_v == kernel_f
 
 

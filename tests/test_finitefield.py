@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from guhecke.finitefield import (MR_EXACT_BOUND, GFp2, _is_prime,
+import guhecke.finitefield as finitefield
+from guhecke.finitefield import (MR_EXACT_BOUND, TABLE_MAX_P, GFp2, _is_prime,
                                  annihilator_rows, gfp2, identity_mat,
                                  kernel_basis, mat_inv, mat_mul, mat_vec,
                                  rank, rref, vec_frob)
@@ -111,6 +112,24 @@ def test_nonresidue_is_the_smallest_non_square():
             squares = {(x * x) % p for x in range(1, p)}
             expected = next(c for c in range(2, p) if c not in squares)
             assert GFp2(p).nonresidue == expected, p
+
+
+def test_tables_are_refused_past_the_bound_and_built_up_to_it(monkeypatch):
+    assert TABLE_MAX_P == 47
+    big = GFp2(1009)
+    assert big.from_pair((3, 1008)) == 3 + 1009 * 1008
+    assert big.pair(3 + 1009 * 1008) == (3, 1008)
+    assert big.embed(-1) == 1008
+    for op in (lambda: big.add(0, 1), lambda: big.mul(1, 1),
+               lambda: big.neg(1), lambda: big.frob(1), lambda: big.inv(1)):
+        with pytest.raises(ValueError, match="p <= 47, got p=1009"):
+            op()
+    assert not {"_add", "_mul", "_neg", "_frob", "_inv"} & set(vars(big))
+    monkeypatch.setattr(finitefield, "TABLE_MAX_P", 5)
+    small = GFp2(5)
+    assert small.mul(small.inv(7), 7) == 1
+    with pytest.raises(ValueError, match="p <= 5, got p=7"):
+        GFp2(7).mul(1, 1)
 
 
 def test_rejects_bad_primes():

@@ -6,17 +6,17 @@ import pytest
 
 import guhecke.hecke as hecke
 from guhecke.cli import main
-from guhecke.hecke import (PairingCertificateError, _mat_mul,
-                           central_monomial, certified_factorization,
-                           certify_root_pairs, check_sigma_invariance,
-                           check_weyl_invariance, factor_hecke,
+from guhecke.hecke import (PairingCertificateError, central_monomial,
+                           certified_factorization, certify_root_pairs,
+                           check_sigma_invariance, check_weyl_invariance,
                            factors_weyl_invariant, hecke_polynomial,
                            hecke_report, hecke_roots,
                            hecke_value_by_determinant, r_weights, root_pairs,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, Monomial, TPoly
+from guhecke.rational import mat_mul
 from guhecke.rootdatum import sigma_twist_poly, weyl_generators, weyl_group
-from reference import ref_divmod, ref_tmul
+from reference import dense_mat_mul, ref_divmod, ref_tmul
 
 
 def test_r_weights_n3_frozen():
@@ -97,7 +97,7 @@ def test_central_monomial_and_norm():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_factorization_certificate(n):
-    hp, quotient, root = factor_hecke(n)
+    hp, quotient, root, _ = certified_factorization(n)
     assert hp == hecke_polynomial(n)
     assert root == LaurentPoly.from_term(Monomial(n - 1, (2,) + (1,) * n))
     assert quotient.degree == n - 1
@@ -107,14 +107,14 @@ def test_factorization_certificate(n):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_hecke_and_quotient_coefficients_are_ints(n):
-    hp, quotient, _ = factor_hecke(n)
+    hp, quotient, _, _ = certified_factorization(n)
     for poly in (*hp.coeffs, *quotient.coeffs):
         assert poly.terms
         assert all(type(c) is int for c in poly.terms.values())
 
 
 def test_factor_hecke_n3_frozen_quotient():
-    _, quotient, _ = factor_hecke(3)
+    _, quotient, _, _ = certified_factorization(3)
     a = LaurentPoly.from_term(Monomial(2, (2, 0, 1, 2)))
     b = LaurentPoly.from_term(Monomial(2, (2, 2, 1, 0)))
     assert quotient == TPoly.linear(a) * TPoly.linear(b)
@@ -123,7 +123,7 @@ def test_factor_hecke_n3_frozen_quotient():
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_hecke_coefficients_are_weyl_invariant(n):
     group = weyl_group(n)
-    hp, quotient, _ = factor_hecke(n)
+    hp, quotient, _, _ = certified_factorization(n)
     for coeff in (*hp.coeffs, *quotient.coeffs):
         assert check_weyl_invariance(coeff, n, group)
 
@@ -174,7 +174,7 @@ def test_generator_check_agrees_with_full_enumeration():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_hecke_coefficients_are_sigma_invariant(n):
-    hp, quotient, _ = factor_hecke(n)
+    hp, quotient, _, _ = certified_factorization(n)
     for coeff in (*hp.coeffs, *quotient.coeffs):
         assert check_sigma_invariance(coeff)
 
@@ -223,7 +223,8 @@ def _index_order_product(n):
 
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_pair_route_equals_product_route(n):
-    hp, quotient, root = factor_hecke(n)
+    hp, quotient, root, invariant = certified_factorization(n)
+    assert invariant
     assert hp == _index_order_product(n)
     center, pairs = root_pairs(n)
     assert center == root
@@ -233,7 +234,6 @@ def test_pair_route_equals_product_route(n):
         product = product * quadratic
     assert product == quotient
     assert product * TPoly.linear(center) == hp
-    assert certified_factorization(n) == (hp, quotient, root, True)
     for poly in (*hp.coeffs, *quotient.coeffs):
         assert all(type(c) is int for c in poly.terms.values())
 
@@ -250,7 +250,7 @@ def test_packed_H_and_R_match_the_monomial_reference(n):
     center = Monomial(n - 1, central_monomial(n).x_exps)
     ref_r, remainder = ref_divmod(ref_h, [{center: -1}, {one: 1}])
     assert remainder == []
-    hp, quotient, _ = factor_hecke(n)
+    hp, quotient, _, _ = certified_factorization(n)
     assert [c.terms for c in hp.coeffs] == ref_h
     assert [c.terms for c in quotient.coeffs] == ref_r
     for poly in (*hp.coeffs, *quotient.coeffs):
@@ -376,15 +376,9 @@ def test_product_form_matches_determinant_at_random_points():
                 xs = [Fraction(rng.choice([1, 2, 3, -2, 5]), rng.choice([1, 2, 3]))
                       for _ in range(n)]
                 t = Fraction(rng.randint(-10, 10), rng.randint(1, 4))
-                assert hp.evaluate(t, p, [x0, *xs]) == \
-                    hecke_value_by_determinant(n, x0, xs, p, t)
-
-
-def _dense_mat_mul(a, b):
-    """The earlier product: every a[i][k] * b[k][j], summed from Fraction(0)."""
-    size = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0))
-             for j in range(size)] for i in range(size)]
+                value = hecke_value_by_determinant(n, x0, xs, p, t)
+                assert type(value) is Fraction
+                assert hp.evaluate(t, p, [x0, *xs]) == value
 
 
 def test_sparse_mat_mul_matches_dense_products():
@@ -406,9 +400,11 @@ def test_sparse_mat_mul_matches_dense_products():
         cases += [(sample(size, d), sample(size, d))
                   for d in (0.2, 0.6, 1.0) for _ in range(10)]
     for a, b in cases:
-        got = _mat_mul(a, b)
-        assert got == _dense_mat_mul(a, b), (a, b)
-        assert all(type(v) is Fraction for row in got for v in row)
+        got = mat_mul(a, b)
+        assert got == dense_mat_mul(a, b), (a, b)
+        # A reached entry is a Fraction; one no product reaches is int 0.
+        assert all(type(v) is Fraction or (type(v) is int and v == 0)
+                   for row in got for v in row), (a, b)
 
 
 def test_determinant_route_validates_arguments():
