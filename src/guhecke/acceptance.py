@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .dieudonne import (_model_fingerprints, check_bt1, classify_type,
-                        isocrystal_shape, make_B, make_SS, model_space,
-                        newton_slopes, random_basechange, signature,
-                        strata_dims)
+from .dieudonne import (_model_fingerprints, basechange, check_bt1,
+                        classify_type, isocrystal_shape, make_B, make_SS,
+                        model_space, newton_slopes, random_basechange,
+                        random_frames, signature, strata_dims)
+from .finitefield import gfp2
 from .hecke import (central_monomial, certified_factorization,
                     check_sigma_invariance, check_weyl_invariance,
                     hecke_polynomial, hecke_value_by_determinant,
@@ -150,10 +151,14 @@ def classification_roundtrip(seed: int = 0) -> str:
             # The same memoised fingerprints classify_type matches against.
             prints = [fp for _, fp in _model_fingerprints(n, p)]
             _check(len(set(prints)) == n, f"fingerprint collision at n={n}, p={p}")
+            # random_basechange's draws depend on the seed and the piece
+            # dimensions only, so all n models share each seed's frames.
+            frames = [random_frames(gfp2(p), n, n, seed * 100_003 + s)
+                      for s in range(CLASSIFY_SEEDS)]
             for r in range(1, n + 1):
                 model = model_space(n, r, p)
-                for s in range(CLASSIFY_SEEDS):
-                    moved = random_basechange(model, seed * 100_003 + s)
+                for s, ((p_mat, p_inv), (q_mat, q_inv)) in enumerate(frames):
+                    moved = basechange(model, p_mat, q_mat, p_inv, q_inv)
                     _check(classify_type(moved, n) == r, (n, p, r, s))
                     recovered += 1
     return (f"{recovered} seeded base changes classified back, "

@@ -53,9 +53,9 @@ from typing import Sequence
 
 from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
-                          mat_transpose, mat_vec, rank, rref, vec_frob)
+                          mat_transpose, rank, rref)
+from .guards import _require_odd
 from .rational import gauss_jordan, mat_mul as int_mat_mul
-from .rootdatum import _require_odd
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -456,18 +456,25 @@ def model_space(n: int, r: int, p: int) -> DieudonneSpace:
 # Base change
 
 
-def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat) -> DieudonneSpace:
+def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
+               p_inv: Mat | None = None,
+               q_inv: Mat | None = None) -> DieudonneSpace:
     """Rewrite the space in the bases given by the columns of p_mat (on the
     e piece) and q_mat (on the conjugate piece).
 
     Semilinear transformation rule: a matrix from grade g to grade h
     becomes inv(T_h) @ M @ frob(T_g); the pairing becomes
     transpose(T_e) @ gram @ T_ebar.  The result is isomorphic to the
-    input by construction.
+    input by construction, and is validated as a new space all the same.
+    A caller that already holds the inverses passes them as p_inv and
+    q_inv; they are taken as given, and only the missing ones are
+    computed.
     """
     fld = space.field
-    p_inv = mat_inv(fld, p_mat)
-    q_inv = mat_inv(fld, q_mat)
+    if p_inv is None:
+        p_inv = mat_inv(fld, p_mat)
+    if q_inv is None:
+        q_inv = mat_inv(fld, q_mat)
     p_tw = mat_frob(fld, p_mat)
     q_tw = mat_frob(fld, q_mat)
     return DieudonneSpace(
@@ -480,21 +487,36 @@ def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat) -> DieudonneSpace:
     )
 
 
-def _random_invertible(fld: GFp2, size: int, rng: random.Random) -> Mat:
+def _random_invertible(fld: GFp2, size: int,
+                       rng: random.Random) -> tuple[Mat, Mat]:
+    """(m, m^-1) for the first uniformly drawn size x size matrix m that
+    is invertible.  Each candidate costs one elimination, the rref of
+    [m | I] inside :func:`mat_inv`, which decides invertibility and gives
+    the inverse together."""
     while True:
         m = tuple(tuple(rng.randrange(fld.size) for _ in range(size))
                   for _ in range(size))
-        if rank(fld, m) == size:
-            return m
+        try:
+            return m, mat_inv(fld, m)
+        except ZeroDivisionError:
+            pass
+
+
+def random_frames(fld: GFp2, ne: int, nebar: int,
+                  seed: int) -> tuple[tuple[Mat, Mat], tuple[Mat, Mat]]:
+    """The seeded draws of :func:`random_basechange`: ((P, P^-1),
+    (Q, Q^-1)) on pieces of dimensions ne and nebar.  They depend on the
+    field, the seed and the two dimensions only, so one draw serves every
+    space of the same shape."""
+    rng = random.Random(seed)
+    return _random_invertible(fld, ne, rng), _random_invertible(fld, nebar, rng)
 
 
 def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
     """A seeded random isomorphic copy of the space."""
-    rng = random.Random(seed)
-    fld = space.field
-    p_mat = _random_invertible(fld, space.ne, rng)
-    q_mat = _random_invertible(fld, space.nebar, rng)
-    return basechange(space, p_mat, q_mat)
+    (p_mat, p_inv), (q_mat, q_inv) = random_frames(space.field, space.ne,
+                                                   space.nebar, seed)
+    return basechange(space, p_mat, q_mat, p_inv, q_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -531,22 +553,32 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     (dim X, dim F(X), dim(X & Ker F)) over all subspaces found.  The
     last entry is dim X - dim F(X), by rank-nullity for F restricted to
     X; every subspace is kept as its reduced basis.
+
+    Each node costs two eliminations.  F(X) is the rref of the one
+    product frob(X) @ transpose(F).  The V-preimage is the Frobenius
+    twist of a linear kernel, which :func:`kernel_basis` returns already
+    reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  F(0)
+    = 0 and V^-1(full) = full are known without elimination.
     """
     fld = space.field
     dims = space.dims()
+    f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
 
     def f_image(grade, basis):
-        mat = space.f_matrix(grade)
-        rows = tuple(mat_vec(fld, mat, vec_frob(fld, b)) for b in basis)
-        return 1 - grade, rref(fld, rows)
+        if not basis:
+            return 1 - grade, ()
+        return 1 - grade, rref(fld, mat_mul(fld, mat_frob(fld, basis),
+                                            f_rows[grade]))
 
     def v_preimage(grade, basis):
         # {y in the other piece : V(y) in span(basis)}
         src = 1 - grade
-        v_mat = space.v_matrix(src)
+        if len(basis) == dims[grade]:
+            return src, identity_mat(dims[src])
         ann = annihilator_rows(fld, basis, dims[grade])
-        lin = kernel_basis(fld, mat_mul(fld, ann, v_mat), dims[src])
-        return src, rref(fld, tuple(vec_frob(fld, u) for u in lin))
+        lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)),
+                           dims[src])
+        return src, mat_frob(fld, lin)
 
     image_dim: dict = {}
 

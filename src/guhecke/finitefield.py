@@ -7,16 +7,17 @@ multiplication, negation, inversion and Frobenius tables, so all field
 operations are table lookups; this keeps the elimination below fast
 enough for the classification search.  :func:`rref` is the only routine
 that does row operations: ranks, kernels and :func:`mat_inv` (the rref
-of [m | I]) all go through it.
+of [m | I]) all go through it, one elimination each.
 
 Frobenius x -> x^p sends a + b*u to a - b*u (conjugation), hence is an
 involution; in particular its inverse is itself, which the semilinear
-operators in :mod:`guhecke.dieudonne` rely on.
+operators in :mod:`guhecke.dieudonne` rely on.  It fixes 0 and 1, so it
+maps a matrix in reduced row echelon form to one in that form.
 
 Matrices are tuples of row tuples of element codes and act on coordinate
 column vectors; subspaces are handled as row-span bases in reduced row
 echelon form, which doubles as a canonical, hashable fingerprint of the
-subspace.
+subspace.  :func:`kernel_basis` returns its basis in that form too.
 """
 
 from __future__ import annotations
@@ -188,50 +189,37 @@ def gfp2(p: int) -> GFp2:
 # Matrices (tuples of row tuples of codes) and row-span subspaces.
 
 
+@lru_cache(maxsize=None)
 def identity_mat(size: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-
-
-def mat_vec(fld: GFp2, m: Mat, v: Vec) -> Vec:
-    mul = fld._mul
-    add = fld._add
-    out = []
-    for row in m:
-        acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add[acc][mul[a][b]]
-        out.append(acc)
-    return tuple(out)
 
 
 def mat_mul(fld: GFp2, a: Mat, b: Mat) -> Mat:
     """The product a @ b.  Row i is built as the sum of a[i][k] * (row k
     of b) over the nonzero a[i][k] only, each through the multiplication
     table row of a[i][k], so a sparse or monomial a costs about one row
-    operation per nonzero entry."""
+    operation per nonzero entry; the first such term is the row's
+    starting value, with no addition."""
     mul = fld._mul
     add = fld._add
-    width = len(b[0]) if b else 0
+    zero = (0,) * (len(b[0]) if b else 0)
     out = []
     for row in a:
-        acc = [0] * width
+        acc = None
         for x, b_row in zip(row, b):
             if x:
                 mul_x = mul[x]
-                acc = [add[s][mul_x[y]] for s, y in zip(acc, b_row)]
-        out.append(tuple(acc))
+                if acc is None:
+                    acc = list(map(mul_x.__getitem__, b_row))
+                else:
+                    acc = [add[s][mul_x[y]] for s, y in zip(acc, b_row)]
+        out.append(zero if acc is None else tuple(acc))
     return tuple(out)
 
 
 def mat_frob(fld: GFp2, m: Mat) -> Mat:
-    frob = fld._frob
-    return tuple(tuple(frob[x] for x in row) for row in m)
-
-
-def vec_frob(fld: GFp2, v: Vec) -> Vec:
-    frob = fld._frob
-    return tuple(frob[x] for x in v)
+    frob = fld._frob.__getitem__
+    return tuple(tuple(map(frob, row)) for row in m)
 
 
 def mat_transpose(m: Mat) -> Mat:
@@ -244,34 +232,41 @@ def rref(fld: GFp2, rows: Iterable[Vec]) -> Mat:
 
     Column ``col``'s pivot row is zero left of ``col`` (every earlier
     column was cleared in it or had no pivot below the rank), so it is
-    scaled, and the other rows are updated, from ``col`` on only; row r
-    subtracts f times the pivot row by adding ``mul[neg[f]]`` of each
-    entry, one table row per update.
+    scaled, unless its pivot is already 1, and the other rows are
+    updated, from ``col`` on only; row r subtracts f times the pivot row
+    by adding ``mul[neg[f]]`` of each entry, one table row per update.
     """
     work = [list(r) for r in rows]
     if not work:
         return ()
-    ncols = len(work[0])
+    nrows = len(work)
     mul = fld._mul
     add = fld._add
     neg = fld._neg
     inv = fld._inv
     rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
+    for col in range(len(work[0])):
+        for pivot in range(rank, nrows):
+            if work[pivot][col]:
+                break
+        else:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        scale = mul[inv[work[rank][col]]]
-        tail = [scale[x] for x in work[rank][col:]]
-        work[rank][col:] = tail
+        row = work[rank]
+        lead = row[col]
+        if lead == 1:
+            tail = row[col:]
+        else:
+            scale = mul[inv[lead]]
+            tail = [scale[x] for x in row[col:]]
+            row[col:] = tail
         for r, row_r in enumerate(work):
             f = row_r[col]
             if f and r != rank:
                 sub = mul[neg[f]]
                 row_r[col:] = [add[x][sub[y]] for x, y in zip(row_r[col:], tail)]
         rank += 1
-        if rank == len(work):
+        if rank == nrows:
             break
     return tuple(tuple(r) for r in work[:rank])
 
@@ -281,12 +276,22 @@ def rank(fld: GFp2, rows: Iterable[Vec]) -> int:
 
 
 def kernel_basis(fld: GFp2, m: Mat, ncols: int | None = None) -> Mat:
-    """Basis (as rows) of the right null space {v : m @ v = 0}."""
+    """Basis (as rows) of the right null space {v : m @ v = 0}, in reduced
+    row echelon form, so it equals its own :func:`rref`.
+
+    m is eliminated with its columns reversed.  In those coordinates each
+    annihilator row (see :func:`annihilator_rows`) ends in a 1 at its own
+    free column, which no other row touches, and has its other entries at
+    pivot columns only.  Read back in the original order, the rows, last
+    first, are therefore already reduced, and no second elimination is
+    needed."""
     if ncols is None:
         if not m:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(m[0])
-    return annihilator_rows(fld, rref(fld, m), ncols)
+    reduced = rref(fld, (row[::-1] for row in m))
+    return tuple(row[::-1] for row in
+                 reversed(annihilator_rows(fld, reduced, ncols)))
 
 
 def mat_inv(fld: GFp2, m: Mat) -> Mat:

@@ -1,0 +1,11 @@
+"""Argument guards shared across the package.
+
+This module imports nothing from :mod:`guhecke`, so a module that needs
+only a guard does not load the Laurent or root-datum code with it.
+"""
+
+
+def _require_odd(n: int) -> None:
+    """ValueError unless n is odd and at least 3."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 3, got {n}")

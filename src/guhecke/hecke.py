@@ -46,11 +46,11 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
+from .guards import _require_odd
 from .laurent import LaurentPoly, Monomial, TPoly
 from .rational import Matrix, gauss_jordan, mat_mul
-from .rootdatum import (Weight, WeylElement, _require_odd, pairing, rho,
-                        twist_exps, weyl_act, weyl_generators, weyl_group,
-                        weyl_permuter)
+from .rootdatum import (Weight, WeylElement, pairing, rho, twist_exps,
+                        weyl_act, weyl_generators, weyl_group, weyl_permuter)
 
 
 def r_weights(n: int) -> list[Weight]:
@@ -127,10 +127,13 @@ def check_sigma_invariance(p: LaurentPoly) -> bool:
     twist (twisted-conjugation invariance at the diagonal level).  The
     twist permutes monomials bijectively, so, as in
     :func:`check_weyl_invariance`, it fixes p iff each term's image has
-    the same coefficient in p, and no twisted polynomial is built."""
-    get = p.terms.get
-    for (q_exp, exps), coeff in p.terms.items():
-        if get((q_exp, twist_exps(exps))) != coeff:
+    the same coefficient in p, and no twisted polynomial is built.  The
+    twist runs on the flat exponent rows of
+    :meth:`LaurentPoly.exponent_rows`, so no Monomial is built either."""
+    rows = p.exponent_rows()
+    get = rows.get
+    for row, coeff in rows.items():
+        if get((row[0], *twist_exps(row[1:]))) != coeff:
             return False
     return True
 

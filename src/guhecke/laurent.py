@@ -280,6 +280,16 @@ class LaurentPoly:
             self._terms = dict(zip(_monomials(self.n, codes), codes.values()))
         return self._terms
 
+    def exponent_rows(self) -> dict[tuple[int, ...], Coeff]:
+        """The map from flat exponent tuple (q, x0, ..., xn) to nonzero
+        coefficient, decoded in one pass and not cached; unlike
+        :attr:`terms` it builds no Monomial."""
+        width = self.n + 2
+        flat = _decode(self.n, self._codes)
+        return dict(zip([tuple(flat[k:k + width])
+                         for k in range(0, len(flat), width)],
+                        self._codes.values()))
+
     def _exact_bound(self) -> int:
         """The largest |exponent| in the polynomial, decoded; it replaces
         the bound, which may have been a sum of operand bounds."""

@@ -31,16 +31,12 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from .guards import _require_odd
 from .laurent import LaurentPoly, Monomial
 
 # Coordinate vectors of length n+1 (slot 0 = similitude slot).
 Weight = tuple[int, ...]
 HalfWeight = tuple[Fraction, ...]
-
-
-def _require_odd(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
 
 
 class WeylElement:

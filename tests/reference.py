@@ -4,13 +4,16 @@ Plain term-by-term arithmetic on Monomial-keyed maps, the substitution
 engine the library no longer carries, the Galois images it used, and the
 per-term dict builder of the JSON term format.  Tests check the packed
 kernel, the monomial maps and the JSON text against these.  Below them
-are the dense matrix product by its definition, and the vector-level
-operators and identity test that only the tests use.
+are the dense matrix product by its definition, the F_{p^2} vector
+operations, the vector-level operators and identity test that only the
+tests use, and the earlier two-elimination sampler of base changes.
 """
 
+import random
 from fractions import Fraction
 
-from guhecke.finitefield import mat_vec, vec_frob
+from guhecke.dieudonne import basechange
+from guhecke.finitefield import rank
 from guhecke.laurent import LaurentPoly, Monomial
 
 
@@ -119,6 +122,23 @@ def dense_mat_mul(a, b):
                  for row in a)
 
 
+def mat_vec(fld, m, v):
+    """m @ v over F_{p^2}, one table lookup per nonzero product."""
+    out = []
+    for row in m:
+        acc = 0
+        for a, b in zip(row, v):
+            if a and b:
+                acc = fld.add(acc, fld.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
+def vec_frob(fld, v):
+    """Frobenius on every coordinate of v."""
+    return tuple(fld.frob(x) for x in v)
+
+
 def apply_f(space, grade, v):
     """F on a vector of the given grade of a Dieudonne space: Frobenius
     on the coordinates, then the matrix."""
@@ -135,3 +155,23 @@ def apply_v(space, grade, v):
 def is_identity(w):
     """True iff the Weyl element w fixes every index."""
     return w.perm == tuple(range(1, w.n + 1))
+
+
+def ref_random_invertible(fld, size, rng):
+    """The earlier sampler: draw until ``rank`` says the matrix is
+    invertible, and return the matrix only."""
+    while True:
+        m = tuple(tuple(rng.randrange(fld.size) for _ in range(size))
+                  for _ in range(size))
+        if rank(fld, m) == size:
+            return m
+
+
+def ref_random_basechange(space, seed):
+    """The earlier ``random_basechange``: the two frames drawn by
+    :func:`ref_random_invertible`, inverted inside ``basechange``."""
+    rng = random.Random(seed)
+    fld = space.field
+    p_mat = ref_random_invertible(fld, space.ne, rng)
+    q_mat = ref_random_invertible(fld, space.nebar, rng)
+    return basechange(space, p_mat, q_mat)

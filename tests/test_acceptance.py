@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+import guhecke.acceptance as acceptance
 from guhecke.acceptance import CRITERIA
+from guhecke.dieudonne import classify_type, model_space, random_basechange
 
 
 def test_registry_is_complete():
@@ -41,3 +43,23 @@ def test_a_failed_check_raises_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "False\nAssertionError('twist moves H or R at n=3')\n"
+
+
+def test_roundtrip_shares_each_seed_draw_across_the_models(monkeypatch):
+    # Criterion 8 draws its frames once per (n, p, seed) and applies them
+    # to all n models; each input must still be random_basechange's.
+    seen = []
+
+    def recording_classify(space, n):
+        seen.append(space)
+        return classify_type(space, n)
+
+    monkeypatch.setattr(acceptance, "classify_type", recording_classify)
+    monkeypatch.setattr(acceptance, "CLASSIFY_SEEDS", 3)
+    seed = 2
+    acceptance.classification_roundtrip(seed)
+    expected = [random_basechange(model_space(n, r, p), seed * 100_003 + s)
+                for n in acceptance.CLASSIFY_NS
+                for p in acceptance.CLASSIFY_PRIMES
+                for r in range(1, n + 1) for s in range(3)]
+    assert seen == expected

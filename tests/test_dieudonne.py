@@ -17,12 +17,13 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                fingerprint, isocrystal_shape, make_B, make_SS,
                                model_space, newton_slopes,
                                padic_newton_slopes, paired_block_slopes,
-                               pairing_law_holds, random_basechange, signature,
-                               strata_dims, v_ranks)
+                               pairing_law_holds, random_basechange,
+                               random_frames, signature, strata_dims, v_ranks)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_mul,
-                                  mat_transpose, mat_vec, rref, vec_frob)
+                                  mat_transpose, rref)
 from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
-from reference import apply_f, apply_v, dense_mat_mul
+from reference import (apply_f, apply_v, dense_mat_mul, mat_vec,
+                       ref_random_basechange, ref_random_invertible, vec_frob)
 
 PRIMES = (3, 5, 7)
 
@@ -284,10 +285,11 @@ def _random_space(p, k, rng):
             blocks[name] = tuple(
                 tuple(rng.randrange(fld.size) if i in rows and j in cols else 0
                       for j in range(k)) for i in range(k))
-    space = DieudonneSpace(p=p, ne=k, nebar=k,
-                           gram=_random_invertible(fld, k, rng), **blocks)
-    return basechange(space, _random_invertible(fld, k, rng),
-                      _random_invertible(fld, k, rng))
+    gram, _ = _random_invertible(fld, k, rng)
+    space = DieudonneSpace(p=p, ne=k, nebar=k, gram=gram, **blocks)
+    (p_mat, p_inv), (q_mat, q_inv) = (_random_invertible(fld, k, rng),
+                                      _random_invertible(fld, k, rng))
+    return basechange(space, p_mat, q_mat, p_inv, q_inv)
 
 
 def test_pairing_law_matches_basis_pair_loop_on_random_spaces():
@@ -558,6 +560,44 @@ def test_random_basechange_preserves_invariants():
 def test_random_basechange_is_seeded():
     space = model_space(3, 2, 5)
     assert random_basechange(space, 11) == random_basechange(space, 11)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_sampler_pairs_are_inverse_and_draw_like_the_rank_sampler(p):
+    fld = gfp2(p)
+    for size in range(1, 8):
+        rng, ref_rng = random.Random(size), random.Random(size)
+        for _ in range(4):
+            m, m_inv = _random_invertible(fld, size, rng)
+            assert m == ref_random_invertible(fld, size, ref_rng)
+            assert mat_mul(fld, m, m_inv) == identity_mat(size)
+            assert mat_mul(fld, m_inv, m) == identity_mat(size)
+        # the same draws, rejected candidates included
+        assert rng.random() == ref_rng.random()
+
+
+def test_random_basechange_matches_the_two_elimination_sampler():
+    spaces = [model_space(n, r, p) for n, r, p in
+              ((1, 1, 3), (3, 2, 3), (4, 1, 5), (5, 5, 7), (7, 4, 3))]
+    spaces.append(make_SS(5).reduction())
+    for seed in range(60):
+        space = spaces[seed % len(spaces)]
+        assert random_basechange(space, seed) \
+            == ref_random_basechange(space, seed), seed
+
+
+def test_basechange_computes_only_the_missing_inverses():
+    fld = gfp2(5)
+    space = model_space(3, 2, 5)
+    (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, 3, 3, 4)
+    moved = basechange(space, p_mat, q_mat)
+    assert basechange(space, p_mat, q_mat, p_inv, q_inv) == moved
+    assert basechange(space, p_mat, q_mat, p_inv=p_inv) == moved
+    assert basechange(space, p_mat, q_mat, q_inv=q_inv) == moved
+    # the inverses are taken as given, and the new space is validated: a
+    # wrong one breaks F V = 0 here
+    with pytest.raises(ValueError, match="F V = V F = 0 fails"):
+        basechange(space, p_mat, q_mat, p_inv, p_inv)
 
 
 # -- classification ------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 import guhecke.finitefield as finitefield
 from guhecke.finitefield import (MR_EXACT_BOUND, TABLE_MAX_P, GFp2, _is_prime,
                                  annihilator_rows, gfp2, identity_mat,
-                                 kernel_basis, mat_inv, mat_mul, mat_vec,
-                                 rank, rref, vec_frob)
+                                 kernel_basis, mat_frob, mat_inv, mat_mul,
+                                 rank, rref)
+from reference import mat_vec
 
 PRIMES = (3, 5, 7)
 
@@ -331,7 +332,59 @@ def test_annihilator_cuts_out_the_span():
             assert killed == in_row_span(fld, basis, v)
 
 
-def test_vec_frob_entrywise():
+def test_mat_frob_entrywise_and_keeps_rref():
     fld = gfp2(3)
-    v = (0, 1, 5, 7)
-    assert vec_frob(fld, v) == tuple(fld.frob(x) for x in v)
+    m = ((0, 1, 5, 7), (2, 0, 8, 3))
+    assert mat_frob(fld, m) == tuple(tuple(fld.frob(x) for x in row)
+                                     for row in m)
+    # Frobenius fixes 0 and 1, so a reduced basis stays reduced.
+    rng = random.Random(34)
+    for _ in range(30):
+        red = rref(fld, rand_mat(fld, rng, rng.randint(1, 4), 5))
+        assert rref(fld, mat_frob(fld, red)) == mat_frob(fld, red)
+
+
+def _kernel_cases(fld, rng):
+    """(matrix, ncols): random of every shape, rank-deficient, zero,
+    full row rank, full column rank and empty."""
+    cases = [((), 0), ((), 3), (((0, 0, 0),), 3), (((0, 0), (0, 0)), 2),
+             (identity_mat(4), 4), (identity_mat(1), 1)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [list(row) for row in rand_mat(fld, rng, nrows, ncols)]
+        if nrows > 1 and rng.random() < 0.5:
+            c = rng.randrange(fld.size)
+            m[-1] = [fld.add(x, fld.mul(c, y)) for x, y in zip(m[0], m[-2])]
+        if rng.random() < 0.3:
+            zero = rng.randrange(ncols)
+            for row in m:
+                row[zero] = 0
+        cases.append((tuple(map(tuple, m)), ncols))
+    for size in (1, 3, 5):
+        while True:
+            m = rand_mat(fld, rng, size, size)
+            if rank(fld, m) == size:
+                cases.append((m, size))
+                break
+    return cases
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_kernel_basis_is_reduced_and_spans_the_kernel(p):
+    fld = gfp2(p)
+    rng = random.Random(80 + p)
+    shapes = set()
+    for m, ncols in _kernel_cases(fld, rng):
+        ker = kernel_basis(fld, m, ncols)
+        assert ker == rref(fld, ker), m
+        assert all(len(v) == ncols for v in ker)
+        for v in ker:
+            assert not any(mat_vec(fld, m, v)), (m, v)
+        # independent rows (rref keeps them all), as many as the nullity
+        assert len(ker) == ncols - rank(fld, m), m
+        # the same span as the unreduced annihilator of rref(m)
+        ann = annihilator_rows(fld, rref(fld, m), ncols)
+        assert ker == rref(fld, ann), m
+        shapes.add((len(ker) == 0, len(ker) == ncols))
+    assert shapes == {(True, False), (False, True), (False, False),
+                      (True, True)}

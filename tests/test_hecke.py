@@ -15,7 +15,8 @@ from guhecke.hecke import (PairingCertificateError, central_monomial,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, Monomial, TPoly
 from guhecke.rational import mat_mul
-from guhecke.rootdatum import sigma_twist_poly, weyl_generators, weyl_group
+from guhecke.rootdatum import (sigma_twist, sigma_twist_poly, weyl_generators,
+                               weyl_group)
 from reference import dense_mat_mul, ref_divmod, ref_tmul
 
 
@@ -186,6 +187,29 @@ def test_sigma_check_rejects_a_weyl_invariant_sum(n):
             LaurentPoly.zero(n))
     assert check_weyl_invariance(p, n)
     assert not check_sigma_invariance(p)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_sigma_check_rejects_a_coefficient_with_one_altered_term(n):
+    # Every monomial of H and R is twist-fixed (so are c and each y_i).
+    # Raising the x1 exponent of one term gives a monomial the twist moves
+    # and whose image is not a term; a new coefficient on a fixed term
+    # keeps the coefficient invariant.
+    hp, quotient, _, _ = certified_factorization(n)
+    checked = 0
+    for coeff in (*hp.coeffs, *quotient.coeffs):
+        terms = coeff.terms
+        assert all(sigma_twist(m) == m for m in terms)
+        for mono, c in itertools.islice(terms.items(), 3):
+            exps = list(mono.x_exps)
+            exps[1] += 1
+            moved = {m: v for m, v in terms.items() if m != mono}
+            moved[Monomial(mono.q_exp, tuple(exps))] = c
+            assert not check_sigma_invariance(LaurentPoly(n, moved)), mono
+            assert check_sigma_invariance(
+                LaurentPoly(n, {**terms, mono: c + 1}))
+            checked += 1
+    assert checked >= n
 
 
 def test_sigma_lookup_agrees_with_the_twisted_polynomial():

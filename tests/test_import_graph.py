@@ -38,3 +38,12 @@ def test_exact_core_does_not_reach_the_hecke_side_or_the_front_ends():
     for module in ("dieudonne", "finitefield", "rational"):
         assert not reachable(graph, module) & {"hecke", "acceptance", "cli"}, \
             module
+
+
+def test_dieudonne_loads_no_laurent_or_root_datum_code():
+    graph = relative_imports()
+    assert graph["guards"] == set()
+    assert "guards" in graph["dieudonne"]
+    assert not reachable(graph, "dieudonne") & {"rootdatum", "laurent"}
+    # the guard is shared, not copied
+    assert {"guards"} <= graph["rootdatum"] & graph["hecke"]

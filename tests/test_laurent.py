@@ -262,6 +262,20 @@ def test_sorted_terms_are_deterministic():
     assert keys == sorted(keys)
 
 
+def test_exponent_rows_flatten_the_terms_view():
+    rng = random.Random(91)
+    for n in (1, 3, 6):
+        for _ in range(30):
+            p = LaurentPoly(n, {Monomial(rng.randint(-3, 3), tuple(
+                rng.randint(-LANE_MAX, LANE_MAX) if rng.random() < 0.1
+                else rng.randint(-4, 4) for _ in range(n + 1))):
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 6))})
+            assert p.exponent_rows() == {(m.q_exp, *m.x_exps): c
+                                         for m, c in p.terms.items()}
+    assert LaurentPoly.zero(3).exponent_rows() == {}
+
+
 # -- TPoly --------------------------------------------------------------------
 
 
