@@ -14,10 +14,9 @@ from .finitefield import GFp2, gfp2
 from .hecke import (central_monomial, certified_factorization,
                     check_sigma_invariance, check_weyl_invariance,
                     hecke_polynomial, hecke_report, hecke_roots,
-                    hecke_value_by_determinant, r_weights, satake_alpha)
+                    hecke_value_by_determinant, satake_alpha)
 from .laurent import LaurentPoly, Monomial, NonZeroRemainderError, TPoly
 from .rootdatum import (WeylElement, norm_monomial, pairing, rho, sigma_twist,
-                        sigma_twist_poly, weyl_act, weyl_generators,
-                        weyl_group)
+                        weyl_generators, weyl_group)
 
 __version__ = "0.1.0"

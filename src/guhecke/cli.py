@@ -151,7 +151,7 @@ def _cmd_classify(args) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         space = DieudonneSpace.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"guhecke dd classify: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

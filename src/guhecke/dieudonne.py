@@ -119,6 +119,13 @@ class SlopeMultiset:
 # Integral models
 
 
+def _json_ints(what: str, *values) -> tuple[int, ...]:
+    """values, if every one is an int (a bool is not), else ValueError."""
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be integers, got {list(values)}")
+    return values
+
+
 def _as_int_mat(rows) -> IntMat:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
@@ -339,14 +346,18 @@ class DieudonneSpace:
 
     @classmethod
     def from_json(cls, data: dict) -> "DieudonneSpace":
-        p = int(data["p"])
+        """The space written by :meth:`to_json`: its numbers must be JSON
+        integers, and entries are reduced mod p."""
+        p, ne, nebar = _json_ints("p, ne and nebar", data["p"], data["ne"],
+                                  data["nebar"])
         fld = gfp2(p)
 
         def decode(m):
-            return tuple(tuple(fld.from_pair(x) for x in row) for row in m)
+            return tuple(tuple(fld.from_pair(_json_ints("entries", *x))
+                               for x in row) for row in m)
 
         return cls(
-            p=p, ne=int(data["ne"]), nebar=int(data["nebar"]),
+            p=p, ne=ne, nebar=nebar,
             f_e2ebar=decode(data["F_e2ebar"]),
             f_ebar2e=decode(data["F_ebar2e"]),
             v_e2ebar=decode(data["V_e2ebar"]),

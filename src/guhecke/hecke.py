@@ -18,12 +18,13 @@ product is a factor of R.  :func:`certified_factorization` is the one
 entry point, behind the acceptance criteria, :func:`hecke_report` and the
 CLI: it returns H, R, c and a Weyl flag.  Dividing out t - c exactly is
 the factorization certificate.  The Weyl flag is certified on the
-factors, with no expanded coefficient checked: the paired roots are the
-roots of H, each quadratic is its pair's product of linear factors, and
-every Weyl generator fixes c and permutes the quadratics.  The acceptance
-criteria and the tests check the expanded coefficients of H and R for
-Weyl invariance (:func:`check_weyl_invariance`, over the whole group)
-and for Galois-twist invariance (:func:`check_sigma_invariance`).
+2m + 1 root monomials, with no quadratic or expanded coefficient built:
+the paired roots are the roots of H, each pair multiplies to c^2, and
+every Weyl generator fixes c and maps the pairs onto themselves.  The
+acceptance criteria and the tests check the expanded coefficients of H
+and R for Weyl invariance (:func:`check_weyl_invariance`) and for
+Galois-twist invariance (:func:`check_sigma_invariance`).  Every
+monomial map acts on flat exponent rows (q, x0, ..., xn).
 
 An independent numeric route evaluates the same object from its matrix
 definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
@@ -44,26 +45,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .guards import _require_odd
 from .laurent import LaurentPoly, Monomial, TPoly
 from .rational import Matrix, gauss_jordan, mat_mul
-from .rootdatum import (Weight, WeylElement, pairing, rho, twist_exps,
-                        weyl_act, weyl_generators, weyl_group, weyl_permuter)
-
-
-def r_weights(n: int) -> list[Weight]:
-    """Torus weights of the twisted dual representation: for i = 1..n the
-    vector with 1 in slot 0 and in every slot j != i.  The i = n weight
-    (1; 1,...,1,0) is the dominant one."""
-    _require_odd(n)
-    out = []
-    for i in range(1, n + 1):
-        coords = [1] * (n + 1)
-        coords[i] = 0
-        out.append(tuple(coords))
-    return out
+from .rootdatum import (Row, WeylElement, pairing, rho, row_permuter,
+                        twist_row, weyl_generators, weyl_group)
 
 
 def central_monomial(n: int) -> Monomial:
@@ -99,43 +87,36 @@ def hecke_polynomial(n: int) -> TPoly:
     return poly * TPoly.linear(roots[m])
 
 
-def check_weyl_invariance(p: LaurentPoly, n: int,
-                          group: Sequence[WeylElement] | None = None) -> bool:
-    """True iff p is fixed by every element of the Weyl group of size
-    2^m * m!.  Pass an explicit element list to check a subset (e.g. a
-    generating set, which is equivalent by closure).  As w permutes
-    monomials bijectively, w fixes p iff each term's image under w has the
-    same coefficient in p, so no polynomial is built."""
-    if group is None:
-        group = weyl_group(n)
-    terms = p.terms
-    items = list(terms.items())
-    get = terms.get
-    for w in group:
-        if w.n != p.n:
-            raise ValueError("size mismatch")
-        permute = weyl_permuter(w)
-        for (q_exp, exps), coeff in items:
-            # A Monomial hashes and compares as its (q_exp, x_exps) tuple.
-            if get((q_exp, permute(exps))) != coeff:
+def _fixed_by(p: LaurentPoly, images: Iterable[Callable[[Row], Row]]) -> bool:
+    """True iff every monomial map in images fixes p.  A map permutes
+    monomials bijectively, so it fixes p iff each term's image has the
+    same coefficient in p; the maps run on :meth:`LaurentPoly.exponent_rows`."""
+    rows = p.exponent_rows()
+    get = rows.get
+    items = rows.items()
+    for image in images:
+        for row, coeff in items:
+            if get(image(row)) != coeff:
                 return False
     return True
 
 
+def check_weyl_invariance(p: LaurentPoly, n: int,
+                          group: Sequence[WeylElement] | None = None) -> bool:
+    """True iff p is fixed by every element of the Weyl group of size
+    2^m * m!.  Pass an explicit element list to check a subset (e.g. a
+    generating set, which is equivalent by closure)."""
+    if group is None:
+        group = weyl_group(n)
+    if any(w.n != p.n for w in group):
+        raise ValueError("size mismatch")
+    return _fixed_by(p, map(row_permuter, group))
+
+
 def check_sigma_invariance(p: LaurentPoly) -> bool:
     """True iff p is fixed by the multiplicative extension of the Galois
-    twist (twisted-conjugation invariance at the diagonal level).  The
-    twist permutes monomials bijectively, so, as in
-    :func:`check_weyl_invariance`, it fixes p iff each term's image has
-    the same coefficient in p, and no twisted polynomial is built.  The
-    twist runs on the flat exponent rows of
-    :meth:`LaurentPoly.exponent_rows`, so no Monomial is built either."""
-    rows = p.exponent_rows()
-    get = rows.get
-    for row, coeff in rows.items():
-        if get((row[0], *twist_exps(row[1:]))) != coeff:
-            return False
-    return True
+    twist (twisted-conjugation invariance at the diagonal level)."""
+    return _fixed_by(p, (twist_row,))
 
 
 def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
@@ -148,11 +129,11 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
     _require_odd(n)
     rho_coords = rho(n)
     out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        shift = 2 * pairing(rho_coords, mono.x_exps)
+    for (q_exp, *x_exps), coeff in p.exponent_rows().items():
+        shift = 2 * pairing(rho_coords, x_exps)
         if shift.denominator != 1:
-            raise ValueError(f"non-integral rho-pairing for {mono}")
-        new = Monomial(mono.q_exp - int(shift), mono.x_exps)
+            raise ValueError(f"non-integral rho-pairing for x^{x_exps}")
+        new = Monomial(q_exp - int(shift), tuple(x_exps))
         out[new] = out.get(new, Fraction(0)) + coeff
     return LaurentPoly(p.n, out)
 
@@ -203,68 +184,67 @@ def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
 # Report assembly for the CLI.
 
 class PairingCertificateError(ArithmeticError):
-    """The root pairs or their quadratic factors fail the certificate of
-    :func:`certify_root_pairs`; like a nonzero remainder, this would
-    falsify the factorization and must never happen."""
+    """The root pairs fail the certificate of :func:`certify_root_pairs`;
+    like a nonzero remainder, this would falsify the factorization and
+    must never happen."""
 
 
-def root_pairs(n: int) -> tuple[LaurentPoly, list[tuple[LaurentPoly, LaurentPoly]]]:
+def root_pairs(n: int) -> tuple[Monomial, list[tuple[Monomial, Monomial]]]:
     """(c, [(c*y_i, c/y_i) for i = 1..m]) with c = q^(n-1)*x0^2*x1...xn,
     y_i = x_{n+1-i}/x_i and m = (n-1)/2: the middle root of H and its
-    other n - 1 roots, paired i <-> n+1-i."""
+    other n - 1 roots, paired i <-> n+1-i, as monomials."""
     _require_odd(n)
     center = Monomial(n - 1, central_monomial(n).x_exps)
     pairs = []
     for i in range(1, (n - 1) // 2 + 1):
         y = Monomial.var(n, n + 1 - i) * Monomial.var(n, i, -1)
-        pairs.append((LaurentPoly.from_term(center * y),
-                      LaurentPoly.from_term(center * y.inverse())))
-    return LaurentPoly.from_term(center), pairs
+        pairs.append((center * y, center * y.inverse()))
+    return center, pairs
 
 
-def certify_root_pairs(n: int, center: LaurentPoly,
-                       pairs: Sequence[tuple[LaurentPoly, LaurentPoly]]
-                       ) -> list[TPoly]:
-    """The quadratics t^2 - (a + b)*t + c^2, one per pair (a, b), certified:
+def certify_root_pairs(n: int, center: Monomial,
+                       pairs: Sequence[tuple[Monomial, Monomial]]) -> None:
+    """Certify that the pairs (a, b) factor R = H / (t - c) as the
+    quadratics t^2 - (a + b)*t + c^2:
 
     (a) c and the flattened pairs are hecke_roots(n) as a multiset, and
-    (b) each quadratic equals (t - a)*(t - b), i.e. a*b = c^2.
+    (b) a*b = c^2 for each pair, so its quadratic is (t - a)*(t - b).
 
     Then the product of the quadratics is the product of the linear
     factors t - root over every root but c, in another order, so it is
     the quotient H / (t - c).  Raises PairingCertificateError otherwise.
     """
     flat = [center] + [root for pair in pairs for root in pair]
-    if Counter(flat) != Counter(hecke_roots(n)):
+    if Counter(map(LaurentPoly.from_term, flat)) != Counter(hecke_roots(n)):
         raise PairingCertificateError(
             f"paired roots are not the roots of H for n={n}")
-    one, c_sq = LaurentPoly.one(n), center * center
-    quadratics = []
+    c_sq = center * center
     for a, b in pairs:
-        quadratic = TPoly(n, [c_sq, -(a + b), one])
-        if quadratic != TPoly.linear(a) * TPoly.linear(b):
+        if a * b != c_sq:
             raise PairingCertificateError(
-                f"(t - {a})*(t - {b}) has constant term other than c^2")
-        quadratics.append(quadratic)
-    return quadratics
+                f"(t - {LaurentPoly.from_term(a)})*(t - "
+                f"{LaurentPoly.from_term(b)}) has constant term other than c^2")
 
 
-def factors_weyl_invariant(n: int, center: LaurentPoly,
-                           quadratics: Sequence[TPoly]) -> bool:
-    """True iff every Weyl generator fixes c and permutes the quadratic
-    factors (as a multiset).  Then it fixes R, their product, and
+def factors_weyl_invariant(n: int, center: Monomial,
+                           pairs: Sequence[tuple[Monomial, Monomial]]) -> bool:
+    """True iff every Weyl generator fixes c and maps the pairs (as a
+    multiset of unordered pairs) onto themselves.  Then it permutes the
+    quadratics (t - a)*(t - b), so it fixes R, their product, and
     H = R*(t - c), hence every coefficient of both; and a polynomial
     fixed by each generator is fixed by the group.  Each w keeps the
     pairing i <-> n+1-i, so it sends y_i to some y_j^(+-1) and permutes
-    the true factors."""
+    the true pairs.  The generators act on the exponent rows of the
+    2m + 1 roots; no quadratic is built."""
     gens = weyl_generators(n)
-    if not check_weyl_invariance(center, n, gens):
+    if not check_weyl_invariance(LaurentPoly.from_term(center), n, gens):
         return False
-    factors = Counter(quadratics)
+    rows = [((a.q_exp, *a.x_exps), (b.q_exp, *b.x_exps)) for a, b in pairs]
+    factors = Counter(tuple(sorted(pair)) for pair in rows)
     for w in gens:
-        moved = Counter(TPoly(n, [weyl_act(w, c) for c in quad.coeffs])
-                        for quad in quadratics)
-        if moved != factors:
+        permute = row_permuter(w)
+        if Counter(tuple(sorted(map(permute, pair)))
+                   for pair in rows) != factors:
             return False
     return True
 
@@ -276,15 +256,16 @@ def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:
     H is expanded once and divided by t - c in exact arithmetic; a
     nonzero remainder raises NonZeroRemainderError, which would falsify
     the factorization and must never happen.  The Weyl flag is certified
-    on the m quadratic factors of R (:func:`certify_root_pairs`,
-    :func:`factors_weyl_invariant`) rather than on the expanded
-    coefficients, which acceptance criterion 2 and the tests check with
-    :func:`check_weyl_invariance`."""
+    on the root pairs that give the m quadratic factors of R
+    (:func:`certify_root_pairs`, :func:`factors_weyl_invariant`) rather
+    than on the expanded coefficients, which acceptance criterion 2 and
+    the tests check with :func:`check_weyl_invariance`."""
     hp = hecke_polynomial(n)
     center, pairs = root_pairs(n)
-    quotient = hp.divide_exact(TPoly.linear(center))
-    quadratics = certify_root_pairs(n, center, pairs)
-    return hp, quotient, center, factors_weyl_invariant(n, center, quadratics)
+    root = LaurentPoly.from_term(center)
+    quotient = hp.divide_exact(TPoly.linear(root))
+    certify_root_pairs(n, center, pairs)
+    return hp, quotient, root, factors_weyl_invariant(n, center, pairs)
 
 
 def hecke_report(n: int) -> dict:
@@ -297,12 +278,11 @@ def hecke_report(n: int) -> dict:
     fields are plain JSON values.
     """
     hp, quotient, center, invariant = certified_factorization(n)
-    (root_mono, root_coeff), = center.terms.items()
+    ((q_exp, *x_exps), coeff), = center.exponent_rows().items()
     return {
         "n": n,
         "Hp": list(hp.coeffs),
         "R": list(quotient.coeffs),
-        "linear_root": {"coeff": str(root_coeff), "q": root_mono.q_exp,
-                        "x": list(root_mono.x_exps)},
+        "linear_root": {"coeff": str(coeff), "q": q_exp, "x": x_exps},
         "weyl_invariant": invariant,
     }

@@ -31,9 +31,11 @@ product, the larger bound for a sum.  A product whose bound would pass
 :data:`LANE_MAX` first retries with the operands' exact maxima, then
 raises :class:`OverflowError`, so a lane never wraps; encoding a
 monomial checks every exponent the same way.  Codes are decoded in C,
-a whole polynomial at a time (``int.to_bytes`` into an ``array``);
-:attr:`LaurentPoly.terms` is the :class:`Monomial`-keyed view, decoded
-once and cached.
+a whole polynomial at a time (``int.to_bytes`` into an ``array``), to
+the flat exponent rows (q, x0, ..., xn) that monomial maps and
+:meth:`LaurentPoly.evaluate` read; :attr:`LaurentPoly.terms`, the
+:class:`Monomial`-keyed view, is decoded on every read and only tests
+and library callers read it.
 
 The JSON term format has one definition, :meth:`LaurentPoly.json_text`:
 compact text of the term list in canonical order, rendered straight from
@@ -54,7 +56,6 @@ import sys
 from array import array
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Coeff = int | Fraction
@@ -233,7 +234,7 @@ class LaurentPoly:
     ever a float.
     """
 
-    __slots__ = ("n", "_codes", "_bound", "_terms")
+    __slots__ = ("n", "_codes", "_bound")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Coeff] | None = None):
         one = _one_code(n)
@@ -251,7 +252,6 @@ class LaurentPoly:
         self.n = n
         self._codes = codes
         self._bound = bound
-        self._terms = None
 
     @classmethod
     def _wrap(cls, n: int, codes: dict[int, Coeff], bound: int) -> "LaurentPoly":
@@ -260,7 +260,6 @@ class LaurentPoly:
         res.n = n
         res._codes = codes
         res._bound = bound
-        res._terms = None
         return res
 
     @classmethod
@@ -274,16 +273,14 @@ class LaurentPoly:
     @property
     def terms(self) -> dict[Monomial, Coeff]:
         """The map from Monomial to nonzero coefficient, decoded from the
-        codes on first use and cached; read it, do not change it."""
-        if self._terms is None:
-            codes = self._codes
-            self._terms = dict(zip(_monomials(self.n, codes), codes.values()))
-        return self._terms
+        codes on every read."""
+        codes = self._codes
+        return dict(zip(_monomials(self.n, codes), codes.values()))
 
     def exponent_rows(self) -> dict[tuple[int, ...], Coeff]:
         """The map from flat exponent tuple (q, x0, ..., xn) to nonzero
-        coefficient, decoded in one pass and not cached; unlike
-        :attr:`terms` it builds no Monomial."""
+        coefficient, decoded in one pass; unlike :attr:`terms` it builds
+        no Monomial."""
         width = self.n + 2
         flat = _decode(self.n, self._codes)
         return dict(zip([tuple(flat[k:k + width])
@@ -424,20 +421,21 @@ class LaurentPoly:
         """
         if len(x_vals) != self.n + 1:
             raise ValueError(f"need {self.n + 1} values, got {len(x_vals)}")
-        rows = [((m.q_exp, *m.x_exps), c) for m, c in self.terms.items()]
-        scale = lcm(*(c.denominator for _, c in rows))
-        den = scale
-        tables = []
-        values = [Fraction(v) for v in (q_val, *x_vals)]
-        for v, col in zip(values, zip(*(exps for exps, _ in rows))):
-            lo, hi = min(0, *col), max(0, *col)
+        coeffs, width = self._codes.values(), self.n + 2
+        flat = _decode(self.n, self._codes)
+        den = scale = lcm(*(c.denominator for c in coeffs))
+        powers = []
+        for lane, v in enumerate(map(Fraction, (q_val, *x_vals))):
+            col = flat[lane::width]
+            lo, hi = min((0, *col)), max((0, *col))
             a, b = v.numerator, v.denominator
             # Entry e is a^(e-lo) * b^(hi-e); a negative e counts from the end.
-            tables.append([a ** (e - lo) * b ** (hi - e)
-                           for e in (*range(hi + 1), *range(lo, 0))])
+            table = [a ** (e - lo) * b ** (hi - e)
+                     for e in (*range(hi + 1), *range(lo, 0))]
+            powers.append(map(table.__getitem__, col))
             den *= a ** -lo * b ** hi
-        total = sum(c.numerator * (scale // c.denominator)
-                    * prod(map(getitem, tables, exps)) for exps, c in rows)
+        total = sum(c.numerator * (scale // c.denominator) * prod(term)
+                    for c, term in zip(coeffs, zip(*powers)))
         return Fraction(total, den)
 
     # -- rendering ---------------------------------------------------------

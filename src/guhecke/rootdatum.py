@@ -32,11 +32,12 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .guards import _require_odd
-from .laurent import LaurentPoly, Monomial
+from .laurent import Monomial
 
 # Coordinate vectors of length n+1 (slot 0 = similitude slot).
-Weight = tuple[int, ...]
 HalfWeight = tuple[Fraction, ...]
+# Flat exponent rows (q, x0, ..., xn), as LaurentPoly.exponent_rows keys them.
+Row = tuple[int, ...]
 
 
 class WeylElement:
@@ -141,23 +142,18 @@ def pairing(chi: Sequence, nu: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(chi, nu)), Fraction(0))
 
 
-def twist_exps(exps: Weight) -> Weight:
-    """The Galois twist (see module docstring) on an exponent vector:
-    slot 0 keeps e0 and slot i (i >= 1) receives e0 - e_{n+1-i}."""
-    e0 = exps[0]
-    return (e0, *[e0 - e for e in exps[:0:-1]])
+def twist_row(row: Row) -> Row:
+    """The Galois twist (see module docstring) on a flat exponent row
+    (q, e0, e1, ..., en): q and e0 stay, and the exponent of x_i
+    (i >= 1) becomes e0 - e_{n+1-i}."""
+    e0 = row[1]
+    return (row[0], e0, *[e0 - e for e in row[:1:-1]])
 
 
 def sigma_twist(mono: Monomial) -> Monomial:
     """Image of a monomial under the Galois twist; q is untouched."""
-    return Monomial(mono.q_exp, twist_exps(mono.x_exps))
-
-
-def sigma_twist_poly(p: LaurentPoly) -> LaurentPoly:
-    """The twist extended multiplicatively to a whole Laurent polynomial:
-    a bijective monomial map, so coefficients move unchanged."""
-    return LaurentPoly(p.n, {sigma_twist(mono): coeff
-                             for mono, coeff in p.terms.items()})
+    row = twist_row((mono.q_exp, *mono.x_exps))
+    return Monomial(row[0], row[1:])
 
 
 def norm_monomial(mono: Monomial) -> Monomial:
@@ -166,17 +162,8 @@ def norm_monomial(mono: Monomial) -> Monomial:
     return mono * sigma_twist(mono)
 
 
-def weyl_permuter(w: WeylElement) -> Callable[[Weight], Weight]:
-    """The action of w on exponent vectors: x_i -> x_{w(i)} puts the
-    exponent of slot i into slot w(i), and slot 0 (x0) stays."""
-    return itemgetter(0, *w.inverse().perm)
-
-
-def weyl_act(w: WeylElement, p: LaurentPoly) -> LaurentPoly:
-    """Permute x1..xn by w (x_i -> x_{w(i)}); x0 and q are fixed.  The
-    action is a bijection on monomials, so coefficients move unchanged."""
-    if w.n != p.n:
-        raise ValueError("size mismatch")
-    permute = weyl_permuter(w)
-    return LaurentPoly(p.n, {Monomial(mono.q_exp, permute(mono.x_exps)): coeff
-                             for mono, coeff in p.terms.items()})
+def row_permuter(w: WeylElement) -> Callable[[Row], Row]:
+    """The action of w on flat exponent rows (q, e0, e1, ..., en):
+    x_i -> x_{w(i)} puts the exponent of x_i into the slot of x_{w(i)},
+    and q and x0 stay."""
+    return itemgetter(0, 1, *[j + 1 for j in w.inverse().perm])

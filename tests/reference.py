@@ -3,18 +3,23 @@
 Plain term-by-term arithmetic on Monomial-keyed maps, the substitution
 engine the library no longer carries, the Galois images it used, and the
 per-term dict builder of the JSON term format.  Tests check the packed
-kernel, the monomial maps and the JSON text against these.  Below them
-are the dense matrix product by its definition, the F_{p^2} vector
+kernel, the monomial maps and the JSON text against these.  Then the
+twist and the Weyl action on whole polynomials, built term by term, and
+the earlier factor certificate on quadratic t-polynomials, which the
+root-pair certificate is checked against.  Below them are the dense
+matrix product by its definition, the F_{p^2} vector
 operations, the vector-level operators and identity test that only the
 tests use, and the earlier two-elimination sampler of base changes.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from guhecke.dieudonne import basechange
 from guhecke.finitefield import rank
-from guhecke.laurent import LaurentPoly, Monomial
+from guhecke.laurent import LaurentPoly, Monomial, TPoly
+from guhecke.rootdatum import sigma_twist, weyl_generators
 
 
 def ref_add(a, b):
@@ -114,6 +119,46 @@ def sigma_images(n):
     for i in range(1, n + 1):
         images.append(LaurentPoly.var(n, n + 1 - i, -1))
     return images
+
+
+def sigma_twist_poly(p):
+    """The Galois twist extended multiplicatively to a whole Laurent
+    polynomial: a bijective monomial map, so coefficients move unchanged."""
+    return LaurentPoly(p.n, {sigma_twist(mono): coeff
+                             for mono, coeff in p.terms.items()})
+
+
+def weyl_act(w, p):
+    """Permute x1..xn by w (x_i -> x_{w(i)}); x0 and q are fixed.  The
+    action is a bijection on monomials, so coefficients move unchanged."""
+    if w.n != p.n:
+        raise ValueError("size mismatch")
+    out = {}
+    for mono, coeff in p.terms.items():
+        exps = list(mono.x_exps)
+        for i in range(1, p.n + 1):
+            exps[w(i)] = mono.x_exps[i]
+        out[Monomial(mono.q_exp, tuple(exps))] = coeff
+    return LaurentPoly(p.n, out)
+
+
+def quadratic_factors_weyl_invariant(n, center, pairs):
+    """The earlier factor certificate on quadratics: True iff every Weyl
+    generator fixes c and permutes the quadratics (t - a)*(t - b), one
+    per pair (a, b) of monomials, as a multiset of t-polynomials."""
+    center = LaurentPoly.from_term(center)
+    gens = weyl_generators(n)
+    if any(weyl_act(w, center) != center for w in gens):
+        return False
+    quadratics = [TPoly.linear(LaurentPoly.from_term(a))
+                  * TPoly.linear(LaurentPoly.from_term(b)) for a, b in pairs]
+    factors = Counter(quadratics)
+    for w in gens:
+        moved = Counter(TPoly(n, [weyl_act(w, c) for c in quad.coeffs])
+                        for quad in quadratics)
+        if moved != factors:
+            return False
+    return True
 
 
 def dense_mat_mul(a, b):

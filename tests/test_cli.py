@@ -253,6 +253,59 @@ def test_dd_classify_malformed_json(capsys, tmp_path):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("p", 3.5), ("p", 5.0), ("p", "5"), ("p", True), ("ne", "5"),
+    ("nebar", 5.0)])
+def test_dd_classify_refuses_a_number_that_is_not_an_int(capsys, tmp_path,
+                                                          field, value):
+    data = json.loads(fixture_path().read_text())
+    data[field] = value
+    bad = tmp_path / "not-int.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(bad),
+                             "--n", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("guhecke dd classify: malformed input: "
+                          "p, ne and nebar must be integers, got [")
+    assert repr(value) in err
+
+
+@pytest.mark.parametrize("entry", [[1.0, 0], [0, 2.5], [True, 0], ["1", 0],
+                                   [0, 0, 0], 7])
+def test_dd_classify_refuses_an_entry_that_is_not_a_pair_of_ints(
+        capsys, tmp_path, entry):
+    data = json.loads(fixture_path().read_text())
+    data["gram"][0][0] = entry
+    bad = tmp_path / "bad-entry.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(bad),
+                             "--n", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("guhecke dd classify: malformed input: ")
+
+
+def test_dd_classify_refuses_deeply_nested_json(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(deep),
+                             "--n", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("guhecke dd classify: malformed input: ")
+    assert "\n" not in err[:-1]
+
+
+def test_dd_classify_reduces_out_of_range_entries_mod_p(capsys, tmp_path):
+    data = json.loads(fixture_path().read_text())
+    p = data["p"]
+    data["gram"] = [[[a + 2 * p, b - 3 * p] for a, b in row]
+                    for row in data["gram"]]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "dd", "classify", "--input", str(moved),
+                           "--n", "5")
+    assert (code, out) == (0, '{"type":5}\n')
+
+
 def test_dd_classify_corrupted_space(capsys, tmp_path):
     """Structurally valid space that fails the truncation axioms: exit 3."""
     data = json.loads(fixture_path().read_text())

@@ -11,36 +11,13 @@ from guhecke.hecke import (PairingCertificateError, central_monomial,
                            check_sigma_invariance, check_weyl_invariance,
                            factors_weyl_invariant, hecke_polynomial,
                            hecke_report, hecke_roots,
-                           hecke_value_by_determinant, r_weights, root_pairs,
+                           hecke_value_by_determinant, root_pairs,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, Monomial, TPoly
 from guhecke.rational import mat_mul
-from guhecke.rootdatum import (sigma_twist, sigma_twist_poly, weyl_generators,
-                               weyl_group)
-from reference import dense_mat_mul, ref_divmod, ref_tmul
-
-
-def test_r_weights_n3_frozen():
-    assert set(r_weights(3)) == {(1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)}
-
-
-def test_r_weights_highest_is_minuscule_pattern():
-    for n in (3, 5, 7):
-        weights = r_weights(n)
-        assert weights[-1] == (1,) + (1,) * (n - 1) + (0,)
-        assert len(weights) == n
-
-
-def test_r_weights_stable_under_slot_permutation():
-    rng = random.Random(2)
-    for n in (3, 5):
-        weights = set(r_weights(n))
-        for _ in range(10):
-            perm = list(range(1, n + 1))
-            rng.shuffle(perm)
-            permuted = {(w[0],) + tuple(w[perm[i - 1]] for i in range(1, n + 1))
-                        for w in weights}
-            assert permuted == weights
+from guhecke.rootdatum import sigma_twist, weyl_generators, weyl_group
+from reference import (dense_mat_mul, quadratic_factors_weyl_invariant,
+                       ref_divmod, ref_tmul, sigma_twist_poly, weyl_act)
 
 
 def test_hecke_roots_n3_frozen():
@@ -87,7 +64,7 @@ def test_subleading_coefficient_is_minus_root_sum(n):
 
 
 def test_central_monomial_and_norm():
-    from guhecke.rootdatum import norm_monomial, weyl_act
+    from guhecke.rootdatum import norm_monomial
     for n in (3, 5, 7):
         e = central_monomial(n)
         assert e == Monomial(0, (2,) + (1,) * n)
@@ -136,7 +113,6 @@ def test_weyl_invariance_negative_and_trivial_cases():
 
 
 def test_weyl_check_agrees_with_polynomial_action():
-    from guhecke.rootdatum import weyl_act
     rng = random.Random(11)
     for n in (3, 5):
         group = weyl_group(n)
@@ -245,21 +221,44 @@ def _index_order_product(n):
     return poly
 
 
+def _quadratics(pairs):
+    """(t - a)*(t - b) for each pair (a, b) of monomials."""
+    return [TPoly.linear(LaurentPoly.from_term(a))
+            * TPoly.linear(LaurentPoly.from_term(b)) for a, b in pairs]
+
+
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_pair_route_equals_product_route(n):
     hp, quotient, root, invariant = certified_factorization(n)
     assert invariant
     assert hp == _index_order_product(n)
     center, pairs = root_pairs(n)
-    assert center == root
-    quadratics = certify_root_pairs(n, center, pairs)
+    assert LaurentPoly.from_term(center) == root
+    certify_root_pairs(n, center, pairs)
+    quadratics = _quadratics(pairs)
+    c_sq = LaurentPoly.from_term(center * center)
+    for (a, b), quadratic in zip(pairs, quadratics):
+        assert quadratic == TPoly(n, [c_sq, -LaurentPoly.from_term(a)
+                                      - LaurentPoly.from_term(b),
+                                      LaurentPoly.one(n)])
     product = quadratics[0]
     for quadratic in quadratics[1:]:
         product = product * quadratic
     assert product == quotient
-    assert product * TPoly.linear(center) == hp
+    assert product * TPoly.linear(root) == hp
     for poly in (*hp.coeffs, *quotient.coeffs):
         assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_root_pairs_certify_for_every_odd_n_to_49():
+    # Past n = 15 H is not expanded; the pairs are certified on their own
+    # and the Weyl flag agrees with the quadratic reference.
+    for n in range(3, 50, 2):
+        center, pairs = root_pairs(n)
+        assert len(pairs) == (n - 1) // 2
+        certify_root_pairs(n, center, pairs)
+        assert factors_weyl_invariant(n, center, pairs)
+        assert quadratic_factors_weyl_invariant(n, center, pairs)
 
 
 @pytest.mark.parametrize("n", range(3, 16, 2))
@@ -319,22 +318,26 @@ def test_cli_maps_a_failed_pair_certificate_to_exit_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_factor_weyl_certificate_agrees_with_expanded_check(n):
-    # Over every nonempty subset S of the factors: the factor certificate
-    # and the expanded generator check on prod(S) and prod(S)*(t - c)
-    # agree (true only for the full set: the group moves every pair).
+    # Over every nonempty subset S of the pairs: the pair certificate, the
+    # quadratic reference, and the expanded generator check on the product
+    # of S's quadratics and on it times (t - c) agree (true only for the
+    # full set: the group moves every pair).
     center, pairs = root_pairs(n)
-    quadratics = certify_root_pairs(n, center, pairs)
+    linear = TPoly.linear(LaurentPoly.from_term(center))
     gens = weyl_generators(n)
     outcomes = set()
-    for size in range(1, len(quadratics) + 1):
-        for subset in itertools.combinations(quadratics, size):
-            product = subset[0]
-            for quadratic in subset[1:]:
+    for size in range(1, len(pairs) + 1):
+        for subset in itertools.combinations(pairs, size):
+            quadratics = _quadratics(subset)
+            product = quadratics[0]
+            for quadratic in quadratics[1:]:
                 product = product * quadratic
-            full = product * TPoly.linear(center)
+            full = product * linear
             expanded = all(check_weyl_invariance(c, n, gens)
                            for c in (*full.coeffs, *product.coeffs))
             assert factors_weyl_invariant(n, center, subset) == expanded
+            assert quadratic_factors_weyl_invariant(n, center, subset) \
+                == expanded
             outcomes.add(expanded)
     assert outcomes == ({True} if n == 3 else {True, False})
 
@@ -342,18 +345,24 @@ def test_factor_weyl_certificate_agrees_with_expanded_check(n):
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_factor_weyl_certificate_rejects_unpermuted_factors(n):
     center, pairs = root_pairs(n)
-    true_factors = certify_root_pairs(n, center, pairs)
-    assert factors_weyl_invariant(n, center, true_factors)
-    # (t - c*y1)(t - c*y2) and (t - c/y1)(t - c/y2) have the same product
-    # as the first two true factors, but some generator moves them off the
+    assert factors_weyl_invariant(n, center, pairs)
+    # The order within a pair is immaterial: a pair stands for its
+    # quadratic.
+    swapped = [(b, a) for a, b in pairs]
+    certify_root_pairs(n, center, swapped)
+    assert factors_weyl_invariant(n, center, swapped)
+    assert factors_weyl_invariant(n, center, [swapped[0], *pairs[1:]])
+    # (c*y1, c*y2) and (c/y1, c/y2) give quadratics with the same product
+    # as the first two true ones, but some generator moves them off the
     # set (at n = 5 the reflection, which inverts y2 alone).
     (a1, b1), (a2, b2) = pairs[:2]
-    crossed = [TPoly.linear(a1) * TPoly.linear(a2),
-               TPoly.linear(b1) * TPoly.linear(b2), *true_factors[2:]]
+    crossed = [(a1, a2), (b1, b2), *pairs[2:]]
     assert not factors_weyl_invariant(n, center, crossed)
+    assert not quadratic_factors_weyl_invariant(n, center, crossed)
     # A center some generator moves.
-    moved = center * LaurentPoly.var(n, 1)
-    assert not factors_weyl_invariant(n, moved, true_factors)
+    moved = center * Monomial.var(n, 1)
+    assert not factors_weyl_invariant(n, moved, pairs)
+    assert not quadratic_factors_weyl_invariant(n, moved, pairs)
 
 
 # -- Satake normalization -----------------------------------------------------

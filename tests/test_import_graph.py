@@ -47,3 +47,15 @@ def test_dieudonne_loads_no_laurent_or_root_datum_code():
     assert not reachable(graph, "dieudonne") & {"rootdatum", "laurent"}
     # the guard is shared, not copied
     assert {"guards"} <= graph["rootdatum"] & graph["hecke"]
+
+
+def test_only_laurent_reads_the_monomial_view():
+    # Monomial maps act on LaurentPoly.exponent_rows; the Monomial-keyed
+    # ``terms`` view is decoded on every read, so the package leaves it to
+    # the tests and to library callers.
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                readers.add(path.stem)
+    assert readers <= {"laurent"}

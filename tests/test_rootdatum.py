@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.laurent import LaurentPoly, Monomial
+from guhecke.laurent import LANE_MAX, LaurentPoly, Monomial
 from guhecke.rootdatum import (WeylElement, norm_monomial, pairing, rho,
-                               sigma_twist, sigma_twist_poly, weyl_act,
+                               row_permuter, sigma_twist, twist_row,
                                weyl_generators, weyl_group)
-from reference import dense_mat_mul, is_identity, sigma_images, substitute
+from reference import (dense_mat_mul, is_identity, sigma_images,
+                       sigma_twist_poly, substitute, weyl_act)
 
 
 def weyl_identity(n):
@@ -238,13 +239,45 @@ def test_weyl_act_is_a_group_action():
         assert weyl_act(a * b, p) == weyl_act(a, weyl_act(b, p))
 
 
+def test_row_maps_agree_with_the_monomial_maps():
+    # Random monomials with lanes at +-LANE_MAX among small ones: each
+    # row map, on the decoded exponent row, gives the row of the
+    # polynomial-level image, and the twist its substitution image
+    # whenever that fits in the lanes.
+    rng = random.Random(4242)
+    lanes = (-LANE_MAX, LANE_MAX, -1, 0, 1, 2)
+    substituted = 0
+    for n in (3, 5, 7, 9):
+        images = sigma_images(n)
+        group = weyl_group(n) if n <= 7 else weyl_generators(n)
+        for _ in range(25):
+            m = Monomial(rng.choice(lanes),
+                         tuple(rng.choice(lanes) for _ in range(n + 1)))
+            p = LaurentPoly.from_term(m, rng.randint(-5, 5) or 1)
+            (row, coeff), = p.exponent_rows().items()
+            assert row == (m.q_exp, *m.x_exps)
+            for w in group:
+                assert {row_permuter(w)(row): coeff} == \
+                    weyl_act(w, p).exponent_rows()
+            twisted = twist_row(row)
+            e0 = m.x_exps[0]
+            assert twisted == (m.q_exp, e0, *[e0 - m.x_exps[n + 1 - i]
+                                              for i in range(1, n + 1)])
+            assert twisted == (sigma_twist(m).q_exp, *sigma_twist(m).x_exps)
+            if max(map(abs, twisted)) <= LANE_MAX:
+                assert {twisted: coeff} == \
+                    substitute(p, images).exponent_rows()
+                substituted += 1
+    assert substituted >= 20
+
+
 @pytest.mark.parametrize("n", (-1, 0, 1, 2, 4, 10))
 def test_every_odd_n_guard_gives_the_same_message(n):
     from guhecke.dieudonne import isocrystal_shape, strata_dims
     from guhecke.hecke import (certified_factorization, hecke_roots,
-                               hecke_value_by_determinant, r_weights)
+                               hecke_value_by_determinant)
     message = f"n must be odd and >= 3, got {n}"
-    for call in (lambda: weyl_group(n), lambda: r_weights(n),
+    for call in (lambda: weyl_group(n),
                  lambda: hecke_roots(n), lambda: certified_factorization(n),
                  lambda: hecke_value_by_determinant(n, 1, [1] * n, 3, 0),
                  lambda: isocrystal_shape(n, 0), lambda: strata_dims(n)):
