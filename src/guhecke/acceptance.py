@@ -147,10 +147,10 @@ def bt1_axioms(seed: int = 0) -> str:
 def classification_roundtrip(seed: int = 0) -> str:
     recovered = 0
     for n in CLASSIFY_NS:
+        # The closed-form fingerprints classify_type matches against.
+        prints = [fp for _, fp in _model_fingerprints(n)]
+        _check(len(set(prints)) == n, f"fingerprint collision at n={n}")
         for p in CLASSIFY_PRIMES:
-            # The same memoised fingerprints classify_type matches against.
-            prints = [fp for _, fp in _model_fingerprints(n, p)]
-            _check(len(set(prints)) == n, f"fingerprint collision at n={n}, p={p}")
             # random_basechange's draws depend on the seed and the piece
             # dimensions only, so all n models share each seed's frames.
             frames = [random_frames(gfp2(p), n, n, seed * 100_003 + s)

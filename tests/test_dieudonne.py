@@ -11,7 +11,7 @@ import guhecke.dieudonne as dieudonne
 from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                NotBT1Error, SlopeMultiset,
-                               _coordinate_fingerprint, _random_invertible,
+                               _model_fingerprints, _random_invertible,
                                basechange, char_poly,
                                check_bt1, classify_type, direct_sum,
                                fingerprint, isocrystal_shape, make_B, make_SS,
@@ -161,6 +161,19 @@ def test_module_validation_rejects_bad_input():
         make_B(0, p)
     with pytest.raises(ValueError):
         make_SS(4)
+
+
+@pytest.mark.parametrize("entry", (Fraction(3, 2), 1.5, True, "1"))
+@pytest.mark.parametrize("name,i,j", (("f_mat", 1, 0), ("gram", 0, 1)))
+def test_module_refuses_an_entry_that_is_not_an_int(name, i, j, entry):
+    # The supersingular model at p = 3, with one entry 1 replaced: int()
+    # would read each of these as 1 and accept the module.
+    mats = {"f_mat": ((0, -3), (1, 0)), "gram": ((0, 1), (-1, 0))}
+    rows = [list(row) for row in mats[name]]
+    rows[i][j] = entry
+    mats[name] = rows
+    with pytest.raises(ValueError, match="must be integers"):
+        DieudonneModuleZ(p=3, ne=1, v_mat=((0, 3), (-1, 0)), **mats)
 
 
 # -- reductions: signature and the truncation axioms ---------------------------
@@ -439,7 +452,7 @@ def test_precomputed_v_ranks_give_the_same_signature_and_bt1_answer():
 
 def test_classify_ranks_each_block_once(monkeypatch):
     space = random_basechange(model_space(5, 2, 3), 11)
-    dieudonne._model_fingerprints(5, 3)  # built (and validated) beforehand
+    dieudonne._model_fingerprints(5)  # built beforehand
     ranked = []
     real_rank = dieudonne.rank
 
@@ -484,8 +497,6 @@ def test_closure_step_limit_is_a_classification_error(monkeypatch):
     monkeypatch.setattr(dieudonne, "CLOSURE_STEP_LIMIT", 3)
     with pytest.raises(ClosureLimitError, match="failed to stabilize"):
         fingerprint(space)
-    with pytest.raises(ClosureLimitError):
-        _coordinate_fingerprint(model_space(3, 2, 3))
 
 
 # -- direct sums ---------------------------------------------------------------
@@ -612,26 +623,18 @@ def test_model_fingerprints_pairwise_distinct(n, p):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_coordinate_fingerprint_matches_row_reduced_closure(p):
-    for n in range(3, 16, 2):
-        for r in range(1, n + 1):
-            model = model_space(n, r, p)
-            assert _coordinate_fingerprint(model) == fingerprint(model), (n, r)
+    # The closed-form model fingerprints against the row-reduced closure
+    # of every model with n <= 16, odd and even, and at p = 3 also of
+    # every model with odd n <= 25.
+    for n in [*range(1, 17), *(range(17, 26, 2) if p == 3 else ())]:
+        for r, closed_form in _model_fingerprints(n):
+            assert closed_form == fingerprint(model_space(n, r, p)), (n, r)
 
 
-def test_coordinate_fingerprint_refuses_non_monomial_blocks():
-    for n, r, p in ((3, 1, 3), (5, 2, 5), (7, 7, 3)):
-        moved = random_basechange(model_space(n, r, p), n + r)
-        with pytest.raises(ValueError, match="not monomial"):
-            _coordinate_fingerprint(moved)
-    # one extra entry in a row, then in a column, of an otherwise monomial
-    # F block (V = 0 keeps the space valid)
-    zero = ((0, 0), (0, 0))
-    for f in (((1, 1), (0, 0)), ((1, 0), (1, 0))):
-        space = DieudonneSpace(p=3, ne=2, nebar=2, f_e2ebar=f,
-                               f_ebar2e=zero, v_e2ebar=zero, v_ebar2e=zero,
-                               gram=identity_mat(2))
-        with pytest.raises(ValueError, match="not monomial"):
-            _coordinate_fingerprint(space)
+def test_closed_form_fingerprints_pairwise_distinct_to_99():
+    for n in range(1, 100, 2):
+        types, prints = zip(*_model_fingerprints(n))
+        assert types == tuple(range(1, n + 1)) and len(set(prints)) == n, n
 
 
 def test_classify_models_and_roundtrip():
@@ -642,6 +645,28 @@ def test_classify_models_and_roundtrip():
                 assert classify_type(model, n) == r
                 for seed in range(3):
                     assert classify_type(random_basechange(model, seed), n) == r
+
+
+@pytest.mark.parametrize("p", (3, 11))
+@pytest.mark.parametrize("n", (9, 11, 13, 15))
+def test_classify_recovers_every_type_at_large_n(n, p):
+    for r in range(1, n + 1):
+        space = random_basechange(model_space(n, r, p), 100 * n + r)
+        assert classify_type(space, n) == r, r
+
+
+def test_classify_builds_no_model(monkeypatch):
+    spaces = {(n, r): random_basechange(model_space(n, r, 5), n + r)
+              for n in (1, 4, 7) for r in range(1, n + 1)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    for name in ("model_space", "direct_sum", "make_B", "make_SS"):
+        monkeypatch.setattr(dieudonne, name, refuse)
+    dieudonne._model_fingerprints.cache_clear()
+    for (n, r), space in spaces.items():
+        assert classify_type(space, n) == r, (n, r)
 
 
 def test_classify_survives_100_basechanges_per_type():
