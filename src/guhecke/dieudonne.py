@@ -137,7 +137,8 @@ class DieudonneModuleZ:
     """Integral model: rank-2d module with integer F, V, pairing matrices.
 
     The first ``ne`` basis vectors span the e-graded piece, the rest the
-    conjugate piece.  Validated at construction: F and V swap the grading,
+    conjugate piece.  Validated at construction: p, ne and every matrix
+    entry are ints (a bool is not), F and V swap the grading,
     F V = V F = p, and the alternating pairing is unimodular with
     isotropic graded pieces.
     """
@@ -152,6 +153,7 @@ class DieudonneModuleZ:
         object.__setattr__(self, "f_mat", _as_int_mat(self.f_mat))
         object.__setattr__(self, "v_mat", _as_int_mat(self.v_mat))
         object.__setattr__(self, "gram", _as_int_mat(self.gram))
+        _json_ints("p and ne", self.p, self.ne)
         gfp2(self.p)  # validates that p is an odd prime
         dim = len(self.f_mat)
         if not 0 < self.ne < dim:
@@ -469,8 +471,7 @@ def model_space(n: int, r: int, p: int) -> DieudonneSpace:
 
 
 def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
-               p_inv: Mat | None = None,
-               q_inv: Mat | None = None) -> DieudonneSpace:
+               p_inv: Mat, q_inv: Mat) -> DieudonneSpace:
     """Rewrite the space in the bases given by the columns of p_mat (on the
     e piece) and q_mat (on the conjugate piece).
 
@@ -478,15 +479,11 @@ def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
     becomes inv(T_h) @ M @ frob(T_g); the pairing becomes
     transpose(T_e) @ gram @ T_ebar.  The result is isomorphic to the
     input by construction, and is validated as a new space all the same.
-    A caller that already holds the inverses passes them as p_inv and
-    q_inv; they are taken as given, and only the missing ones are
-    computed.
+    The caller passes the inverses p_inv and q_inv (both callers draw
+    each frame with its inverse, from one elimination); they are taken
+    as given.
     """
     fld = space.field
-    if p_inv is None:
-        p_inv = mat_inv(fld, p_mat)
-    if q_inv is None:
-        q_inv = mat_inv(fld, q_mat)
     p_tw = mat_frob(fld, p_mat)
     q_tw = mat_frob(fld, q_mat)
     return DieudonneSpace(

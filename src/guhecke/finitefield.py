@@ -143,9 +143,6 @@ class GFp2:
     def add(self, x: int, y: int) -> int:
         return self._add[x][y]
 
-    def sub(self, x: int, y: int) -> int:
-        return self._add[x][self._neg[y]]
-
     def neg(self, x: int) -> int:
         return self._neg[x]
 
@@ -172,9 +169,6 @@ class GFp2:
     def from_pair(self, ab: Sequence[int]) -> int:
         a, b = ab
         return a % self.p + self.p * (b % self.p)
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def __repr__(self) -> str:
         return f"GFp2({self.p})"
@@ -275,9 +269,10 @@ def rank(fld: GFp2, rows: Iterable[Vec]) -> int:
     return len(rref(fld, rows))
 
 
-def kernel_basis(fld: GFp2, m: Mat, ncols: int | None = None) -> Mat:
-    """Basis (as rows) of the right null space {v : m @ v = 0}, in reduced
-    row echelon form, so it equals its own :func:`rref`.
+def kernel_basis(fld: GFp2, m: Mat, ncols: int) -> Mat:
+    """Basis (as rows) of the right null space {v : m @ v = 0} of the
+    matrix m with ncols columns (which m, when it has no rows, cannot
+    tell), in reduced row echelon form, so it equals its own :func:`rref`.
 
     m is eliminated with its columns reversed.  In those coordinates each
     annihilator row (see :func:`annihilator_rows`) ends in a 1 at its own
@@ -285,10 +280,6 @@ def kernel_basis(fld: GFp2, m: Mat, ncols: int | None = None) -> Mat:
     pivot columns only.  Read back in the original order, the rows, last
     first, are therefore already reduced, and no second elimination is
     needed."""
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(m[0])
     reduced = rref(fld, (row[::-1] for row in m))
     return tuple(row[::-1] for row in
                  reversed(annihilator_rows(fld, reduced, ncols)))

@@ -51,7 +51,7 @@ from .guards import _require_odd
 from .laurent import LaurentPoly, Monomial, TPoly
 from .rational import Matrix, gauss_jordan, mat_mul
 from .rootdatum import (Row, WeylElement, pairing, rho, row_permuter,
-                        twist_row, weyl_generators, weyl_group)
+                        twist_row, weyl_generators)
 
 
 def central_monomial(n: int) -> Monomial:
@@ -102,12 +102,11 @@ def _fixed_by(p: LaurentPoly, images: Iterable[Callable[[Row], Row]]) -> bool:
 
 
 def check_weyl_invariance(p: LaurentPoly, n: int,
-                          group: Sequence[WeylElement] | None = None) -> bool:
-    """True iff p is fixed by every element of the Weyl group of size
-    2^m * m!.  Pass an explicit element list to check a subset (e.g. a
-    generating set, which is equivalent by closure)."""
-    if group is None:
-        group = weyl_group(n)
+                          group: Sequence[WeylElement]) -> bool:
+    """True iff p is fixed by every element of group: pass
+    :func:`~guhecke.rootdatum.weyl_group` (2^m * m! elements) for the
+    whole Weyl group, or :func:`~guhecke.rootdatum.weyl_generators`, which
+    is equivalent by closure."""
     if any(w.n != p.n for w in group):
         raise ValueError("size mismatch")
     return _fixed_by(p, map(row_permuter, group))
@@ -128,13 +127,10 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     _require_odd(n)
     rho_coords = rho(n)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int | Fraction] = {}
     for (q_exp, *x_exps), coeff in p.exponent_rows().items():
-        shift = 2 * pairing(rho_coords, x_exps)
-        if shift.denominator != 1:
-            raise ValueError(f"non-integral rho-pairing for x^{x_exps}")
-        new = Monomial(q_exp - int(shift), tuple(x_exps))
-        out[new] = out.get(new, Fraction(0)) + coeff
+        new = Monomial(q_exp - 2 * pairing(rho_coords, x_exps), tuple(x_exps))
+        out[new] = out.get(new, 0) + coeff
     return LaurentPoly(p.n, out)
 
 

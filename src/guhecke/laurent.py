@@ -1,4 +1,5 @@
-"""Exact sparse Laurent-polynomial arithmetic over the rationals.
+"""Exact sparse Laurent polynomials over the rationals, and the
+t-polynomials of the Hecke factorization.
 
 The ring has a formal prime variable ``q`` and torus variables
 ``x0, x1, ..., xn``, all invertible.  A :class:`LaurentPoly` maps each
@@ -7,10 +8,11 @@ n+1) to a nonzero rational coefficient: an ``int`` when it is integral,
 else a :class:`~fractions.Fraction`.  The two hash, compare, sort and
 print alike, so the choice never shows in equality, ordering or output;
 it only lets the integral polynomials of the Hecke certificate run on
-Python int arithmetic.  Every ``/`` and every negative power of a
-coefficient goes through ``Fraction``, so all arithmetic is exact --
-there is no floating point anywhere in this package.  The zero
-polynomial is the empty map.
+Python int arithmetic.  All arithmetic is exact -- there is no floating
+point anywhere in this package.  The zero polynomial is the empty map.
+A LaurentPoly has no ring operators of its own: it is built from a term
+map or a single term, negated, compared, evaluated and rendered, and
+multiplied only as a coefficient of a :class:`TPoly`.
 
 Packed monomial codes.  Internally each monomial is one nonnegative int,
 its *code*: n+2 lanes of 16 bits, in the order q, x0, ..., xn with q in
@@ -19,7 +21,6 @@ the most significant lane, each lane holding its exponent e plus the bias
 
 * the code of a product is the sum of the codes minus the code of 1
   (every lane at its bias), one integer add;
-* the code of an inverse is twice the code of 1 minus the code;
 * the integer order of codes is the lexicographic order on
   ``(q_exp, x_exps)``, so sorting, printing, JSON output and hashing
   sort plain ints.
@@ -27,10 +28,10 @@ the most significant lane, each lane holding its exponent e plus the bias
 A lane holds |e| <= :data:`LANE_MAX` = 2^15 - 1 and no more.  Each
 polynomial carries a bound on its largest |exponent|: the exact maximum
 when built from monomials, the sum of the operands' bounds for a
-product, the larger bound for a sum.  A product whose bound would pass
-:data:`LANE_MAX` first retries with the operands' exact maxima, then
-raises :class:`OverflowError`, so a lane never wraps; encoding a
-monomial checks every exponent the same way.  Codes are decoded in C,
+product, the larger bound for a sum of products.  A product whose bound
+would pass :data:`LANE_MAX` first retries with the operands' exact
+maxima, then raises :class:`OverflowError`, so a lane never wraps;
+encoding a monomial checks every exponent the same way.  Codes are decoded in C,
 a whole polynomial at a time (``int.to_bytes`` into an ``array``), to
 the flat exponent rows (q, x0, ..., xn) that monomial maps and
 :meth:`LaurentPoly.evaluate` read; :attr:`LaurentPoly.terms`, the
@@ -43,10 +44,10 @@ the sorted codes.  :meth:`LaurentPoly.to_json` parses that text back
 into term dicts, and the CLI writes the text as it is.
 
 :class:`TPoly` is a polynomial in an extra indeterminate ``t`` whose
-coefficients are LaurentPolys; it supports exact long division by a
-divisor whose leading coefficient is a unit (a single invertible term),
-raising :class:`NonZeroRemainderError` when the division does not come
-out exact.
+coefficients are LaurentPolys.  It multiplies, and it divides exactly
+by a monic divisor (the program divides only by t - c), raising
+:class:`NonZeroRemainderError` when the division does not come out
+exact; a divisor that is not monic is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ class Monomial(NamedTuple):
     def inverse(self) -> "Monomial":
         return Monomial(-self.q_exp, tuple(-e for e in self.x_exps))
 
-    def power(self, k: int) -> "Monomial":
-        return Monomial(k * self.q_exp, tuple(k * e for e in self.x_exps))
-
     @staticmethod
     def one(n: int) -> "Monomial":
         return Monomial(0, (0,) * (n + 1))
@@ -101,10 +99,6 @@ class Monomial(NamedTuple):
         exps = [0] * (n + 1)
         exps[i] = exp
         return Monomial(0, tuple(exps))
-
-    @staticmethod
-    def q(n: int, exp: int = 1) -> "Monomial":
-        return Monomial(exp, (0,) * (n + 1))
 
 
 class NonZeroRemainderError(ArithmeticError):
@@ -177,8 +171,8 @@ def _mul_into(sums: dict[int, Coeff], lhs: "LaurentPoly",
     Raises OverflowError, before touching sums, if a product exponent
     could leave its lane.  The sums may be left with zeros and integral
     Fractions; :meth:`LaurentPoly._from_sums` clears both.  A constant
-    rhs (the leading 1 of a monic factor, a unit divisor's inverse) adds
-    the lhs codes as they are.
+    rhs (such as the leading 1 of a monic factor) adds the lhs codes as
+    they are.
     """
     bound = lhs._bound + rhs._bound
     if bound > LANE_MAX:
@@ -229,8 +223,7 @@ class LaurentPoly:
 
     The terms are kept as a map from packed monomial code to nonzero
     coefficient (an int when integral, else a Fraction), with a bound on
-    the largest |exponent|; see the module docstring.  ``/`` and negative
-    powers of a coefficient go through Fraction, so no coefficient is
+    the largest |exponent|; see the module docstring.  No coefficient is
     ever a float.
     """
 
@@ -304,14 +297,6 @@ class LaurentPoly:
         return cls(n, {Monomial.one(n): Fraction(1)})
 
     @classmethod
-    def constant(cls, n: int, c) -> "LaurentPoly":
-        return cls(n, {Monomial.one(n): Fraction(c)})
-
-    @classmethod
-    def var(cls, n: int, i: int, exp: int = 1) -> "LaurentPoly":
-        return cls(n, {Monomial.var(n, i, exp): Fraction(1)})
-
-    @classmethod
     def from_term(cls, mono: Monomial, coeff=1) -> "LaurentPoly":
         return cls(mono.nvars, {mono: Fraction(coeff)})
 
@@ -324,79 +309,9 @@ class LaurentPoly:
         """The number of terms."""
         return len(self._codes)
 
-    def is_unit(self) -> bool:
-        """True iff the polynomial is a single term (hence invertible)."""
-        return len(self._codes) == 1
-
-    def unit_inverse(self) -> "LaurentPoly":
-        if len(self._codes) != 1:
-            raise ValueError("only single-term Laurent polynomials are invertible")
-        (code, coeff), = self._codes.items()
-        return LaurentPoly._wrap(
-            self.n, {2 * _one_code(self.n) - code: _exact(Fraction(1) / coeff)},
-            self._bound)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.n != other.n:
-            raise ValueError(f"variable-count mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.n, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        sums = dict(self._codes)
-        get = sums.get
-        for code, coeff in other._codes.items():
-            sums[code] = get(code, 0) + coeff
-        return LaurentPoly._from_sums(self.n, sums, max(self._bound, other._bound))
-
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._wrap(
             self.n, {k: -c for k, c in self._codes.items()}, self._bound)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(self.n, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            return LaurentPoly._from_sums(
-                self.n, {k: c * v for k, v in self._codes.items()}, self._bound)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        sums: dict[int, Coeff] = {}
-        bound = _mul_into(sums, self, other)
-        return LaurentPoly._from_sums(self.n, sums, bound)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        result = LaurentPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -485,14 +400,6 @@ class LaurentPoly:
         parsed from :meth:`json_text`, the one definition of the format."""
         return json.loads(self.json_text())
 
-    @classmethod
-    def from_json(cls, n: int, data: Iterable[Mapping]) -> "LaurentPoly":
-        terms: dict[Monomial, Fraction] = {}
-        for item in data:
-            mono = Monomial(int(item["q"]), tuple(int(e) for e in item["x"]))
-            terms[mono] = terms.get(mono, 0) + Fraction(item["coeff"])
-        return cls(n, terms)
-
 
 class TPoly:
     """A polynomial in t with LaurentPoly coefficients, trailing zeros trimmed."""
@@ -510,10 +417,6 @@ class TPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, n: int) -> "TPoly":
-        return cls(n)
-
-    @classmethod
     def linear(cls, root: LaurentPoly) -> "TPoly":
         """The monic linear polynomial t - root."""
         return cls(root.n, [-root, LaurentPoly.one(root.n)])
@@ -523,36 +426,11 @@ class TPoly:
         """Degree in t; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> LaurentPoly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == LaurentPoly.one(self.n)
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("variable-count mismatch")
-        size = max(len(self.coeffs), len(other.coeffs))
-        zero = LaurentPoly.zero(self.n)
-        out = []
-        for i in range(size):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a + b)
-        return TPoly(self.n, out)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self + TPoly(other.n, [-c for c in other.coeffs])
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         if not isinstance(other, TPoly):
@@ -560,7 +438,7 @@ class TPoly:
         if self.n != other.n:
             raise ValueError("variable-count mismatch")
         if self.is_zero() or other.is_zero():
-            return TPoly.zero(self.n)
+            return TPoly(self.n)
         size = len(self.coeffs) + len(other.coeffs) - 1
         sums: list[dict[int, Coeff]] = [{} for _ in range(size)]
         bounds = [0] * size
@@ -579,19 +457,16 @@ class TPoly:
         return hash((self.n, self.coeffs))
 
     def divmod(self, divisor: "TPoly") -> tuple["TPoly", "TPoly"]:
-        """Long division by a divisor whose leading coefficient is a unit."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
+        """Long division by a monic divisor; ValueError for any other,
+        the zero polynomial included."""
         if self.n != divisor.n:
             raise ValueError("variable-count mismatch")
-        if not divisor.leading.is_unit():
-            raise ValueError("divisor leading coefficient must be a unit monomial")
-        lead_inv = divisor.leading.unit_inverse()
-        monic = lead_inv == LaurentPoly.one(self.n)
+        if not divisor.is_monic():
+            raise ValueError("the divisor must be monic")
         lower = [-d for d in divisor.coeffs[:-1]]
         dd = divisor.degree
         if len(self.coeffs) <= dd:
-            return TPoly.zero(self.n), self
+            return TPoly(self.n), self
         rem = [dict(c._codes) for c in self.coeffs]
         bounds = [c._bound for c in self.coeffs]
         qcoeffs = [LaurentPoly.zero(self.n)] * (len(rem) - dd)
@@ -599,14 +474,13 @@ class TPoly:
             c = LaurentPoly._from_sums(self.n, rem[j], bounds[j])
             if c.is_zero():
                 continue
-            f = c if monic else c * lead_inv
-            qcoeffs[j - dd] = f
-            # f times the leading coefficient cancels rem[j] exactly, and
+            qcoeffs[j - dd] = c
+            # c times the leading 1 cancels rem[j] exactly, and
             # rem[j] is never read again, so only the lower terms are
             # subtracted.
             for i, neg_d in enumerate(lower):
                 k = j - dd + i
-                bounds[k] = max(bounds[k], _mul_into(rem[k], f, neg_d))
+                bounds[k] = max(bounds[k], _mul_into(rem[k], c, neg_d))
         return TPoly(self.n, qcoeffs), TPoly(
             self.n, [LaurentPoly._from_sums(self.n, r, b)
                      for r, b in zip(rem[:dd], bounds)])

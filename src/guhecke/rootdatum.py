@@ -35,7 +35,7 @@ from .guards import _require_odd
 from .laurent import Monomial
 
 # Coordinate vectors of length n+1 (slot 0 = similitude slot).
-HalfWeight = tuple[Fraction, ...]
+Weight = tuple[int, ...]
 # Flat exponent rows (q, x0, ..., xn), as LaurentPoly.exponent_rows keys them.
 Row = tuple[int, ...]
 
@@ -58,15 +58,6 @@ class WeylElement:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i - 1]
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """Composition (self*other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return WeylElement(tuple(self.perm[j - 1] for j in other.perm))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * self.n
@@ -124,22 +115,23 @@ def weyl_generators(n: int) -> list[WeylElement]:
     return gens
 
 
-def rho(n: int) -> HalfWeight:
+def rho(n: int) -> Weight:
     """Half-sum of the positive roots x_i - x_j (i < j) of the GL_n factor.
 
     Coordinates ((n-1)/2, (n-3)/2, ..., -(n-1)/2) in slots 1..n, zero in
-    slot 0; integral because n is odd.
+    slot 0; ints, because n is odd.
     """
     _require_odd(n)
-    return (Fraction(0),) + tuple(Fraction(n + 1 - 2 * i, 2) for i in range(1, n + 1))
+    return (0,) + tuple((n + 1 - 2 * i) // 2 for i in range(1, n + 1))
 
 
-def pairing(chi: Sequence, nu: Sequence) -> Fraction:
+def pairing(chi: Sequence, nu: Sequence) -> int | Fraction:
     """Dot product of coordinate vectors under the slotwise identification
-    of characters with cocharacters."""
+    of characters with cocharacters: an int for int vectors, a Fraction
+    as soon as a Fraction takes part."""
     if len(chi) != len(nu):
         raise ValueError(f"length mismatch: {len(chi)} vs {len(nu)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(chi, nu)), Fraction(0))
+    return sum(a * b for a, b in zip(chi, nu))
 
 
 def twist_row(row: Row) -> Row:

@@ -1,9 +1,12 @@
 """Test-only references.
 
-Plain term-by-term arithmetic on Monomial-keyed maps, the substitution
-engine the library no longer carries, the Galois images it used, and the
-per-term dict builder of the JSON term format.  Tests check the packed
-kernel, the monomial maps and the JSON text against these.  Then the
+Plain term-by-term arithmetic on Monomial-keyed maps: the library's
+LaurentPoly has no ring operators, so tests build their polynomials from
+these maps (and from :func:`var` and :func:`const`) with
+``LaurentPoly(n, terms)``.  Then the substitution engine the library no
+longer carries, the Galois images it used, and the per-term dict builder
+of the JSON term format.  Tests check the packed kernel, the monomial
+maps and the JSON text against these.  Then the
 twist and the Weyl action on whole polynomials, built term by term, and
 the earlier factor certificate on quadratic t-polynomials, which the
 root-pair certificate is checked against.  Below them are the dense
@@ -17,9 +20,19 @@ from collections import Counter
 from fractions import Fraction
 
 from guhecke.dieudonne import basechange
-from guhecke.finitefield import rank
+from guhecke.finitefield import mat_inv, rank
 from guhecke.laurent import LaurentPoly, Monomial, TPoly
 from guhecke.rootdatum import sigma_twist, weyl_generators
+
+
+def var(n, i, exp=1):
+    """The polynomial x_i^exp, 0 <= i <= n."""
+    return LaurentPoly(n, {Monomial.var(n, i, exp): 1})
+
+
+def const(n, c):
+    """The constant polynomial c."""
+    return LaurentPoly(n, {Monomial.one(n): c})
 
 
 def ref_add(a, b):
@@ -49,20 +62,16 @@ def ref_tmul(a, b):
     return out
 
 
-def ref_unit_inverse(a):
-    (mono, coeff), = a.items()
-    return {mono.inverse(): 1 / Fraction(coeff)}
-
-
 def ref_divmod(num, den):
     """Long division of t-polynomials given as lists of term maps (by
-    ascending degree) by a divisor whose leading map is one term."""
+    ascending degree) by a monic divisor."""
     dd = len(den) - 1
+    (lead, coeff), = den[-1].items()
+    assert coeff == 1 and lead == Monomial.one(lead.nvars), "the divisor must be monic"
     rem = [dict(c) for c in num]
     quo = [{} for _ in range(max(len(num) - dd, 0))]
-    lead_inv = ref_unit_inverse(den[-1])
     for j in range(len(rem) - 1, dd - 1, -1):
-        f = ref_mul(rem[j], lead_inv)
+        f = rem[j]
         quo[j - dd] = f
         neg_f = {m: -c for m, c in f.items()}
         for i, d in enumerate(den):
@@ -92,12 +101,12 @@ def substitute(poly, x_images, q_image=None):
     if len(x_images) != n + 1:
         raise ValueError(f"need {n + 1} images, got {len(x_images)}")
     if q_image is None:
-        q_image = LaurentPoly.from_term(Monomial.q(n))
+        q_image = LaurentPoly.from_term(Monomial(1, (0,) * (n + 1)))
     pairs = []
     for img in (q_image, *x_images):
         if img.n != n:
             raise ValueError("image variable-count mismatch")
-        if not img.is_unit():
+        if len(img) != 1:
             raise ValueError("substitution images must be invertible single terms")
         (mono, coeff), = img.terms.items()
         pairs.append((mono, coeff))
@@ -107,7 +116,8 @@ def substitute(poly, x_images, q_image=None):
         acc_coeff = coeff
         for exp, (im, ic) in zip((mono.q_exp, *mono.x_exps), pairs):
             if exp:
-                acc_mono = acc_mono * im.power(exp)
+                acc_mono = acc_mono * Monomial(
+                    exp * im.q_exp, tuple(exp * e for e in im.x_exps))
                 acc_coeff *= Fraction(ic) ** exp
         out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
     return LaurentPoly(n, out)
@@ -117,7 +127,7 @@ def sigma_images(n):
     """Substitution images [x0 -> x0*x1*...*xn, x_i -> x_{n+1-i}^(-1)]."""
     images = [LaurentPoly.from_term(Monomial(0, (1,) * (n + 1)))]
     for i in range(1, n + 1):
-        images.append(LaurentPoly.var(n, n + 1 - i, -1))
+        images.append(var(n, n + 1 - i, -1))
     return images
 
 
@@ -137,7 +147,7 @@ def weyl_act(w, p):
     for mono, coeff in p.terms.items():
         exps = list(mono.x_exps)
         for i in range(1, p.n + 1):
-            exps[w(i)] = mono.x_exps[i]
+            exps[w.perm[i - 1]] = mono.x_exps[i]
         out[Monomial(mono.q_exp, tuple(exps))] = coeff
     return LaurentPoly(p.n, out)
 
@@ -214,9 +224,10 @@ def ref_random_invertible(fld, size, rng):
 
 def ref_random_basechange(space, seed):
     """The earlier ``random_basechange``: the two frames drawn by
-    :func:`ref_random_invertible`, inverted inside ``basechange``."""
+    :func:`ref_random_invertible`, each inverted by its own elimination."""
     rng = random.Random(seed)
     fld = space.field
     p_mat = ref_random_invertible(fld, space.ne, rng)
     q_mat = ref_random_invertible(fld, space.nebar, rng)
-    return basechange(space, p_mat, q_mat)
+    return basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
+                      mat_inv(fld, q_mat))

@@ -19,8 +19,8 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                padic_newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange,
                                random_frames, signature, strata_dims, v_ranks)
-from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_mul,
-                                  mat_transpose, rref)
+from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_inv,
+                                  mat_mul, mat_transpose, rref)
 from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
 from reference import (apply_f, apply_v, dense_mat_mul, mat_vec,
                        ref_random_basechange, ref_random_invertible, vec_frob)
@@ -174,6 +174,18 @@ def test_module_refuses_an_entry_that_is_not_an_int(name, i, j, entry):
     mats[name] = rows
     with pytest.raises(ValueError, match="must be integers"):
         DieudonneModuleZ(p=3, ne=1, v_mat=((0, 3), (-1, 0)), **mats)
+
+
+@pytest.mark.parametrize("field,value", [("ne", True), ("ne", 1.0),
+                                         ("p", 3.0)])
+def test_module_refuses_p_or_ne_that_is_not_an_int(field, value):
+    # The supersingular model at p = 3, with p or ne of another type: a
+    # bool is not an int, and a float is refused, not a TypeError.
+    args = dict(p=3, ne=1, f_mat=((0, -3), (1, 0)), v_mat=((0, 3), (-1, 0)),
+                gram=((0, 1), (-1, 0)))
+    args[field] = value
+    with pytest.raises(ValueError, match="p and ne must be integers"):
+        DieudonneModuleZ(**args)
 
 
 # -- reductions: signature and the truncation axioms ---------------------------
@@ -554,8 +566,8 @@ def test_model_space_json_is_unchanged():
 
 def test_basechange_with_identity_is_identity():
     space = model_space(5, 3, 3)
-    moved = basechange(space, identity_mat(5), identity_mat(5))
-    assert moved == space
+    unit = identity_mat(5)
+    assert basechange(space, unit, unit, unit, unit) == space
 
 
 def test_random_basechange_preserves_invariants():
@@ -597,14 +609,14 @@ def test_random_basechange_matches_the_two_elimination_sampler():
             == ref_random_basechange(space, seed), seed
 
 
-def test_basechange_computes_only_the_missing_inverses():
+def test_basechange_takes_the_inverses_as_given():
     fld = gfp2(5)
     space = model_space(3, 2, 5)
     (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, 3, 3, 4)
-    moved = basechange(space, p_mat, q_mat)
-    assert basechange(space, p_mat, q_mat, p_inv, q_inv) == moved
-    assert basechange(space, p_mat, q_mat, p_inv=p_inv) == moved
-    assert basechange(space, p_mat, q_mat, q_inv=q_inv) == moved
+    moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
+    assert moved == random_basechange(space, 4)
+    assert moved == basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
+                               mat_inv(fld, q_mat))
     # the inverses are taken as given, and the new space is validated: a
     # wrong one breaks F V = 0 here
     with pytest.raises(ValueError, match="F V = V F = 0 fails"):

@@ -31,7 +31,7 @@ def test_nonresidue_is_not_a_square(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_field_axioms_exhaustive(p):
     fld = gfp2(p)
-    elems = list(fld.elements())
+    elems = list(range(fld.size))
     for x in elems:
         assert fld.add(x, 0) == x
         assert fld.mul(x, 1) == x
@@ -60,7 +60,7 @@ def _power(fld, x, k):
 @pytest.mark.parametrize("p", PRIMES)
 def test_frobenius_is_pth_power_and_involution(p):
     fld = gfp2(p)
-    for x in fld.elements():
+    for x in range(fld.size):
         assert fld.frob(x) == _power(fld, x, p)
         assert fld.frob(fld.frob(x)) == x
 
@@ -68,13 +68,13 @@ def test_frobenius_is_pth_power_and_involution(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_frobenius_fixed_field_is_prime_field(p):
     fld = gfp2(p)
-    fixed = [x for x in fld.elements() if fld.frob(x) == x]
+    fixed = [x for x in range(fld.size) if fld.frob(x) == x]
     assert fixed == [fld.embed(a) for a in range(p)]
 
 
 def test_pair_roundtrip():
     fld = gfp2(5)
-    for x in fld.elements():
+    for x in range(fld.size):
         assert fld.from_pair(fld.pair(x)) == x
     assert fld.pair(fld.from_pair((3, 4))) == (3, 4)
 
@@ -174,7 +174,7 @@ def _full_row_rref(fld, rows):
         for r in range(len(work)):
             if r != rank_ and work[r][col]:
                 f = work[r][col]
-                work[r] = [fld.sub(x, fld.mul(f, y))
+                work[r] = [fld.add(x, fld.neg(fld.mul(f, y)))
                            for x, y in zip(work[r], work[rank_])]
         rank_ += 1
         if rank_ == len(work):

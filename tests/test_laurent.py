@@ -6,111 +6,130 @@ import pytest
 
 from guhecke.laurent import (LANE_MAX, LaurentPoly, Monomial,
                              NonZeroRemainderError, TPoly, _mul_into)
-from reference import (ref_add, ref_divmod, ref_mul, ref_to_json,
-                       ref_unit_inverse, substitute)
+from reference import (const, ref_add, ref_divmod, ref_mul, ref_tmul,
+                       ref_to_json, substitute, var)
 
 N = 3
 
 
 def x(i, exp=1):
-    return LaurentPoly.var(N, i, exp)
+    return var(N, i, exp)
 
 
-def rand_poly(rng, n=N, terms=4, span=3):
-    out = LaurentPoly.zero(n)
+def from_rows(terms, n=N):
+    """The polynomial of a map from exponent row (q, x0, ..., xn) to
+    coefficient."""
+    return LaurentPoly(n, {Monomial(row[0], tuple(row[1:])): c
+                           for row, c in terms.items()})
+
+
+def rand_terms(rng, n=N, terms=4, span=3):
+    out = {}
     for _ in range(rng.randint(0, terms)):
         mono = Monomial(rng.randint(-span, span),
                         tuple(rng.randint(-span, span) for _ in range(n + 1)))
         coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        out = out + LaurentPoly(n, {mono: coeff})
+        out = ref_add(out, {mono: coeff})
     return out
 
 
-def rand_unit(rng, n=N, span=2):
-    mono = Monomial(rng.randint(-span, span),
-                    tuple(rng.randint(-span, span) for _ in range(n + 1)))
-    coeff = Fraction(rng.choice([k for k in range(-5, 6) if k]), rng.randint(1, 5))
-    return LaurentPoly(n, {mono: coeff})
+def rand_poly(rng, n=N, terms=4, span=3):
+    return LaurentPoly(n, rand_terms(rng, n, terms, span))
 
 
-# -- additive / multiplicative identities from the contract ------------------
+def monic(rng, n=N, degree=1, terms=2):
+    """A random monic t-polynomial of the given degree."""
+    return TPoly(n, [rand_poly(rng, n, terms) for _ in range(degree)]
+                 + [LaurentPoly.one(n)])
+
+
+def times(*factors):
+    """The product of t-polynomials given as coefficient lists."""
+    out = TPoly(N, [LaurentPoly.one(N)])
+    for coeffs in factors:
+        out = out * TPoly(N, coeffs)
+    return out
+
+
+# -- sums and products inside the t-polynomial product -----------------------
 
 
 def test_add_cancels_to_zero():
-    assert (x(1) + (-x(1))).is_zero()
+    # (t + x1)(t - x1) = t^2 - x1^2: the two products into t^1 cancel.
+    square = times([x(1), LaurentPoly.one(N)], [-x(1), LaurentPoly.one(N)])
+    assert square.coeffs[1].is_zero()
 
 
 def test_add_merges_like_terms():
-    q = LaurentPoly.from_term(Monomial.q(N))
-    assert q * x(1) + q * x(1) == 2 * (q * x(1))
+    square = times([x(1), LaurentPoly.one(N)], [x(1), LaurentPoly.one(N)])
+    assert square.coeffs[1] == from_rows({(0, 0, 1, 0, 0): 2})
 
 
 def test_add_keeps_distinct_terms():
-    lhs = (x(1) * x(2) + x(3)) + x(3)
-    assert lhs == x(1) * x(2) + 2 * x(3)
+    product = times([x(1), LaurentPoly.one(N)], [x(2), LaurentPoly.one(N)])
+    assert product.coeffs[1] == from_rows({(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 1})
 
 
 def test_mul_unit_cancellation():
-    assert x(1) * x(1, -1) == LaurentPoly.one(N)
+    assert times([x(1)], [x(1, -1)]) == TPoly(N, [LaurentPoly.one(N)])
 
 
 def test_mul_monomials():
-    q2 = LaurentPoly.from_term(Monomial.q(N, 2))
-    lhs = (q2 * x(0, 2)) * (x(1) * x(2) * x(3))
-    assert lhs == LaurentPoly.from_term(Monomial(2, (2, 1, 1, 1)))
+    lhs = times([from_rows({(2, 2, 0, 0, 0): 1})], [from_rows({(0, 0, 1, 1, 1): 1})])
+    assert lhs == TPoly(N, [LaurentPoly.from_term(Monomial(2, (2, 1, 1, 1)))])
 
 
 def test_square_of_binomial():
-    assert (x(1) + x(2)) ** 2 == x(1) ** 2 + 2 * x(1) * x(2) + x(2) ** 2
+    binomial = from_rows({(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 1})
+    assert times([binomial], [binomial]) == TPoly(N, [from_rows(
+        {(0, 0, 2, 0, 0): 1, (0, 0, 1, 1, 0): 2, (0, 0, 0, 2, 0): 1})])
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        LaurentPoly.var(3, 1) + LaurentPoly.var(5, 1)
+        TPoly.linear(var(3, 1)) * TPoly.linear(var(5, 1))
     with pytest.raises(ValueError):
-        LaurentPoly.var(3, 1) * LaurentPoly.var(5, 1)
-
-
-# -- ring axioms on randomized inputs ----------------------------------------
+        TPoly.linear(var(3, 1)).divmod(TPoly.linear(var(5, 1)))
+    with pytest.raises(ValueError):
+        TPoly(3, [var(3, 1), var(5, 1)])
 
 
 def test_ring_axioms_randomized():
+    # The product of t-polynomials is commutative and associative.
     rng = random.Random(20240)
     for _ in range(60):
-        a, b, c = (rand_poly(rng) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        a, b, c = ([rand_poly(rng) for _ in range(rng.randint(1, 3))]
+                   for _ in range(3))
+        assert times(a, b) == times(b, a)
+        assert times(times(a, b).coeffs, c) == times(a, times(b, c).coeffs)
 
 
 def test_no_zero_coefficients_survive():
+    # Products and quotients whose sums cancel: (t - a)(t + a) = t^2 - a^2,
+    # and a random remainder of a monic division.
     rng = random.Random(4)
     for _ in range(40):
         a, b = rand_poly(rng), rand_poly(rng)
-        for result in (a + b, a - b, a * b, a - a, a * LaurentPoly.zero(N)):
-            assert all(coeff != 0 for coeff in result.terms.values())
-
-
-def test_negative_power_of_unit():
-    u = rand_unit(random.Random(8))
-    assert u ** 3 * u ** -3 == LaurentPoly.one(N)
-    with pytest.raises(ValueError):
-        (x(1) + x(2)) ** -1
+        square = TPoly.linear(a) * TPoly(N, [a, LaurentPoly.one(N)])
+        assert square.coeffs[1].is_zero()
+        quotient, remainder = TPoly(N, [b, a, b]).divmod(monic(rng))
+        for coeff in (*square.coeffs, *quotient.coeffs, *remainder.coeffs):
+            assert all(c != 0 for c in coeff.terms.values())
+            assert len(coeff) == len(coeff.terms)
 
 
 # -- substitution -------------------------------------------------------------
 
 
 def identity_images(n):
-    return [LaurentPoly.var(n, i) for i in range(n + 1)]
+    return [var(n, i) for i in range(n + 1)]
 
 
 def test_substitute_swap():
     images = identity_images(N)
-    images[1], images[3] = LaurentPoly.var(N, 3), LaurentPoly.var(N, 1)
-    assert substitute(x(1) * x(3, -1), images) == x(3) * x(1, -1)
+    images[1], images[3] = x(3), x(1)
+    assert substitute(from_rows({(0, 0, 1, 0, -1): 1}), images) == \
+        from_rows({(0, 0, -1, 0, 1): 1})
 
 
 def test_substitute_identity():
@@ -123,13 +142,13 @@ def test_substitute_identity():
 def test_substitute_galois_images_on_x0():
     # x0 -> x0*x1*...*xn, x_i -> x_{n+1-i}^(-1)
     images = [LaurentPoly.from_term(Monomial(0, (1,) * (N + 1)))]
-    images += [LaurentPoly.var(N, N + 1 - i, -1) for i in range(1, N + 1)]
+    images += [x(N + 1 - i, -1) for i in range(1, N + 1)]
     assert substitute(x(0), images) == LaurentPoly.from_term(Monomial(0, (1, 1, 1, 1)))
 
 
 def test_substitute_rejects_non_unit_image():
     images = identity_images(N)
-    images[2] = x(1) + x(2)
+    images[2] = from_rows({(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 1})
     with pytest.raises(ValueError):
         substitute(x(2), images)
 
@@ -138,7 +157,7 @@ def test_substitute_rejects_non_unit_image():
 
 
 def test_evaluate_matches_hand_value():
-    p = 2 * x(1) * x(2, -1) + LaurentPoly.from_term(Monomial.q(N, 2), Fraction(1, 3))
+    p = from_rows({(0, 0, 1, -1, 0): 2, (2, 0, 0, 0, 0): Fraction(1, 3)})
     val = p.evaluate(5, [1, Fraction(3, 2), 2, 7])
     assert val == 2 * Fraction(3, 2) / 2 + Fraction(25, 3)
 
@@ -148,9 +167,11 @@ def test_evaluate_is_ring_homomorphism():
     point = [Fraction(rng.choice([1, 2, 3, -2]), rng.choice([1, 3])) for _ in range(N + 1)]
     q_val = Fraction(5, 2)
     for _ in range(20):
-        a, b = rand_poly(rng), rand_poly(rng)
-        assert (a * b).evaluate(q_val, point) == a.evaluate(q_val, point) * b.evaluate(q_val, point)
-        assert (a + b).evaluate(q_val, point) == a.evaluate(q_val, point) + b.evaluate(q_val, point)
+        a, b = rand_terms(rng), rand_terms(rng)
+        value_a = LaurentPoly(N, a).evaluate(q_val, point)
+        value_b = LaurentPoly(N, b).evaluate(q_val, point)
+        assert LaurentPoly(N, ref_mul(a, b)).evaluate(q_val, point) == value_a * value_b
+        assert LaurentPoly(N, ref_add(a, b)).evaluate(q_val, point) == value_a + value_b
 
 
 def _evaluate_by_fractions(poly, q_val, x_vals):
@@ -172,7 +193,7 @@ def _evaluate_by_fractions(poly, q_val, x_vals):
 def test_integer_evaluate_matches_fraction_loop():
     rng = random.Random(77)
     values = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4)]
-    polys = [LaurentPoly.zero(N), LaurentPoly.one(N), 3 * x(1) * x(2, -3)]
+    polys = [LaurentPoly.zero(N), LaurentPoly.one(N), from_rows({(0, 0, 1, -3, 0): 3})]
     polys += [rand_poly(rng, terms=8, span=4) for _ in range(60)]
     integral = [p for p in polys if all(type(c) is int for c in p.terms.values())]
     assert len(integral) > 2 and len(integral) < len(polys)
@@ -187,7 +208,7 @@ def test_integer_evaluate_matches_fraction_loop():
 
 
 def test_evaluate_at_zero_under_a_negative_exponent_raises():
-    poly = x(1) + LaurentPoly.from_term(Monomial(-1, (0, 0, 2, 0)), Fraction(1, 3))
+    poly = from_rows({(0, 0, 1, 0, 0): 1, (-1, 0, 0, 2, 0): Fraction(1, 3)})
     assert poly.evaluate(2, [5, 0, 1, 1]) == Fraction(1, 6)   # 0 under x1^1
     assert poly.evaluate(2, [5, 1, 0, 1]) == 1                # 0 under x2^2
     for p, q_val, point in ((poly, 0, [5, 1, 1, 1]),          # 0 under q^-1
@@ -207,20 +228,12 @@ def test_canonical_text_rendering():
     p = LaurentPoly(N, {Monomial(2, (2, 1, 0, -1)): Fraction(3, 2)})
     assert str(p) == "3/2*q^2*x0^2*x1*x3^-1"
     assert str(LaurentPoly.zero(N)) == "0"
-    assert str(x(1) - x(2)) == "-x2 + x1"
+    assert str(from_rows({(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): -1})) == "-x2 + x1"
 
 
 def test_term_json_schema():
     p = LaurentPoly(N, {Monomial(2, (2, 1, 0, -1)): Fraction(3, 2)})
     assert p.to_json() == [{"coeff": "3/2", "q": 2, "x": [2, 1, 0, -1]}]
-    assert LaurentPoly.from_json(N, p.to_json()) == p
-
-
-def test_json_roundtrip_randomized():
-    rng = random.Random(77)
-    for _ in range(20):
-        p = rand_poly(rng)
-        assert LaurentPoly.from_json(N, p.to_json()) == p
 
 
 def _dumps(data):
@@ -231,11 +244,12 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
     rng = random.Random(1010)
     edges = (-LANE_MAX, LANE_MAX)
     for n in range(3, 16):
-        polys = [LaurentPoly.zero(n), LaurentPoly.constant(n, 5),
-                 LaurentPoly.constant(n, Fraction(-3, 7))]
+        polys = [LaurentPoly.zero(n), const(n, 5), const(n, Fraction(-3, 7))]
         for _ in range(6):
-            polys.append(rand_poly(rng, n, terms=30, span=40)
-                         + rand_poly(rng, n, terms=10, span=3) * 11)
+            big = rand_terms(rng, n, terms=10, span=3)
+            polys.append(LaurentPoly(n, ref_add(
+                rand_terms(rng, n, terms=30, span=40),
+                {m: 11 * c for m, c in big.items()})))
         # Every lane, q first, at each end of its range.
         for slot in range(n + 2):
             for e in edges:
@@ -249,7 +263,6 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
             expected = _dumps(ref_to_json(p))
             assert p.json_text() == expected
             assert p.to_json() == ref_to_json(p)
-            assert LaurentPoly.from_json(n, p.to_json()) == p
             assert len(p) == len(p.terms)
         assert polys[0].json_text() == "[]"
         assert polys[1].json_text() == '[{"coeff":"5","q":0,"x":[%s]}]' % (
@@ -257,7 +270,7 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
 
 
 def test_sorted_terms_are_deterministic():
-    p = x(3) + x(1) + LaurentPoly.from_term(Monomial.q(N))
+    p = from_rows({(0, 0, 0, 0, 1): 1, (0, 0, 1, 0, 0): 1, (1, 0, 0, 0, 0): 1})
     keys = [m for m, _ in p.sorted_terms()]
     assert keys == sorted(keys)
 
@@ -283,8 +296,8 @@ def test_tpoly_trims_and_reports_degree():
     zero = LaurentPoly.zero(N)
     p = TPoly(N, [x(1), LaurentPoly.one(N), zero, zero])
     assert p.degree == 1
-    assert p.leading == LaurentPoly.one(N)
-    assert TPoly.zero(N).degree == -1
+    assert p.coeffs == (x(1), LaurentPoly.one(N))
+    assert TPoly(N).degree == -1
 
 
 def test_divide_linear_factors():
@@ -297,10 +310,10 @@ def test_divide_linear_factors():
 def test_divide_exact_roundtrip_randomized():
     rng = random.Random(5150)
     for _ in range(30):
-        deg_d = rng.randint(1, 3)
-        divisor = TPoly(N, [rand_poly(rng, terms=2) for _ in range(deg_d)] + [rand_unit(rng)])
+        divisor = monic(rng, degree=rng.randint(1, 3))
         quotient = TPoly(N, [rand_poly(rng, terms=2) for _ in range(rng.randint(1, 3))]
-                         + [rand_poly(rng, terms=2) + LaurentPoly.one(N)])
+                         + [LaurentPoly(N, ref_add(rand_terms(rng, terms=2),
+                                                   {Monomial.one(N): 1}))])
         if quotient.is_zero():
             continue
         assert (quotient * divisor).divide_exact(divisor) == quotient
@@ -312,14 +325,19 @@ def test_nonzero_remainder_is_reported():
     dividend = TPoly(N, [LaurentPoly.one(N), LaurentPoly.zero(N), LaurentPoly.one(N)])
     with pytest.raises(NonZeroRemainderError) as info:
         dividend.divide_exact(TPoly.linear(x(1)))
-    assert info.value.remainder == TPoly(N, [LaurentPoly.one(N) + x(1) ** 2])
+    assert info.value.remainder == TPoly(N, [from_rows({(0,) * 5: 1, (0, 0, 2, 0, 0): 1})])
     assert info.value.quotient == TPoly(N, [x(1), LaurentPoly.one(N)])
 
 
-def test_divide_requires_unit_leading_coefficient():
-    divisor = TPoly(N, [LaurentPoly.one(N), x(1) + x(2)])
-    with pytest.raises(ValueError):
-        TPoly(N, [x(1)]).divide_exact(divisor)
+def test_divide_requires_a_monic_divisor():
+    # A leading coefficient that is not 1, a unit or not, and the zero
+    # polynomial are all refused.
+    for lead in (from_rows({(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 1}), x(1),
+                 const(N, 2), const(N, -1)):
+        with pytest.raises(ValueError, match="monic"):
+            TPoly(N, [x(1), x(2)]).divide_exact(TPoly(N, [x(3), lead]))
+    with pytest.raises(ValueError, match="monic"):
+        TPoly(N, [x(1)]).divmod(TPoly(N))
 
 
 def test_tpoly_evaluate():
@@ -337,48 +355,19 @@ def assert_exact_coeffs(poly):
                                       and coeff.denominator != 1), coeff
 
 
-def test_unit_inverse_of_integer_unit_is_a_fraction():
-    inv = (3 * x(1)).unit_inverse()
-    assert inv == LaurentPoly(N, {Monomial.var(N, 1, -1): Fraction(1, 3)})
-    assert inv.terms[Monomial.var(N, 1, -1)] == Fraction(1, 3)
-    assert_exact_coeffs(inv)
-    assert_exact_coeffs(inv * (3 * x(1)))
-    assert inv * (3 * x(1)) == LaurentPoly.one(N)
-
-
 def test_substitute_scaled_inverse_images_stays_exact():
     # x1 -> 3*x3^-1, x3 -> 3*x1^-1 on a polynomial with negative exponents
     # (3 ** -2 as a float would not be exact)
     images = identity_images(N)
     images[1] = LaurentPoly.from_term(Monomial.var(N, 3, -1), 3)
     images[3] = LaurentPoly.from_term(Monomial.var(N, 1, -1), 3)
-    p = 5 * x(1, -2) * x(3) + x(1, 3)
+    p = from_rows({(0, 0, -2, 0, 1): 5, (0, 0, 3, 0, 0): 1})
     got = substitute(p, images)
-    expected = (LaurentPoly.from_term(Monomial(0, (0, -1, 0, 2)), Fraction(5, 3))
-                + LaurentPoly.from_term(Monomial.var(N, 3, -3), 27))
+    expected = from_rows({(0, 0, -1, 0, 2): Fraction(5, 3), (0, 0, 0, 0, -3): 27})
     assert got == expected
     assert_exact_coeffs(got)
     # the swap is an involution on the ring: applying it twice is the identity
     assert substitute(got, images) == p
-
-
-def test_negative_power_of_integer_unit_is_exact():
-    u = LaurentPoly.from_term(Monomial(1, (0, 2, 0, -1)), 3)
-    for k in range(1, 5):
-        inv = u ** -k
-        assert inv.terms == {Monomial(-k, (0, -2 * k, 0, k)): Fraction(1, 3 ** k)}
-        assert inv * u ** k == LaurentPoly.one(N)
-        assert_exact_coeffs(inv)
-
-
-def test_fraction_scalar_times_integer_polynomial():
-    p = 2 * x(1) + 3 * x(2)
-    half = Fraction(1, 2) * p
-    assert half.terms == {Monomial.var(N, 1): 1, Monomial.var(N, 2): Fraction(3, 2)}
-    assert type(half.terms[Monomial.var(N, 1)]) is int
-    assert_exact_coeffs(half)
-    assert 2 * half == p
-    assert_exact_coeffs(2 * half)
 
 
 def test_operations_never_leave_floats_or_integral_fractions():
@@ -389,15 +378,17 @@ def test_operations_never_leave_floats_or_integral_fractions():
     for _ in range(40):
         a, b = rand_poly(rng), rand_poly(rng)
         # integer polynomials too, so integral sums of Fractions show up
-        c = a * 6 * 7 * 8 * 9
-        results = [a + b, a - b, a * b, c, c + a, c - (c - a), a * Fraction(9, 2),
-                   substitute(a, flip), LaurentPoly.from_json(N, a.to_json())]
-        divisor = TPoly(N, [rand_poly(rng, terms=2), rand_unit(rng)])
+        c = LaurentPoly(N, {m: 3024 * k for m, k in a.terms.items()})
+        results = [c, -a, substitute(a, flip)]
+        divisor = monic(rng)
         dividend = TPoly(N, [a, b, c])
         quotient, remainder = dividend.divmod(divisor)
-        product = quotient * divisor + remainder
-        assert product == dividend
-        for tp in (quotient, remainder, product):
+        ref_q, ref_r = ref_divmod([p.terms for p in dividend.coeffs],
+                                  [p.terms for p in divisor.coeffs])
+        assert [p.terms for p in quotient.coeffs] == ref_q
+        assert [p.terms for p in remainder.coeffs] == ref_r
+        for tp in (quotient, remainder, quotient * divisor,
+                   TPoly(N, [a, c]) * TPoly(N, [b, a])):
             results.extend(tp.coeffs)
         for poly in results:
             assert_exact_coeffs(poly)
@@ -409,9 +400,10 @@ def test_constant_factor_fast_path_matches_term_by_term_product():
     # rebuilds every product monomial.
     rng = random.Random(77)
     one = Monomial.one(N)
+    q = Monomial(1, (0,) * (N + 1))
     rhs_cases = [{one: 1}, {one: -1}, {one: Fraction(2, 3)},
-                 {Monomial.q(N): 1}, {Monomial.var(N, 2): 1},
-                 {Monomial.var(N, 0, -1): 5}, {one: 1, Monomial.q(N): 2}]
+                 {q: 1}, {Monomial.var(N, 2): 1},
+                 {Monomial.var(N, 0, -1): 5}, {one: 1, q: 2}]
     for _ in range(30):
         lhs = rand_poly(rng)
         before = dict(lhs.terms)
@@ -440,22 +432,21 @@ def test_packed_kernel_matches_term_by_term_reference():
     rng = random.Random(6060)
     for n in (3, 5):
         for _ in range(40):
-            a, b = rand_poly(rng, n, terms=6), rand_poly(rng, n, terms=6)
-            assert (a + b).terms == ref_add(a.terms, b.terms)
-            assert (a - b).terms == ref_add(
-                a.terms, {m: -c for m, c in b.terms.items()})
-            assert (a * b).terms == ref_mul(a.terms, b.terms)
-            u = rand_unit(rng, n)
-            assert u.unit_inverse().terms == ref_unit_inverse(u.terms)
+            a, b = ([rand_poly(rng, n, terms=6)
+                     for _ in range(rng.randint(1, 3))] for _ in range(2))
+            product = TPoly(n, a) * TPoly(n, b)
+            ref = ref_tmul([p.terms for p in a], [p.terms for p in b])
+            while ref and not ref[-1]:
+                ref.pop()
+            assert [p.terms for p in product.coeffs] == ref
             num = [rand_poly(rng, n, terms=4) for _ in range(rng.randint(1, 5))]
-            den = [rand_poly(rng, n, terms=2)
-                   for _ in range(rng.randint(0, 2))] + [u]
-            quotient, remainder = TPoly(n, num).divmod(TPoly(n, den))
+            den = monic(rng, n, degree=rng.randint(0, 2))
+            quotient, remainder = TPoly(n, num).divmod(den)
             ref_q, ref_r = ref_divmod([p.terms for p in TPoly(n, num).coeffs],
-                                      [p.terms for p in den])
+                                      [p.terms for p in den.coeffs])
             assert [p.terms for p in quotient.coeffs] == ref_q
             assert [p.terms for p in remainder.coeffs] == ref_r
-            for poly in (a + b, a * b, *quotient.coeffs, *remainder.coeffs):
+            for poly in (*product.coeffs, *quotient.coeffs, *remainder.coeffs):
                 assert_exact_coeffs(poly)
 
 
@@ -484,36 +475,34 @@ def test_encode_decode_roundtrip_at_the_lane_limits():
                 mono = Monomial(exps[0], tuple(exps[1:]))
                 u = LaurentPoly.from_term(mono, Fraction(-7, 2))
                 assert u.terms == {mono: Fraction(-7, 2)}
-                assert LaurentPoly.from_json(n, u.to_json()) == u
-                assert u.unit_inverse().terms == {mono.inverse(): Fraction(-2, 7)}
-                assert u.unit_inverse().unit_inverse() == u
-    top = LaurentPoly.var(N, 1, LANE_MAX // 2) * LaurentPoly.var(N, 1, LANE_MAX // 2 + 1)
-    assert top.terms == {Monomial.var(N, 1, LANE_MAX): 1}
+                assert u.exponent_rows() == {tuple(exps): Fraction(-7, 2)}
+                assert (-u).terms == {mono: Fraction(7, 2)}
+    top = TPoly(N, [x(1, LANE_MAX // 2)]) * TPoly(N, [x(1, LANE_MAX // 2 + 1)])
+    assert top.coeffs[0].terms == {Monomial.var(N, 1, LANE_MAX): 1}
 
 
 def test_exponents_past_the_lane_limit_raise_instead_of_wrapping():
     for e in (LANE_MAX + 1, -LANE_MAX - 1, 2 ** 16, -(2 ** 40)):
         with pytest.raises(OverflowError):
-            LaurentPoly.var(N, 2, e)
+            x(2, e)
         with pytest.raises(OverflowError):
             LaurentPoly.from_term(Monomial(e, (0,) * (N + 1)))
-    u = LaurentPoly.var(N, 1, 20000)
+    u = x(1, 20000)
     with pytest.raises(OverflowError):
-        u * u
+        TPoly(N, [u]) * TPoly(N, [u])
     with pytest.raises(OverflowError):
-        u ** 2
-    with pytest.raises(OverflowError):
-        (x(2) + u * x(3)) * (x(1) + u)
+        TPoly(N, [from_rows({(0, 0, 0, 1, 0): 1, (0, 0, 20000, 0, 1): 1})]) \
+            * TPoly(N, [from_rows({(0, 0, 1, 0, 0): 1, (0, 0, 20000, 0, 0): 1})])
     with pytest.raises(OverflowError):
         TPoly.linear(u) * TPoly.linear(u)
     with pytest.raises(OverflowError):
         TPoly(N, [x(1), u, LaurentPoly.one(N)]).divmod(TPoly.linear(u))
     # A bound that only sums the operands' bounds is retried on the exact
     # exponents: the factor below has bound 32000 but is the constant 1.
-    v = LaurentPoly.var(N, 1, 16000)
-    one = v * v.unit_inverse()
+    one, = (TPoly(N, [x(1, 16000)]) * TPoly(N, [x(1, -16000)])).coeffs
     assert one == LaurentPoly.one(N)
-    assert one * v * LaurentPoly.var(N, 1, 16767) == LaurentPoly.var(N, 1, LANE_MAX)
+    top = TPoly(N, [one]) * TPoly(N, [x(1, 16000)]) * TPoly(N, [x(1, 16767)])
+    assert top == TPoly(N, [x(1, LANE_MAX)])
 
 
 def test_no_float_and_exponents_stay_in_lane_range():
@@ -521,11 +510,10 @@ def test_no_float_and_exponents_stay_in_lane_range():
     with pytest.raises(TypeError):
         LaurentPoly.from_term(Monomial(0, (0, 1.0, 0, 0)))
     p = LaurentPoly.from_term(Monomial(-3, (1, -2, 0, 5)), 3)
-    q = (p + x(1)) * p.unit_inverse() * Fraction(1, 4) - p
-    for poly in (p, q, q * q):
-        for mono, coeff in poly.terms.items():
-            assert type(coeff) in (int, Fraction)
-            assert all(type(e) is int and abs(e) <= LANE_MAX
-                       for e in (mono.q_exp, *mono.x_exps))
-    with pytest.raises(OverflowError):
-        p ** 20000
+    q = TPoly(N, [p, x(1)]) * TPoly(N, [from_rows({(3, -1, 2, 0, -5): Fraction(1, 12)})])
+    for tp in (q, q * q):
+        for coeff in tp.coeffs:
+            for mono, c in coeff.terms.items():
+                assert type(c) in (int, Fraction)
+                assert all(type(e) is int and abs(e) <= LANE_MAX
+                           for e in (mono.q_exp, *mono.x_exps))
