@@ -23,8 +23,10 @@ the paired roots are the roots of H, each pair multiplies to c^2, and
 every Weyl generator fixes c and maps the pairs onto themselves.  The
 acceptance criteria and the tests check the expanded coefficients of H
 and R for Weyl invariance (:func:`check_weyl_invariance`) and for
-Galois-twist invariance (:func:`check_sigma_invariance`).  Every
-monomial map acts on flat exponent rows (q, x0, ..., xn).
+Galois-twist invariance (:func:`check_sigma_invariance`).  A monomial
+is its exponent row (q, x0, ..., xn): the roots are built as rows, a
+product of monomials is the lane-wise sum of their rows, and every
+monomial map acts on rows.
 
 An independent numeric route evaluates the same object from its matrix
 definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
@@ -45,20 +47,21 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .guards import _require_odd
-from .laurent import LaurentPoly, Monomial, TPoly
+from .laurent import LaurentPoly, TPoly
 from .rational import Matrix, gauss_jordan, mat_mul
 from .rootdatum import (Row, WeylElement, pairing, rho, row_permuter,
                         twist_row, weyl_generators)
 
 
-def central_monomial(n: int) -> Monomial:
+def central_monomial(n: int) -> Row:
     """x0^2 * x1 * ... * xn, the monomial of the central similitude-square
     function; it is the full twist-norm of x0 and is fixed by every Weyl
     element."""
-    return Monomial(0, (2,) + (1,) * n)
+    return (0, 2) + (1,) * n
 
 
 def hecke_roots(n: int) -> list[LaurentPoly]:
@@ -66,10 +69,10 @@ def hecke_roots(n: int) -> list[LaurentPoly]:
     _require_odd(n)
     roots = []
     for i in range(1, n + 1):
-        exps = [2] + [1] * n
-        exps[n + 1 - i] += 1
-        exps[i] -= 1
-        roots.append(LaurentPoly.from_term(Monomial(n - 1, tuple(exps))))
+        row = [n - 1, 2] + [1] * n
+        row[n + 2 - i] += 1
+        row[i + 1] -= 1
+        roots.append(LaurentPoly.from_term(tuple(row)))
     return roots
 
 
@@ -127,9 +130,9 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     _require_odd(n)
     rho_coords = rho(n)
-    out: dict[Monomial, int | Fraction] = {}
+    out: dict[Row, int | Fraction] = {}
     for (q_exp, *x_exps), coeff in p.exponent_rows().items():
-        new = Monomial(q_exp - 2 * pairing(rho_coords, x_exps), tuple(x_exps))
+        new = (q_exp - 2 * pairing(rho_coords, x_exps), *x_exps)
         out[new] = out.get(new, 0) + coeff
     return LaurentPoly(p.n, out)
 
@@ -185,26 +188,28 @@ class PairingCertificateError(ArithmeticError):
     must never happen."""
 
 
-def root_pairs(n: int) -> tuple[Monomial, list[tuple[Monomial, Monomial]]]:
+def root_pairs(n: int) -> tuple[Row, list[tuple[Row, Row]]]:
     """(c, [(c*y_i, c/y_i) for i = 1..m]) with c = q^(n-1)*x0^2*x1...xn,
     y_i = x_{n+1-i}/x_i and m = (n-1)/2: the middle root of H and its
-    other n - 1 roots, paired i <-> n+1-i, as monomials."""
+    other n - 1 roots, paired i <-> n+1-i, as rows."""
     _require_odd(n)
-    center = Monomial(n - 1, central_monomial(n).x_exps)
+    center = (n - 1, *central_monomial(n)[1:])
     pairs = []
     for i in range(1, (n - 1) // 2 + 1):
-        y = Monomial.var(n, n + 1 - i) * Monomial.var(n, i, -1)
-        pairs.append((center * y, center * y.inverse()))
+        y = [0] * (n + 2)
+        y[n + 2 - i], y[i + 1] = 1, -1
+        pairs.append((tuple(map(add, center, y)), tuple(map(sub, center, y))))
     return center, pairs
 
 
-def certify_root_pairs(n: int, center: Monomial,
-                       pairs: Sequence[tuple[Monomial, Monomial]]) -> None:
+def certify_root_pairs(n: int, center: Row,
+                       pairs: Sequence[tuple[Row, Row]]) -> None:
     """Certify that the pairs (a, b) factor R = H / (t - c) as the
     quadratics t^2 - (a + b)*t + c^2:
 
     (a) c and the flattened pairs are hecke_roots(n) as a multiset, and
-    (b) a*b = c^2 for each pair, so its quadratic is (t - a)*(t - b).
+    (b) a*b = c^2 for each pair, a lane-wise sum of rows, so its
+        quadratic is (t - a)*(t - b).
 
     Then the product of the quadratics is the product of the linear
     factors t - root over every root but c, in another order, so it is
@@ -214,33 +219,32 @@ def certify_root_pairs(n: int, center: Monomial,
     if Counter(map(LaurentPoly.from_term, flat)) != Counter(hecke_roots(n)):
         raise PairingCertificateError(
             f"paired roots are not the roots of H for n={n}")
-    c_sq = center * center
+    c_sq = tuple(map(add, center, center))
     for a, b in pairs:
-        if a * b != c_sq:
+        if tuple(map(add, a, b)) != c_sq:
             raise PairingCertificateError(
                 f"(t - {LaurentPoly.from_term(a)})*(t - "
                 f"{LaurentPoly.from_term(b)}) has constant term other than c^2")
 
 
-def factors_weyl_invariant(n: int, center: Monomial,
-                           pairs: Sequence[tuple[Monomial, Monomial]]) -> bool:
+def factors_weyl_invariant(n: int, center: Row,
+                           pairs: Sequence[tuple[Row, Row]]) -> bool:
     """True iff every Weyl generator fixes c and maps the pairs (as a
     multiset of unordered pairs) onto themselves.  Then it permutes the
     quadratics (t - a)*(t - b), so it fixes R, their product, and
     H = R*(t - c), hence every coefficient of both; and a polynomial
     fixed by each generator is fixed by the group.  Each w keeps the
     pairing i <-> n+1-i, so it sends y_i to some y_j^(+-1) and permutes
-    the true pairs.  The generators act on the exponent rows of the
-    2m + 1 roots; no quadratic is built."""
+    the true pairs.  The generators act on the rows of the 2m + 1
+    roots; no quadratic is built."""
     gens = weyl_generators(n)
     if not check_weyl_invariance(LaurentPoly.from_term(center), n, gens):
         return False
-    rows = [((a.q_exp, *a.x_exps), (b.q_exp, *b.x_exps)) for a, b in pairs]
-    factors = Counter(tuple(sorted(pair)) for pair in rows)
+    factors = Counter(tuple(sorted(pair)) for pair in pairs)
     for w in gens:
         permute = row_permuter(w)
         if Counter(tuple(sorted(map(permute, pair)))
-                   for pair in rows) != factors:
+                   for pair in pairs) != factors:
             return False
     return True
 

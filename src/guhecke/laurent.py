@@ -2,41 +2,38 @@
 t-polynomials of the Hecke factorization.
 
 The ring has a formal prime variable ``q`` and torus variables
-``x0, x1, ..., xn``, all invertible.  A :class:`LaurentPoly` maps each
-monomial (an integer q-exponent plus an integer exponent vector of length
-n+1) to a nonzero rational coefficient: an ``int`` when it is integral,
-else a :class:`~fractions.Fraction`.  The two hash, compare, sort and
+``x0, x1, ..., xn``, all invertible.  A monomial q^e * x0^e0 * ... * xn^en
+is its *exponent row*, the plain tuple of ints (e, e0, ..., en).  A
+:class:`LaurentPoly` maps each row to a nonzero rational coefficient: an
+``int`` when it is integral, else a :class:`~fractions.Fraction`; any
+other coefficient raises TypeError.  The two hash, compare, sort and
 print alike, so the choice never shows in equality, ordering or output;
 it only lets the integral polynomials of the Hecke certificate run on
 Python int arithmetic.  All arithmetic is exact -- there is no floating
 point anywhere in this package.  The zero polynomial is the empty map.
-A LaurentPoly has no ring operators of its own: it is built from a term
+A LaurentPoly has no ring operators of its own: it is built from a row
 map or a single term, negated, compared, evaluated and rendered, and
 multiplied only as a coefficient of a :class:`TPoly`.
 
-Packed monomial codes.  Internally each monomial is one nonnegative int,
-its *code*: n+2 lanes of 16 bits, in the order q, x0, ..., xn with q in
-the most significant lane, each lane holding its exponent e plus the bias
-2^15.  Hence:
+Packed monomial codes.  Internally each row is one nonnegative int, its
+*code*: n+2 lanes of 16 bits, in row order with q in the most
+significant lane, each lane holding its exponent e plus the bias 2^15.
+Hence:
 
 * the code of a product is the sum of the codes minus the code of 1
   (every lane at its bias), one integer add;
-* the integer order of codes is the lexicographic order on
-  ``(q_exp, x_exps)``, so sorting, printing, JSON output and hashing
-  sort plain ints.
+* the integer order of codes is the lexicographic order on rows, so
+  sorting, printing, JSON output and hashing sort plain ints.
 
 A lane holds |e| <= :data:`LANE_MAX` = 2^15 - 1 and no more.  Each
 polynomial carries a bound on its largest |exponent|: the exact maximum
-when built from monomials, the sum of the operands' bounds for a
-product, the larger bound for a sum of products.  A product whose bound
-would pass :data:`LANE_MAX` first retries with the operands' exact
-maxima, then raises :class:`OverflowError`, so a lane never wraps;
-encoding a monomial checks every exponent the same way.  Codes are decoded in C,
-a whole polynomial at a time (``int.to_bytes`` into an ``array``), to
-the flat exponent rows (q, x0, ..., xn) that monomial maps and
-:meth:`LaurentPoly.evaluate` read; :attr:`LaurentPoly.terms`, the
-:class:`Monomial`-keyed view, is decoded on every read and only tests
-and library callers read it.
+when built from rows, the sum of the operands' bounds for a product,
+the larger bound for a sum of products.  A product whose bound would
+pass :data:`LANE_MAX` first retries with the operands' exact maxima,
+then raises :class:`OverflowError`, so a lane never wraps; encoding a
+row checks every exponent the same way.  Codes are decoded in C, a
+whole polynomial at a time (``int.to_bytes`` into an ``array``), back to
+rows: :meth:`LaurentPoly.exponent_rows` is the one decoded view.
 
 The JSON term format has one definition, :meth:`LaurentPoly.json_text`:
 compact text of the term list in canonical order, rendered straight from
@@ -57,48 +54,15 @@ import sys
 from array import array
 from fractions import Fraction
 from math import lcm, prod
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Coeff = int | Fraction
+Row = tuple[int, ...]
 
 LANE_MAX = 2 ** 15 - 1
 """The largest |exponent| a monomial code holds in each of its lanes."""
 
 _SWAP = sys.byteorder == "little"
-
-
-class Monomial(NamedTuple):
-    """A unit monomial q^a * x0^e0 * ... * xn^en (coefficient excluded)."""
-
-    q_exp: int
-    x_exps: tuple[int, ...]
-
-    @property
-    def nvars(self) -> int:
-        """The n in x0..xn (exponent vector has length n+1)."""
-        return len(self.x_exps) - 1
-
-    def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        if len(self.x_exps) != len(other.x_exps):
-            raise ValueError("monomial dimension mismatch")
-        return Monomial(self.q_exp + other.q_exp,
-                        tuple(a + b for a, b in zip(self.x_exps, other.x_exps)))
-
-    def inverse(self) -> "Monomial":
-        return Monomial(-self.q_exp, tuple(-e for e in self.x_exps))
-
-    @staticmethod
-    def one(n: int) -> "Monomial":
-        return Monomial(0, (0,) * (n + 1))
-
-    @staticmethod
-    def var(n: int, i: int, exp: int = 1) -> "Monomial":
-        """The monomial x_i^exp, 0 <= i <= n."""
-        if not 0 <= i <= n:
-            raise ValueError(f"variable index {i} out of range for n={n}")
-        exps = [0] * (n + 1)
-        exps[i] = exp
-        return Monomial(0, tuple(exps))
 
 
 class NonZeroRemainderError(ArithmeticError):
@@ -116,10 +80,12 @@ class NonZeroRemainderError(ArithmeticError):
 
 def _exact(c) -> Coeff:
     """The rational number c as an int when it is integral, else as a
-    Fraction; the one place a coefficient's representation is chosen."""
+    Fraction; the one place a coefficient's representation is chosen.
+    Any other type than int or Fraction (a bool, a float) is a TypeError."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
     return c.numerator if c.denominator == 1 else c
 
 
@@ -130,16 +96,16 @@ def _one_code(n: int) -> int:
     return int.from_bytes(b"\x80\x00" * (n + 2), "big")
 
 
-def _encode(mono: Monomial, one: int) -> tuple[int, int]:
-    """(code, max |exponent|) of mono; one is :func:`_one_code` for its n.
+def _encode(row: Row, one: int) -> tuple[int, int]:
+    """(code, max |exponent|) of row; one is :func:`_one_code` for its n.
 
     A lane read as a signed 16-bit int is e's two's complement, which is
     the biased lane with its top bit flipped, hence the xor with ``one``.
     """
-    lanes = array("h", (mono.q_exp, *mono.x_exps))  # OverflowError past 16 bits
+    lanes = array("h", row)  # OverflowError past 16 bits
     bound = max(map(abs, lanes))
     if bound > LANE_MAX:
-        raise OverflowError(f"{mono} has an exponent past the lane limit "
+        raise OverflowError(f"{row} has an exponent past the lane limit "
                             f"{LANE_MAX}")
     if _SWAP:
         lanes.byteswap()
@@ -156,11 +122,10 @@ def _decode(n: int, codes: Iterable[int]) -> list[int]:
     return lanes.tolist()
 
 
-def _monomials(n: int, codes: Iterable[int]) -> list[Monomial]:
-    """The Monomials of codes, in order."""
-    flat, width = tuple(_decode(n, codes)), n + 2
-    return [Monomial(flat[k], flat[k + 1:k + width])
-            for k in range(0, len(flat), width)]
+def _rows(n: int, codes: Iterable[int]) -> list[Row]:
+    """The exponent rows of codes, in order."""
+    flat, width = _decode(n, codes), n + 2
+    return [tuple(flat[k:k + width]) for k in range(0, len(flat), width)]
 
 
 def _mul_into(sums: dict[int, Coeff], lhs: "LaurentPoly",
@@ -201,13 +166,12 @@ def _mul_into(sums: dict[int, Coeff], lhs: "LaurentPoly",
     return bound
 
 
-def _term_str(mono: Monomial, coeff: Coeff) -> str:
+def _term_str(row: Row, coeff: Coeff) -> str:
     factors = []
-    if mono.q_exp:
-        factors.append("q" if mono.q_exp == 1 else f"q^{mono.q_exp}")
-    for i, e in enumerate(mono.x_exps):
+    for lane, e in enumerate(row):
         if e:
-            factors.append(f"x{i}" if e == 1 else f"x{i}^{e}")
+            name = f"x{lane - 1}" if lane else "q"
+            factors.append(name if e == 1 else f"{name}^{e}")
     if not factors:
         return str(coeff)
     body = "*".join(factors)
@@ -221,7 +185,7 @@ def _term_str(mono: Monomial, coeff: Coeff) -> str:
 class LaurentPoly:
     """An exact Laurent polynomial in q, x0..xn with rational coefficients.
 
-    The terms are kept as a map from packed monomial code to nonzero
+    The terms are kept as a map from packed row code to nonzero
     coefficient (an int when integral, else a Fraction), with a bound on
     the largest |exponent|; see the module docstring.  No coefficient is
     ever a float.
@@ -229,17 +193,17 @@ class LaurentPoly:
 
     __slots__ = ("n", "_codes", "_bound")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, Coeff] | None = None):
+    def __init__(self, n: int, terms: Mapping[Row, Coeff] | None = None):
         one = _one_code(n)
         codes: dict[int, Coeff] = {}
         bound = 0
         if terms:
-            for mono, coeff in terms.items():
-                if len(mono.x_exps) != n + 1:
+            for row, coeff in terms.items():
+                if len(row) != n + 2:
                     raise ValueError("monomial dimension mismatch")
                 c = _exact(coeff)
                 if c:
-                    code, b = _encode(mono, one)
+                    code, b = _encode(row, one)
                     codes[code] = c
                     bound = max(bound, b)
         self.n = n
@@ -263,22 +227,10 @@ class LaurentPoly:
         return cls._wrap(n, {k: c if type(c) is int else _exact(c)
                              for k, c in sums.items() if c}, bound)
 
-    @property
-    def terms(self) -> dict[Monomial, Coeff]:
-        """The map from Monomial to nonzero coefficient, decoded from the
-        codes on every read."""
-        codes = self._codes
-        return dict(zip(_monomials(self.n, codes), codes.values()))
-
-    def exponent_rows(self) -> dict[tuple[int, ...], Coeff]:
-        """The map from flat exponent tuple (q, x0, ..., xn) to nonzero
-        coefficient, decoded in one pass; unlike :attr:`terms` it builds
-        no Monomial."""
-        width = self.n + 2
-        flat = _decode(self.n, self._codes)
-        return dict(zip([tuple(flat[k:k + width])
-                         for k in range(0, len(flat), width)],
-                        self._codes.values()))
+    def exponent_rows(self) -> dict[Row, Coeff]:
+        """The map from exponent row (q, x0, ..., xn) to nonzero
+        coefficient, decoded from the codes in one pass on every call."""
+        return dict(zip(_rows(self.n, self._codes), self._codes.values()))
 
     def _exact_bound(self) -> int:
         """The largest |exponent| in the polynomial, decoded; it replaces
@@ -294,11 +246,12 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, n: int) -> "LaurentPoly":
-        return cls(n, {Monomial.one(n): Fraction(1)})
+        return cls._wrap(n, {_one_code(n): 1}, 0)
 
     @classmethod
-    def from_term(cls, mono: Monomial, coeff=1) -> "LaurentPoly":
-        return cls(mono.nvars, {mono: Fraction(coeff)})
+    def from_term(cls, row: Row, coeff: Coeff = 1) -> "LaurentPoly":
+        """The single term coeff * row; the row's length fixes n."""
+        return cls(len(row) - 2, {row: coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -355,22 +308,22 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Row, Coeff]]:
         codes = sorted(self._codes)
-        return list(zip(_monomials(self.n, codes),
+        return list(zip(_rows(self.n, codes),
                         map(self._codes.__getitem__, codes)))
 
     def __str__(self) -> str:
         if not self._codes:
             return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
+        for row, coeff in self.sorted_terms():
             if not parts:
-                parts.append(_term_str(mono, coeff))
+                parts.append(_term_str(row, coeff))
             elif coeff < 0:
-                parts.append(" - " + _term_str(mono, -coeff))
+                parts.append(" - " + _term_str(row, -coeff))
             else:
-                parts.append(" + " + _term_str(mono, coeff))
+                parts.append(" + " + _term_str(row, coeff))
         return "".join(parts)
 
     def __repr__(self) -> str:

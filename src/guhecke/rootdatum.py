@@ -3,7 +3,11 @@
 The diagonal torus has characters x1..xn (the GL_n coordinates) and x0
 (the similitude coordinate).  Weights and cocharacters are identified
 slot-by-slot and represented as plain coordinate tuples of length n+1,
-slot 0 first.
+slot 0 first.  A torus monomial q^e * x0^e0 * ... * xn^en is its
+exponent row (e, e0, ..., en), the format of
+:meth:`guhecke.laurent.LaurentPoly.exponent_rows`: a weight with the
+exponent of the formal prime in front.  Every map below acts on rows,
+and this module loads no Laurent code.
 
 The relative Weyl group acts as the permutations w of {1..n} satisfying
 w(i) + w(n+1-i) = n+1 for every i.  This is the unique constant for which
@@ -13,7 +17,7 @@ are the permutations preserving the pairing i <-> n+1-i that fixes the
 torus equations x̄_1 x_n = x̄_2 x_{n-1} = ...)  Every element fixes the
 middle index k = (n+1)/2.
 
-The Galois twist acts on torus monomials by
+The Galois twist acts on torus monomials (:func:`twist_row`) by
 
     x_i  ->  x_{n+1-i}^(-1)   (1 <= i <= n),
     x0   ->  x0 * x1 * ... * xn,
@@ -28,15 +32,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from .guards import _require_odd
-from .laurent import Monomial
 
 # Coordinate vectors of length n+1 (slot 0 = similitude slot).
 Weight = tuple[int, ...]
-# Flat exponent rows (q, x0, ..., xn), as LaurentPoly.exponent_rows keys them.
+# Exponent rows (q, x0, ..., xn), as LaurentPoly.exponent_rows keys them.
 Row = tuple[int, ...]
 
 
@@ -135,27 +138,22 @@ def pairing(chi: Sequence, nu: Sequence) -> int | Fraction:
 
 
 def twist_row(row: Row) -> Row:
-    """The Galois twist (see module docstring) on a flat exponent row
+    """The Galois twist (see module docstring) on an exponent row
     (q, e0, e1, ..., en): q and e0 stay, and the exponent of x_i
     (i >= 1) becomes e0 - e_{n+1-i}."""
     e0 = row[1]
     return (row[0], e0, *[e0 - e for e in row[:1:-1]])
 
 
-def sigma_twist(mono: Monomial) -> Monomial:
-    """Image of a monomial under the Galois twist; q is untouched."""
-    row = twist_row((mono.q_exp, *mono.x_exps))
-    return Monomial(row[0], row[1:])
-
-
-def norm_monomial(mono: Monomial) -> Monomial:
-    """m times its Galois twist; sends x0 to the central monomial
-    x0^2*x1*...*xn and x_i to x_i/x_{n+1-i}."""
-    return mono * sigma_twist(mono)
+def norm_monomial(row: Row) -> Row:
+    """The monomial times its Galois twist, the lane-wise sum of the two
+    rows; sends x0 to the central monomial x0^2*x1*...*xn and x_i to
+    x_i/x_{n+1-i}."""
+    return tuple(map(add, row, twist_row(row)))
 
 
 def row_permuter(w: WeylElement) -> Callable[[Row], Row]:
-    """The action of w on flat exponent rows (q, e0, e1, ..., en):
+    """The action of w on exponent rows (q, e0, e1, ..., en):
     x_i -> x_{w(i)} puts the exponent of x_i into the slot of x_{w(i)},
     and q and x0 stay."""
     return itemgetter(0, 1, *[j + 1 for j in w.inverse().perm])

@@ -1,42 +1,59 @@
 """Test-only references.
 
-Plain term-by-term arithmetic on Monomial-keyed maps: the library's
-LaurentPoly has no ring operators, so tests build their polynomials from
-these maps (and from :func:`var` and :func:`const`) with
+Plain term-by-term arithmetic on maps from exponent row (q, x0, ..., xn)
+to coefficient, the product of two monomials being the lane-wise sum of
+their rows (:func:`row_mul`).  The library's LaurentPoly has no ring
+operators, so tests build their polynomials from these maps (and from
+:func:`x_row`, :func:`var` and :func:`const`) with
 ``LaurentPoly(n, terms)``.  Then the substitution engine the library no
 longer carries, the Galois images it used, and the per-term dict builder
 of the JSON term format.  Tests check the packed kernel, the monomial
-maps and the JSON text against these.  Then the
-twist and the Weyl action on whole polynomials, built term by term, and
-the earlier factor certificate on quadratic t-polynomials, which the
-root-pair certificate is checked against.  Below them are the dense
-matrix product by its definition, the F_{p^2} vector
-operations, the vector-level operators and identity test that only the
-tests use, and the earlier two-elimination sampler of base changes.
+maps and the JSON text against these.  Then the twist and the Weyl
+action on whole polynomials, built term by term, and the earlier factor
+certificate on quadratic t-polynomials, which the root-pair certificate
+is checked against.  Below them are the dense matrix product by its
+definition, the F_{p^2} vector operations, the vector-level operators
+and identity test that only the tests use, and the earlier
+two-elimination sampler of base changes.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from guhecke.dieudonne import basechange
 from guhecke.finitefield import mat_inv, rank
-from guhecke.laurent import LaurentPoly, Monomial, TPoly
-from guhecke.rootdatum import sigma_twist, weyl_generators
+from guhecke.laurent import LaurentPoly, TPoly
+from guhecke.rootdatum import twist_row, weyl_generators
+
+
+def x_row(n, i, exp=1):
+    """The exponent row of x_i^exp, 0 <= i <= n."""
+    row = [0] * (n + 2)
+    row[i + 1] = exp
+    return tuple(row)
+
+
+def row_mul(a, b):
+    """The product of two monomials: the lane-wise sum of their rows."""
+    if len(a) != len(b):
+        raise ValueError("monomial dimension mismatch")
+    return tuple(map(add, a, b))
 
 
 def var(n, i, exp=1):
     """The polynomial x_i^exp, 0 <= i <= n."""
-    return LaurentPoly(n, {Monomial.var(n, i, exp): 1})
+    return LaurentPoly(n, {x_row(n, i, exp): 1})
 
 
 def const(n, c):
     """The constant polynomial c."""
-    return LaurentPoly(n, {Monomial.one(n): c})
+    return LaurentPoly(n, {(0,) * (n + 2): c})
 
 
 def ref_add(a, b):
-    """a + b on Monomial -> coefficient maps, zeros dropped."""
+    """a + b on row -> coefficient maps, zeros dropped."""
     out = dict(a)
     for mono, coeff in b.items():
         out[mono] = out.get(mono, 0) + coeff
@@ -44,11 +61,11 @@ def ref_add(a, b):
 
 
 def ref_mul(a, b):
-    """a * b, one Monomial product per pair of terms, zeros dropped."""
+    """a * b, one row product per pair of terms, zeros dropped."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = m1 * m2
+            mono = row_mul(m1, m2)
             out[mono] = out.get(mono, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
@@ -67,7 +84,7 @@ def ref_divmod(num, den):
     ascending degree) by a monic divisor."""
     dd = len(den) - 1
     (lead, coeff), = den[-1].items()
-    assert coeff == 1 and lead == Monomial.one(lead.nvars), "the divisor must be monic"
+    assert coeff == 1 and not any(lead), "the divisor must be monic"
     rem = [dict(c) for c in num]
     quo = [{} for _ in range(max(len(num) - dd, 0))]
     for j in range(len(rem) - 1, dd - 1, -1):
@@ -85,10 +102,10 @@ def ref_divmod(num, den):
 
 
 def ref_to_json(poly):
-    """The term list of poly, one dict per term in Monomial order, each
+    """The term list of poly, one dict per term in row order, each
     ``{"coeff": "3/2", "q": 2, "x": [...]}``."""
-    return [{"coeff": str(coeff), "q": mono.q_exp, "x": list(mono.x_exps)}
-            for mono, coeff in sorted(poly.terms.items())]
+    return [{"coeff": str(coeff), "q": row[0], "x": list(row[1:])}
+            for row, coeff in sorted(poly.exponent_rows().items())]
 
 
 def substitute(poly, x_images, q_image=None):
@@ -101,23 +118,22 @@ def substitute(poly, x_images, q_image=None):
     if len(x_images) != n + 1:
         raise ValueError(f"need {n + 1} images, got {len(x_images)}")
     if q_image is None:
-        q_image = LaurentPoly.from_term(Monomial(1, (0,) * (n + 1)))
+        q_image = LaurentPoly.from_term((1,) + (0,) * (n + 1))
     pairs = []
     for img in (q_image, *x_images):
         if img.n != n:
             raise ValueError("image variable-count mismatch")
         if len(img) != 1:
             raise ValueError("substitution images must be invertible single terms")
-        (mono, coeff), = img.terms.items()
-        pairs.append((mono, coeff))
+        (row, coeff), = img.exponent_rows().items()
+        pairs.append((row, coeff))
     out = {}
-    for mono, coeff in poly.terms.items():
-        acc_mono = Monomial.one(n)
+    for row, coeff in poly.exponent_rows().items():
+        acc_mono = (0,) * (n + 2)
         acc_coeff = coeff
-        for exp, (im, ic) in zip((mono.q_exp, *mono.x_exps), pairs):
+        for exp, (im, ic) in zip(row, pairs):
             if exp:
-                acc_mono = acc_mono * Monomial(
-                    exp * im.q_exp, tuple(exp * e for e in im.x_exps))
+                acc_mono = row_mul(acc_mono, tuple(exp * e for e in im))
                 acc_coeff *= Fraction(ic) ** exp
         out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
     return LaurentPoly(n, out)
@@ -125,7 +141,7 @@ def substitute(poly, x_images, q_image=None):
 
 def sigma_images(n):
     """Substitution images [x0 -> x0*x1*...*xn, x_i -> x_{n+1-i}^(-1)]."""
-    images = [LaurentPoly.from_term(Monomial(0, (1,) * (n + 1)))]
+    images = [LaurentPoly.from_term((0,) + (1,) * (n + 1))]
     for i in range(1, n + 1):
         images.append(var(n, n + 1 - i, -1))
     return images
@@ -134,8 +150,8 @@ def sigma_images(n):
 def sigma_twist_poly(p):
     """The Galois twist extended multiplicatively to a whole Laurent
     polynomial: a bijective monomial map, so coefficients move unchanged."""
-    return LaurentPoly(p.n, {sigma_twist(mono): coeff
-                             for mono, coeff in p.terms.items()})
+    return LaurentPoly(p.n, {twist_row(row): coeff
+                             for row, coeff in p.exponent_rows().items()})
 
 
 def weyl_act(w, p):
@@ -144,18 +160,18 @@ def weyl_act(w, p):
     if w.n != p.n:
         raise ValueError("size mismatch")
     out = {}
-    for mono, coeff in p.terms.items():
-        exps = list(mono.x_exps)
+    for row, coeff in p.exponent_rows().items():
+        moved = list(row)
         for i in range(1, p.n + 1):
-            exps[w.perm[i - 1]] = mono.x_exps[i]
-        out[Monomial(mono.q_exp, tuple(exps))] = coeff
+            moved[w.perm[i - 1] + 1] = row[i + 1]
+        out[tuple(moved)] = coeff
     return LaurentPoly(p.n, out)
 
 
 def quadratic_factors_weyl_invariant(n, center, pairs):
     """The earlier factor certificate on quadratics: True iff every Weyl
     generator fixes c and permutes the quadratics (t - a)*(t - b), one
-    per pair (a, b) of monomials, as a multiset of t-polynomials."""
+    per pair (a, b) of rows, as a multiset of t-polynomials."""
     center = LaurentPoly.from_term(center)
     gens = weyl_generators(n)
     if any(weyl_act(w, center) != center for w in gens):

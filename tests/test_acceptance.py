@@ -12,6 +12,7 @@ import pytest
 import guhecke.acceptance as acceptance
 from guhecke.acceptance import CRITERIA
 from guhecke.dieudonne import classify_type, model_space, random_basechange
+from test_cli import src_env
 
 
 def test_registry_is_complete():
@@ -41,7 +42,8 @@ def test_a_failed_check_raises_under_python_O():
         "    print(repr(exc))",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, env=src_env(),
+                          check=True)
     assert proc.stdout == "False\nAssertionError('twist moves H or R at n=3')\n"
 
 

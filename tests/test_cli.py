@@ -13,6 +13,14 @@ from guhecke.dieudonne import model_space, random_basechange
 from guhecke.laurent import LaurentPoly, TPoly
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, so
+    that a child interpreter imports the guhecke under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -65,13 +73,10 @@ for argv in sys.argv[1:]:
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_hecke_report_is_written_without_holding_the_document():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", _PEAK_RSS_HELPER,
          "hecke --n 15", "dd isoc --n 3 --r 1"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=src_env(), check=True)
     (hecke_code, hecke_kb), (isoc_code, isoc_kb) = (
         map(int, line.split()) for line in proc.stdout.splitlines())
     assert hecke_code == isoc_code == 0
@@ -338,7 +343,7 @@ def test_dd_classify_wrong_n_is_data_error(capsys):
 
 def test_missing_subcommand_is_usage_error():
     proc = subprocess.run([sys.executable, "-m", "guhecke"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 1
     # The parser's own line, not an import failure's exit 1.
     assert "guhecke: error:" in proc.stderr
@@ -346,19 +351,20 @@ def test_missing_subcommand_is_usage_error():
 
 def test_unknown_flag_is_usage_error():
     proc = subprocess.run([sys.executable, "-m", "guhecke", "hecke", "--bogus"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 1
     assert "guhecke hecke: error:" in proc.stderr
 
 
 def test_byte_identical_output_across_runs():
     cmd = [sys.executable, "-m", "guhecke", "hecke", "--n", "5"]
-    first = subprocess.run(cmd, capture_output=True).stdout
-    second = subprocess.run(cmd, capture_output=True).stdout
+    first = subprocess.run(cmd, capture_output=True, env=src_env()).stdout
+    second = subprocess.run(cmd, capture_output=True, env=src_env()).stdout
     assert first and first == second
     cmd = [sys.executable, "-m", "guhecke", "dd", "models", "--n", "5",
            "--p", "3", "--r", "5"]
-    emitted = subprocess.run(cmd, capture_output=True).stdout.decode()
+    emitted = subprocess.run(cmd, capture_output=True,
+                             env=src_env()).stdout.decode()
     assert emitted == fixture_path().read_text(encoding="utf-8")
 
 

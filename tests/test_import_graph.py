@@ -49,13 +49,25 @@ def test_dieudonne_loads_no_laurent_or_root_datum_code():
     assert {"guards"} <= graph["rootdatum"] & graph["hecke"]
 
 
-def test_only_laurent_reads_the_monomial_view():
-    # Monomial maps act on LaurentPoly.exponent_rows; the Monomial-keyed
-    # ``terms`` view is decoded on every read, so the package leaves it to
-    # the tests and to library callers.
-    readers = set()
+def test_root_datum_loads_no_package_code_but_the_guard():
+    # A monomial is a plain exponent row, so the root datum needs no
+    # Laurent code to act on one.
+    assert reachable(relative_imports(), "rootdatum") == {"guards"}
+
+
+PACKED_STATE = {"_codes", "_bound", "_decode", "_from_sums", "_wrap"}
+
+
+def test_only_laurent_reads_the_packed_state():
+    # Outside laurent a polynomial is read through exponent_rows and its
+    # other public methods, never through its packed codes.
+    readers = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "terms":
-                readers.add(path.stem)
-    assert readers <= {"laurent"}
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in PACKED_STATE:
+                readers.setdefault(path.stem, set()).add(name)
+    assert set(readers) == {"laurent"}
+    assert readers["laurent"] == PACKED_STATE

@@ -39,8 +39,6 @@ ALLOWED = {
         "the benchmark replay counts terms_H and terms_R with it",
     ("laurent", "LaurentPoly._exact_bound"):
         "the lane-overflow retry; no CLI input gets near the lane limit",
-    ("laurent", "LaurentPoly.terms"):
-        "the public Monomial-keyed read view of a polynomial",
     ("laurent", "NonZeroRemainderError.__init__"):
         "raised only if the factorization certificate fails",
     ("laurent", "LaurentPoly.__repr__"): "debugging repr",

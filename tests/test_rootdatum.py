@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.laurent import LANE_MAX, LaurentPoly, Monomial
+from guhecke.laurent import LANE_MAX, LaurentPoly
 from guhecke.rootdatum import (WeylElement, norm_monomial, pairing, rho,
-                               row_permuter, sigma_twist, twist_row,
-                               weyl_generators, weyl_group)
+                               row_permuter, twist_row, weyl_generators,
+                               weyl_group)
 from reference import (dense_mat_mul, is_identity, sigma_images,
-                       sigma_twist_poly, substitute, weyl_act)
+                       sigma_twist_poly, substitute, weyl_act, x_row)
 
 
 def weyl_identity(n):
@@ -154,13 +154,14 @@ def test_rho_is_integral_and_pairing_keeps_the_input_type():
 
 def test_sigma_twist_frozen_images():
     n = 3
-    assert sigma_twist(Monomial.var(n, 0)) == Monomial(0, (1, 1, 1, 1))
-    assert sigma_twist(Monomial.var(n, 1)) == Monomial(0, (0, 0, 0, -1))
-    assert sigma_twist(Monomial(5, (0, 0, 0, 0))) == Monomial(5, (0, 0, 0, 0))
+    assert twist_row(x_row(n, 0)) == (0, 1, 1, 1, 1)
+    assert twist_row(x_row(n, 1)) == (0, 0, 0, 0, -1)
+    assert twist_row((5, 0, 0, 0, 0)) == (5, 0, 0, 0, 0)
 
 
 def rand_monomial(rng, n):
-    return Monomial(rng.randint(-2, 2), tuple(rng.randint(-3, 3) for _ in range(n + 1)))
+    """A random exponent row (q, x0, ..., xn)."""
+    return (rng.randint(-2, 2), *(rng.randint(-3, 3) for _ in range(n + 1)))
 
 
 def test_sigma_twist_is_an_involution():
@@ -168,7 +169,7 @@ def test_sigma_twist_is_an_involution():
     for n in (3, 5, 7):
         for _ in range(30):
             m = rand_monomial(rng, n)
-            assert sigma_twist(sigma_twist(m)) == m
+            assert twist_row(twist_row(m)) == m
 
 
 def test_sigma_twist_poly_agrees_with_substitution():
@@ -180,7 +181,7 @@ def test_sigma_twist_poly_agrees_with_substitution():
             p = LaurentPoly.from_term(m, Fraction(rng.randint(1, 5)))
             assert sigma_twist_poly(p) == substitute(p, images)
             assert sigma_twist_poly(p) == LaurentPoly.from_term(
-                sigma_twist(m), p.terms[m])
+                twist_row(m), p.exponent_rows()[m])
 
 
 def test_sigma_twist_matches_matrix_action():
@@ -207,20 +208,22 @@ def test_sigma_twist_matches_matrix_action():
             point = [x0] + xs
             for _ in range(5):
                 m = rand_monomial(rng, n)
-                lhs = LaurentPoly.from_term(sigma_twist(m)).evaluate(2, point)
+                lhs = LaurentPoly.from_term(twist_row(m)).evaluate(2, point)
                 rhs = LaurentPoly.from_term(m).evaluate(2, image_point)
                 assert lhs == rhs
 
 
 def test_norm_monomial_values():
     n = 5
-    assert norm_monomial(Monomial.var(n, 0)) == Monomial(0, (2,) + (1,) * n)
+    assert norm_monomial(x_row(n, 0)) == (0, 2) + (1,) * n
     for i in range(1, n + 1):
-        expected = [0] * (n + 1)
-        expected[i] += 1
-        expected[n + 1 - i] -= 1
-        assert norm_monomial(Monomial.var(n, i)) == Monomial(0, tuple(expected))
-    assert norm_monomial(Monomial.one(n)) == Monomial.one(n)
+        expected = [0] * (n + 2)
+        expected[i + 1] += 1
+        expected[n + 2 - i] -= 1
+        assert norm_monomial(x_row(n, i)) == tuple(expected)
+    assert norm_monomial((0,) * (n + 2)) == (0,) * (n + 2)
+    # The q lane doubles, as in the product of q with its twist q.
+    assert norm_monomial((3,) + (0,) * (n + 1)) == (6,) + (0,) * (n + 1)
 
 
 # -- Weyl action --------------------------------------------------------------
@@ -228,16 +231,16 @@ def test_norm_monomial_values():
 
 def test_weyl_act_identity_and_swap():
     n = 3
-    p = LaurentPoly.from_term(Monomial(0, (0, 1, 0, -1)))
+    p = LaurentPoly.from_term((0, 0, 1, 0, -1))
     assert weyl_act(weyl_identity(n), p) == p
     w = WeylElement((3, 2, 1))
-    assert weyl_act(w, p) == LaurentPoly.from_term(Monomial(0, (0, -1, 0, 1)))
+    assert weyl_act(w, p) == LaurentPoly.from_term((0, 0, -1, 0, 1))
 
 
 def test_weyl_act_fixes_symmetric_monomials():
     for n in (3, 5):
-        full = LaurentPoly.from_term(Monomial(0, (0,) + (1,) * n))
-        central = LaurentPoly.from_term(Monomial(0, (2,) + (1,) * n))
+        full = LaurentPoly.from_term((0, 0) + (1,) * n)
+        central = LaurentPoly.from_term((0, 2) + (1,) * n)
         for w in weyl_group(n):
             assert weyl_act(w, full) == full
             assert weyl_act(w, central) == central
@@ -265,19 +268,17 @@ def test_row_maps_agree_with_the_monomial_maps():
         images = sigma_images(n)
         group = weyl_group(n) if n <= 7 else weyl_generators(n)
         for _ in range(25):
-            m = Monomial(rng.choice(lanes),
-                         tuple(rng.choice(lanes) for _ in range(n + 1)))
+            m = tuple(rng.choice(lanes) for _ in range(n + 2))
             p = LaurentPoly.from_term(m, rng.randint(-5, 5) or 1)
             (row, coeff), = p.exponent_rows().items()
-            assert row == (m.q_exp, *m.x_exps)
+            assert row == m
             for w in group:
                 assert {row_permuter(w)(row): coeff} == \
                     weyl_act(w, p).exponent_rows()
             twisted = twist_row(row)
-            e0 = m.x_exps[0]
-            assert twisted == (m.q_exp, e0, *[e0 - m.x_exps[n + 1 - i]
-                                              for i in range(1, n + 1)])
-            assert twisted == (sigma_twist(m).q_exp, *sigma_twist(m).x_exps)
+            e0 = m[1]
+            assert twisted == (m[0], e0, *[e0 - m[n + 2 - i]
+                                           for i in range(1, n + 1)])
             if max(map(abs, twisted)) <= LANE_MAX:
                 assert {twisted: coeff} == \
                     substitute(p, images).exponent_rows()
