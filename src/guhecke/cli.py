@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 usage or malformed input, 2 certificate failure,
 Output is byte-identical across runs for identical flags and seeds; JSON
 is emitted compact, one document per run.
 The environment variable GUHECKE_MAX_N (default 15) caps accepted --n;
-a value that is not an integer is a usage error (exit 1).
+a value that is not an integer is a usage error (exit 1).  ``dd slopes``
+accepts --d up to MAX_D (256), where it answers in well under a second;
+a larger --d is a usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ EXIT_CERTIFICATE = 2
 EXIT_DATA = 3
 
 DEFAULT_MAX_N = 15
+MAX_D = 256  # dd slopes: the dense build of make_B(d, p) costs O(d^2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +169,8 @@ def _cmd_classify(args) -> int:
 def _cmd_slopes(args) -> int:
     if args.d < 1:
         raise UsageError("d must be >= 1")
+    if args.d > MAX_D:
+        raise UsageError(f"d={args.d} exceeds the cap {MAX_D}")
     multiset = newton_slopes(make_B(args.d, args.p))
     if args.format == "json":
         _emit_json(multiset.to_json())

@@ -101,7 +101,10 @@ def _encode(row: Row, one: int) -> tuple[int, int]:
 
     A lane read as a signed 16-bit int is e's two's complement, which is
     the biased lane with its top bit flipped, hence the xor with ``one``.
+    A lane that is not an int (a bool, a float) is a TypeError.
     """
+    if any(type(e) is not int for e in row):
+        raise TypeError(f"exponent row {row!r} has a lane that is not an int")
     lanes = array("h", row)  # OverflowError past 16 bits
     bound = max(map(abs, lanes))
     if bound > LANE_MAX:

@@ -14,13 +14,17 @@ certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
 definition, the F_{p^2} vector operations, the vector-level operators
 and identity test that only the tests use, and the earlier
-two-elimination sampler of base changes.
+two-elimination sampler of base changes.  Last, the p-adic lower Newton
+polygon of a polynomial: on ``dieudonne.char_poly(F)`` it is the slope
+reference that ``newton_slopes``, which reads the cycles of F, is
+checked against.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 from operator import add
+from typing import Sequence
 
 from guhecke.dieudonne import basechange
 from guhecke.finitefield import mat_inv, rank
@@ -247,3 +251,40 @@ def ref_random_basechange(space, seed):
     q_mat = ref_random_invertible(fld, space.nebar, rng)
     return basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
                       mat_inv(fld, q_mat))
+
+
+def _valuation(value: Fraction, p: int) -> int:
+    if value == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    num = value.numerator
+    while num % p == 0:
+        num //= p
+        v += 1
+    den = value.denominator
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def padic_newton_slopes(coeffs: Sequence, p: int) -> list[tuple[Fraction, int]]:
+    """Root valuations with multiplicities from the lower Newton polygon of
+    a polynomial with nonzero constant term (coeffs by ascending power)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    if not coeffs or coeffs[0] == 0 or coeffs[-1] == 0:
+        raise ValueError("constant and leading coefficients must be nonzero")
+    points = [(j, _valuation(c, p)) for j, c in enumerate(coeffs) if c != 0]
+    hull: list[tuple[int, int]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
+    return sorted(out)

@@ -166,6 +166,24 @@ def test_dd_slopes_at_a_large_prime(capsys):
     assert code == 1 and "primality" in err
 
 
+def test_dd_slopes_answers_at_the_d_cap(capsys):
+    cap = cli_module.MAX_D
+    assert cap == 256
+    code, out, _ = run_cli(capsys, "dd", "slopes", "--d", str(cap),
+                           "--p", "3")
+    assert code == 0
+    assert out == ('[{"slope":"127/256","mult":256},'
+                   '{"slope":"129/256","mult":256}]\n')
+
+
+def test_dd_slopes_past_the_d_cap_exits_1(capsys):
+    cap = cli_module.MAX_D
+    code, out, err = run_cli(capsys, "dd", "slopes", "--d", str(cap + 1),
+                             "--p", "3")
+    assert code == 1 and out == ""
+    assert err == f"guhecke: error: d={cap + 1} exceeds the cap {cap}\n"
+
+
 def test_field_tables_past_the_bound_exit_1(capsys, tmp_path):
     code, out, err = run_cli(capsys, "dd", "models", "--n", "3",
                              "--p", "1009", "--r", "1")

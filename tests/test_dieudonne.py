@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,15 +16,15 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                basechange, char_poly,
                                check_bt1, classify_type, direct_sum,
                                fingerprint, isocrystal_shape, make_B, make_SS,
-                               model_space, newton_slopes,
-                               padic_newton_slopes, paired_block_slopes,
+                               model_space, newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange,
                                random_frames, signature, strata_dims, v_ranks)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_inv,
                                   mat_mul, mat_transpose, rref)
 from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
 from reference import (apply_f, apply_v, dense_mat_mul, mat_vec,
-                       ref_random_basechange, ref_random_invertible, vec_frob)
+                       padic_newton_slopes, ref_random_basechange,
+                       ref_random_invertible, vec_frob)
 
 PRIMES = (3, 5, 7)
 
@@ -805,6 +806,48 @@ def test_newton_slopes_of_models(p):
         assert newton_slopes(make_B(d, p)).entries == (
             (Fraction(1, 2) - Fraction(1, d), d),
             (Fraction(1, 2) + Fraction(1, d), d))
+
+
+def _reference_slopes(module):
+    return SlopeMultiset.from_pairs(
+        padic_newton_slopes(char_poly(module.f_mat), module.p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_newton_slopes_match_the_newton_polygon_of_char_poly(p):
+    assert newton_slopes(make_SS(p)) == _reference_slopes(make_SS(p))
+    for d in range(1, 17):
+        assert newton_slopes(make_B(d, p)) == _reference_slopes(make_B(d, p))
+
+
+def test_newton_slopes_refuse_a_model_whose_f_is_not_monomial():
+    # SS + SS on (g1, g2, h1, h2), its e piece moved by A = [[1, 1], [0, 1]]:
+    # a valid integral model with slope 1/2 four times, but F g2 = h1 + h2.
+    p = 3
+    f = ((0, 0, -p, 0), (0, 0, 0, -p), (1, 0, 0, 0), (0, 1, 0, 0))
+    v = ((0, 0, p, 0), (0, 0, 0, p), (-1, 0, 0, 0), (0, -1, 0, 0))
+    gram = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+    move = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    back = ((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    moved = DieudonneModuleZ(
+        p=p, ne=2,
+        f_mat=dense_mat_mul(back, dense_mat_mul(f, move)),
+        v_mat=dense_mat_mul(back, dense_mat_mul(v, move)),
+        gram=dense_mat_mul(tuple(zip(*move)), dense_mat_mul(gram, move)))
+    assert moved.f_mat[2] == (1, 1, 0, 0)
+    assert _reference_slopes(moved).entries == ((Fraction(1, 2), 4),)
+    with pytest.raises(ValueError, match="not monomial"):
+        newton_slopes(moved)
+
+
+@pytest.mark.parametrize("f_mat", [((1, 1), (0, 1)),   # two in row 0
+                                   ((0, 1), (0, 1)),   # two in column 1
+                                   ((0, 0), (0, 1))])  # none in row 0
+def test_newton_slopes_refuse_an_f_off_one_entry_per_row_and_column(f_mat):
+    # No valid model has such an F (F V = p makes F invertible over Q), so
+    # the check is run on a stand-in with the two fields it reads.
+    with pytest.raises(ValueError, match="not monomial"):
+        newton_slopes(SimpleNamespace(p=3, f_mat=f_mat))
 
 
 def test_slope_multiset_helpers():

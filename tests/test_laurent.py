@@ -542,3 +542,14 @@ def test_coefficients_other_than_int_or_fraction_are_refused():
     two = LaurentPoly.from_term(row, Fraction(6, 3))
     assert two.exponent_rows() == {row: 2}
     assert LaurentPoly.from_term(row, 0).is_zero()
+
+
+def test_exponents_other_than_int_are_refused():
+    # array("h") takes any int subclass, so a bool lane would be stored as
+    # 0 or 1: (0, True, 0, False, 0) would read as x0.
+    for bad in ((0, True, 0, False, 0), (0, 0, 0, 0, False),
+                (0, 0, 1.0, 0, 0)):
+        with pytest.raises(TypeError, match="not an int"):
+            LaurentPoly(N, {bad: 1})
+        with pytest.raises(TypeError, match="not an int"):
+            LaurentPoly.from_term(bad, 2)
