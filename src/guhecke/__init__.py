@@ -6,10 +6,9 @@ signature (n-1,1)."""
 from .dieudonne import (ClassificationError, DieudonneModuleZ, DieudonneSpace,
                         IsocrystalShape, NoMatchError, NotBT1Error,
                         SlopeMultiset, StratumRow, basechange, check_bt1,
-                        classify_type, direct_sum, fingerprint,
-                        isocrystal_shape, make_B, make_SS, model_space,
-                        newton_slopes, random_basechange, signature,
-                        strata_dims)
+                        classify_type, fingerprint, integral_model,
+                        isocrystal_shape, model_space, newton_slopes,
+                        random_basechange, signature, strata_dims)
 from .finitefield import GFp2, gfp2
 from .hecke import (central_monomial, certified_factorization,
                     check_sigma_invariance, check_weyl_invariance,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .dieudonne import (_model_fingerprints, basechange, check_bt1,
-                        classify_type, isocrystal_shape, make_B, make_SS,
+                        classify_type, integral_model, isocrystal_shape,
                         model_space, newton_slopes, random_basechange,
                         random_frames, signature, strata_dims)
 from .finitefield import gfp2
@@ -33,6 +33,7 @@ FACTOR_NS = (3, 5, 7, 9, 11, 13, 15)
 WEYL_NS = (3, 5, 7, 9)
 CROSSCHECK_POINTS = 100
 MODEL_PRIMES = (3, 5, 7)
+MODELS = ((1, 0), *((d, d) for d in range(1, 10)))  # (n, r): SS, B_1..B_9
 CLASSIFY_NS = (3, 5, 7)
 CLASSIFY_PRIMES = (3, 5)
 CLASSIFY_SEEDS = 20
@@ -106,10 +107,9 @@ def central_element(seed: int = 0) -> str:
 def signatures(seed: int = 0) -> str:
     count = 0
     for p in MODEL_PRIMES:
-        _check(signature(make_SS(p).reduction()) == (1, 0), p)
-        count += 1
-        for d in range(1, 10):
-            _check(signature(make_B(d, p).reduction()) == (d - 1, 1), (d, p))
+        for n, r in MODELS:
+            sig = signature(integral_model(n, r, p).reduction())
+            _check(sig == (n - min(r, 1), min(r, 1)), (n, r, p))
             count += 1
     return f"{count} model signatures exact, p in {MODEL_PRIMES}"
 
@@ -118,7 +118,7 @@ def slopes(seed: int = 0) -> str:
     count = 0
     for p in MODEL_PRIMES:
         for d in range(1, 10):
-            got = newton_slopes(make_B(d, p)).entries
+            got = newton_slopes(integral_model(d, d, p)).entries
             if d % 2 == 1:
                 expected = ((Fraction(1, 2), 2 * d),)
             else:
@@ -130,11 +130,8 @@ def slopes(seed: int = 0) -> str:
 
 
 def bt1_axioms(seed: int = 0) -> str:
-    spaces = []
-    for p in MODEL_PRIMES:
-        spaces.append(make_SS(p).reduction())
-        for d in range(1, 10):
-            spaces.append(make_B(d, p).reduction())
+    spaces = [integral_model(n, r, p).reduction()
+              for p in MODEL_PRIMES for n, r in MODELS]
     for space in spaces:
         _check(check_bt1(space))
     for i in range(BASECHANGE_COUNT):

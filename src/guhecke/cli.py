@@ -9,13 +9,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or malformed input, 2 certificate failure,
 3 data or classification error.  Running out of memory also exits 1, with
-``guhecke: error: out of memory`` on stderr instead of a traceback.
+``guhecke: error: out of memory`` on stderr instead of a traceback, and so
+does a failed write to stdout (a closed pipe or fd, a full disk), with
+``guhecke: error: cannot write output: ...``.
 Output is byte-identical across runs for identical flags and seeds; JSON
 is emitted compact, one document per run.
 The environment variable GUHECKE_MAX_N (default 15) caps accepted --n;
 a value that is not an integer is a usage error (exit 1).  ``dd slopes``
-accepts --d up to MAX_D (256), where it answers in well under a second;
-a larger --d is a usage error (exit 1).
+accepts --d up to MAX_D (256), an input bound (the model is built in
+O(d)); a larger --d is a usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from importlib import resources
 
 from .acceptance import run_all
 from .dieudonne import (ClassificationError, DieudonneSpace, check_bt1,
-                        classify_type, isocrystal_shape, make_B, model_space,
-                        newton_slopes, signature, strata_dims)
+                        classify_type, integral_model, isocrystal_shape,
+                        model_space, newton_slopes, signature, strata_dims)
 from .hecke import (PairingCertificateError, certified_factorization,
                     hecke_report)
 from .laurent import LaurentPoly, NonZeroRemainderError
@@ -40,7 +42,7 @@ EXIT_CERTIFICATE = 2
 EXIT_DATA = 3
 
 DEFAULT_MAX_N = 15
-MAX_D = 256  # dd slopes: the dense build of make_B(d, p) costs O(d^2)
+MAX_D = 256  # dd slopes: the input bound on --d; the build is O(d)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,6 +54,31 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(Exception):
     pass
+
+
+class _CheckedStdout:
+    """sys.stdout during :func:`main`: an OSError from a write or a flush
+    is a usage error, and no other OSError is taken for one."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text):
+        return self._checked("write", text)
+
+    def flush(self):
+        self._checked("flush")
+
+    def _checked(self, method, *args):
+        if self.stream is None:  # fd 1 was closed at start-up
+            raise UsageError("cannot write output: stdout is closed")
+        try:
+            return getattr(self.stream, method)(*args)
+        except OSError as exc:
+            if self.stream is sys.__stdout__:
+                # so that the flush at exit cannot fail again (Python docs)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+            raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _max_n() -> int:
@@ -171,7 +198,7 @@ def _cmd_slopes(args) -> int:
         raise UsageError("d must be >= 1")
     if args.d > MAX_D:
         raise UsageError(f"d={args.d} exceeds the cap {MAX_D}")
-    multiset = newton_slopes(make_B(args.d, args.p))
+    multiset = newton_slopes(integral_model(args.d, args.d, args.p))
     if args.format == "json":
         _emit_json(multiset.to_json())
     elif args.format == "csv":
@@ -305,8 +332,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    stdout = sys.stdout
+    sys.stdout = _CheckedStdout(stdout)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"guhecke: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -327,6 +358,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("guhecke: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -2,14 +2,12 @@
 
 Two levels of structure are modelled:
 
-* :class:`DieudonneModuleZ` -- an integral model: a free module of rank 2d
-  with integer matrices for the Frobenius-semilinear operator F and the
-  inverse-Frobenius-semilinear operator V satisfying F V = V F = p, a
-  perfect alternating integer pairing, and a grading into two pieces of
-  which F and V swap.  The two building blocks are the rank-2
-  supersingular module and the rank-2d banded module with a single
-  F-cycle through the graded basis.  The checks use the exact integer
-  product and determinant of :mod:`guhecke.rational`.
+* :class:`DieudonneModuleZ` -- an integral model: the Frobenius-semilinear
+  F, the inverse-Frobenius-semilinear V (F V = V F = p) and a perfect
+  alternating pairing, all monomial in a graded basis (the normal form of
+  a BT1, Oort 2001), one arrow per basis vector, validated in O(n).
+  :func:`integral_model` builds the type-r model B_r + (n-r) SS: the
+  rank-2r banded module, one F-cycle, and n-r supersingular planes.
 
 * :class:`DieudonneSpace` -- the mod-p reduction: graded pieces over
   F_{p^2} with F V = V F = 0 and a nondegenerate pairing between the
@@ -37,10 +35,9 @@ bijection.  So dim(X & ker F) = dim X - dim F(X), and, as F V = V F = 0
 already gives Im F <= Ker V and Im V <= Ker F, the BT1 equalities are
 rank identities; no kernel or intersection is formed.
 
-Newton slopes of an integral model are read off the cycles of its F,
-which must be monomial, as in every model built here.  They are the
-isocrystal's slopes because the F-matrix has integer (Frobenius-fixed)
-entries, so inputs are restricted to integral models.
+Newton slopes of an integral model are read off the cycles of its F.
+They are the isocrystal's slopes because F's weights are integers
+(Frobenius-fixed), so inputs are restricted to integral models.
 """
 
 from __future__ import annotations
@@ -55,9 +52,6 @@ from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
                           mat_transpose, rank, rref)
 from .guards import _require_odd
-from .rational import gauss_jordan, mat_mul as int_mat_mul
-
-IntMat = tuple[tuple[int, ...], ...]
 
 
 class ClassificationError(Exception):
@@ -128,136 +122,91 @@ def _json_ints(what: str, *values) -> tuple[int, ...]:
     return values
 
 
-def _as_int_mat(rows) -> IntMat:
-    return tuple(_json_ints("matrix entries", *row) for row in rows)
-
-
 @dataclass(frozen=True)
 class DieudonneModuleZ:
-    """Integral model: rank-2d module with integer F, V, pairing matrices.
-
-    The first ``ne`` basis vectors span the e-graded piece, the rest the
-    conjugate piece.  Validated at construction: p, ne and every matrix
-    entry are ints (a bool is not), F and V swap the grading,
-    F V = V F = p, and the alternating pairing is unimodular with
-    isotropic graded pieces.
-    """
+    """Integral model on a basis b_0..b_(2 ne - 1), the first ne spanning
+    the e piece: ``f_map[j] = (i, w)`` says F b_j = w b_i, ``v_map`` the same
+    of V, and ``pair[j] = (k, s)`` that <b_j, b_k> = s is b_j's one nonzero
+    pairing.  Validated one arrow at a time: p, ne, indices and weights
+    are ints (a bool is not), p is an odd prime, every arrow swaps the
+    pieces, V F = F V = p on each basis vector (so F and V permute the
+    basis), and the pairing is an alternating +-1 matching of the two
+    pieces, hence unimodular with isotropic pieces."""
 
     p: int
     ne: int
-    f_mat: IntMat
-    v_mat: IntMat
-    gram: IntMat
+    f_map: tuple[tuple[int, int], ...]
+    v_map: tuple[tuple[int, int], ...]
+    pair: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "f_mat", _as_int_mat(self.f_mat))
-        object.__setattr__(self, "v_mat", _as_int_mat(self.v_mat))
-        object.__setattr__(self, "gram", _as_int_mat(self.gram))
+        maps = [tuple(_json_ints("arrows", *arrow) for arrow in arrows)
+                for arrows in (self.f_map, self.v_map, self.pair)]
+        for name, arrows in zip(("f_map", "v_map", "pair"), maps):
+            object.__setattr__(self, name, arrows)
         _json_ints("p and ne", self.p, self.ne)
         gfp2(self.p)  # validates that p is an odd prime
-        dim = len(self.f_mat)
-        if not 0 < self.ne < dim:
-            raise ValueError("grading split out of range")
-        for name, m in (("F", self.f_mat), ("V", self.v_mat), ("gram", self.gram)):
-            if len(m) != dim or any(len(row) != dim for row in m):
-                raise ValueError(f"{name} must be {dim}x{dim}")
-        ne = self.ne
-        for m in (self.f_mat, self.v_mat):
-            for i in range(dim):
-                for j in range(dim):
-                    if (i < ne) == (j < ne) and m[i][j]:
-                        raise ValueError("F and V must swap the graded pieces")
-        p_id = tuple(tuple(self.p * int(i == j) for j in range(dim))
-                     for i in range(dim))
-        if int_mat_mul(self.f_mat, self.v_mat) != p_id \
-                or int_mat_mul(self.v_mat, self.f_mat) != p_id:
-            raise ValueError("F V = V F = p fails")
-        for i in range(dim):
-            for j in range(dim):
-                if self.gram[i][j] != -self.gram[j][i]:
-                    raise ValueError("pairing must be alternating")
-                if (i < ne) == (j < ne) and self.gram[i][j]:
-                    raise ValueError("graded pieces must be isotropic")
-        if abs(gauss_jordan(self.gram)[0]) != 1:
-            raise ValueError("pairing must be unimodular")
-
-    @property
-    def dim(self) -> int:
-        return len(self.f_mat)
+        dim, ne = 2 * self.ne, self.ne
+        if ne < 1 or any(len(arrows) != dim for arrows in maps):
+            raise ValueError(f"need {dim} arrows per map and ne >= 1")
+        for arrows in maps:
+            for j, (i, _) in enumerate(arrows):
+                if not 0 <= i < dim or (i < ne) == (j < ne):
+                    raise ValueError("every arrow must swap the graded pieces")
+        for first, then in ((self.f_map, self.v_map), (self.v_map, self.f_map)):
+            for j, (i, w) in enumerate(first):
+                k, x = then[i]
+                if k != j or w * x != self.p:
+                    raise ValueError("F V = V F = p fails")
+        for j, (k, s) in enumerate(self.pair):
+            if s not in (1, -1) or self.pair[k] != (j, -s):
+                raise ValueError("pairing must be an alternating +-1 matching")
 
     def reduction(self) -> "DieudonneSpace":
         """The mod-p Dieudonne space, graded pieces split out."""
-        ne = self.ne
-        dim = self.dim
-        fld = gfp2(self.p)
-        emb = fld.embed
+        ne, emb = self.ne, gfp2(self.p).embed
 
-        def block(m, rows, cols):
-            return tuple(tuple(emb(m[i][j]) for j in cols) for i in rows)
+        def block(arrows, first):
+            # column c: the image of b_(first + c), in the other piece
+            m = [[0] * ne for _ in range(ne)]
+            for c, (i, w) in enumerate(arrows[first:first + ne]):
+                m[i % ne][c] = emb(w)
+            return m
 
-        e_idx = range(ne)
-        eb_idx = range(ne, dim)
         return DieudonneSpace(
-            p=self.p, ne=ne, nebar=dim - ne,
-            f_e2ebar=block(self.f_mat, eb_idx, e_idx),
-            f_ebar2e=block(self.f_mat, e_idx, eb_idx),
-            v_e2ebar=block(self.v_mat, eb_idx, e_idx),
-            v_ebar2e=block(self.v_mat, e_idx, eb_idx),
-            gram=block(self.gram, e_idx, eb_idx),
+            p=self.p, ne=ne, nebar=ne,
+            f_e2ebar=block(self.f_map, 0), f_ebar2e=block(self.f_map, ne),
+            v_e2ebar=block(self.v_map, 0), v_ebar2e=block(self.v_map, ne),
+            gram=mat_transpose(block(self.pair, 0)),
         )
 
 
-def make_SS(p: int) -> DieudonneModuleZ:
-    """The rank-2 supersingular model on basis (g, h): F g = h = -V g,
-    completed by F h = -p g, V h = p g; pairing <g, h> = 1."""
-    return DieudonneModuleZ(
-        p=p, ne=1,
-        f_mat=((0, -p), (1, 0)),
-        v_mat=((0, p), (-1, 0)),
-        gram=((0, 1), (-1, 0)),
-    )
+def integral_model(n: int, r: int, p: int) -> DieudonneModuleZ:
+    """B_r + (n-r) SS on the graded basis e_1..e_r, g_1..g_(n-r),
+    f_1..f_r, h_1..h_(n-r); ``integral_model(d, d, p)`` is the banded
+    model B_d and ``integral_model(1, 0, p)`` the supersingular one.
 
-
-def make_B(d: int, p: int) -> DieudonneModuleZ:
-    """The rank-2d banded model on basis (e_1..e_d, f_1..f_d).
-
-    Generating relations: F f_1 = (-1)^d e_d, F e_i = f_{i-1} (i >= 2),
-    V f_d = e_1, V e_i = f_{i+1} (i <= d-1); the remaining values are the
-    unique completion with F V = V F = p.  Pairing <e_i, f_j> =
-    (-1)^(i-1) delta_{ij}.  Signature of the reduction is (d-1, 1).
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    dim = 2 * d
-    f = [[0] * dim for _ in range(dim)]
-    v = [[0] * dim for _ in range(dim)]
-    sign = (-1) ** d
-
-    def e(i):  # 1-indexed e_i
-        return i - 1
-
-    def fb(j):  # 1-indexed f_j
-        return d + j - 1
-
-    f[fb(d)][e(1)] = p                       # F e_1 = p f_d
-    for i in range(2, d + 1):
-        f[fb(i - 1)][e(i)] = 1               # F e_i = f_{i-1}
-    f[e(d)][fb(1)] = sign                    # F f_1 = (-1)^d e_d
-    for j in range(2, d + 1):
-        f[e(j - 1)][fb(j)] = p               # F f_j = p e_{j-1}
-
-    for i in range(1, d):
-        v[fb(i + 1)][e(i)] = 1               # V e_i = f_{i+1}
-    v[fb(1)][e(d)] = sign * p                # V e_d = (-1)^d p f_1
-    for j in range(1, d):
-        v[e(j + 1)][fb(j)] = p               # V f_j = p e_{j+1}
-    v[e(1)][fb(d)] = 1                       # V f_d = e_1
-
-    gram = [[0] * dim for _ in range(dim)]
-    for i in range(1, d + 1):
-        gram[e(i)][fb(i)] = (-1) ** (i - 1)
-        gram[fb(i)][e(i)] = -((-1) ** (i - 1))
-    return DieudonneModuleZ(p=p, ne=d, f_mat=f, v_mat=v, gram=gram)
+    B_r: F f_1 = (-1)^r e_r, F e_i = f_(i-1) (i >= 2), V f_r = e_1,
+    V e_i = f_(i+1) (i < r), completed uniquely by F V = V F = p, and
+    <e_i, f_i> = (-1)^(i-1).  Each plane: F g = h = -V g, F h = -p g,
+    V h = p g, <g, h> = 1.  The reduction's signature is (n-1, 1) for
+    r >= 1 and (n, 0) for r = 0."""
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got n={n}, r={r}")
+    f_map, v_map, pair = ([None] * (2 * n) for _ in range(3))
+    for i in range(r):  # e_(i+1) is b_i, f_(i+1) is b_(n+i)
+        e, f = i, n + i
+        f_map[e] = (f - 1, 1) if i else (n + r - 1, p)
+        f_map[f] = (e - 1, p) if i else (r - 1, (-1) ** r)
+        v_map[e] = (f + 1, 1) if i < r - 1 else (n, (-1) ** r * p)
+        v_map[f] = (e + 1, p) if i < r - 1 else (0, 1)
+        pair[e], pair[f] = (f, (-1) ** i), (e, -(-1) ** i)
+    for g in range(r, n):
+        h = n + g
+        f_map[g], f_map[h] = (h, 1), (g, -p)
+        v_map[g], v_map[h] = (h, -1), (g, p)
+        pair[g], pair[h] = (h, 1), (g, -1)
+    return DieudonneModuleZ(p=p, ne=n, f_map=f_map, v_map=v_map, pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -427,43 +376,12 @@ def check_bt1(space: DieudonneSpace,
     return pairing_law_holds(space)
 
 
-def direct_sum(first: DieudonneSpace, *rest: DieudonneSpace) -> DieudonneSpace:
-    """Block sum of all structure matrices, in order; gram block-diagonal.
-    The sum is validated once, as a new space."""
-    spaces = (first, *rest)
-    for other in rest:
-        if other.p != first.p:
-            raise ValueError(f"prime mismatch: {first.p} vs {other.p}")
-
-    def block(name, source_is_e):
-        widths = [s.ne if source_is_e else s.nebar for s in spaces]
-        total = sum(widths)
-        rows = []
-        offset = 0
-        for s, width in zip(spaces, widths):
-            left, right = (0,) * offset, (0,) * (total - offset - width)
-            rows.extend(left + row + right for row in getattr(s, name))
-            offset += width
-        return tuple(rows)
-
-    return DieudonneSpace(
-        p=first.p, ne=sum(s.ne for s in spaces),
-        nebar=sum(s.nebar for s in spaces),
-        f_e2ebar=block("f_e2ebar", True),
-        f_ebar2e=block("f_ebar2e", False),
-        v_e2ebar=block("v_e2ebar", True),
-        v_ebar2e=block("v_ebar2e", False),
-        gram=block("gram", False),
-    )
-
-
 def model_space(n: int, r: int, p: int) -> DieudonneSpace:
-    """The candidate space of type r: banded rank-2r block plus n-r
-    supersingular planes; signature (n-1, 1) for every r."""
+    """The candidate space of type r, the reduction of
+    :func:`integral_model`; signature (n-1, 1) for every r."""
     if not 1 <= r <= n:
         raise ValueError(f"type r={r} out of range 1..{n}")
-    return direct_sum(make_B(r, p).reduction(),
-                      *[make_SS(p).reduction()] * (n - r))
+    return integral_model(n, r, p).reduction()
 
 
 # ---------------------------------------------------------------------------
@@ -695,18 +613,11 @@ def char_poly(mat: Sequence[Sequence[int]]) -> list[int]:
 
 
 def newton_slopes(module: DieudonneModuleZ) -> SlopeMultiset:
-    """Newton slopes of the model, read off the cycles of F; ValueError
-    unless F has exactly one nonzero entry in each row and each column.
-    A cycle of length l whose weights multiply to w spans an F-stable
-    summand with characteristic polynomial t^l - w, so it adds slope
-    v_p(w)/l, l times (Manin 1963)."""
-    arrows = {}  # column j -> (row i, entry x): F e_j = x e_i
-    for i, row in enumerate(module.f_mat):
-        nonzero = [(j, (i, x)) for j, x in enumerate(row) if x]
-        if len(nonzero) != 1 or nonzero[0][0] in arrows:
-            raise ValueError("F is not monomial: it needs exactly one "
-                             "nonzero entry in each row and each column")
-        arrows.update(nonzero)
+    """Newton slopes of the model, read off the cycles of F, a permutation
+    of the basis.  A cycle of length l whose weights multiply to w spans
+    an F-stable summand with characteristic polynomial t^l - w, so it adds
+    slope v_p(w)/l, l times (Manin 1963)."""
+    arrows = dict(enumerate(module.f_map))  # j -> (i, w): F b_j = w b_i
     pairs = []
     while arrows:
         start, (j, w) = arrows.popitem()

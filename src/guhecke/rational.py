@@ -1,12 +1,10 @@
 """Exact matrix arithmetic over the integers and the rationals.
 
 Matrices are sequences of rows of ints or Fractions.  :func:`mat_mul` is
-the one sparse product: the determinant cross-check in
-:mod:`guhecke.hecke` multiplies diagonal and antidiagonal Fraction
-matrices, and :mod:`guhecke.dieudonne` checks F V = V F = p on integer
-matrices with one nonzero entry per row.  :func:`gauss_jordan` is the one
-elimination over Q: it gives the cross-check's determinants and inverses
-and decides whether an integral Dieudonne pairing is unimodular.
+the one sparse product and :func:`gauss_jordan` the one elimination over
+Q.  Their one caller is the determinant cross-check in
+:mod:`guhecke.hecke`, which multiplies diagonal and antidiagonal Fraction
+matrices and takes determinants and inverses.
 """
 
 from __future__ import annotations

@@ -14,10 +14,13 @@ certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
 definition, the F_{p^2} vector operations, the vector-level operators
 and identity test that only the tests use, and the earlier
-two-elimination sampler of base changes.  Last, the p-adic lower Newton
-polygon of a polynomial: on ``dieudonne.char_poly(F)`` it is the slope
-reference that ``newton_slopes``, which reads the cycles of F, is
-checked against.
+two-elimination sampler of base changes.  Then the dense integer view of
+an integral model's arrows, on which the tests keep the matrix identities
+(F V = V F = p, the pairing law), and the block sum of Dieudonne spaces
+that once assembled the type-r model.  Last, the p-adic lower Newton
+polygon of a polynomial: on ``dieudonne.char_poly`` of the dense F it is
+the slope reference that ``newton_slopes``, which reads the cycles of F,
+is checked against.
 """
 
 import random
@@ -26,7 +29,7 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from guhecke.dieudonne import basechange
+from guhecke.dieudonne import DieudonneSpace, basechange
 from guhecke.finitefield import mat_inv, rank
 from guhecke.laurent import LaurentPoly, TPoly
 from guhecke.rootdatum import twist_row, weyl_generators
@@ -251,6 +254,44 @@ def ref_random_basechange(space, seed):
     q_mat = ref_random_invertible(fld, space.nebar, rng)
     return basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
                       mat_inv(fld, q_mat))
+
+
+def dense_view(module):
+    """(F, V, gram) of an integral model as dense integer matrices acting
+    on coordinate columns: column j of F is the image of b_j, and
+    gram[j][k] = <b_j, b_k>."""
+    dim = len(module.f_map)
+
+    def columns(arrows):
+        m = [[0] * dim for _ in range(dim)]
+        for j, (i, w) in enumerate(arrows):
+            m[i][j] = w
+        return tuple(map(tuple, m))
+
+    return (columns(module.f_map), columns(module.v_map),
+            tuple(zip(*columns(module.pair))))
+
+
+def ref_direct_sum(first, *rest):
+    """Block sum of the structure matrices of Dieudonne spaces over one
+    prime, in order, gram block-diagonal, validated as a new space."""
+    spaces = (first, *rest)
+
+    def block(name, source_is_e):
+        widths = [s.ne if source_is_e else s.nebar for s in spaces]
+        rows, offset = [], 0
+        for s, width in zip(spaces, widths):
+            left, right = (0,) * offset, (0,) * (sum(widths) - offset - width)
+            rows.extend(left + row + right for row in getattr(s, name))
+            offset += width
+        return tuple(rows)
+
+    return DieudonneSpace(
+        p=first.p, ne=sum(s.ne for s in spaces),
+        nebar=sum(s.nebar for s in spaces),
+        f_e2ebar=block("f_e2ebar", True), f_ebar2e=block("f_ebar2e", False),
+        v_e2ebar=block("v_e2ebar", True), v_ebar2e=block("v_ebar2e", False),
+        gram=block("gram", False))
 
 
 def _valuation(value: Fraction, p: int) -> int:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -98,6 +99,69 @@ def test_memory_error_exits_1_without_a_traceback(capsys, monkeypatch):
         assert err == "guhecke: error: out of memory\n"
 
 
+WRITE_FAILED = "guhecke: error: cannot write output: "
+
+
+def test_a_closed_stdout_pipe_exits_1_with_one_line():
+    # The 377 kB report outgrows the pipe, so the child is still writing
+    # when the reader goes away after ten bytes.
+    proc = subprocess.Popen([sys.executable, "-m", "guhecke", "hecke",
+                             "--n", "13"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=src_env())
+    assert proc.stdout.read(10) == b'{"n":13,"H'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == WRITE_FAILED + "[Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ("1", ""))
+def test_a_full_device_on_stdout_exits_1_with_one_line(unbuffered):
+    # Unbuffered, the write fails; buffered, the flush at the end of main.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "guhecke", "dd", "isoc", "--n", "3",
+             "--r", "1"], stdout=full, stderr=subprocess.PIPE, text=True,
+            env=dict(src_env(), PYTHONUNBUFFERED=unbuffered))
+    assert proc.returncode == 1
+    assert proc.stderr == WRITE_FAILED + "[Errno 28] No space left on device\n"
+
+
+def test_a_failed_stdout_write_exits_1_and_other_os_errors_do_not(
+        capsys, monkeypatch):
+    class FullDisk:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+    full = FullDisk()
+    monkeypatch.setattr(sys, "stdout", full)
+    assert main(["dd", "isoc", "--n", "3", "--r", "1"]) == 1
+    assert sys.stdout is full
+    assert capsys.readouterr().err == \
+        WRITE_FAILED + f"[Errno 28] {os.strerror(errno.ENOSPC)}\n"
+
+    # An OSError that is not a write to stdout keeps its own course.
+    def unreadable(*args):
+        raise OSError(errno.EIO, "not a write")
+
+    monkeypatch.setattr(cli_module, "isocrystal_shape", unreadable)
+    with pytest.raises(OSError, match="not a write"):
+        main(["dd", "isoc", "--n", "3", "--r", "1"])
+    assert sys.stdout is full
+
+    # With fd 1 closed at start-up (``>&-``) there is no stdout at all.
+    monkeypatch.setattr(sys, "stdout", None)
+    for fmt in ("json", "pretty"):
+        assert main(["dd", "slopes", "--d", "2", "--p", "3",
+                     "--format", fmt]) == 1
+        assert capsys.readouterr().err == WRITE_FAILED + "stdout is closed\n"
+    assert sys.stdout is None
+
+
 def test_hecke_rejects_even_n(capsys):
     code, out, err = run_cli(capsys, "hecke", "--n", "4")
     assert code == 1
@@ -174,6 +238,20 @@ def test_dd_slopes_answers_at_the_d_cap(capsys):
     assert code == 0
     assert out == ('[{"slope":"127/256","mult":256},'
                    '{"slope":"129/256","mult":256}]\n')
+
+
+def test_dd_slopes_bytes_are_unchanged_to_the_d_cap(capsys):
+    # sha256 over the exit code and stdout of every call with d = 1..256
+    # at p in {3, 5, 1009}, recorded with the dense build of the banded
+    # model that the monomial one replaced.
+    digest = hashlib.sha256()
+    for p in (3, 5, 1009):
+        for d in range(1, cli_module.MAX_D + 1):
+            code, out, _ = run_cli(capsys, "dd", "slopes", "--d", str(d),
+                                   "--p", str(p))
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "c500d23e729825564ff24350d1752c9f8e36c75f80228b04fbea93a41dd73465")
 
 
 def test_dd_slopes_past_the_d_cap_exits_1(capsys):
