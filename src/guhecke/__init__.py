@@ -15,7 +15,7 @@ from .hecke import (central_monomial, certified_factorization,
                     hecke_polynomial, hecke_report, hecke_roots,
                     hecke_value_by_determinant, satake_alpha)
 from .laurent import LaurentPoly, NonZeroRemainderError, TPoly
-from .rootdatum import (WeylElement, norm_monomial, pairing, rho, twist_row,
+from .rootdatum import (norm_monomial, pairing, rho, twist_row,
                         weyl_generators, weyl_group)
 
 __version__ = "0.1.0"

@@ -87,8 +87,6 @@ class GFp2:
         self.nonresidue = next(c for c in range(2, p)
                                if pow(c, (p - 1) // 2, p) == p - 1)
         self.size = p * p
-        self.zero = 0
-        self.one = 1
 
     def _table_size(self) -> int:
         """p^2, the length of every table; ValueError past TABLE_MAX_P."""

@@ -16,7 +16,8 @@ roots come in pairs c*y_i and c/y_i (i = 1..m, m = (n-1)/2), so
 H is expanded from its linear factors pair by pair, so every partial
 product is a factor of R.  :func:`certified_factorization` is the one
 entry point, behind the acceptance criteria, :func:`hecke_report` and the
-CLI: it returns H, R, c and a Weyl flag.  Dividing out t - c exactly is
+CLI: it returns H, R, c and a Weyl flag.  Dividing out t - c exactly,
+one synthetic division (:meth:`~guhecke.laurent.TPoly.divide_exact`), is
 the factorization certificate.  The Weyl flag is certified on the
 2m + 1 root monomials, with no quadratic or expanded coefficient built:
 the paired roots are the roots of H, each pair multiplies to c^2, and
@@ -24,9 +25,10 @@ every Weyl generator fixes c and maps the pairs onto themselves.  The
 acceptance criteria and the tests check the expanded coefficients of H
 and R for Weyl invariance (:func:`check_weyl_invariance`) and for
 Galois-twist invariance (:func:`check_sigma_invariance`).  A monomial
-is its exponent row (q, x0, ..., xn): the roots are built as rows, a
-product of monomials is the lane-wise sum of their rows, and every
-monomial map acts on rows.
+is its exponent row (q, x0, ..., xn): the roots are built and compared
+as rows, a product of monomials is the lane-wise sum of their rows, and
+every monomial map acts on rows.  A Weyl element is its permutation
+tuple (w(1), ..., w(n)).
 
 An independent numeric route evaluates the same object from its matrix
 definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
@@ -53,8 +55,8 @@ from typing import Callable, Iterable, Sequence
 from .guards import _require_odd
 from .laurent import LaurentPoly, TPoly
 from .rational import Matrix, gauss_jordan, mat_mul
-from .rootdatum import (Row, WeylElement, pairing, rho, row_permuter,
-                        twist_row, weyl_generators)
+from .rootdatum import (Perm, Row, pairing, rho, row_permuter, twist_row,
+                        weyl_generators)
 
 
 def central_monomial(n: int) -> Row:
@@ -64,15 +66,16 @@ def central_monomial(n: int) -> Row:
     return (0, 2) + (1,) * n
 
 
-def hecke_roots(n: int) -> list[LaurentPoly]:
-    """The n linear roots q^(n-1)*x0^2*(x1...xn)*x_{n+1-i}/x_i, i = 1..n."""
+def hecke_roots(n: int) -> list[Row]:
+    """The n linear roots q^(n-1)*x0^2*(x1...xn)*x_{n+1-i}/x_i, i = 1..n,
+    as rows."""
     _require_odd(n)
     roots = []
     for i in range(1, n + 1):
         row = [n - 1, 2] + [1] * n
         row[n + 2 - i] += 1
         row[i + 1] -= 1
-        roots.append(LaurentPoly.from_term(tuple(row)))
+        roots.append(tuple(row))
     return roots
 
 
@@ -82,12 +85,13 @@ def hecke_polynomial(n: int) -> TPoly:
     n+1-i multiply to c^2 (c the middle root), so each pair gives the
     three-term t^2 - (c*y_i + c/y_i)*t + c^2, every partial product is a
     factor of R, and the middle factor t - c comes last."""
-    roots = hecke_roots(n)
+    linear = [TPoly.linear(LaurentPoly.from_term(row))
+              for row in hecke_roots(n)]
     m = (n - 1) // 2
     poly = TPoly(n, [LaurentPoly.one(n)])
     for i in range(m):
-        poly = poly * (TPoly.linear(roots[i]) * TPoly.linear(roots[n - 1 - i]))
-    return poly * TPoly.linear(roots[m])
+        poly = poly * (linear[i] * linear[n - 1 - i])
+    return poly * linear[m]
 
 
 def _fixed_by(p: LaurentPoly, images: Iterable[Callable[[Row], Row]]) -> bool:
@@ -105,12 +109,12 @@ def _fixed_by(p: LaurentPoly, images: Iterable[Callable[[Row], Row]]) -> bool:
 
 
 def check_weyl_invariance(p: LaurentPoly, n: int,
-                          group: Sequence[WeylElement]) -> bool:
+                          group: Sequence[Perm]) -> bool:
     """True iff p is fixed by every element of group: pass
     :func:`~guhecke.rootdatum.weyl_group` (2^m * m! elements) for the
     whole Weyl group, or :func:`~guhecke.rootdatum.weyl_generators`, which
     is equivalent by closure."""
-    if any(w.n != p.n for w in group):
+    if any(len(w) != p.n for w in group):
         raise ValueError("size mismatch")
     return _fixed_by(p, map(row_permuter, group))
 
@@ -216,7 +220,7 @@ def certify_root_pairs(n: int, center: Row,
     the quotient H / (t - c).  Raises PairingCertificateError otherwise.
     """
     flat = [center] + [root for pair in pairs for root in pair]
-    if Counter(map(LaurentPoly.from_term, flat)) != Counter(hecke_roots(n)):
+    if Counter(flat) != Counter(hecke_roots(n)):
         raise PairingCertificateError(
             f"paired roots are not the roots of H for n={n}")
     c_sq = tuple(map(add, center, center))
@@ -263,7 +267,7 @@ def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:
     hp = hecke_polynomial(n)
     center, pairs = root_pairs(n)
     root = LaurentPoly.from_term(center)
-    quotient = hp.divide_exact(TPoly.linear(root))
+    quotient = hp.divide_exact(root)
     certify_root_pairs(n, center, pairs)
     return hp, quotient, root, factors_weyl_invariant(n, center, pairs)
 

@@ -41,10 +41,10 @@ the sorted codes.  :meth:`LaurentPoly.to_json` parses that text back
 into term dicts, and the CLI writes the text as it is.
 
 :class:`TPoly` is a polynomial in an extra indeterminate ``t`` whose
-coefficients are LaurentPolys.  It multiplies, and it divides exactly
-by a monic divisor (the program divides only by t - c), raising
-:class:`NonZeroRemainderError` when the division does not come out
-exact; a divisor that is not monic is refused with ValueError.
+coefficients are LaurentPolys.  It multiplies, and it has one division,
+by t - c for a LaurentPoly c (:meth:`TPoly.divide_exact`, synthetic
+division), raising :class:`NonZeroRemainderError` when the division does
+not come out exact.
 """
 
 from __future__ import annotations
@@ -244,10 +244,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "LaurentPoly":
-        return cls(n)
-
-    @classmethod
     def one(cls, n: int) -> "LaurentPoly":
         return cls._wrap(n, {_one_code(n): 1}, 0)
 
@@ -412,40 +408,24 @@ class TPoly:
     def __hash__(self):
         return hash((self.n, self.coeffs))
 
-    def divmod(self, divisor: "TPoly") -> tuple["TPoly", "TPoly"]:
-        """Long division by a monic divisor; ValueError for any other,
-        the zero polynomial included."""
-        if self.n != divisor.n:
+    def divide_exact(self, root: LaurentPoly) -> "TPoly":
+        """The quotient by t - root, by synthetic division: from the top,
+        q_(k-1) = a_k + root*q_k, and the remainder is a_0 + root*q_0.
+        Raises NonZeroRemainderError, with the remainder and the quotient,
+        if the remainder is not zero."""
+        if self.n != root.n:
             raise ValueError("variable-count mismatch")
-        if not divisor.is_monic():
-            raise ValueError("the divisor must be monic")
-        lower = [-d for d in divisor.coeffs[:-1]]
-        dd = divisor.degree
-        if len(self.coeffs) <= dd:
-            return TPoly(self.n), self
-        rem = [dict(c._codes) for c in self.coeffs]
-        bounds = [c._bound for c in self.coeffs]
-        qcoeffs = [LaurentPoly.zero(self.n)] * (len(rem) - dd)
-        for j in range(len(rem) - 1, dd - 1, -1):
-            c = LaurentPoly._from_sums(self.n, rem[j], bounds[j])
-            if c.is_zero():
-                continue
-            qcoeffs[j - dd] = c
-            # c times the leading 1 cancels rem[j] exactly, and
-            # rem[j] is never read again, so only the lower terms are
-            # subtracted.
-            for i, neg_d in enumerate(lower):
-                k = j - dd + i
-                bounds[k] = max(bounds[k], _mul_into(rem[k], c, neg_d))
-        return TPoly(self.n, qcoeffs), TPoly(
-            self.n, [LaurentPoly._from_sums(self.n, r, b)
-                     for r, b in zip(rem[:dd], bounds)])
-
-    def divide_exact(self, divisor: "TPoly") -> "TPoly":
-        """Exact quotient; raises NonZeroRemainderError if division is inexact."""
-        quotient, remainder = self.divmod(divisor)
+        q = LaurentPoly(self.n)
+        out = []
+        for a in reversed(self.coeffs):
+            sums = dict(a._codes)
+            bound = max(a._bound, _mul_into(sums, q, root))
+            q = LaurentPoly._from_sums(self.n, sums, bound)
+            out.append(q)
+        remainder = out.pop() if out else q
+        quotient = TPoly(self.n, reversed(out))
         if not remainder.is_zero():
-            raise NonZeroRemainderError(remainder, quotient)
+            raise NonZeroRemainderError(TPoly(self.n, [remainder]), quotient)
         return quotient
 
     def evaluate(self, t_val, q_val, x_vals: Sequence) -> Fraction:

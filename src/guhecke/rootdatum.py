@@ -15,7 +15,10 @@ such permutations exist at all: summing the left side over i = 1..n gives
 n(n+1) regardless of w, so the constant must be n+1.  (Equivalently these
 are the permutations preserving the pairing i <-> n+1-i that fixes the
 torus equations x̄_1 x_n = x̄_2 x_{n-1} = ...)  Every element fixes the
-middle index k = (n+1)/2.
+middle index k = (n+1)/2.  An element is its permutation tuple
+(w(1), ..., w(n)), a plain tuple like a row; :func:`weyl_group` and
+:func:`weyl_generators` build only tuples that keep the pairing, so
+nothing re-checks them.
 
 The Galois twist acts on torus monomials (:func:`twist_row`) by
 
@@ -41,44 +44,11 @@ from .guards import _require_odd
 Weight = tuple[int, ...]
 # Exponent rows (q, x0, ..., xn), as LaurentPoly.exponent_rows keys them.
 Row = tuple[int, ...]
+# Weyl elements: the permutation tuple (w(1), ..., w(n)).
+Perm = tuple[int, ...]
 
 
-class WeylElement:
-    """A permutation w of {1..n} with w(i) + w(n+1-i) = n+1 for all i."""
-
-    __slots__ = ("perm",)
-
-    def __init__(self, perm: Sequence[int]):
-        perm = tuple(perm)
-        n = len(perm)
-        if sorted(perm) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {perm}")
-        for i in range(1, n + 1):
-            if perm[i - 1] + perm[n - i] != n + 1:
-                raise ValueError(f"pairing condition fails at i={i}: {perm}")
-        self.perm = perm
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def inverse(self) -> "WeylElement":
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm, start=1):
-            inv[j - 1] = i
-        return WeylElement(tuple(inv))
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    def __repr__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.perm) + "]"
-
-
-def weyl_group(n: int) -> list[WeylElement]:
+def weyl_group(n: int) -> tuple[Perm, ...]:
     """All 2^m * m! elements (m = (n-1)/2), in a fixed deterministic order.
 
     An element is determined by where it sends 1..m and whether each image
@@ -97,11 +67,11 @@ def weyl_group(n: int) -> list[WeylElement]:
                 image = base[i - 1] if signs[i - 1] == 0 else n + 1 - base[i - 1]
                 perm[i - 1] = image
                 perm[n - i] = n + 1 - image
-            out.append(WeylElement(tuple(perm)))
-    return out
+            out.append(tuple(perm))
+    return tuple(out)
 
 
-def weyl_generators(n: int) -> list[WeylElement]:
+def weyl_generators(n: int) -> tuple[Perm, ...]:
     """A generating set: adjacent pair swaps (i i+1)(n+1-i n-i) for i < m,
     plus the reflection (m n+1-m).  Generates the full group."""
     _require_odd(n)
@@ -111,11 +81,11 @@ def weyl_generators(n: int) -> list[WeylElement]:
         perm = list(range(1, n + 1))
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
         perm[n - i], perm[n - i - 1] = perm[n - i - 1], perm[n - i]
-        gens.append(WeylElement(tuple(perm)))
+        gens.append(tuple(perm))
     perm = list(range(1, n + 1))
     perm[m - 1], perm[n - m] = perm[n - m], perm[m - 1]
-    gens.append(WeylElement(tuple(perm)))
-    return gens
+    gens.append(tuple(perm))
+    return tuple(gens)
 
 
 def rho(n: int) -> Weight:
@@ -152,8 +122,10 @@ def norm_monomial(row: Row) -> Row:
     return tuple(map(add, row, twist_row(row)))
 
 
-def row_permuter(w: WeylElement) -> Callable[[Row], Row]:
+def row_permuter(w: Perm) -> Callable[[Row], Row]:
     """The action of w on exponent rows (q, e0, e1, ..., en):
     x_i -> x_{w(i)} puts the exponent of x_i into the slot of x_{w(i)},
-    and q and x0 stay."""
-    return itemgetter(0, 1, *[j + 1 for j in w.inverse().perm])
+    and q and x0 stay.  Slot j of the image reads the slot of x_i with
+    w(i) = j: the indices i sorted by their images."""
+    inverse = sorted(range(len(w)), key=w.__getitem__)
+    return itemgetter(0, 1, *[i + 2 for i in inverse])

@@ -162,15 +162,16 @@ def sigma_twist_poly(p):
 
 
 def weyl_act(w, p):
-    """Permute x1..xn by w (x_i -> x_{w(i)}); x0 and q are fixed.  The
+    """Permute x1..xn by the permutation tuple w (x_i -> x_{w(i)}); x0
+    and q are fixed.  The
     action is a bijection on monomials, so coefficients move unchanged."""
-    if w.n != p.n:
+    if len(w) != p.n:
         raise ValueError("size mismatch")
     out = {}
     for row, coeff in p.exponent_rows().items():
         moved = list(row)
         for i in range(1, p.n + 1):
-            moved[w.perm[i - 1] + 1] = row[i + 1]
+            moved[w[i - 1] + 1] = row[i + 1]
         out[tuple(moved)] = coeff
     return LaurentPoly(p.n, out)
 
@@ -231,8 +232,9 @@ def apply_v(space, grade, v):
 
 
 def is_identity(w):
-    """True iff the Weyl element w fixes every index."""
-    return w.perm == tuple(range(1, w.n + 1))
+    """True iff the Weyl element w, a permutation tuple, fixes every
+    index."""
+    return w == tuple(range(1, len(w) + 1))
 
 
 def ref_random_invertible(fld, size, rng):

@@ -28,18 +28,13 @@ def var_sum(n, indices):
 
 def test_hecke_roots_n3_frozen():
     # (t - q^2 D x0^2 x3/x1), (t - q^2 D x0^2), (t - q^2 D x0^2 x1/x3)
-    expected = [
-        LaurentPoly.from_term((2, 2, 0, 1, 2)),
-        LaurentPoly.from_term((2, 2, 1, 1, 1)),
-        LaurentPoly.from_term((2, 2, 2, 1, 0)),
-    ]
-    assert hecke_roots(3) == expected
+    assert hecke_roots(3) == [(2, 2, 0, 1, 2), (2, 2, 1, 1, 1), (2, 2, 2, 1, 0)]
 
 
 def test_hecke_polynomial_equals_product_of_frozen_factors():
     product = TPoly(3, [LaurentPoly.one(3)])
     for root in hecke_roots(3):
-        product = product * TPoly.linear(root)
+        product = product * TPoly.linear(LaurentPoly.from_term(root))
     assert hecke_polynomial(3) == product
 
 
@@ -65,7 +60,7 @@ def test_subleading_coefficient_is_minus_root_sum(n):
     hp = hecke_polynomial(n)
     total = {}
     for root in hecke_roots(n):
-        total = ref_add(total, root.exponent_rows())
+        total = ref_add(total, {root: 1})
     assert hp.coeffs[n - 1] == -LaurentPoly(n, total)
 
 
@@ -116,7 +111,7 @@ def test_weyl_invariance_negative_and_trivial_cases():
     group = weyl_group(3)
     assert not check_weyl_invariance(var(3, 1), 3, group)
     assert check_weyl_invariance(const(3, Fraction(5, 3)), 3, group)
-    assert check_weyl_invariance(LaurentPoly.zero(3), 3, group)
+    assert check_weyl_invariance(LaurentPoly(3), 3, group)
 
 
 def test_weyl_check_agrees_with_polynomial_action():
@@ -228,7 +223,7 @@ def _index_order_product(n):
     in for root i = 1..n in turn."""
     poly = TPoly(n, [LaurentPoly.one(n)])
     for root in hecke_roots(n):
-        poly = poly * TPoly.linear(root)
+        poly = poly * TPoly.linear(LaurentPoly.from_term(root))
     return poly
 
 
@@ -278,8 +273,7 @@ def test_packed_H_and_R_match_the_monomial_reference(n):
     one = (0,) * (n + 2)
     ref_h = [{one: 1}]
     for root in hecke_roots(n):
-        (mono, coeff), = root.exponent_rows().items()
-        ref_h = ref_tmul(ref_h, [{mono: -coeff}, {one: 1}])
+        ref_h = ref_tmul(ref_h, [{root: -1}, {one: 1}])
     center = (n - 1, *central_monomial(n)[1:])
     ref_r, remainder = ref_divmod(ref_h, [{center: -1}, {one: 1}])
     assert remainder == []

@@ -29,10 +29,21 @@ def rand_poly(rng, n=N, terms=4, span=3):
     return LaurentPoly(n, rand_terms(rng, n, terms, span))
 
 
-def monic(rng, n=N, degree=1, terms=2):
-    """A random monic t-polynomial of the given degree."""
-    return TPoly(n, [rand_poly(rng, n, terms) for _ in range(degree)]
-                 + [LaurentPoly.one(n)])
+def divide(dividend, root):
+    """(quotient, remainder) of the division by t - root; an inexact
+    division gives both in its NonZeroRemainderError."""
+    try:
+        return dividend.divide_exact(root), TPoly(dividend.n)
+    except NonZeroRemainderError as err:
+        return err.quotient, err.remainder
+
+
+def ref_divide(dividend, root):
+    """The reference long division of dividend by t - root, on term maps."""
+    one = (0,) * (root.n + 2)
+    return ref_divmod([p.exponent_rows() for p in dividend.coeffs],
+                      [{m: -c for m, c in root.exponent_rows().items()},
+                       {one: 1}])
 
 
 def times(*factors):
@@ -83,7 +94,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         TPoly.linear(var(3, 1)) * TPoly.linear(var(5, 1))
     with pytest.raises(ValueError):
-        TPoly.linear(var(3, 1)).divmod(TPoly.linear(var(5, 1)))
+        TPoly.linear(var(3, 1)).divide_exact(var(5, 1))
     with pytest.raises(ValueError):
         TPoly(3, [var(3, 1), var(5, 1)])
     # A row has n + 2 lanes, q first.
@@ -105,13 +116,13 @@ def test_ring_axioms_randomized():
 
 def test_no_zero_coefficients_survive():
     # Products and quotients whose sums cancel: (t - a)(t + a) = t^2 - a^2,
-    # and a random remainder of a monic division.
+    # and a random remainder of a division by t - r.
     rng = random.Random(4)
     for _ in range(40):
         a, b = rand_poly(rng), rand_poly(rng)
         square = TPoly.linear(a) * TPoly(N, [a, LaurentPoly.one(N)])
         assert square.coeffs[1].is_zero()
-        quotient, remainder = TPoly(N, [b, a, b]).divmod(monic(rng))
+        quotient, remainder = divide(TPoly(N, [b, a, b]), rand_poly(rng))
         for coeff in (*square.coeffs, *quotient.coeffs, *remainder.coeffs):
             assert all(c != 0 for c in coeff.exponent_rows().values())
             assert len(coeff) == len(coeff.exponent_rows())
@@ -190,7 +201,7 @@ def _evaluate_by_fractions(poly, q_val, x_vals):
 def test_integer_evaluate_matches_fraction_loop():
     rng = random.Random(77)
     values = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4)]
-    polys = [LaurentPoly.zero(N), LaurentPoly.one(N),
+    polys = [LaurentPoly(N), LaurentPoly.one(N),
              LaurentPoly.from_term((0, 0, 1, -3, 0), 3)]
     polys += [rand_poly(rng, terms=8, span=4) for _ in range(60)]
     integral = [p for p in polys
@@ -203,7 +214,7 @@ def test_integer_evaluate_matches_fraction_loop():
             got = poly.evaluate(q_val, point)
             assert type(got) is Fraction
             assert got == _evaluate_by_fractions(poly, q_val, point)
-    assert LaurentPoly.zero(N).evaluate(0, [0] * (N + 1)) == 0
+    assert LaurentPoly(N).evaluate(0, [0] * (N + 1)) == 0
 
 
 def test_evaluate_at_zero_under_a_negative_exponent_raises():
@@ -227,7 +238,7 @@ def test_evaluate_at_zero_under_a_negative_exponent_raises():
 def test_canonical_text_rendering():
     p = LaurentPoly(N, {(2, 2, 1, 0, -1): Fraction(3, 2)})
     assert str(p) == "3/2*q^2*x0^2*x1*x3^-1"
-    assert str(LaurentPoly.zero(N)) == "0"
+    assert str(LaurentPoly(N)) == "0"
     assert str(LaurentPoly(N, {(0, 0, 1, 0, 0): 1,
                                (0, 0, 0, 1, 0): -1})) == "-x2 + x1"
 
@@ -245,7 +256,7 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
     rng = random.Random(1010)
     edges = (-LANE_MAX, LANE_MAX)
     for n in range(3, 16):
-        polys = [LaurentPoly.zero(n), const(n, 5), const(n, Fraction(-3, 7))]
+        polys = [LaurentPoly(n), const(n, 5), const(n, Fraction(-3, 7))]
         for _ in range(6):
             big = rand_terms(rng, n, terms=10, span=3)
             polys.append(LaurentPoly(n, ref_add(
@@ -292,14 +303,14 @@ def test_exponent_rows_return_the_rows_built_from():
             assert rows == {row: c for row, c in terms.items() if c}
             assert all(type(c) is int or c.denominator != 1
                        for c in rows.values())
-    assert LaurentPoly.zero(3).exponent_rows() == {}
+    assert LaurentPoly(3).exponent_rows() == {}
 
 
 # -- TPoly --------------------------------------------------------------------
 
 
 def test_tpoly_trims_and_reports_degree():
-    zero = LaurentPoly.zero(N)
+    zero = LaurentPoly(N)
     p = TPoly(N, [x(1), LaurentPoly.one(N), zero, zero])
     assert p.degree == 1
     assert p.coeffs == (x(1), LaurentPoly.one(N))
@@ -310,41 +321,46 @@ def test_divide_linear_factors():
     m1 = LaurentPoly.from_term((1, 0, 1, 0, 0))
     m2 = LaurentPoly.from_term((0, 0, 0, 2, 0), Fraction(-3, 7))
     product = TPoly.linear(m1) * TPoly.linear(m2)
-    assert product.divide_exact(TPoly.linear(m1)) == TPoly.linear(m2)
+    assert product.divide_exact(m1) == TPoly.linear(m2)
+    assert product.divide_exact(m2) == TPoly.linear(m1)
 
 
 def test_divide_exact_roundtrip_randomized():
+    # Random quotients, zero middle coefficients among them, times t - r
+    # for a random r with Fraction coefficients, the zero root included.
     rng = random.Random(5150)
-    for _ in range(30):
-        divisor = monic(rng, degree=rng.randint(1, 3))
-        quotient = TPoly(N, [rand_poly(rng, terms=2) for _ in range(rng.randint(1, 3))]
-                         + [LaurentPoly(N, ref_add(rand_terms(rng, terms=2),
-                                                   {(0,) * (N + 2): 1}))])
-        if quotient.is_zero():
-            continue
-        assert (quotient * divisor).divide_exact(divisor) == quotient
+    for _ in range(40):
+        root = rand_poly(rng, terms=3)
+        quotient = TPoly(N, [rand_poly(rng, terms=2) if rng.random() < 0.7
+                             else LaurentPoly(N)
+                             for _ in range(rng.randint(0, 3))]
+                         + [rand_poly(rng, terms=3) or LaurentPoly.one(N)])
+        assert (quotient * TPoly.linear(root)).divide_exact(root) == quotient
 
 
 def test_nonzero_remainder_is_reported():
     # (t^2 + 1) / (t - x1): long division by hand gives quotient t + x1
     # and remainder 1 + x1^2.
-    dividend = TPoly(N, [LaurentPoly.one(N), LaurentPoly.zero(N), LaurentPoly.one(N)])
+    dividend = TPoly(N, [LaurentPoly.one(N), LaurentPoly(N), LaurentPoly.one(N)])
     with pytest.raises(NonZeroRemainderError) as info:
-        dividend.divide_exact(TPoly.linear(x(1)))
+        dividend.divide_exact(x(1))
     assert info.value.remainder == TPoly(N, [LaurentPoly(N, {
         (0,) * 5: 1, (0, 0, 2, 0, 0): 1})])
     assert info.value.quotient == TPoly(N, [x(1), LaurentPoly.one(N)])
 
 
-def test_divide_requires_a_monic_divisor():
-    # A leading coefficient that is not 1, a unit or not, and the zero
-    # polynomial are all refused.
-    for lead in (LaurentPoly(N, {(0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0): 1}),
-                 x(1), const(N, 2), const(N, -1)):
-        with pytest.raises(ValueError, match="monic"):
-            TPoly(N, [x(1), x(2)]).divide_exact(TPoly(N, [x(3), lead]))
-    with pytest.raises(ValueError, match="monic"):
-        TPoly(N, [x(1)]).divmod(TPoly(N))
+def test_zero_and_constant_dividends():
+    # 0 / (t - r) is 0; a nonzero constant a0 is its own remainder, with
+    # the zero quotient.
+    rng = random.Random(17)
+    for _ in range(10):
+        root = rand_poly(rng)
+        assert TPoly(N).divide_exact(root) == TPoly(N)
+        a0 = rand_poly(rng) or const(N, Fraction(-2, 3))
+        with pytest.raises(NonZeroRemainderError) as info:
+            TPoly(N, [a0]).divide_exact(root)
+        assert info.value.remainder == TPoly(N, [a0])
+        assert info.value.quotient == TPoly(N)
 
 
 def test_tpoly_evaluate():
@@ -388,14 +404,13 @@ def test_operations_never_leave_floats_or_integral_fractions():
         # integer polynomials too, so integral sums of Fractions show up
         c = LaurentPoly(N, {m: 3024 * k for m, k in a.exponent_rows().items()})
         results = [c, -a, substitute(a, flip)]
-        divisor = monic(rng)
+        root = rand_poly(rng)
         dividend = TPoly(N, [a, b, c])
-        quotient, remainder = dividend.divmod(divisor)
-        ref_q, ref_r = ref_divmod([p.exponent_rows() for p in dividend.coeffs],
-                                  [p.exponent_rows() for p in divisor.coeffs])
+        quotient, remainder = divide(dividend, root)
+        ref_q, ref_r = ref_divide(dividend, root)
         assert [p.exponent_rows() for p in quotient.coeffs] == ref_q
         assert [p.exponent_rows() for p in remainder.coeffs] == ref_r
-        for tp in (quotient, remainder, quotient * divisor,
+        for tp in (quotient, remainder, quotient * TPoly.linear(root),
                    TPoly(N, [a, c]) * TPoly(N, [b, a])):
             results.extend(tp.coeffs)
         for poly in results:
@@ -415,7 +430,7 @@ def test_constant_factor_fast_path_matches_term_by_term_product():
     for _ in range(30):
         lhs = rand_poly(rng)
         before = lhs.exponent_rows()
-        for start in (rand_poly(rng), LaurentPoly.zero(N)):
+        for start in (rand_poly(rng), LaurentPoly(N)):
             for rhs_terms in rhs_cases:
                 rhs = LaurentPoly(N, rhs_terms)
                 got = dict(start._codes)
@@ -449,12 +464,13 @@ def test_packed_kernel_matches_term_by_term_reference():
             while ref and not ref[-1]:
                 ref.pop()
             assert [p.exponent_rows() for p in product.coeffs] == ref
-            num = [rand_poly(rng, n, terms=4) for _ in range(rng.randint(1, 5))]
-            den = monic(rng, n, degree=rng.randint(0, 2))
-            quotient, remainder = TPoly(n, num).divmod(den)
-            ref_q, ref_r = ref_divmod([p.exponent_rows()
-                                       for p in TPoly(n, num).coeffs],
-                                      [p.exponent_rows() for p in den.coeffs])
+            # Dividends with zero middle coefficients, divided by t - r.
+            num = TPoly(n, [rand_poly(rng, n, terms=4) if rng.random() < 0.7
+                            else LaurentPoly(n)
+                            for _ in range(rng.randint(1, 5))])
+            root = rand_poly(rng, n, terms=3)
+            quotient, remainder = divide(num, root)
+            ref_q, ref_r = ref_divide(num, root)
             assert [p.exponent_rows() for p in quotient.coeffs] == ref_q
             assert [p.exponent_rows() for p in remainder.coeffs] == ref_r
             for poly in (*product.coeffs, *quotient.coeffs, *remainder.coeffs):
@@ -507,7 +523,7 @@ def test_exponents_past_the_lane_limit_raise_instead_of_wrapping():
     with pytest.raises(OverflowError):
         TPoly.linear(u) * TPoly.linear(u)
     with pytest.raises(OverflowError):
-        TPoly(N, [x(1), u, LaurentPoly.one(N)]).divmod(TPoly.linear(u))
+        TPoly(N, [x(1), u, LaurentPoly.one(N)]).divide_exact(u)
     # A bound that only sums the operands' bounds is retried on the exact
     # exponents: the factor below has bound 32000 but is the constant 1.
     one, = (TPoly(N, [x(1, 16000)]) * TPoly(N, [x(1, -16000)])).coeffs

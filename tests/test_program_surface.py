@@ -44,15 +44,13 @@ ALLOWED = {
     ("laurent", "LaurentPoly.__repr__"): "debugging repr",
     ("laurent", "TPoly.__repr__"): "debugging repr",
     ("laurent", "TPoly.__hash__"): "keeps TPoly hashable with its __eq__",
+    ("laurent", "LaurentPoly.__hash__"):
+        "keeps LaurentPoly hashable with its __eq__",
     ("finitefield", "GFp2.add"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.mul"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.inv"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.frob"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.__repr__"): "debugging repr",
-    ("rootdatum", "WeylElement.__eq__"): "value equality of group elements",
-    ("rootdatum", "WeylElement.__hash__"): "keeps WeylElement hashable "
-                                           "with its __eq__",
-    ("rootdatum", "WeylElement.__repr__"): "debugging repr",
     ("dieudonne", "char_poly"):
         "the first half of the slope reference in tests/reference.py, and "
         "the benchmark replay wraps it as dieudonne.char_poly",
