@@ -251,7 +251,7 @@ class DieudonneSpace:
             if len(m) != nrows or any(len(row) != ncols for row in m):
                 raise ValueError(f"{name} must be {nrows}x{ncols}")
             for row in m:
-                for x in row:
+                for x in _json_ints(f"{name} entries", *row):
                     if not 0 <= x < fld.size:
                         raise ValueError(f"{name} entry {x} is not a field code")
         # F V = V F = 0: the inner twist folds into the matrix by Frobenius.
@@ -267,6 +267,13 @@ class DieudonneSpace:
                 raise ValueError("F V = V F = 0 fails")
         if self.ne != self.nebar or rank(fld, self.gram) != self.ne:
             raise ValueError("pairing must be nondegenerate")
+
+    @classmethod
+    def _certified(cls, **fields) -> "DieudonneSpace":
+        """The space of blocks proved valid (see basechange), unchecked."""
+        space = object.__new__(cls)
+        space.__dict__.update(fields)
+        return space
 
     @property
     def field(self) -> GFp2:
@@ -351,18 +358,20 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
     gram_t = mat_transpose(space.gram)
     for g, f, v in ((space.gram, space.f_e2ebar, space.v_e2ebar),
                     (gram_t, space.f_ebar2e, space.v_ebar2e)):
-        lhs = tuple(tuple(fld.neg(x) for x in col)
-                    for col in zip(*mat_mul(fld, g, f)))
-        if lhs != mat_frob(fld, mat_mul(fld, g, v)):
+        gf, gv = _shared_left(fld, g, f, v)
+        lhs = tuple(tuple(fld.neg(x) for x in col) for col in zip(*gf))
+        if lhs != mat_frob(fld, gv):
             return False
     return True
 
 
 def check_bt1(space: DieudonneSpace,
-              ranks: tuple[int, int] | None = None) -> bool:
+              ranks: tuple[int, int] | None = None,
+              f_ranks: tuple[int, int] | None = None) -> bool:
     """True iff Im F = Ker V and Im V = Ker F (gradedwise, as subspace
     equalities) and the pairing law holds on all basis pairs; ``ranks``
-    are the space's :func:`v_ranks` if already known.
+    are the space's :func:`v_ranks` and ``f_ranks`` those of its F
+    blocks, if already known.
 
     The space already has F V = V F = 0, so Im F_g <= Ker V_(1-g) and
     Im V_(1-g) <= Ker F_g; a semilinear kernel has dimension dim - rank
@@ -371,7 +380,8 @@ def check_bt1(space: DieudonneSpace,
     fld = space.field
     rank_v = ranks or v_ranks(space)
     for g in (0, 1):
-        if rank(fld, space.f_matrix(g)) + rank_v[1 - g] != space.ne:
+        rank_f = f_ranks[g] if f_ranks else rank(fld, space.f_matrix(g))
+        if rank_f + rank_v[1 - g] != space.ne:
             return False
     return pairing_law_holds(space)
 
@@ -388,6 +398,13 @@ def model_space(n: int, r: int, p: int) -> DieudonneSpace:
 # Base change
 
 
+def _shared_left(fld: GFp2, left: Mat, a: Mat, b: Mat) -> tuple[Mat, Mat]:
+    """(left @ a, left @ b) as one product, on [a | b]."""
+    both = mat_mul(fld, left, tuple(x + y for x, y in zip(a, b)))
+    k = len(a[0])
+    return tuple(row[:k] for row in both), tuple(row[k:] for row in both)
+
+
 def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
                p_inv: Mat, q_inv: Mat) -> DieudonneSpace:
     """Rewrite the space in the bases given by the columns of p_mat (on the
@@ -395,21 +412,28 @@ def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
 
     Semilinear transformation rule: a matrix from grade g to grade h
     becomes inv(T_h) @ M @ frob(T_g); the pairing becomes
-    transpose(T_e) @ gram @ T_ebar.  The result is isomorphic to the
-    input by construction, and is validated as a new space all the same.
-    The caller passes the inverses p_inv and q_inv (both callers draw
-    each frame with its inverse, from one elimination); they are taken
-    as given.
+    transpose(T_e) @ gram @ T_ebar.  The frames are certified, not the
+    result: ValueError unless p_inv and q_inv are n x n with
+    P p_inv = Q q_inv = I, which makes them two-sided inverses.  Then the
+    result of a valid space is valid.  Table products of codes are codes,
+    all n x n.  Frobenius is an involutive ring map on entries, so for M
+    from grade a to b and N from c to a, M' frob(N') = T_b^-1 M
+    frob(T_a T_a^-1) frob(N) T_c = T_b^-1 (M frob(N)) T_c, and F V = V F
+    = 0 holds.  And P^T G Q has the rank of G.
     """
-    fld = space.field
-    p_tw = mat_frob(fld, p_mat)
-    q_tw = mat_frob(fld, q_mat)
-    return DieudonneSpace(
-        p=space.p, ne=space.ne, nebar=space.nebar,
-        f_e2ebar=mat_mul(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw)),
-        f_ebar2e=mat_mul(fld, p_inv, mat_mul(fld, space.f_ebar2e, q_tw)),
-        v_e2ebar=mat_mul(fld, q_inv, mat_mul(fld, space.v_e2ebar, p_tw)),
-        v_ebar2e=mat_mul(fld, p_inv, mat_mul(fld, space.v_ebar2e, q_tw)),
+    fld, n = space.field, space.ne
+    for t, t_inv in ((p_mat, p_inv), (q_mat, q_inv)):
+        if ({len(t), len(t_inv), *map(len, (*t, *t_inv))} != {n}
+                or mat_mul(fld, t, t_inv) != identity_mat(n)):
+            raise ValueError("a frame times its given inverse is not I")
+    p_tw, q_tw = mat_frob(fld, p_mat), mat_frob(fld, q_mat)
+    f_e, v_e = _shared_left(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw),
+                            mat_mul(fld, space.v_e2ebar, p_tw))
+    f_ebar, v_ebar = _shared_left(fld, p_inv, mat_mul(fld, space.f_ebar2e, q_tw),
+                                  mat_mul(fld, space.v_ebar2e, q_tw))
+    return DieudonneSpace._certified(
+        p=space.p, ne=n, nebar=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
+        v_e2ebar=v_e, v_ebar2e=v_ebar,
         gram=mat_mul(fld, mat_transpose(p_mat), mat_mul(fld, space.gram, q_mat)),
     )
 
@@ -472,7 +496,20 @@ def _closure(start, successors) -> set:
     return seen
 
 
-def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
+def _eliminate_blocks(space: DieudonneSpace) -> tuple[tuple[Mat, Mat],
+                                                       tuple[Mat, Mat]]:
+    """(images, kernels), one elimination per block: ``images[g]`` =
+    rref(F_g^T) = F(piece g), of length rank F_g, and ``kernels[g]`` =
+    Ker V_g = V^-1(0), of length dim_g - rank V_g."""
+    fld = space.field
+    images = tuple(rref(fld, mat_transpose(space.f_matrix(g))) for g in (0, 1))
+    kernels = tuple(mat_frob(fld, kernel_basis(fld, space.v_matrix(g), dim))
+                    for g, dim in enumerate(space.dims()))
+    return images, kernels
+
+
+def fingerprint(space: DieudonneSpace, blocks=None
+                ) -> tuple[tuple[int, int, int], ...]:
     """Isomorphism-invariant signature of the canonical filtration.
 
     Close {0, full} (in each graded piece) under X -> F(X) and
@@ -484,38 +521,39 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     Each node costs two eliminations.  F(X) is the rref of the one
     product frob(X) @ transpose(F).  The V-preimage is the Frobenius
     twist of a linear kernel, which :func:`kernel_basis` returns already
-    reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  F(0)
-    = 0 and V^-1(full) = full are known without elimination.
+    reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  The
+    four start nodes, the only 0 and full ones, are expanded without
+    elimination from ``blocks``, the space's :func:`_eliminate_blocks`.
     """
     fld = space.field
     dims = space.dims()
+    images, kernels = blocks or _eliminate_blocks(space)
     f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
 
     def f_image(grade, basis):
-        if not basis:
-            return 1 - grade, ()
         return 1 - grade, rref(fld, mat_mul(fld, mat_frob(fld, basis),
                                             f_rows[grade]))
 
     def v_preimage(grade, basis):
         # {y in the other piece : V(y) in span(basis)}
         src = 1 - grade
-        if len(basis) == dims[grade]:
-            return src, identity_mat(dims[src])
         ann = annihilator_rows(fld, basis, dims[grade])
         lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)),
                            dims[src])
         return src, mat_frob(fld, lin)
 
+    first = {(g, ()): ((1 - g, ()), (1 - g, kernels[1 - g])) for g in (0, 1)}
+    first.update({(g, identity_mat(dims[g])):
+                  ((1 - g, images[g]), (1 - g, identity_mat(dims[1 - g])))
+                  for g in (0, 1)})
     image_dim: dict = {}
 
     def successors(node):
-        img = f_image(*node)
+        img, pre = first.get(node) or (f_image(*node), v_preimage(*node))
         image_dim[node] = len(img[1])
-        return img, v_preimage(*node)
+        return img, pre
 
-    seen = _closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
-                     (1, identity_mat(dims[1]))], successors)
+    seen = _closure(list(first), successors)
     return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
                         for g, x in seen))
 
@@ -561,18 +599,20 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
 
     Raises NotBT1Error if the space is not a BT1 of signature (n-1, 1)
     with graded pieces of dimension n, and NoMatchError if no model
-    fingerprint matches.
+    fingerprint matches.  Checked in turn: dimensions, :func:`check_bt1`,
+    signature, fingerprint, all read off one :func:`_eliminate_blocks`.
     """
     if space.dims() != (n, n):
         raise NotBT1Error(
             f"graded dimensions {space.dims()} != ({n}, {n})")
-    ranks = v_ranks(space)
-    if not check_bt1(space, ranks):
+    images, kernels = blocks = _eliminate_blocks(space)
+    ranks = tuple(n - len(kernel) for kernel in kernels)
+    if not check_bt1(space, ranks, tuple(map(len, images))):
         raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
     sig = signature(space, ranks)
     if sig != (n - 1, 1):
         raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")
-    fp = fingerprint(space)
+    fp = fingerprint(space, blocks)
     for r, model_fp in _model_fingerprints(n):
         if fp == model_fp:
             return r

@@ -13,8 +13,10 @@ action on whole polynomials, built term by term, and the earlier factor
 certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
 definition, the F_{p^2} vector operations, the vector-level operators
-and identity test that only the tests use, and the earlier
-two-elimination sampler of base changes.  Then the dense integer view of
+and identity test that only the tests use, the earlier
+two-elimination sampler of base changes, the earlier base change that
+validated its result as a new space, and the earlier classification,
+which ranked the blocks before its closure eliminated them again.  Then the dense integer view of
 an integral model's arrows, on which the tests keep the matrix identities
 (F V = V F = p, the pairing law), and the block sum of Dieudonne spaces
 that once assembled the type-r model.  Last, the p-adic lower Newton
@@ -29,8 +31,11 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from guhecke.dieudonne import DieudonneSpace, basechange
-from guhecke.finitefield import mat_inv, rank
+from guhecke.dieudonne import (DieudonneSpace, NoMatchError, NotBT1Error,
+                               _closure, _model_fingerprints, basechange)
+from guhecke.finitefield import (annihilator_rows, identity_mat, kernel_basis,
+                                 mat_frob, mat_inv, mat_mul, mat_transpose,
+                                 rank, rref)
 from guhecke.laurent import LaurentPoly, TPoly
 from guhecke.rootdatum import twist_row, weyl_generators
 
@@ -256,6 +261,88 @@ def ref_random_basechange(space, seed):
     q_mat = ref_random_invertible(fld, space.nebar, rng)
     return basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
                       mat_inv(fld, q_mat))
+
+
+def ref_basechange(space, p_mat, q_mat, p_inv, q_inv):
+    """The earlier ``basechange``: four products of the form
+    inv(T_h) @ (M @ frob(T_g)), one per block, and the gram's two, the
+    result validated as a new space; the inverses are taken as given."""
+    fld = space.field
+    p_tw, q_tw = mat_frob(fld, p_mat), mat_frob(fld, q_mat)
+    return DieudonneSpace(
+        p=space.p, ne=space.ne, nebar=space.nebar,
+        f_e2ebar=mat_mul(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw)),
+        f_ebar2e=mat_mul(fld, p_inv, mat_mul(fld, space.f_ebar2e, q_tw)),
+        v_e2ebar=mat_mul(fld, q_inv, mat_mul(fld, space.v_e2ebar, p_tw)),
+        v_ebar2e=mat_mul(fld, p_inv, mat_mul(fld, space.v_ebar2e, q_tw)),
+        gram=mat_mul(fld, mat_transpose(p_mat), mat_mul(fld, space.gram, q_mat)))
+
+
+def ref_pairing_law(space):
+    """The earlier pairing law: -(G F)^T = frob(G V) for each gram block,
+    one product per side."""
+    fld = space.field
+    for g, f, v in ((space.gram, space.f_e2ebar, space.v_e2ebar),
+                    (mat_transpose(space.gram), space.f_ebar2e,
+                     space.v_ebar2e)):
+        lhs = tuple(tuple(fld.neg(x) for x in col)
+                    for col in zip(*mat_mul(fld, g, f)))
+        if lhs != mat_frob(fld, mat_mul(fld, g, v)):
+            return False
+    return True
+
+
+def ref_fingerprint(space):
+    """The earlier fingerprint closure: every node, 0 and full included,
+    expanded by its own eliminations, except F(0) = 0 and V^-1(full) =
+    full."""
+    fld = space.field
+    dims = space.dims()
+
+    def successors(node):
+        grade, basis = node
+        src = 1 - grade
+        if not basis:
+            img = ()
+        else:
+            img = rref(fld, mat_mul(fld, mat_frob(fld, basis),
+                                    mat_transpose(space.f_matrix(grade))))
+        if len(basis) == dims[grade]:
+            pre = identity_mat(dims[src])
+        else:
+            ann = annihilator_rows(fld, basis, dims[grade])
+            pre = mat_frob(fld, kernel_basis(
+                fld, mat_mul(fld, ann, space.v_matrix(src)), dims[src]))
+        image_dim[node] = len(img)
+        return (src, img), (src, pre)
+
+    image_dim = {}
+    seen = _closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
+                     (1, identity_mat(dims[1]))], successors)
+    return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
+                        for g, x in seen))
+
+
+def ref_classify_type(space, n):
+    """The earlier ``classify_type``, in its stage order: dimensions, the
+    ranks of the V blocks, then of the F blocks in the rank identities
+    (grade 0 first), the pairing law, the signature, and the closure,
+    each stage with its own eliminations."""
+    if space.dims() != (n, n):
+        raise NotBT1Error(f"graded dimensions {space.dims()} != ({n}, {n})")
+    fld = space.field
+    rank_v = (rank(fld, space.v_e2ebar), rank(fld, space.v_ebar2e))
+    if not (all(rank(fld, space.f_matrix(g)) + rank_v[1 - g] == n
+                for g in (0, 1)) and ref_pairing_law(space)):
+        raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
+    sig = (n - rank_v[1], n - rank_v[0])
+    if sig != (n - 1, 1):
+        raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")
+    fp = ref_fingerprint(space)
+    for r, model_fp in _model_fingerprints(n):
+        if fp == model_fp:
+            return r
+    raise NoMatchError(f"fingerprint matches no model for n={n}, p={space.p}")
 
 
 def dense_view(module):

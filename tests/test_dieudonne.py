@@ -23,8 +23,9 @@ from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_inv,
                                   mat_mul, mat_transpose, rref)
 from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
 from reference import (apply_f, apply_v, dense_mat_mul, dense_view, mat_vec,
-                       padic_newton_slopes, ref_direct_sum,
-                       ref_random_basechange, ref_random_invertible, vec_frob)
+                       padic_newton_slopes, ref_basechange, ref_classify_type,
+                       ref_direct_sum, ref_random_basechange,
+                       ref_random_invertible, vec_frob)
 
 PRIMES = (3, 5, 7)
 
@@ -319,6 +320,16 @@ def test_space_with_zero_operators_is_not_bt1():
     assert not check_bt1(space)  # Im F = 0 but Ker V is everything
 
 
+@pytest.mark.parametrize("entry", (True, 1.0, Fraction(1)))
+@pytest.mark.parametrize("name", ("f_e2ebar", "v_ebar2e", "gram"))
+def test_space_refuses_an_entry_that_is_not_an_int(name, entry):
+    space = model_space(3, 2, 3)
+    rows = [list(row) for row in getattr(space, name)]
+    rows[0][0] = entry
+    with pytest.raises(ValueError, match=f"{name} entries must be integers"):
+        dataclasses.replace(space, **{name: rows})
+
+
 def test_space_validation_rejects_fv_nonzero():
     p = 3
     with pytest.raises(ValueError):
@@ -544,21 +555,27 @@ def test_precomputed_v_ranks_give_the_same_signature_and_bt1_answer():
 
 
 def test_classify_ranks_each_block_once(monkeypatch):
+    # Every elimination of the whole classification, the closure included,
+    # is recorded; each of F_e, F_ebar, V_e and V_ebar, as itself or as
+    # its transpose, is eliminated exactly once.
     space = random_basechange(model_space(5, 2, 3), 11)
     dieudonne._model_fingerprints(5)  # built beforehand
-    ranked = []
-    real_rank = dieudonne.rank
+    forms = {name: {getattr(space, name), mat_transpose(getattr(space, name))}
+             for name in ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e")}
+    assert len(set().union(*forms.values())) == 8  # each form names one block
+    eliminated = []
+    for name in ("rref", "kernel_basis", "rank", "mat_inv"):
+        def counting(fld, rows, *rest, real=getattr(dieudonne, name)):
+            rows = tuple(map(tuple, rows))
+            eliminated.append(rows)
+            return real(fld, rows, *rest)
 
-    def counting_rank(fld, rows):
-        ranked.append(rows)
-        return real_rank(fld, rows)
-
-    monkeypatch.setattr(dieudonne, "rank", counting_rank)
+        monkeypatch.setattr(dieudonne, name, counting)
     assert classify_type(space, 5) == 2
-    # F_e, F_ebar, V_e, V_ebar, each once (the fingerprint uses rref).
-    assert len(ranked) == 4
-    blocks = (space.f_e2ebar, space.f_ebar2e, space.v_e2ebar, space.v_ebar2e)
-    assert sorted(map(id, ranked)) == sorted(map(id, blocks))
+    counts = {name: sum(rows in block for rows in eliminated)
+              for name, block in forms.items()}
+    assert counts == dict.fromkeys(forms, 1)
+    assert len(eliminated) > 4  # the closure's own nodes were eliminated too
 
 
 def test_check_bt1_ranks_match_subspace_equalities_on_base_changed_models():
@@ -703,18 +720,73 @@ def test_random_basechange_matches_the_two_elimination_sampler():
             == ref_random_basechange(space, seed), seed
 
 
-def test_basechange_takes_the_inverses_as_given():
+def test_basechange_checks_the_inverses_it_is_given():
     fld = gfp2(5)
-    space = model_space(3, 2, 5)
-    (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, 3, 3, 4)
-    moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
-    assert moved == random_basechange(space, 4)
-    assert moved == basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
-                               mat_inv(fld, q_mat))
-    # the inverses are taken as given, and the new space is validated: a
-    # wrong one breaks F V = 0 here
-    with pytest.raises(ValueError, match="F V = V F = 0 fails"):
-        basechange(space, p_mat, q_mat, p_inv, p_inv)
+    for n in (3, 5):
+        space = model_space(n, 2, 5)
+        (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, n, n, 4)
+        moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
+        assert moved == random_basechange(space, 4)
+        assert moved == basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
+                                   mat_inv(fld, q_mat))
+        # 2 P^-1 is no inverse, yet the blocks it gives are a valid space
+        # that passes check_bt1: validating the result, as the earlier
+        # basechange did, lets it through, and the frame certificate does
+        # not.
+        scaled = tuple(tuple(fld.mul(2, x) for x in row) for row in p_inv)
+        assert check_bt1(ref_basechange(space, p_mat, q_mat, scaled, q_inv))
+        wrong = ((scaled, q_inv),
+                 (p_inv, p_inv),  # swapped: Q's inverse is P's
+                 (p_inv, q_inv + q_inv[:1]),  # Q Q^-1 = I, Q^-1 (n+1) x n
+                 (p_inv, tuple(row + (0,) for row in q_inv)))  # n x (n+1)
+        for p_given, q_given in wrong:
+            with pytest.raises(ValueError, match="given inverse is not I"):
+                basechange(space, p_mat, q_mat, p_given, q_given)
+
+
+def _outcome(classify, space, n):
+    """classify(space, n), or the class and message of what it raised."""
+    try:
+        return classify(space, n)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", (3, 5, 7, 9))
+def test_certified_basechange_and_classification_match_the_earlier_route(n):
+    # Models of every type, the n supersingular planes (signature (n, 0))
+    # and random spaces (mostly not BT1), each moved by seeded frames: the
+    # certified base change equals the same blocks validated as a new space
+    # and the earlier base change, and classify_type gives the earlier
+    # stage order's type, or its exception class and message, at n and at
+    # a wrong n.
+    rng = random.Random(n)
+    outcomes = set()
+    for p in (3, 5, 7):
+        spaces = [model_space(n, r, p) for r in range(1, n + 1)]
+        spaces += [integral_model(n, 0, p).reduction()]
+        spaces += [_random_space(p, n, rng) for _ in range(3)]
+        for seed in range(3):
+            (p_mat, p_inv), (q_mat, q_inv) = random_frames(
+                gfp2(p), n, n, 1009 * n + 31 * p + seed)
+            for space in spaces:
+                moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
+                assert moved == dataclasses.replace(moved) \
+                    == ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
+                for m in (n, n + 2):
+                    got = _outcome(classify_type, moved, m)
+                    assert got == _outcome(ref_classify_type, moved, m)
+                    outcomes.add(got if isinstance(got, int)
+                                 else got[1].split()[0])
+    assert outcomes == {*range(1, n + 1), "graded", "Im", "signature"}
+
+
+def test_closure_limit_matches_the_earlier_route(monkeypatch):
+    space = random_basechange(model_space(5, 3, 7), 2)
+    monkeypatch.setattr(dieudonne, "CLOSURE_STEP_LIMIT", 5)
+    got = _outcome(classify_type, space, 5)
+    assert got == _outcome(ref_classify_type, space, 5)
+    assert got == (ClosureLimitError, "canonical filtration failed to stabilize")
 
 
 # -- classification ------------------------------------------------------------
