@@ -148,9 +148,9 @@ def classification_roundtrip(seed: int = 0) -> str:
         prints = [fp for _, fp in _model_fingerprints(n)]
         _check(len(set(prints)) == n, f"fingerprint collision at n={n}")
         for p in CLASSIFY_PRIMES:
-            # random_basechange's draws depend on the seed and the piece
-            # dimensions only, so all n models share each seed's frames.
-            frames = [random_frames(gfp2(p), n, n, seed * 100_003 + s)
+            # random_basechange's draws depend on the seed and the
+            # dimension only, so all n models share each seed's frames.
+            frames = [random_frames(gfp2(p), n, seed * 100_003 + s)
                       for s in range(CLASSIFY_SEEDS)]
             for r in range(1, n + 1):
                 model = model_space(n, r, p)

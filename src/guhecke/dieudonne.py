@@ -9,11 +9,12 @@ Two levels of structure are modelled:
   :func:`integral_model` builds the type-r model B_r + (n-r) SS: the
   rank-2r banded module, one F-cycle, and n-r supersingular planes.
 
-* :class:`DieudonneSpace` -- the mod-p reduction: graded pieces over
-  F_{p^2} with F V = V F = 0 and a nondegenerate pairing between the
-  pieces.  Matrices act on coordinate columns; the semilinear twist is
-  applied to coordinates before the matrix (and Frobenius is an
-  involution on F_{p^2}, so the inverse twist is the same map).
+* :class:`DieudonneSpace` -- the mod-p reduction: two graded pieces over
+  F_{p^2}, both of dimension n, with F V = V F = 0 and a nondegenerate
+  pairing between them.  Matrices act on coordinate columns; the
+  semilinear twist is applied to coordinates before the matrix (and
+  Frobenius is an involution on F_{p^2}, so the inverse twist is the
+  same map).
 
 The classification of spaces with signature (n-1,1) assigns a type
 r in {1..n}: the space is isomorphic to the direct sum of the rank-2r
@@ -45,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
@@ -163,7 +164,11 @@ class DieudonneModuleZ:
                 raise ValueError("pairing must be an alternating +-1 matching")
 
     def reduction(self) -> "DieudonneSpace":
-        """The mod-p Dieudonne space, graded pieces split out."""
+        """The mod-p Dieudonne space, graded pieces split out, unchecked as
+        the arrows prove it valid: each arrow pair has w x = p, so every
+        column of F frob(V) and of V frob(F) is p = 0 mod p; the +-1
+        matching gives a signed permutation gram; and the ``w % p`` are
+        field codes.  So no F_{p^2} table is built."""
         ne, emb = self.ne, gfp2(self.p).embed
 
         def block(arrows, first):
@@ -171,10 +176,10 @@ class DieudonneModuleZ:
             m = [[0] * ne for _ in range(ne)]
             for c, (i, w) in enumerate(arrows[first:first + ne]):
                 m[i % ne][c] = emb(w)
-            return m
+            return tuple(map(tuple, m))
 
-        return DieudonneSpace(
-            p=self.p, ne=ne, nebar=ne,
+        return DieudonneSpace._certified(
+            p=self.p, ne=ne,
             f_e2ebar=block(self.f_map, 0), f_ebar2e=block(self.f_map, ne),
             v_e2ebar=block(self.v_map, 0), v_ebar2e=block(self.v_map, ne),
             gram=mat_transpose(block(self.pair, 0)),
@@ -216,7 +221,8 @@ def integral_model(n: int, r: int, p: int) -> DieudonneModuleZ:
 @dataclass(frozen=True)
 class DieudonneSpace:
     """Graded semilinear F, V data over F_{p^2} with F V = V F = 0 and a
-    nondegenerate pairing between the graded pieces.
+    nondegenerate pairing between the graded pieces, so both pieces have
+    the one dimension ``ne`` and every block is ne x ne.
 
     Matrix entries are field codes (see :mod:`guhecke.finitefield`);
     ``f_e2ebar[i][j]`` is the i-th conjugate-piece coordinate of F applied
@@ -225,7 +231,6 @@ class DieudonneSpace:
 
     p: int
     ne: int
-    nebar: int
     f_e2ebar: Mat
     f_ebar2e: Mat
     v_e2ebar: Mat
@@ -233,23 +238,14 @@ class DieudonneSpace:
     gram: Mat
 
     def __post_init__(self):
-        for name in ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e", "gram"):
-            object.__setattr__(self, name,
-                               tuple(tuple(row) for row in getattr(self, name)))
-        fld = gfp2(self.p)
-        if self.ne < 1 or self.nebar < 1:
+        fld, n = gfp2(self.p), self.ne
+        if n < 1:
             raise ValueError("graded pieces must be nonzero")
-        shapes = {
-            "f_e2ebar": (self.nebar, self.ne),
-            "f_ebar2e": (self.ne, self.nebar),
-            "v_e2ebar": (self.nebar, self.ne),
-            "v_ebar2e": (self.ne, self.nebar),
-            "gram": (self.ne, self.nebar),
-        }
-        for name, (nrows, ncols) in shapes.items():
-            m = getattr(self, name)
-            if len(m) != nrows or any(len(row) != ncols for row in m):
-                raise ValueError(f"{name} must be {nrows}x{ncols}")
+        for name in ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e", "gram"):
+            m = tuple(tuple(row) for row in getattr(self, name))
+            object.__setattr__(self, name, m)
+            if len(m) != n or any(len(row) != n for row in m):
+                raise ValueError(f"{name} must be {n}x{n}")
             for row in m:
                 for x in _json_ints(f"{name} entries", *row):
                     if not 0 <= x < fld.size:
@@ -265,12 +261,14 @@ class DieudonneSpace:
             prod = mat_mul(fld, outer, mat_frob(fld, inner))
             if any(any(row) for row in prod):
                 raise ValueError("F V = V F = 0 fails")
-        if self.ne != self.nebar or rank(fld, self.gram) != self.ne:
+        if rank(fld, self.gram) != n:
             raise ValueError("pairing must be nondegenerate")
 
     @classmethod
     def _certified(cls, **fields) -> "DieudonneSpace":
-        """The space of blocks proved valid (see basechange), unchecked."""
+        """The space of fields proved valid, unchecked: by their frames in
+        :func:`basechange`, by their arrows in
+        :meth:`DieudonneModuleZ.reduction`."""
         space = object.__new__(cls)
         space.__dict__.update(fields)
         return space
@@ -279,8 +277,16 @@ class DieudonneSpace:
     def field(self) -> GFp2:
         return gfp2(self.p)
 
-    def dims(self) -> tuple[int, int]:
-        return self.ne, self.nebar
+    @cached_property
+    def _blocks(self) -> tuple[tuple[Mat, Mat], tuple[Mat, Mat]]:
+        """(images, kernels), one elimination per block, made on first
+        use: ``images[g]`` = rref(F_g^T) = F(piece g), of length rank F_g,
+        and ``kernels[g]`` = Ker V_g = V^-1(0), of length n - rank V_g."""
+        fld = self.field
+        images = tuple(rref(fld, mat_transpose(self.f_matrix(g))) for g in (0, 1))
+        kernels = tuple(mat_frob(fld, kernel_basis(fld, self.v_matrix(g), self.ne))
+                        for g in (0, 1))
+        return images, kernels
 
     def f_matrix(self, grade: int) -> Mat:
         return self.f_e2ebar if grade == 0 else self.f_ebar2e
@@ -296,7 +302,7 @@ class DieudonneSpace:
             return [[list(fld.pair(x)) for x in row] for row in m]
 
         return {
-            "p": self.p, "ne": self.ne, "nebar": self.nebar,
+            "p": self.p, "ne": self.ne, "nebar": self.ne,
             "F_e2ebar": encode(self.f_e2ebar),
             "F_ebar2e": encode(self.f_ebar2e),
             "V_e2ebar": encode(self.v_e2ebar),
@@ -307,7 +313,7 @@ class DieudonneSpace:
     @classmethod
     def from_json(cls, data: dict) -> "DieudonneSpace":
         """The space written by :meth:`to_json`: its numbers must be JSON
-        integers, and entries are reduced mod p."""
+        integers, entries are reduced mod p, and nebar must equal ne."""
         p, ne, nebar = _json_ints("p, ne and nebar", data["p"], data["ne"],
                                   data["nebar"])
         fld = gfp2(p)
@@ -316,8 +322,10 @@ class DieudonneSpace:
             return tuple(tuple(fld.from_pair(_json_ints("entries", *x))
                                for x in row) for row in m)
 
+        if nebar != ne:
+            raise ValueError("pairing must be nondegenerate")
         return cls(
-            p=p, ne=ne, nebar=nebar,
+            p=p, ne=ne,
             f_e2ebar=decode(data["F_e2ebar"]),
             f_ebar2e=decode(data["F_ebar2e"]),
             v_e2ebar=decode(data["V_e2ebar"]),
@@ -326,20 +334,11 @@ class DieudonneSpace:
         )
 
 
-def v_ranks(space: DieudonneSpace) -> tuple[int, int]:
-    """(rank V_e2ebar, rank V_ebar2e): the rank of V out of each grade.
-    :func:`check_bt1` and :func:`signature` both read these, so a caller
-    that needs both passes them in once computed."""
-    fld = space.field
-    return rank(fld, space.v_e2ebar), rank(fld, space.v_ebar2e)
-
-
-def signature(space: DieudonneSpace,
-              ranks: tuple[int, int] | None = None) -> tuple[int, int]:
-    """(dim M_e / V M_ebar, dim M_ebar / V M_e) by exact rank computation;
-    ``ranks`` are the space's :func:`v_ranks` if already known."""
-    rank_v_e, rank_v_ebar = ranks or v_ranks(space)
-    return space.ne - rank_v_ebar, space.nebar - rank_v_e
+def signature(space: DieudonneSpace) -> tuple[int, int]:
+    """(dim M_e / V M_ebar, dim M_ebar / V M_e) = (len Ker V_ebar,
+    len Ker V_e), as a semilinear kernel has dimension n - rank."""
+    _, kernels = space._blocks
+    return len(kernels[1]), len(kernels[0])
 
 
 def pairing_law_holds(space: DieudonneSpace) -> bool:
@@ -365,24 +364,18 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
     return True
 
 
-def check_bt1(space: DieudonneSpace,
-              ranks: tuple[int, int] | None = None,
-              f_ranks: tuple[int, int] | None = None) -> bool:
+def check_bt1(space: DieudonneSpace) -> bool:
     """True iff Im F = Ker V and Im V = Ker F (gradedwise, as subspace
-    equalities) and the pairing law holds on all basis pairs; ``ranks``
-    are the space's :func:`v_ranks` and ``f_ranks`` those of its F
-    blocks, if already known.
+    equalities) and the pairing law holds on all basis pairs.
 
     The space already has F V = V F = 0, so Im F_g <= Ker V_(1-g) and
-    Im V_(1-g) <= Ker F_g; a semilinear kernel has dimension dim - rank
-    and both pieces have dimension n, so these two equalities are the
-    one rank identity rank F_g + rank V_(1-g) = n, for g = 0 and 1."""
-    fld = space.field
-    rank_v = ranks or v_ranks(space)
-    for g in (0, 1):
-        rank_f = f_ranks[g] if f_ranks else rank(fld, space.f_matrix(g))
-        if rank_f + rank_v[1 - g] != space.ne:
-            return False
+    Im V_(1-g) <= Ker F_g; a semilinear kernel has dimension n - rank,
+    so these two equalities are the one identity rank F_g +
+    rank V_(1-g) = n, that is len F(piece g) = len Ker V_(1-g) in the
+    space's block eliminations, for g = 0 and 1."""
+    images, kernels = space._blocks
+    if any(len(images[g]) != len(kernels[1 - g]) for g in (0, 1)):
+        return False
     return pairing_law_holds(space)
 
 
@@ -432,7 +425,7 @@ def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
     f_ebar, v_ebar = _shared_left(fld, p_inv, mat_mul(fld, space.f_ebar2e, q_tw),
                                   mat_mul(fld, space.v_ebar2e, q_tw))
     return DieudonneSpace._certified(
-        p=space.p, ne=n, nebar=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
+        p=space.p, ne=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
         v_e2ebar=v_e, v_ebar2e=v_ebar,
         gram=mat_mul(fld, mat_transpose(p_mat), mat_mul(fld, space.gram, q_mat)),
     )
@@ -453,20 +446,18 @@ def _random_invertible(fld: GFp2, size: int,
             pass
 
 
-def random_frames(fld: GFp2, ne: int, nebar: int,
+def random_frames(fld: GFp2, n: int,
                   seed: int) -> tuple[tuple[Mat, Mat], tuple[Mat, Mat]]:
     """The seeded draws of :func:`random_basechange`: ((P, P^-1),
-    (Q, Q^-1)) on pieces of dimensions ne and nebar.  They depend on the
-    field, the seed and the two dimensions only, so one draw serves every
-    space of the same shape."""
+    (Q, Q^-1)), both n x n.  They depend on the field, the seed and n
+    only, so one draw serves every space of the same dimension."""
     rng = random.Random(seed)
-    return _random_invertible(fld, ne, rng), _random_invertible(fld, nebar, rng)
+    return _random_invertible(fld, n, rng), _random_invertible(fld, n, rng)
 
 
 def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
     """A seeded random isomorphic copy of the space."""
-    (p_mat, p_inv), (q_mat, q_inv) = random_frames(space.field, space.ne,
-                                                   space.nebar, seed)
+    (p_mat, p_inv), (q_mat, q_inv) = random_frames(space.field, space.ne, seed)
     return basechange(space, p_mat, q_mat, p_inv, q_inv)
 
 
@@ -496,20 +487,7 @@ def _closure(start, successors) -> set:
     return seen
 
 
-def _eliminate_blocks(space: DieudonneSpace) -> tuple[tuple[Mat, Mat],
-                                                       tuple[Mat, Mat]]:
-    """(images, kernels), one elimination per block: ``images[g]`` =
-    rref(F_g^T) = F(piece g), of length rank F_g, and ``kernels[g]`` =
-    Ker V_g = V^-1(0), of length dim_g - rank V_g."""
-    fld = space.field
-    images = tuple(rref(fld, mat_transpose(space.f_matrix(g))) for g in (0, 1))
-    kernels = tuple(mat_frob(fld, kernel_basis(fld, space.v_matrix(g), dim))
-                    for g, dim in enumerate(space.dims()))
-    return images, kernels
-
-
-def fingerprint(space: DieudonneSpace, blocks=None
-                ) -> tuple[tuple[int, int, int], ...]:
+def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     """Isomorphism-invariant signature of the canonical filtration.
 
     Close {0, full} (in each graded piece) under X -> F(X) and
@@ -523,11 +501,10 @@ def fingerprint(space: DieudonneSpace, blocks=None
     twist of a linear kernel, which :func:`kernel_basis` returns already
     reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  The
     four start nodes, the only 0 and full ones, are expanded without
-    elimination from ``blocks``, the space's :func:`_eliminate_blocks`.
+    elimination from the space's block eliminations.
     """
-    fld = space.field
-    dims = space.dims()
-    images, kernels = blocks or _eliminate_blocks(space)
+    fld, n = space.field, space.ne
+    images, kernels = space._blocks
     f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
 
     def f_image(grade, basis):
@@ -537,14 +514,13 @@ def fingerprint(space: DieudonneSpace, blocks=None
     def v_preimage(grade, basis):
         # {y in the other piece : V(y) in span(basis)}
         src = 1 - grade
-        ann = annihilator_rows(fld, basis, dims[grade])
-        lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)),
-                           dims[src])
+        ann = annihilator_rows(fld, basis, n)
+        lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)), n)
         return src, mat_frob(fld, lin)
 
+    full = identity_mat(n)
     first = {(g, ()): ((1 - g, ()), (1 - g, kernels[1 - g])) for g in (0, 1)}
-    first.update({(g, identity_mat(dims[g])):
-                  ((1 - g, images[g]), (1 - g, identity_mat(dims[1 - g])))
+    first.update({(g, full): ((1 - g, images[g]), (1 - g, full))
                   for g in (0, 1)})
     image_dim: dict = {}
 
@@ -599,20 +575,19 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
 
     Raises NotBT1Error if the space is not a BT1 of signature (n-1, 1)
     with graded pieces of dimension n, and NoMatchError if no model
-    fingerprint matches.  Checked in turn: dimensions, :func:`check_bt1`,
-    signature, fingerprint, all read off one :func:`_eliminate_blocks`.
+    fingerprint matches.  Checked in turn: the dimension,
+    :func:`check_bt1`, :func:`signature` and :func:`fingerprint`; the
+    last three read the space's one elimination of each block.
     """
-    if space.dims() != (n, n):
+    if space.ne != n:
         raise NotBT1Error(
-            f"graded dimensions {space.dims()} != ({n}, {n})")
-    images, kernels = blocks = _eliminate_blocks(space)
-    ranks = tuple(n - len(kernel) for kernel in kernels)
-    if not check_bt1(space, ranks, tuple(map(len, images))):
+            f"graded dimensions ({space.ne}, {space.ne}) != ({n}, {n})")
+    if not check_bt1(space):
         raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
-    sig = signature(space, ranks)
+    sig = signature(space)
     if sig != (n - 1, 1):
         raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")
-    fp = fingerprint(space, blocks)
+    fp = fingerprint(space)
     for r, model_fp in _model_fingerprints(n):
         if fp == model_fp:
             return r

@@ -258,7 +258,7 @@ def ref_random_basechange(space, seed):
     rng = random.Random(seed)
     fld = space.field
     p_mat = ref_random_invertible(fld, space.ne, rng)
-    q_mat = ref_random_invertible(fld, space.nebar, rng)
+    q_mat = ref_random_invertible(fld, space.ne, rng)
     return basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
                       mat_inv(fld, q_mat))
 
@@ -270,7 +270,7 @@ def ref_basechange(space, p_mat, q_mat, p_inv, q_inv):
     fld = space.field
     p_tw, q_tw = mat_frob(fld, p_mat), mat_frob(fld, q_mat)
     return DieudonneSpace(
-        p=space.p, ne=space.ne, nebar=space.nebar,
+        p=space.p, ne=space.ne,
         f_e2ebar=mat_mul(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw)),
         f_ebar2e=mat_mul(fld, p_inv, mat_mul(fld, space.f_ebar2e, q_tw)),
         v_e2ebar=mat_mul(fld, q_inv, mat_mul(fld, space.v_e2ebar, p_tw)),
@@ -296,8 +296,7 @@ def ref_fingerprint(space):
     """The earlier fingerprint closure: every node, 0 and full included,
     expanded by its own eliminations, except F(0) = 0 and V^-1(full) =
     full."""
-    fld = space.field
-    dims = space.dims()
+    fld, n = space.field, space.ne
 
     def successors(node):
         grade, basis = node
@@ -307,18 +306,18 @@ def ref_fingerprint(space):
         else:
             img = rref(fld, mat_mul(fld, mat_frob(fld, basis),
                                     mat_transpose(space.f_matrix(grade))))
-        if len(basis) == dims[grade]:
-            pre = identity_mat(dims[src])
+        if len(basis) == n:
+            pre = identity_mat(n)
         else:
-            ann = annihilator_rows(fld, basis, dims[grade])
+            ann = annihilator_rows(fld, basis, n)
             pre = mat_frob(fld, kernel_basis(
-                fld, mat_mul(fld, ann, space.v_matrix(src)), dims[src]))
+                fld, mat_mul(fld, ann, space.v_matrix(src)), n))
         image_dim[node] = len(img)
         return (src, img), (src, pre)
 
     image_dim = {}
-    seen = _closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
-                     (1, identity_mat(dims[1]))], successors)
+    seen = _closure([(0, ()), (1, ()), (0, identity_mat(n)),
+                     (1, identity_mat(n))], successors)
     return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
                         for g, x in seen))
 
@@ -328,8 +327,9 @@ def ref_classify_type(space, n):
     ranks of the V blocks, then of the F blocks in the rank identities
     (grade 0 first), the pairing law, the signature, and the closure,
     each stage with its own eliminations."""
-    if space.dims() != (n, n):
-        raise NotBT1Error(f"graded dimensions {space.dims()} != ({n}, {n})")
+    if space.ne != n:
+        dims = (space.ne, space.ne)
+        raise NotBT1Error(f"graded dimensions {dims} != ({n}, {n})")
     fld = space.field
     rank_v = (rank(fld, space.v_e2ebar), rank(fld, space.v_ebar2e))
     if not (all(rank(fld, space.f_matrix(g)) + rank_v[1 - g] == n
@@ -366,8 +366,9 @@ def ref_direct_sum(first, *rest):
     prime, in order, gram block-diagonal, validated as a new space."""
     spaces = (first, *rest)
 
-    def block(name, source_is_e):
-        widths = [s.ne if source_is_e else s.nebar for s in spaces]
+    widths = [s.ne for s in spaces]
+
+    def block(name):
         rows, offset = [], 0
         for s, width in zip(spaces, widths):
             left, right = (0,) * offset, (0,) * (sum(widths) - offset - width)
@@ -376,11 +377,10 @@ def ref_direct_sum(first, *rest):
         return tuple(rows)
 
     return DieudonneSpace(
-        p=first.p, ne=sum(s.ne for s in spaces),
-        nebar=sum(s.nebar for s in spaces),
-        f_e2ebar=block("f_e2ebar", True), f_ebar2e=block("f_ebar2e", False),
-        v_e2ebar=block("v_e2ebar", True), v_ebar2e=block("v_ebar2e", False),
-        gram=block("gram", False))
+        p=first.p, ne=sum(widths),
+        f_e2ebar=block("f_e2ebar"), f_ebar2e=block("f_ebar2e"),
+        v_e2ebar=block("v_e2ebar"), v_ebar2e=block("v_ebar2e"),
+        gram=block("gram"))
 
 
 def _valuation(value: Fraction, p: int) -> int:

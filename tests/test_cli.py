@@ -263,8 +263,14 @@ def test_dd_slopes_past_the_d_cap_exits_1(capsys):
 
 
 def test_field_tables_past_the_bound_exit_1(capsys, tmp_path):
+    # The model JSON needs no field arithmetic and answers at any p; the
+    # pretty signature and BT1 flag need tables.
     code, out, err = run_cli(capsys, "dd", "models", "--n", "3",
                              "--p", "1009", "--r", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == model_space(3, 1, 1009).to_json()
+    code, out, err = run_cli(capsys, "dd", "models", "--n", "3",
+                             "--p", "1009", "--r", "1", "--format", "pretty")
     assert (code, out) == (1, "")
     assert err == ("guhecke: error: F_(p^2) arithmetic tables are built "
                    "only for p <= 47, got p=1009\n")
@@ -369,6 +375,19 @@ def test_dd_classify_refuses_a_number_that_is_not_an_int(capsys, tmp_path,
     assert err.startswith("guhecke dd classify: malformed input: "
                           "p, ne and nebar must be integers, got [")
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("nebar", (4, 6))
+def test_dd_classify_refuses_unequal_pieces(capsys, tmp_path, nebar):
+    data = json.loads(fixture_path().read_text())
+    data["nebar"] = nebar
+    bad = tmp_path / "unequal.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(bad),
+                             "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == ("guhecke dd classify: malformed input: "
+                   "pairing must be nondegenerate\n")
 
 
 @pytest.mark.parametrize("entry", [[1.0, 0], [0, 2.5], [True, 0], ["1", 0],

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import guhecke.dieudonne as dieudonne
+from guhecke.cli import main
 from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                NotBT1Error, SlopeMultiset,
@@ -18,7 +19,7 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                integral_model, isocrystal_shape, model_space,
                                newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange,
-                               random_frames, signature, strata_dims, v_ranks)
+                               random_frames, signature, strata_dims)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_inv,
                                   mat_mul, mat_transpose, rref)
 from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
@@ -299,21 +300,19 @@ def test_bt1_by_exhaustive_enumeration(space_maker):
     """Oracle: compare Im F and Ker V as literal sets of vectors."""
     space = space_maker()
     fld = gfp2(space.p)
+    vectors = list(_enumerate_vectors(space.ne, fld.size))
     for g in (0, 1):
-        dims = space.dims()
-        image = {apply_f(space, g, v) for v in _enumerate_vectors(dims[g], fld.size)}
-        kernel = {v for v in _enumerate_vectors(dims[1 - g], fld.size)
-                  if not any(apply_v(space, 1 - g, v))}
+        image = {apply_f(space, g, v) for v in vectors}
+        kernel = {v for v in vectors if not any(apply_v(space, 1 - g, v))}
         assert image == kernel
-        image_v = {apply_v(space, g, v) for v in _enumerate_vectors(dims[g], fld.size)}
-        kernel_f = {v for v in _enumerate_vectors(dims[1 - g], fld.size)
-                    if not any(apply_f(space, 1 - g, v))}
+        image_v = {apply_v(space, g, v) for v in vectors}
+        kernel_f = {v for v in vectors if not any(apply_f(space, 1 - g, v))}
         assert image_v == kernel_f
 
 
 def test_space_with_zero_operators_is_not_bt1():
     p = 3
-    space = DieudonneSpace(p=p, ne=1, nebar=1,
+    space = DieudonneSpace(p=p, ne=1,
                            f_e2ebar=((0,),), f_ebar2e=((0,),),
                            v_e2ebar=((0,),), v_ebar2e=((0,),),
                            gram=((1,),))
@@ -333,12 +332,12 @@ def test_space_refuses_an_entry_that_is_not_an_int(name, entry):
 def test_space_validation_rejects_fv_nonzero():
     p = 3
     with pytest.raises(ValueError):
-        DieudonneSpace(p=p, ne=1, nebar=1,
+        DieudonneSpace(p=p, ne=1,
                        f_e2ebar=((1,),), f_ebar2e=((1,),),
                        v_e2ebar=((1,),), v_ebar2e=((1,),),
                        gram=((1,),))
     with pytest.raises(ValueError):  # degenerate pairing
-        DieudonneSpace(p=p, ne=1, nebar=1,
+        DieudonneSpace(p=p, ne=1,
                        f_e2ebar=((0,),), f_ebar2e=((0,),),
                        v_e2ebar=((0,),), v_ebar2e=((0,),),
                        gram=((0,),))
@@ -365,16 +364,13 @@ def _pair(space, grade1, v1, grade2, v2):
 def _pairing_law_by_basis_pairs(space):
     """Reference for pairing_law_holds: <F x, y> = <x, V y>^p tested on
     every pair of graded basis vectors, one pairing at a time."""
-    fld = space.field
-    dims = space.dims()
+    fld, unit = space.field, identity_mat(space.ne)
     for gx in (0, 1):
         f_cols = mat_transpose(space.f_matrix(gx))
-        for i in range(dims[gx]):
-            x = tuple(int(t == i) for t in range(dims[gx]))
+        for i, x in enumerate(unit):
             for gy in (0, 1):
                 v_cols = mat_transpose(space.v_matrix(gy))
-                for j in range(dims[gy]):
-                    y = tuple(int(t == j) for t in range(dims[gy]))
+                for j, y in enumerate(unit):
                     lhs = _pair(space, 1 - gx, f_cols[i], gy, y)
                     rhs = fld.frob(_pair(space, gx, x, 1 - gy, v_cols[j]))
                     if lhs != rhs:
@@ -403,7 +399,7 @@ def _random_space(p, k, rng):
                 tuple(rng.randrange(fld.size) if i in rows and j in cols else 0
                       for j in range(k)) for i in range(k))
     gram, _ = _random_invertible(fld, k, rng)
-    space = DieudonneSpace(p=p, ne=k, nebar=k, gram=gram, **blocks)
+    space = DieudonneSpace(p=p, ne=k, gram=gram, **blocks)
     (p_mat, p_inv), (q_mat, q_inv) = (_random_invertible(fld, k, rng),
                                       _random_invertible(fld, k, rng))
     return basechange(space, p_mat, q_mat, p_inv, q_inv)
@@ -475,15 +471,14 @@ def _bt1_equalities(space):
     """The earlier check_bt1's reduced-subspace equalities, by the grade g
     of their target piece: (Im F = Ker V, Im V = Ker F) in grade 1, then
     in grade 0."""
-    fld = space.field
-    dims = space.dims()
+    fld, n = space.field, space.ne
     out = []
     for g in (0, 1):
         out.append((
             rref(fld, mat_transpose(space.f_matrix(g)))
-            == _semilinear_kernel(fld, space.v_matrix(1 - g), dims[1 - g]),
+            == _semilinear_kernel(fld, space.v_matrix(1 - g), n),
             rref(fld, mat_transpose(space.v_matrix(g)))
-            == _semilinear_kernel(fld, space.f_matrix(1 - g), dims[1 - g])))
+            == _semilinear_kernel(fld, space.f_matrix(1 - g), n)))
     return tuple(out)
 
 
@@ -491,23 +486,21 @@ def _fingerprint_by_intersections(space):
     """The earlier fingerprint, kept as the reference: the third entry is
     dim X + dim Ker F - dim(X + Ker F), and every annihilator is computed
     from a freshly reduced basis."""
-    fld = space.field
-    dims = space.dims()
+    fld, n = space.field, space.ne
 
     def successors(node):
         grade, basis = node
         rows = tuple(mat_vec(fld, space.f_matrix(grade), vec_frob(fld, b))
                      for b in basis)
-        ann = kernel_basis(fld, basis, dims[grade]) if basis \
-            else identity_mat(dims[grade])
+        ann = kernel_basis(fld, basis, n) if basis else identity_mat(n)
         lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(1 - grade)),
-                           dims[1 - grade])
+                           n)
         return ((1 - grade, rref(fld, rows)),
                 (1 - grade, rref(fld, tuple(vec_frob(fld, u) for u in lin))))
 
-    seen = dieudonne._closure([(0, ()), (1, ()), (0, identity_mat(dims[0])),
-                               (1, identity_mat(dims[1]))], successors)
-    ker_f = {g: _semilinear_kernel(fld, space.f_matrix(g), dims[g])
+    seen = dieudonne._closure([(0, ()), (1, ()), (0, identity_mat(n)),
+                               (1, identity_mat(n))], successors)
+    ker_f = {g: _semilinear_kernel(fld, space.f_matrix(g), n)
              for g in (0, 1)}
     triples = []
     for grade, basis in seen:
@@ -538,32 +531,47 @@ def test_check_bt1_ranks_match_subspace_equalities_on_random_spaces(monkeypatch)
                         (False, False)}
 
 
-def test_precomputed_v_ranks_give_the_same_signature_and_bt1_answer():
+def test_signature_and_bt1_match_the_transposed_rank_reference():
+    # The earlier signature, n minus the ranks of the transposed V blocks,
+    # and the earlier rank identities, rank F_g + rank V_(1-g) = n, each
+    # rank by an elimination of its own, against the block eliminations.
     rng = random.Random(58)
     spaces = [_random_space(p, k, rng)
               for p in PRIMES for k in (1, 2, 3, 4) for _ in range(10)]
     spaces += [random_basechange(model_space(n, r, p), 3 * r + n)
                for p in PRIMES for n in (3, 5) for r in range(1, n + 1)]
+    answers = set()
     for space in spaces:
-        fld = space.field
-        ranks = v_ranks(space)
-        # The earlier signature: ranks of the transposed V blocks.
-        transposed = (space.ne - len(rref(fld, mat_transpose(space.v_ebar2e))),
-                      space.nebar - len(rref(fld, mat_transpose(space.v_e2ebar))))
-        assert signature(space) == signature(space, ranks) == transposed
-        assert check_bt1(space) == check_bt1(space, ranks)
+        fld, n = space.field, space.ne
+        rank_v = [len(rref(fld, mat_transpose(space.v_matrix(g))))
+                  for g in (0, 1)]
+        assert signature(space) == (n - rank_v[1], n - rank_v[0])
+        identities = all(len(rref(fld, space.f_matrix(g))) + rank_v[1 - g] == n
+                         for g in (0, 1))
+        bt1 = check_bt1(space)
+        assert bt1 == (identities and pairing_law_holds(space))
+        answers.add(bt1)
+    assert answers == {True, False}
 
 
-def test_classify_ranks_each_block_once(monkeypatch):
+def test_classify_ranks_each_block_once(monkeypatch, capsys):
     # Every elimination of the whole classification, the closure included,
     # is recorded; each of F_e, F_ebar, V_e and V_ebar, as itself or as
-    # its transpose, is eliminated exactly once.
+    # its transpose, is eliminated exactly once.  So is each block of the
+    # model on the ``dd models --format pretty`` path, where signature and
+    # then check_bt1 make no other elimination.
     space = random_basechange(model_space(5, 2, 3), 11)
     dieudonne._model_fingerprints(5)  # built beforehand
-    forms = {name: {getattr(space, name), mat_transpose(getattr(space, name))}
-             for name in ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e")}
-    assert len(set().union(*forms.values())) == 8  # each form names one block
+    names = ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e")
     eliminated = []
+
+    def counts(space):
+        forms = {name: {getattr(space, name),
+                        mat_transpose(getattr(space, name))} for name in names}
+        assert len(set().union(*forms.values())) == 8  # one block per form
+        return {name: sum(rows in block for rows in eliminated)
+                for name, block in forms.items()}
+
     for name in ("rref", "kernel_basis", "rank", "mat_inv"):
         def counting(fld, rows, *rest, real=getattr(dieudonne, name)):
             rows = tuple(map(tuple, rows))
@@ -572,10 +580,14 @@ def test_classify_ranks_each_block_once(monkeypatch):
 
         monkeypatch.setattr(dieudonne, name, counting)
     assert classify_type(space, 5) == 2
-    counts = {name: sum(rows in block for rows in eliminated)
-              for name, block in forms.items()}
-    assert counts == dict.fromkeys(forms, 1)
+    assert counts(space) == dict.fromkeys(names, 1)
     assert len(eliminated) > 4  # the closure's own nodes were eliminated too
+    eliminated.clear()
+    assert main(["dd", "models", "--n", "5", "--p", "3", "--r", "3",
+                 "--format", "pretty"]) == 0
+    assert capsys.readouterr().out == "r=3: signature=(4, 1) bt1=True\n"
+    assert counts(model_space(5, 3, 3)) == dict.fromkeys(names, 1)
+    assert len(eliminated) == 4
 
 
 def test_check_bt1_ranks_match_subspace_equalities_on_base_changed_models():
@@ -619,7 +631,7 @@ def test_direct_sum_adds_signatures_and_dims():
     b = ss(p).reduction()
     total = integral_model(4, 3, p).reduction()
     assert total == ref_direct_sum(a, b)
-    assert total.dims() == (4, 4)
+    assert total.ne == 4
     sig_a, sig_b = signature(a), signature(b)
     assert signature(total) == (sig_a[0] + sig_b[0], sig_a[1] + sig_b[1])
     assert check_bt1(total)
@@ -657,19 +669,35 @@ def test_nary_direct_sum_refuses_a_prime_mismatch_anywhere(position):
 def test_model_space_json_is_unchanged():
     # sha256 of the compact JSON of every model with odd n <= 15 and
     # p in {3, 5, 7, 11, 47}, recorded with the n-ary sum of dense
-    # reductions that the one builder replaced.  The F_{p^2} tables at
-    # p = 47 take about 350 MB, so they are dropped afterwards.
+    # reductions that the one builder replaced.  The models need no
+    # F_{p^2} arithmetic, so a fresh field at p = 47 builds no addition
+    # or multiplication table.
+    gfp2.cache_clear()
     digest = hashlib.sha256()
+    for p in (3, 5, 7, 11, 47):
+        for n in range(3, 16, 2):
+            for r in range(1, n + 1):
+                digest.update(json.dumps(model_space(n, r, p).to_json(),
+                                         separators=(",", ":")).encode())
+    assert digest.hexdigest() == (
+        "9ef0115f1fa09a7da219578cf38723d90a56dff922c0d7e50f61228eb64a419e")
+    assert not {"_add", "_mul"} & vars(gfp2(47)).keys()
+
+
+def test_model_reductions_equal_the_validated_spaces():
+    # reduction() builds its space unchecked, as the arrows prove it
+    # valid; the same fields validated as a new space are equal, for
+    # every model with odd n <= 15, r in 0..n and p in {3, 5, 7, 11, 47}.
+    # The F_{p^2} tables at p = 47 take about 355 MB, so they are dropped
+    # afterwards.
     try:
         for p in (3, 5, 7, 11, 47):
             for n in range(3, 16, 2):
-                for r in range(1, n + 1):
-                    digest.update(json.dumps(model_space(n, r, p).to_json(),
-                                             separators=(",", ":")).encode())
+                for r in range(n + 1):
+                    space = integral_model(n, r, p).reduction()
+                    assert space == dataclasses.replace(space), (n, r, p)
     finally:
         gfp2.cache_clear()
-    assert digest.hexdigest() == (
-        "9ef0115f1fa09a7da219578cf38723d90a56dff922c0d7e50f61228eb64a419e")
 
 
 # -- base change ---------------------------------------------------------------
@@ -724,7 +752,7 @@ def test_basechange_checks_the_inverses_it_is_given():
     fld = gfp2(5)
     for n in (3, 5):
         space = model_space(n, 2, 5)
-        (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, n, n, 4)
+        (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, n, 4)
         moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
         assert moved == random_basechange(space, 4)
         assert moved == basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
@@ -768,7 +796,7 @@ def test_certified_basechange_and_classification_match_the_earlier_route(n):
         spaces += [_random_space(p, n, rng) for _ in range(3)]
         for seed in range(3):
             (p_mat, p_inv), (q_mat, q_inv) = random_frames(
-                gfp2(p), n, n, 1009 * n + 31 * p + seed)
+                gfp2(p), n, 1009 * n + 31 * p + seed)
             for space in spaces:
                 moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
                 assert moved == dataclasses.replace(moved) \
@@ -870,7 +898,7 @@ def test_classify_rejects_wrong_dimensions():
 
 
 def test_classify_rejects_non_bt1():
-    space = DieudonneSpace(p=3, ne=1, nebar=1,
+    space = DieudonneSpace(p=3, ne=1,
                            f_e2ebar=((0,),), f_ebar2e=((0,),),
                            v_e2ebar=((0,),), v_ebar2e=((0,),),
                            gram=((1,),))
