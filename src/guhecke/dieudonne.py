@@ -500,8 +500,8 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     product frob(X) @ transpose(F).  The V-preimage is the Frobenius
     twist of a linear kernel, which :func:`kernel_basis` returns already
     reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  The
-    four start nodes, the only 0 and full ones, are expanded without
-    elimination from the space's block eliminations.
+    four start nodes, the only 0 and full ones, are expanded from the
+    space's block eliminations, with none of their own.
     """
     fld, n = space.field, space.ne
     images, kernels = space._blocks
