@@ -134,7 +134,7 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
     """
     _require_odd(n)
     rho_coords = rho(n)
-    out: dict[Row, int | Fraction] = {}
+    out: dict[Row, int] = {}
     for (q_exp, *x_exps), coeff in p.exponent_rows().items():
         new = (q_exp - 2 * pairing(rho_coords, x_exps), *x_exps)
         out[new] = out.get(new, 0) + coeff

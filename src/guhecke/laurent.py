@@ -1,19 +1,18 @@
-"""Exact sparse Laurent polynomials over the rationals, and the
+"""Exact sparse Laurent polynomials over the integers, and the
 t-polynomials of the Hecke factorization.
 
 The ring has a formal prime variable ``q`` and torus variables
 ``x0, x1, ..., xn``, all invertible.  A monomial q^e * x0^e0 * ... * xn^en
 is its *exponent row*, the plain tuple of ints (e, e0, ..., en).  A
-:class:`LaurentPoly` maps each row to a nonzero rational coefficient: an
-``int`` when it is integral, else a :class:`~fractions.Fraction`; any
-other coefficient raises TypeError.  The two hash, compare, sort and
-print alike, so the choice never shows in equality, ordering or output;
-it only lets the integral polynomials of the Hecke certificate run on
-Python int arithmetic.  All arithmetic is exact -- there is no floating
-point anywhere in this package.  The zero polynomial is the empty map.
+:class:`LaurentPoly` maps each row to a nonzero ``int`` coefficient; a
+coefficient of any other type, a bool or an integral rational too,
+raises TypeError.  The Hecke polynomial and its quotient by t - c have
+coefficients in Z[q^+-1, x^+-1], so the certificate runs on Python int
+arithmetic.  All arithmetic is exact -- there is no floating point
+anywhere in this package.  The zero polynomial is the empty map.
 A LaurentPoly has no ring operators of its own: it is built from a row
-map or a single term, negated, compared, evaluated and rendered, and
-multiplied only as a coefficient of a :class:`TPoly`.
+map or a single term, negated, compared and rendered, and multiplied
+only as a coefficient of a :class:`TPoly`.
 
 Packed monomial codes.  Internally each row is one nonnegative int, its
 *code*: n+2 lanes of 16 bits, in row order with q in the most
@@ -44,7 +43,8 @@ into term dicts, and the CLI writes the text as it is.
 coefficients are LaurentPolys.  It multiplies, and it has one division,
 by t - c for a LaurentPoly c (:meth:`TPoly.divide_exact`, synthetic
 division), raising :class:`NonZeroRemainderError` when the division does
-not come out exact.
+not come out exact.  :meth:`TPoly.evaluate` is the one evaluation, at a
+rational point.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ import json
 import sys
 from array import array
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
-Coeff = int | Fraction
 Row = tuple[int, ...]
 
 LANE_MAX = 2 ** 15 - 1
@@ -76,17 +75,6 @@ class NonZeroRemainderError(ArithmeticError):
         super().__init__("polynomial division left a nonzero remainder")
         self.remainder = remainder
         self.quotient = quotient
-
-
-def _exact(c) -> Coeff:
-    """The rational number c as an int when it is integral, else as a
-    Fraction; the one place a coefficient's representation is chosen.
-    Any other type than int or Fraction (a bool, a float) is a TypeError."""
-    if type(c) is int:
-        return c
-    if not isinstance(c, Fraction):
-        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-    return c.numerator if c.denominator == 1 else c
 
 
 # -- packed monomial codes ----------------------------------------------------
@@ -131,14 +119,14 @@ def _rows(n: int, codes: Iterable[int]) -> list[Row]:
     return [tuple(flat[k:k + width]) for k in range(0, len(flat), width)]
 
 
-def _mul_into(sums: dict[int, Coeff], lhs: "LaurentPoly",
+def _mul_into(sums: dict[int, int], lhs: "LaurentPoly",
               rhs: "LaurentPoly") -> int:
     """Add lhs * rhs into the code map sums, in place, and return the
     product's exponent bound.
 
     Raises OverflowError, before touching sums, if a product exponent
-    could leave its lane.  The sums may be left with zeros and integral
-    Fractions; :meth:`LaurentPoly._from_sums` clears both.  A constant
+    could leave its lane.  The sums may be left with zeros;
+    :meth:`LaurentPoly._from_sums` drops them.  A constant
     rhs (such as the leading 1 of a monic factor) adds the lhs codes as
     they are.
     """
@@ -169,7 +157,7 @@ def _mul_into(sums: dict[int, Coeff], lhs: "LaurentPoly",
     return bound
 
 
-def _term_str(row: Row, coeff: Coeff) -> str:
+def _term_str(row: Row, coeff: int) -> str:
     factors = []
     for lane, e in enumerate(row):
         if e:
@@ -186,36 +174,36 @@ def _term_str(row: Row, coeff: Coeff) -> str:
 
 
 class LaurentPoly:
-    """An exact Laurent polynomial in q, x0..xn with rational coefficients.
+    """An exact Laurent polynomial in q, x0..xn with integer coefficients.
 
-    The terms are kept as a map from packed row code to nonzero
-    coefficient (an int when integral, else a Fraction), with a bound on
-    the largest |exponent|; see the module docstring.  No coefficient is
-    ever a float.
+    The terms are kept as a map from packed row code to nonzero int
+    coefficient, with a bound on the largest |exponent|; see the module
+    docstring.
     """
 
     __slots__ = ("n", "_codes", "_bound")
 
-    def __init__(self, n: int, terms: Mapping[Row, Coeff] | None = None):
+    def __init__(self, n: int, terms: Mapping[Row, int] | None = None):
         one = _one_code(n)
-        codes: dict[int, Coeff] = {}
+        codes: dict[int, int] = {}
         bound = 0
         if terms:
             for row, coeff in terms.items():
                 if len(row) != n + 2:
                     raise ValueError("monomial dimension mismatch")
-                c = _exact(coeff)
-                if c:
+                if type(coeff) is not int:
+                    raise TypeError(f"coefficient {coeff!r} is not an int")
+                if coeff:
                     code, b = _encode(row, one)
-                    codes[code] = c
+                    codes[code] = coeff
                     bound = max(bound, b)
         self.n = n
         self._codes = codes
         self._bound = bound
 
     @classmethod
-    def _wrap(cls, n: int, codes: dict[int, Coeff], bound: int) -> "LaurentPoly":
-        """A polynomial on a code map of nonzero normalised coefficients."""
+    def _wrap(cls, n: int, codes: dict[int, int], bound: int) -> "LaurentPoly":
+        """A polynomial on a code map of nonzero int coefficients."""
         res = cls.__new__(cls)
         res.n = n
         res._codes = codes
@@ -223,14 +211,13 @@ class LaurentPoly:
         return res
 
     @classmethod
-    def _from_sums(cls, n: int, sums: Mapping[int, Coeff],
+    def _from_sums(cls, n: int, sums: Mapping[int, int],
                    bound: int) -> "LaurentPoly":
-        """Wrap a code map built by this module's own arithmetic: drop the
-        zero sums and normalise the rest."""
-        return cls._wrap(n, {k: c if type(c) is int else _exact(c)
-                             for k, c in sums.items() if c}, bound)
+        """Wrap a code map built by this module's own arithmetic, its zero
+        sums dropped."""
+        return cls._wrap(n, {k: c for k, c in sums.items() if c}, bound)
 
-    def exponent_rows(self) -> dict[Row, Coeff]:
+    def exponent_rows(self) -> dict[Row, int]:
         """The map from exponent row (q, x0, ..., xn) to nonzero
         coefficient, decoded from the codes in one pass on every call."""
         return dict(zip(_rows(self.n, self._codes), self._codes.values()))
@@ -248,7 +235,7 @@ class LaurentPoly:
         return cls._wrap(n, {_one_code(n): 1}, 0)
 
     @classmethod
-    def from_term(cls, row: Row, coeff: Coeff = 1) -> "LaurentPoly":
+    def from_term(cls, row: Row, coeff: int = 1) -> "LaurentPoly":
         """The single term coeff * row; the row's length fixes n."""
         return cls(len(row) - 2, {row: coeff})
 
@@ -273,41 +260,9 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.n, tuple(sorted(self._codes.items()))))
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, q_val, x_vals: Sequence) -> Fraction:
-        """Exact value at q=q_val, x_i=x_vals[i]; all values must be nonzero
-        rationals whenever a negative exponent touches them.
-
-        The sum runs over Python ints with one Fraction division at the
-        end.  For a value a/b whose exponents lie in [lo, hi] with
-        lo <= 0 <= hi, (a/b)^e = a^(e-lo) * b^(hi-e) / (a^-lo * b^hi),
-        both exponents >= 0; coefficients are scaled by the lcm of their
-        denominators.  A zero value under a negative exponent makes the
-        common denominator 0, which raises ZeroDivisionError.
-        """
-        if len(x_vals) != self.n + 1:
-            raise ValueError(f"need {self.n + 1} values, got {len(x_vals)}")
-        coeffs, width = self._codes.values(), self.n + 2
-        flat = _decode(self.n, self._codes)
-        den = scale = lcm(*(c.denominator for c in coeffs))
-        powers = []
-        for lane, v in enumerate(map(Fraction, (q_val, *x_vals))):
-            col = flat[lane::width]
-            lo, hi = min((0, *col)), max((0, *col))
-            a, b = v.numerator, v.denominator
-            # Entry e is a^(e-lo) * b^(hi-e); a negative e counts from the end.
-            table = [a ** (e - lo) * b ** (hi - e)
-                     for e in (*range(hi + 1), *range(lo, 0))]
-            powers.append(map(table.__getitem__, col))
-            den *= a ** -lo * b ** hi
-        total = sum(c.numerator * (scale // c.denominator) * prod(term)
-                    for c, term in zip(coeffs, zip(*powers)))
-        return Fraction(total, den)
-
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Row, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Row, int]]:
         codes = sorted(self._codes)
         return list(zip(_rows(self.n, codes),
                         map(self._codes.__getitem__, codes)))
@@ -330,25 +285,24 @@ class LaurentPoly:
 
     def json_text(self) -> str:
         """The term list as compact JSON text, terms in canonical order,
-        each ``{"coeff":"3/2","q":2,"x":[...]}``: the bytes of
+        each ``{"coeff":"-3","q":2,"x":[...]}``: the bytes of
         ``json.dumps(self.to_json(), separators=(",", ":"))``.
 
-        One %-template per term, filled from the sorted codes' coefficients
-        and their flat decoded exponents; the str of an int or a Fraction
-        needs no JSON escaping.
+        One %-template per term, every field a %d, filled from the sorted
+        codes' int coefficients and their flat decoded exponents.
         """
         codes = sorted(self._codes)
         width = self.n + 2
         args: list = [None] * (len(codes) * (width + 1))
-        args[::width + 1] = map(str, map(self._codes.__getitem__, codes))
+        args[::width + 1] = map(self._codes.__getitem__, codes)
         flat = _decode(self.n, codes)
         for lane in range(width):
             args[lane + 1::width + 1] = flat[lane::width]
-        term = '{"coeff":"%s","q":%d,"x":[' + ",".join(["%d"] * (width - 1)) + "]}"
+        term = '{"coeff":"%d","q":%d,"x":[' + ",".join(["%d"] * (width - 1)) + "]}"
         return "[" + ",".join([term] * len(codes)) % tuple(args) + "]"
 
     def to_json(self) -> list[dict]:
-        """Terms in canonical order, each `{"coeff": "3/2", "q": 2, "x": [...]}`;
+        """Terms in canonical order, each `{"coeff": "-3", "q": 2, "x": [...]}`;
         parsed from :meth:`json_text`, the one definition of the format."""
         return json.loads(self.json_text())
 
@@ -392,7 +346,7 @@ class TPoly:
         if self.is_zero() or other.is_zero():
             return TPoly(self.n)
         size = len(self.coeffs) + len(other.coeffs) - 1
-        sums: list[dict[int, Coeff]] = [{} for _ in range(size)]
+        sums: list[dict[int, int]] = [{} for _ in range(size)]
         bounds = [0] * size
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -429,14 +383,35 @@ class TPoly:
         return quotient
 
     def evaluate(self, t_val, q_val, x_vals: Sequence) -> Fraction:
-        tv = Fraction(t_val)
-        total = Fraction(0)
-        power = Fraction(1)
-        for coeff in self.coeffs:
-            if not coeff.is_zero():
-                total += coeff.evaluate(q_val, x_vals) * power
-            power *= tv
-        return total
+        """Exact value at t=t_val, q=q_val, x_i=x_vals[i]; every value is
+        a rational, nonzero wherever a negative exponent touches it.
+
+        The codes of all coefficients are decoded once, t's exponent (the
+        degree of the coefficient a term sits in) is one more lane, and
+        the sum runs over Python ints with one Fraction division at the
+        end.  For a value a/b whose exponents lie in [lo, hi] with
+        lo <= 0 <= hi, (a/b)^e = a^(e-lo) * b^(hi-e) / (a^-lo * b^hi),
+        both exponents >= 0.  A zero value under a negative exponent makes
+        the common denominator 0, which raises ZeroDivisionError.
+        """
+        n, width = self.n, self.n + 2
+        if len(x_vals) != n + 1:
+            raise ValueError(f"need {n + 1} values, got {len(x_vals)}")
+        flat = _decode(n, [code for c in self.coeffs for code in c._codes])
+        lanes = [[d for d, c in enumerate(self.coeffs) for _ in c._codes]]
+        lanes += [flat[lane::width] for lane in range(width)]
+        den, powers = 1, []
+        for col, v in zip(lanes, map(Fraction, (t_val, q_val, *x_vals))):
+            lo, hi = min((0, *col)), max((0, *col))
+            a, b = v.numerator, v.denominator
+            # Entry e is a^(e-lo) * b^(hi-e); a negative e counts from the end.
+            table = [a ** (e - lo) * b ** (hi - e)
+                     for e in (*range(hi + 1), *range(lo, 0))]
+            powers.append(map(table.__getitem__, col))
+            den *= a ** -lo * b ** hi
+        coeffs = [k for c in self.coeffs for k in c._codes.values()]
+        return Fraction(sum(k * prod(term)
+                            for k, term in zip(coeffs, zip(*powers))), den)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -459,5 +434,5 @@ class TPoly:
         return f"TPoly({self})"
 
     def to_json(self) -> list[list[dict]]:
-        """Coefficients by ascending degree in t, each a LaurentPoly term list."""
+        """inticients by ascending degree in t, each a LaurentPoly term list."""
         return [c.to_json() for c in self.coeffs]

@@ -34,7 +34,6 @@ the similitude factor.  It is an involution.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
@@ -98,10 +97,9 @@ def rho(n: int) -> Weight:
     return (0,) + tuple((n + 1 - 2 * i) // 2 for i in range(1, n + 1))
 
 
-def pairing(chi: Sequence, nu: Sequence) -> int | Fraction:
+def pairing(chi: Sequence[int], nu: Sequence[int]) -> int:
     """Dot product of coordinate vectors under the slotwise identification
-    of characters with cocharacters: an int for int vectors, a Fraction
-    as soon as a Fraction takes part."""
+    of characters with cocharacters."""
     if len(chi) != len(nu):
         raise ValueError(f"length mismatch: {len(chi)} vs {len(nu)}")
     return sum(a * b for a, b in zip(chi, nu))

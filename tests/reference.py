@@ -6,7 +6,7 @@ their rows (:func:`row_mul`).  The library's LaurentPoly has no ring
 operators, so tests build their polynomials from these maps (and from
 :func:`x_row`, :func:`var` and :func:`const`) with
 ``LaurentPoly(n, terms)``.  Then the substitution engine the library no
-longer carries, the Galois images it used, and the per-term dict builder
+longer carries, on images with coefficient +-1, the Galois images it used, and the per-term dict builder
 of the JSON term format.  Tests check the packed kernel, the monomial
 maps and the JSON text against these.  Then the twist and the Weyl
 action on whole polynomials, built term by term, and the earlier factor
@@ -115,7 +115,7 @@ def ref_divmod(num, den):
 
 def ref_to_json(poly):
     """The term list of poly, one dict per term in row order, each
-    ``{"coeff": "3/2", "q": 2, "x": [...]}``."""
+    ``{"coeff": "-3", "q": 2, "x": [...]}``."""
     return [{"coeff": str(coeff), "q": row[0], "x": list(row[1:])}
             for row, coeff in sorted(poly.exponent_rows().items())]
 
@@ -123,8 +123,9 @@ def ref_to_json(poly):
 def substitute(poly, x_images, q_image=None):
     """Replace each x_i by x_images[i] (and q by q_image), exactly.
 
-    Every image must be a single invertible term, so that negative
-    exponents stay meaningful.
+    Every image must be a single term with coefficient +-1, a unit of
+    the integer ring, so that negative exponents stay meaningful and the
+    coefficients stay ints (an int to a negative power is a float).
     """
     n = poly.n
     if len(x_images) != n + 1:
@@ -138,6 +139,8 @@ def substitute(poly, x_images, q_image=None):
         if len(img) != 1:
             raise ValueError("substitution images must be invertible single terms")
         (row, coeff), = img.exponent_rows().items()
+        if coeff not in (1, -1):
+            raise ValueError("substitution images must have coefficient +-1")
         pairs.append((row, coeff))
     out = {}
     for row, coeff in poly.exponent_rows().items():
@@ -146,7 +149,7 @@ def substitute(poly, x_images, q_image=None):
         for exp, (im, ic) in zip(row, pairs):
             if exp:
                 acc_mono = row_mul(acc_mono, tuple(exp * e for e in im))
-                acc_coeff *= Fraction(ic) ** exp
+                acc_coeff *= ic ** abs(exp)
         out[acc_mono] = out.get(acc_mono, 0) + acc_coeff
     return LaurentPoly(n, out)
 

@@ -110,7 +110,7 @@ def test_hecke_coefficients_are_weyl_invariant(n):
 def test_weyl_invariance_negative_and_trivial_cases():
     group = weyl_group(3)
     assert not check_weyl_invariance(var(3, 1), 3, group)
-    assert check_weyl_invariance(const(3, Fraction(5, 3)), 3, group)
+    assert check_weyl_invariance(const(3, -5), 3, group)
     assert check_weyl_invariance(LaurentPoly(3), 3, group)
 
 
@@ -389,7 +389,7 @@ def test_satake_alpha_is_ring_homomorphism():
         out = {}
         for _ in range(rng.randint(1, 4)):
             mono = tuple(rng.randint(-2, 2) for _ in range(n + 2))
-            out = ref_add(out, {mono: Fraction(rng.randint(-5, 5))})
+            out = ref_add(out, {mono: rng.randint(-5, 5)})
         return LaurentPoly(n, out)
 
     def alpha(terms):

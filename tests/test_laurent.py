@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from guhecke.hecke import satake_alpha
 from guhecke.laurent import (LANE_MAX, LaurentPoly, NonZeroRemainderError,
                              TPoly, _mul_into)
 from reference import (const, ref_add, ref_divmod, ref_mul, ref_tmul,
@@ -20,7 +21,7 @@ def rand_terms(rng, n=N, terms=4, span=3):
     out = {}
     for _ in range(rng.randint(0, terms)):
         mono = tuple(rng.randint(-span, span) for _ in range(n + 2))
-        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        coeff = rng.randint(-9, 9)
         out = ref_add(out, {mono: coeff})
     return out
 
@@ -166,86 +167,110 @@ def test_substitute_rejects_non_unit_image():
 # -- evaluation ---------------------------------------------------------------
 
 
+def value(poly, t_val, q_val, x_vals):
+    """The value of one Laurent polynomial, as the constant t-polynomial."""
+    return TPoly(poly.n, [poly]).evaluate(t_val, q_val, x_vals)
+
+
 def test_evaluate_matches_hand_value():
-    p = LaurentPoly(N, {(0, 0, 1, -1, 0): 2, (2, 0, 0, 0, 0): Fraction(1, 3)})
-    val = p.evaluate(5, [1, Fraction(3, 2), 2, 7])
-    assert val == 2 * Fraction(3, 2) / 2 + Fraction(25, 3)
+    p = LaurentPoly(N, {(0, 0, 1, -1, 0): 2, (2, 0, 0, 0, 0): 3})
+    point = [1, Fraction(3, 2), 2, 7]
+    assert value(p, 4, 5, point) == 2 * Fraction(3, 2) / 2 + 75
+    # a t-polynomial: (2*x1/x2 + 3*q^2) - x1^-2 * t^2 at t = -2/3
+    tp = TPoly(N, [p, LaurentPoly(N), -x(1, -2)])
+    assert tp.evaluate(Fraction(-2, 3), 5, point) == \
+        Fraction(3, 2) + 75 - Fraction(4, 9) * Fraction(4, 9)
 
 
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(31)
     point = [Fraction(rng.choice([1, 2, 3, -2]), rng.choice([1, 3])) for _ in range(N + 1)]
-    q_val = Fraction(5, 2)
+    q_val, t_val = Fraction(5, 2), Fraction(-4, 3)
     for _ in range(20):
         a, b = rand_terms(rng), rand_terms(rng)
-        value_a = LaurentPoly(N, a).evaluate(q_val, point)
-        value_b = LaurentPoly(N, b).evaluate(q_val, point)
-        assert LaurentPoly(N, ref_mul(a, b)).evaluate(q_val, point) == value_a * value_b
-        assert LaurentPoly(N, ref_add(a, b)).evaluate(q_val, point) == value_a + value_b
+        value_a = value(LaurentPoly(N, a), t_val, q_val, point)
+        value_b = value(LaurentPoly(N, b), t_val, q_val, point)
+        assert value(LaurentPoly(N, ref_mul(a, b)), t_val, q_val, point) \
+            == value_a * value_b
+        assert value(LaurentPoly(N, ref_add(a, b)), t_val, q_val, point) \
+            == value_a + value_b
+        # and on t-polynomials, through their product
+        ta, tb = ([rand_poly(rng) for _ in range(rng.randint(1, 3))]
+                  for _ in range(2))
+        assert times(ta, tb).evaluate(t_val, q_val, point) == \
+            TPoly(N, ta).evaluate(t_val, q_val, point) \
+            * TPoly(N, tb).evaluate(t_val, q_val, point)
 
 
-def _evaluate_by_fractions(poly, q_val, x_vals):
+def _evaluate_by_fractions(tpoly, t_val, q_val, x_vals):
     """The earlier evaluate, kept as the reference: every power and every
-    partial sum is a Fraction."""
+    partial sum is a Fraction, term by term and degree by degree."""
     values = [Fraction(v) for v in (q_val, *x_vals)]
     total = Fraction(0)
-    for row, coeff in poly.exponent_rows().items():
-        term = coeff
-        for e, v in zip(row, values):
-            if e:
-                term *= v ** e
-        total += term
+    for degree, poly in enumerate(tpoly.coeffs):
+        for row, coeff in poly.exponent_rows().items():
+            term = coeff * Fraction(t_val) ** degree
+            for e, v in zip(row, values):
+                if e:
+                    term *= v ** e
+            total += term
     return total
 
 
 def test_integer_evaluate_matches_fraction_loop():
     rng = random.Random(77)
     values = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3), Fraction(9, 4)]
-    polys = [LaurentPoly(N), LaurentPoly.one(N),
-             LaurentPoly.from_term((0, 0, 1, -3, 0), 3)]
-    polys += [rand_poly(rng, terms=8, span=4) for _ in range(60)]
-    integral = [p for p in polys
-                if all(type(c) is int for c in p.exponent_rows().values())]
-    assert len(integral) > 2 and len(integral) < len(polys)
+    # One term with a negative exponent in every lane, q first.
+    below = LaurentPoly.from_term((-2, -1, -3, -1, -2), -5)
+    polys = [TPoly(N), TPoly(N, [LaurentPoly.one(N)]),
+             TPoly(N, [LaurentPoly.from_term((0, 0, 1, -3, 0), 3)]),
+             TPoly(N, [below, LaurentPoly(N), LaurentPoly.one(N)])]
+    polys += [TPoly(N, [rand_poly(rng, terms=8, span=4)
+                        for _ in range(rng.randint(1, 4))])
+              for _ in range(60)]
     for poly in polys:
-        for _ in range(5):
+        for t_val in (0, *(rng.choice(values) for _ in range(4))):
             q_val = rng.choice(values)
             point = [rng.choice(values) for _ in range(N + 1)]
-            got = poly.evaluate(q_val, point)
+            got = poly.evaluate(t_val, q_val, point)
             assert type(got) is Fraction
-            assert got == _evaluate_by_fractions(poly, q_val, point)
-    assert LaurentPoly(N).evaluate(0, [0] * (N + 1)) == 0
+            assert got == _evaluate_by_fractions(poly, t_val, q_val, point)
+    # t = 0 leaves the constant coefficient: 0^0 is 1.
+    assert polys[3].evaluate(0, 2, [1, 1, 1, 1]) == Fraction(-5, 4)
+    assert TPoly(N).evaluate(0, 0, [0] * (N + 1)) == 0
 
 
 def test_evaluate_at_zero_under_a_negative_exponent_raises():
-    poly = LaurentPoly(N, {(0, 0, 1, 0, 0): 1,
-                           (-1, 0, 0, 2, 0): Fraction(1, 3)})
-    assert poly.evaluate(2, [5, 0, 1, 1]) == Fraction(1, 6)   # 0 under x1^1
-    assert poly.evaluate(2, [5, 1, 0, 1]) == 1                # 0 under x2^2
+    poly = LaurentPoly(N, {(0, 0, 1, 0, 0): 1, (-1, 0, 0, 2, 0): 3})
+    assert value(poly, 1, 2, [5, 0, 1, 1]) == Fraction(3, 2)  # 0 under x1^1
+    assert value(poly, 1, 2, [5, 1, 0, 1]) == 1               # 0 under x2^2
     for p, q_val, point in ((poly, 0, [5, 1, 1, 1]),          # 0 under q^-1
                             (x(3, -2), 1, [1, 1, 1, 0])):     # 0 under x3^-2
-        with pytest.raises(ZeroDivisionError):
-            _evaluate_by_fractions(p, q_val, point)
-        with pytest.raises(ZeroDivisionError):
-            p.evaluate(q_val, point)
+        for tp in (TPoly(N, [p]), TPoly(N, [x(1), LaurentPoly(N), p])):
+            with pytest.raises(ZeroDivisionError):
+                _evaluate_by_fractions(tp, 0, q_val, point)
+            with pytest.raises(ZeroDivisionError):
+                tp.evaluate(0, q_val, point)
     with pytest.raises(ValueError):
-        x(1).evaluate(1, [1, 1, 1])
+        value(x(1), 0, 1, [1, 1, 1])
+    with pytest.raises(ValueError):
+        TPoly(N).evaluate(0, 1, [1] * (N + 2))
 
 
 # -- rendering and JSON -------------------------------------------------------
 
 
 def test_canonical_text_rendering():
-    p = LaurentPoly(N, {(2, 2, 1, 0, -1): Fraction(3, 2)})
-    assert str(p) == "3/2*q^2*x0^2*x1*x3^-1"
+    p = LaurentPoly(N, {(2, 2, 1, 0, -1): -3})
+    assert str(p) == "-3*q^2*x0^2*x1*x3^-1"
     assert str(LaurentPoly(N)) == "0"
     assert str(LaurentPoly(N, {(0, 0, 1, 0, 0): 1,
                                (0, 0, 0, 1, 0): -1})) == "-x2 + x1"
 
 
 def test_term_json_schema():
-    p = LaurentPoly(N, {(2, 2, 1, 0, -1): Fraction(3, 2)})
-    assert p.to_json() == [{"coeff": "3/2", "q": 2, "x": [2, 1, 0, -1]}]
+    p = LaurentPoly(N, {(2, 2, 1, 0, -1): -3})
+    assert p.to_json() == [{"coeff": "-3", "q": 2, "x": [2, 1, 0, -1]}]
 
 
 def _dumps(data):
@@ -256,7 +281,7 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
     rng = random.Random(1010)
     edges = (-LANE_MAX, LANE_MAX)
     for n in range(3, 16):
-        polys = [LaurentPoly(n), const(n, 5), const(n, Fraction(-3, 7))]
+        polys = [LaurentPoly(n), const(n, 5), const(n, -3 * 10 ** 30)]
         for _ in range(6):
             big = rand_terms(rng, n, terms=10, span=3)
             polys.append(LaurentPoly(n, ref_add(
@@ -268,7 +293,7 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
                 exps = [rng.randint(-5, 5) for _ in range(n + 2)]
                 exps[slot] = e
                 polys.append(LaurentPoly(n, {tuple(exps):
-                                             rng.choice([-4, Fraction(-9, 2)])}))
+                                             rng.choice([-4, 9 ** 40])}))
         polys.append(LaurentPoly(n, {(e,) * (n + 2): k
                                      for k, e in enumerate(edges, 1)}))
         for p in polys:
@@ -289,20 +314,18 @@ def test_sorted_terms_are_deterministic():
 
 
 def test_exponent_rows_return_the_rows_built_from():
-    # The rows come back as built, zero coefficients dropped and integral
-    # Fractions as ints, lanes at the limits included.
+    # The rows come back as built, zero coefficients dropped, lanes at the
+    # limits included.
     rng = random.Random(91)
     for n in (1, 3, 6):
         for _ in range(30):
             terms = {(rng.randint(-3, 3), *(
                 rng.randint(-LANE_MAX, LANE_MAX) if rng.random() < 0.1
                 else rng.randint(-4, 4) for _ in range(n + 1))):
-                Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(rng.randint(0, 6))}
+                rng.randint(-5, 5) for _ in range(rng.randint(0, 6))}
             rows = LaurentPoly(n, terms).exponent_rows()
             assert rows == {row: c for row, c in terms.items() if c}
-            assert all(type(c) is int or c.denominator != 1
-                       for c in rows.values())
+            assert all(type(c) is int for c in rows.values())
     assert LaurentPoly(3).exponent_rows() == {}
 
 
@@ -319,7 +342,7 @@ def test_tpoly_trims_and_reports_degree():
 
 def test_divide_linear_factors():
     m1 = LaurentPoly.from_term((1, 0, 1, 0, 0))
-    m2 = LaurentPoly.from_term((0, 0, 0, 2, 0), Fraction(-3, 7))
+    m2 = LaurentPoly.from_term((0, 0, 0, 2, 0), -3)
     product = TPoly.linear(m1) * TPoly.linear(m2)
     assert product.divide_exact(m1) == TPoly.linear(m2)
     assert product.divide_exact(m2) == TPoly.linear(m1)
@@ -327,7 +350,7 @@ def test_divide_linear_factors():
 
 def test_divide_exact_roundtrip_randomized():
     # Random quotients, zero middle coefficients among them, times t - r
-    # for a random r with Fraction coefficients, the zero root included.
+    # for a random r with integer coefficients, the zero root included.
     rng = random.Random(5150)
     for _ in range(40):
         root = rand_poly(rng, terms=3)
@@ -356,7 +379,7 @@ def test_zero_and_constant_dividends():
     for _ in range(10):
         root = rand_poly(rng)
         assert TPoly(N).divide_exact(root) == TPoly(N)
-        a0 = rand_poly(rng) or const(N, Fraction(-2, 3))
+        a0 = rand_poly(rng) or const(N, -2)
         with pytest.raises(NonZeroRemainderError) as info:
             TPoly(N, [a0]).divide_exact(root)
         assert info.value.remainder == TPoly(N, [a0])
@@ -369,41 +392,25 @@ def test_tpoly_evaluate():
     assert p.evaluate(Fraction(7), 11, point) == (7 - 2) * (7 - 3)
 
 
-# -- coefficient representation: int when integral, else Fraction -------------
+# -- coefficient representation: an int and nothing else ---------------------
 
 
 def assert_exact_coeffs(poly):
     for coeff in poly.exponent_rows().values():
-        assert type(coeff) is int or (type(coeff) is Fraction
-                                      and coeff.denominator != 1), coeff
-
-
-def test_substitute_scaled_inverse_images_stays_exact():
-    # x1 -> 3*x3^-1, x3 -> 3*x1^-1 on a polynomial with negative exponents
-    # (3 ** -2 as a float would not be exact)
-    images = identity_images(N)
-    images[1] = LaurentPoly.from_term(x_row(N, 3, -1), 3)
-    images[3] = LaurentPoly.from_term(x_row(N, 1, -1), 3)
-    p = LaurentPoly(N, {(0, 0, -2, 0, 1): 5, (0, 0, 3, 0, 0): 1})
-    got = substitute(p, images)
-    expected = LaurentPoly(N, {(0, 0, -1, 0, 2): Fraction(5, 3),
-                               (0, 0, 0, 0, -3): 27})
-    assert got == expected
-    assert_exact_coeffs(got)
-    # the swap is an involution on the ring: applying it twice is the identity
-    assert substitute(got, images) == p
+        assert type(coeff) is int, coeff
 
 
 def test_operations_never_leave_floats_or_integral_fractions():
     rng = random.Random(1312)
     flip = identity_images(N)
-    flip[1] = LaurentPoly.from_term(x_row(N, 2, -1), Fraction(2, 3))
-    flip[2] = LaurentPoly.from_term(x_row(N, 1, -1), 3)
+    flip[1] = LaurentPoly.from_term(x_row(N, 2, -1), -1)
+    flip[2] = LaurentPoly.from_term(x_row(N, 1, -1), -1)
     for _ in range(40):
         a, b = rand_poly(rng), rand_poly(rng)
-        # integer polynomials too, so integral sums of Fractions show up
-        c = LaurentPoly(N, {m: 3024 * k for m, k in a.exponent_rows().items()})
-        results = [c, -a, substitute(a, flip)]
+        # large coefficients too, so products pass the machine word
+        c = LaurentPoly(N, {m: 3 ** 50 * k for m, k in a.exponent_rows().items()})
+        results = [c, -a, substitute(a, flip), satake_alpha(a, N),
+                   satake_alpha(c, N)]
         root = rand_poly(rng)
         dividend = TPoly(N, [a, b, c])
         quotient, remainder = divide(dividend, root)
@@ -424,7 +431,7 @@ def test_constant_factor_fast_path_matches_term_by_term_product():
     rng = random.Random(77)
     one = (0,) * (N + 2)
     q = (1,) + (0,) * (N + 1)
-    rhs_cases = [{one: 1}, {one: -1}, {one: Fraction(2, 3)},
+    rhs_cases = [{one: 1}, {one: -1}, {one: 3},
                  {q: 1}, {x_row(N, 2): 1},
                  {x_row(N, 0, -1): 5}, {one: 1, q: 2}]
     for _ in range(30):
@@ -484,7 +491,7 @@ def test_code_order_is_the_monomial_order():
         terms = {}
         for _ in range(300):
             mono = tuple(rng.choice(values) for _ in range(n + 2))
-            terms[mono] = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            terms[mono] = rng.randint(1, 9)
         p = LaurentPoly(n, terms)
         assert [m for m, _ in p.sorted_terms()] == sorted(terms)
         assert [(t["q"], *t["x"]) for t in p.to_json()] == sorted(terms)
@@ -499,9 +506,9 @@ def test_encode_decode_roundtrip_at_the_lane_limits():
                 exps[slot] = e
                 exps[(slot + 1) % (n + 2)] = -e
                 row = tuple(exps)
-                u = LaurentPoly.from_term(row, Fraction(-7, 2))
-                assert u.exponent_rows() == {row: Fraction(-7, 2)}
-                assert (-u).exponent_rows() == {row: Fraction(7, 2)}
+                u = LaurentPoly.from_term(row, -7)
+                assert u.exponent_rows() == {row: -7}
+                assert (-u).exponent_rows() == {row: 7}
     top = TPoly(N, [x(1, LANE_MAX // 2)]) * TPoly(N, [x(1, LANE_MAX // 2 + 1)])
     assert top.coeffs[0].exponent_rows() == {x_row(N, 1, LANE_MAX): 1}
 
@@ -538,25 +545,25 @@ def test_no_float_and_exponents_stay_in_lane_range():
         LaurentPoly.from_term((0, 0, 1.0, 0, 0))
     p = LaurentPoly.from_term((-3, 1, -2, 0, 5), 3)
     q = TPoly(N, [p, x(1)]) * TPoly(
-        N, [LaurentPoly.from_term((3, -1, 2, 0, -5), Fraction(1, 12))])
+        N, [LaurentPoly.from_term((3, -1, 2, 0, -5), 12)])
     for tp in (q, q * q):
         for coeff in tp.coeffs:
             for row, c in coeff.exponent_rows().items():
-                assert type(c) in (int, Fraction)
+                assert type(c) is int
                 assert all(type(e) is int and abs(e) <= LANE_MAX for e in row)
 
 
-def test_coefficients_other_than_int_or_fraction_are_refused():
-    # A float, a bool or a string is not silently turned into a Fraction:
-    # 0.1 would be 3602879701896397/36028797018963968, True 1, "3/2" 3/2.
+def test_coefficients_other_than_int_are_refused():
+    # A rational, a float, a bool or a string is not silently turned into
+    # an int: not Fraction(6, 3), not True as 1, not "1".
     row = x_row(N, 1)
-    for bad in (0.1, True, False, "3/2", 2.0):
+    for bad in (Fraction(1, 2), Fraction(6, 3), Fraction(0), 1.0, 0.1, 2.0,
+                True, False, "1", "3/2"):
         with pytest.raises(TypeError, match="coefficient"):
             LaurentPoly(N, {row: bad})
         with pytest.raises(TypeError, match="coefficient"):
             LaurentPoly.from_term(row, bad)
-    two = LaurentPoly.from_term(row, Fraction(6, 3))
-    assert two.exponent_rows() == {row: 2}
+    assert LaurentPoly.from_term(row, 2).exponent_rows() == {row: 2}
     assert LaurentPoly.from_term(row, 0).is_zero()
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from guhecke.laurent import LANE_MAX, LaurentPoly
+from guhecke.laurent import LANE_MAX, LaurentPoly, TPoly
 from guhecke.rootdatum import (norm_monomial, pairing, rho, row_permuter,
                                twist_row, weyl_generators, weyl_group)
 from reference import (dense_mat_mul, is_identity, sigma_images,
@@ -199,7 +199,7 @@ def test_sigma_twist_poly_agrees_with_substitution():
         images = sigma_images(n)
         for _ in range(15):
             m = rand_monomial(rng, n)
-            p = LaurentPoly.from_term(m, Fraction(rng.randint(1, 5)))
+            p = LaurentPoly.from_term(m, rng.randint(1, 5))
             assert sigma_twist_poly(p) == substitute(p, images)
             assert sigma_twist_poly(p) == LaurentPoly.from_term(
                 twist_row(m), p.exponent_rows()[m])
@@ -229,8 +229,10 @@ def test_sigma_twist_matches_matrix_action():
             point = [x0] + xs
             for _ in range(5):
                 m = rand_monomial(rng, n)
-                lhs = LaurentPoly.from_term(twist_row(m)).evaluate(2, point)
-                rhs = LaurentPoly.from_term(m).evaluate(2, image_point)
+                lhs = TPoly(n, [LaurentPoly.from_term(twist_row(m))]).evaluate(
+                    3, 2, point)
+                rhs = TPoly(n, [LaurentPoly.from_term(m)]).evaluate(
+                    3, 2, image_point)
                 assert lhs == rhs
 
 
