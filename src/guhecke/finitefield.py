@@ -187,25 +187,21 @@ def identity_mat(size: int) -> Mat:
 
 
 def mat_mul(fld: GFp2, a: Mat, b: Mat) -> Mat:
-    """The product a @ b.  Row i is built as the sum of a[i][k] * (row k
-    of b) over the nonzero a[i][k] only, each through the multiplication
-    table row of a[i][k], so a sparse or monomial a costs about one row
-    operation per nonzero entry; the first such term is the row's
-    starting value, with no addition."""
+    """The product a @ b.  Row i is built from the zero row as the sum of
+    a[i][k] * (row k of b) over the nonzero a[i][k] only, each through
+    the multiplication table row of a[i][k], so a sparse or monomial a
+    costs about one row operation per nonzero entry."""
     mul = fld._mul
     add = fld._add
     zero = (0,) * (len(b[0]) if b else 0)
     out = []
     for row in a:
-        acc = None
+        acc = zero
         for x, b_row in zip(row, b):
             if x:
                 mul_x = mul[x]
-                if acc is None:
-                    acc = list(map(mul_x.__getitem__, b_row))
-                else:
-                    acc = [add[s][mul_x[y]] for s, y in zip(acc, b_row)]
-        out.append(zero if acc is None else tuple(acc))
+                acc = [add[s][mul_x[y]] for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -224,9 +220,9 @@ def rref(fld: GFp2, rows: Iterable[Vec]) -> Mat:
 
     Column ``col``'s pivot row is zero left of ``col`` (every earlier
     column was cleared in it or had no pivot below the rank), so it is
-    scaled, unless its pivot is already 1, and the other rows are
-    updated, from ``col`` on only; row r subtracts f times the pivot row
-    by adding ``mul[neg[f]]`` of each entry, one table row per update.
+    scaled and the other rows are updated, from ``col`` on only; row r
+    subtracts f times the pivot row by adding ``mul[neg[f]]`` of each
+    entry, one table row per update.
     """
     work = [list(r) for r in rows]
     if not work:
@@ -245,13 +241,9 @@ def rref(fld: GFp2, rows: Iterable[Vec]) -> Mat:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         row = work[rank]
-        lead = row[col]
-        if lead == 1:
-            tail = row[col:]
-        else:
-            scale = mul[inv[lead]]
-            tail = [scale[x] for x in row[col:]]
-            row[col:] = tail
+        scale = mul[inv[row[col]]]
+        tail = [scale[x] for x in row[col:]]
+        row[col:] = tail
         for r, row_r in enumerate(work):
             f = row_r[col]
             if f and r != rank:

@@ -27,10 +27,10 @@ Hence:
 A lane holds |e| <= :data:`LANE_MAX` = 2^15 - 1 and no more.  Each
 polynomial carries a bound on its largest |exponent|: the exact maximum
 when built from rows, the sum of the operands' bounds for a product,
-the larger bound for a sum of products.  A product whose bound would
-pass :data:`LANE_MAX` first retries with the operands' exact maxima,
-then raises :class:`OverflowError`, so a lane never wraps; encoding a
-row checks every exponent the same way.  Codes are decoded in C, a
+the larger bound for a sum of products.  A product whose summed bound
+would pass :data:`LANE_MAX` raises :class:`OverflowError`, even where
+its exact exponents would fit, so a lane never wraps; encoding a row
+checks every exponent the same way.  Codes are decoded in C, a
 whole polynomial at a time (``int.to_bytes`` into an ``array``), back to
 rows: :meth:`LaurentPoly.exponent_rows` is the one decoded view.
 
@@ -122,34 +122,21 @@ def _rows(n: int, codes: Iterable[int]) -> list[Row]:
 def _mul_into(sums: dict[int, int], lhs: "LaurentPoly",
               rhs: "LaurentPoly") -> int:
     """Add lhs * rhs into the code map sums, in place, and return the
-    product's exponent bound.
+    product's exponent bound, the sum of the operands' bounds.
 
-    Raises OverflowError, before touching sums, if a product exponent
-    could leave its lane.  The sums may be left with zeros;
-    :meth:`LaurentPoly._from_sums` drops them.  A constant
-    rhs (such as the leading 1 of a monic factor) adds the lhs codes as
-    they are.
+    Raises OverflowError, before touching sums, if that bound passes
+    :data:`LANE_MAX`.  The sums may be left with zeros;
+    :meth:`LaurentPoly._from_sums` drops them.
     """
     bound = lhs._bound + rhs._bound
     if bound > LANE_MAX:
-        bound = lhs._exact_bound() + rhs._exact_bound()
-        if bound > LANE_MAX:
-            raise OverflowError(
-                f"a product exponent up to {bound} would pass the lane "
-                f"limit {LANE_MAX}")
+        raise OverflowError(
+            f"a product exponent up to {bound} would pass the lane "
+            f"limit {LANE_MAX}")
     get = sums.get
     one = _one_code(lhs.n)
-    right = rhs._codes
     left = lhs._codes.items()
-    if len(right) == 1 and one in right:
-        c2 = right[one]
-        if c2 == 1 and not sums:
-            sums.update(lhs._codes)
-            return bound
-        for code, c1 in left:
-            sums[code] = get(code, 0) + c1 * c2
-        return bound
-    for code2, c2 in right.items():
+    for code2, c2 in rhs._codes.items():
         shift = code2 - one
         for code1, c1 in left:
             code = code1 + shift
@@ -221,12 +208,6 @@ class LaurentPoly:
         """The map from exponent row (q, x0, ..., xn) to nonzero
         coefficient, decoded from the codes in one pass on every call."""
         return dict(zip(_rows(self.n, self._codes), self._codes.values()))
-
-    def _exact_bound(self) -> int:
-        """The largest |exponent| in the polynomial, decoded; it replaces
-        the bound, which may have been a sum of operand bounds."""
-        self._bound = max(map(abs, _decode(self.n, self._codes)), default=0)
-        return self._bound
 
     # -- constructors ------------------------------------------------------
 
@@ -332,9 +313,6 @@ class TPoly:
         """Degree in t; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == LaurentPoly.one(self.n)
 
@@ -343,8 +321,6 @@ class TPoly:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("variable-count mismatch")
-        if self.is_zero() or other.is_zero():
-            return TPoly(self.n)
         size = len(self.coeffs) + len(other.coeffs) - 1
         sums: list[dict[int, int]] = [{} for _ in range(size)]
         bounds = [0] * size
@@ -434,5 +410,5 @@ class TPoly:
         return f"TPoly({self})"
 
     def to_json(self) -> list[list[dict]]:
-        """inticients by ascending degree in t, each a LaurentPoly term list."""
+        """Coefficients by ascending degree in t, each a LaurentPoly term list."""
         return [c.to_json() for c in self.coeffs]

@@ -340,6 +340,15 @@ def test_tpoly_trims_and_reports_degree():
     assert TPoly(N).degree == -1
 
 
+def test_products_with_a_zero_factor_are_zero():
+    zero = TPoly(N)
+    for other in (TPoly.linear(x(1)), TPoly(N, [const(N, -2)]),
+                  TPoly(N, [x(2), LaurentPoly(N), x(1, -3)]), zero):
+        for product in (zero * other, other * zero):
+            assert product == TPoly(N)
+            assert product.degree == -1
+
+
 def test_divide_linear_factors():
     m1 = LaurentPoly.from_term((1, 0, 1, 0, 0))
     m2 = LaurentPoly.from_term((0, 0, 0, 2, 0), -3)
@@ -424,9 +433,9 @@ def test_operations_never_leave_floats_or_integral_fractions():
             assert_exact_coeffs(poly)
 
 
-def test_constant_factor_fast_path_matches_term_by_term_product():
-    # _mul_into adds the lhs codes as they are when the rhs is one constant
-    # term (and copies them into an empty sum when it is 1); the reference
+def test_mul_into_a_started_sum_matches_term_by_term_product():
+    # _mul_into adds lhs * rhs into a map that may already hold terms, for
+    # constant, one-term and two-term right factors; the reference
     # rebuilds every product monomial.
     rng = random.Random(77)
     one = (0,) * (N + 2)
@@ -531,12 +540,17 @@ def test_exponents_past_the_lane_limit_raise_instead_of_wrapping():
         TPoly.linear(u) * TPoly.linear(u)
     with pytest.raises(OverflowError):
         TPoly(N, [x(1), u, LaurentPoly.one(N)]).divide_exact(u)
-    # A bound that only sums the operands' bounds is retried on the exact
-    # exponents: the factor below has bound 32000 but is the constant 1.
+    # The refusal reads the summed bound, not the exact exponents: the
+    # factor below has bound 32000 but is the constant 1.  It raises
+    # before the sums are touched.
     one, = (TPoly(N, [x(1, 16000)]) * TPoly(N, [x(1, -16000)])).coeffs
     assert one == LaurentPoly.one(N)
-    top = TPoly(N, [one]) * TPoly(N, [x(1, 16000)]) * TPoly(N, [x(1, 16767)])
-    assert top == TPoly(N, [x(1, LANE_MAX)])
+    with pytest.raises(OverflowError):
+        TPoly(N, [one]) * TPoly(N, [x(1, 16000)])
+    sums = dict(x(2)._codes)
+    with pytest.raises(OverflowError):
+        _mul_into(sums, one, x(1, 16000))
+    assert sums == x(2)._codes
 
 
 def test_no_float_and_exponents_stay_in_lane_range():

@@ -37,8 +37,6 @@ ALLOWED = {
         "the benchmark replay wraps it as laurent.to_json",
     ("laurent", "LaurentPoly.__len__"):
         "the benchmark replay counts terms_H and terms_R with it",
-    ("laurent", "LaurentPoly._exact_bound"):
-        "the lane-overflow retry; no CLI input gets near the lane limit",
     ("laurent", "NonZeroRemainderError.__init__"):
         "raised only if the factorization certificate fails",
     ("laurent", "LaurentPoly.__repr__"): "debugging repr",

@@ -162,12 +162,18 @@ def test_pairing_values():
         pairing((1, 2), (1, 2, 3))
 
 
-def test_rho_is_integral_and_pairing_keeps_the_input_type():
+def test_rho_is_integral_and_pairing_maps_ints_to_an_int():
+    # rho has negative and zero entries; against (0, -1, ..., -n) it pairs
+    # to sum_k k (2k - n - 1) / 2 = (n - 1) n (n + 1) / 12.
     for n in (3, 5, 7, 9):
         assert all(type(v) is int for v in rho(n))
-        assert type(pairing(rho(n), (1,) * (n + 1))) is int
-        half = pairing(rho(n), (Fraction(1, 2),) * (n + 1))
-        assert type(half) is Fraction and half == 0
+        down = tuple(-k for k in range(n + 1))
+        for nu, value in (((1,) * (n + 1), 0), ((0,) * (n + 1), 0),
+                          (down, (n - 1) * n * (n + 1) // 12)):
+            got = pairing(rho(n), nu)
+            assert type(got) is int and got == value
+        with pytest.raises(ValueError):
+            pairing(rho(n), (1,) * n)
 
 
 # -- the Galois twist ---------------------------------------------------------
