@@ -67,11 +67,10 @@ def factorization_certificate(seed: int = 0) -> str:
 def weyl_invariance(seed: int = 0) -> str:
     checked = 0
     for n in WEYL_NS:
-        group = weyl_group(n)
         hp, quotient, _, _ = certified_factorization(n)
-        for coeff in (*hp.coeffs, *quotient.coeffs):
-            _check(check_weyl_invariance(coeff, n, group), n)
-            checked += 1
+        coeffs = (*hp.coeffs, *quotient.coeffs)
+        _check(check_weyl_invariance(coeffs, n, weyl_group(n)), n)
+        checked += len(coeffs)
     return (f"{checked} coefficients fixed by all group elements, "
             f"n in {WEYL_NS}")
 
@@ -148,15 +147,16 @@ def classification_roundtrip(seed: int = 0) -> str:
         prints = [fp for _, fp in _model_fingerprints(n)]
         _check(len(set(prints)) == n, f"fingerprint collision at n={n}")
         for p in CLASSIFY_PRIMES:
-            # random_basechange's draws depend on the seed and the
-            # dimension only, so all n models share each seed's frames.
-            frames = [random_frames(gfp2(p), n, seed * 100_003 + s)
-                      for s in range(CLASSIFY_SEEDS)]
-            for r in range(1, n + 1):
-                model = model_space(n, r, p)
-                for s, ((p_mat, p_inv), (q_mat, q_inv)) in enumerate(frames):
-                    moved = basechange(model, p_mat, q_mat, p_inv, q_inv)
-                    _check(classify_type(moved, n) == r, (n, p, r, s))
+            models = [model_space(n, r, p) for r in range(1, n + 1)]
+            for s in range(CLASSIFY_SEEDS):
+                # random_basechange's draws depend on the seed and the
+                # dimension only, so all n models share each seed's
+                # frames, and basechange certifies them once for all.
+                (p_mat, p_inv), (q_mat, q_inv) = random_frames(
+                    gfp2(p), n, seed * 100_003 + s)
+                moved = basechange(models, p_mat, q_mat, p_inv, q_inv)
+                for r, space in enumerate(moved, 1):
+                    _check(classify_type(space, n) == r, (n, p, r, s))
                     recovered += 1
     return (f"{recovered} seeded base changes classified back, "
             f"fingerprints pairwise distinct")

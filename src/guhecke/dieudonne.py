@@ -352,13 +352,17 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
     vectors is the two matrix identities
 
         -(G F_e)^T = frob(G V_e)   and   -(G^T F_ebar)^T = frob(G^T V_ebar).
+
+    Each side is one product on [F | V]; the negation reads the field's
+    table once per entry.
     """
     fld = space.field
+    neg = fld._neg.__getitem__
     gram_t = mat_transpose(space.gram)
     for g, f, v in ((space.gram, space.f_e2ebar, space.v_e2ebar),
                     (gram_t, space.f_ebar2e, space.v_ebar2e)):
         gf, gv = _shared_left(fld, g, f, v)
-        lhs = tuple(tuple(fld.neg(x) for x in col) for col in zip(*gf))
+        lhs = tuple(tuple(map(neg, col)) for col in zip(*gf))
         if lhs != mat_frob(fld, gv):
             return False
     return True
@@ -398,37 +402,48 @@ def _shared_left(fld: GFp2, left: Mat, a: Mat, b: Mat) -> tuple[Mat, Mat]:
     return tuple(row[:k] for row in both), tuple(row[k:] for row in both)
 
 
-def basechange(space: DieudonneSpace, p_mat: Mat, q_mat: Mat,
-               p_inv: Mat, q_inv: Mat) -> DieudonneSpace:
-    """Rewrite the space in the bases given by the columns of p_mat (on the
-    e piece) and q_mat (on the conjugate piece).
+def basechange(spaces: Sequence[DieudonneSpace], p_mat: Mat, q_mat: Mat,
+               p_inv: Mat, q_inv: Mat) -> list[DieudonneSpace]:
+    """Rewrite each space in the bases given by the columns of p_mat (on
+    the e piece) and q_mat (on the conjugate piece), in order.
 
     Semilinear transformation rule: a matrix from grade g to grade h
     becomes inv(T_h) @ M @ frob(T_g); the pairing becomes
-    transpose(T_e) @ gram @ T_ebar.  The frames are certified, not the
-    result: ValueError unless p_inv and q_inv are n x n with
-    P p_inv = Q q_inv = I, which makes them two-sided inverses.  Then the
-    result of a valid space is valid.  Table products of codes are codes,
-    all n x n.  Frobenius is an involutive ring map on entries, so for M
+    transpose(T_e) @ gram @ T_ebar.  ValueError unless every space has
+    ne = n = len(p_mat) and all share one p.  The frames are certified
+    once for all the spaces, not the results: ValueError unless p_inv
+    and q_inv are n x n with P p_inv = Q q_inv = I over the spaces'
+    field, which makes them two-sided inverses.  No space gives no field
+    to certify them in, so an empty sequence raises too.  Then the result
+    of a valid space is valid.  Table products of codes are codes, all
+    n x n.  Frobenius is an involutive ring map on entries, so for M
     from grade a to b and N from c to a, M' frob(N') = T_b^-1 M
     frob(T_a T_a^-1) frob(N) T_c = T_b^-1 (M frob(N)) T_c, and F V = V F
-    = 0 holds.  And P^T G Q has the rank of G.
+    = 0 holds.  And P^T G Q has the rank of G.  frob(P), frob(Q) and P^T
+    are made once and shared by the spaces.
     """
-    fld, n = space.field, space.ne
+    n = len(p_mat)
+    if any(space.ne != n or space.p != spaces[0].p for space in spaces):
+        raise ValueError(f"the spaces must share one p and have ne = {n}")
+    fld = spaces[0].field if spaces else None
     for t, t_inv in ((p_mat, p_inv), (q_mat, q_inv)):
-        if ({len(t), len(t_inv), *map(len, (*t, *t_inv))} != {n}
+        if (fld is None or {len(t), len(t_inv), *map(len, (*t, *t_inv))} != {n}
                 or mat_mul(fld, t, t_inv) != identity_mat(n)):
             raise ValueError("a frame times its given inverse is not I")
     p_tw, q_tw = mat_frob(fld, p_mat), mat_frob(fld, q_mat)
-    f_e, v_e = _shared_left(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw),
-                            mat_mul(fld, space.v_e2ebar, p_tw))
-    f_ebar, v_ebar = _shared_left(fld, p_inv, mat_mul(fld, space.f_ebar2e, q_tw),
-                                  mat_mul(fld, space.v_ebar2e, q_tw))
-    return DieudonneSpace._certified(
-        p=space.p, ne=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
-        v_e2ebar=v_e, v_ebar2e=v_ebar,
-        gram=mat_mul(fld, mat_transpose(p_mat), mat_mul(fld, space.gram, q_mat)),
-    )
+    p_t = mat_transpose(p_mat)
+    moved = []
+    for space in spaces:
+        f_e, v_e = _shared_left(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw),
+                                mat_mul(fld, space.v_e2ebar, p_tw))
+        f_ebar, v_ebar = _shared_left(fld, p_inv,
+                                      mat_mul(fld, space.f_ebar2e, q_tw),
+                                      mat_mul(fld, space.v_ebar2e, q_tw))
+        moved.append(DieudonneSpace._certified(
+            p=space.p, ne=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
+            v_e2ebar=v_e, v_ebar2e=v_ebar,
+            gram=mat_mul(fld, p_t, mat_mul(fld, space.gram, q_mat))))
+    return moved
 
 
 def _random_invertible(fld: GFp2, size: int,
@@ -456,9 +471,10 @@ def random_frames(fld: GFp2, n: int,
 
 
 def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
-    """A seeded random isomorphic copy of the space."""
+    """A seeded random isomorphic copy of the space: :func:`basechange`
+    of the one space by :func:`random_frames`."""
     (p_mat, p_inv), (q_mat, q_inv) = random_frames(space.field, space.ne, seed)
-    return basechange(space, p_mat, q_mat, p_inv, q_inv)
+    return basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +703,21 @@ def paired_block_slopes(r: int) -> list[tuple[Fraction, int]]:
     return [(Fraction(r - 1, 2 * r), 2 * r), (Fraction(r + 1, 2 * r), 2 * r)]
 
 
+@lru_cache(maxsize=None, typed=True)
 def isocrystal_shape(n: int, r: int) -> IsocrystalShape:
     """Shape of the isocrystal of a signature-(n-1,1) module of Newton
     type r: the paired block for r plus n-2r supersingular factors.
 
     For even r the two paired factors are simple of dimension 2r and
     appear once each; for odd r they split as two copies of dimension r.
+
+    Memoized: the shape depends on (n, r) alone, and it is frozen all
+    the way down (frozen dataclasses of tuples, ints and Fractions), so
+    every caller may share one object.  :func:`strata_dims` and the
+    acceptance audit ask for the same shapes.  A refused (n, r) raises
+    each time, since lru_cache keeps no exception.  Keys are typed, so
+    a shape built for r = True is never handed to a caller asking for
+    r = 1.
     """
     _require_odd(n)
     if not 0 <= r <= (n - 1) // 2:
@@ -732,8 +757,13 @@ def strata_dims(n: int) -> list[StratumRow]:
     not the ordinary one (slopes 0 and 1 only), which no row has.  The
     row's flag keeps the name ``ordinary``, as it is part of the JSON
     and CSV output; it marks the mu-ordinary row.
+
+    The even rows read the memoized :func:`isocrystal_shape`, and the odd
+    rows share one supersingular multiset {1/2 x 2n}, built once per n;
+    both are frozen, so sharing them is safe.
     """
     _require_odd(n)
+    supersingular = SlopeMultiset.from_pairs([(Fraction(1, 2), 2 * n)])
     rows = []
     for r in range(1, n + 1):
         if r % 2 == 0:
@@ -741,7 +771,7 @@ def strata_dims(n: int) -> list[StratumRow]:
             slopes = isocrystal_shape(n, r // 2).slopes
         else:
             dim = (r - 1) // 2
-            slopes = SlopeMultiset.from_pairs([(Fraction(1, 2), 2 * n)])
+            slopes = supersingular
         rows.append(StratumRow(r=r, dim=dim, ordinary=(r == 2),
                                supersingular=(r % 2 == 1), slopes=slopes))
     return rows

@@ -108,15 +108,19 @@ def _fixed_by(p: LaurentPoly, images: Iterable[Callable[[Row], Row]]) -> bool:
     return True
 
 
-def check_weyl_invariance(p: LaurentPoly, n: int,
+def check_weyl_invariance(polys: Sequence[LaurentPoly], n: int,
                           group: Sequence[Perm]) -> bool:
-    """True iff p is fixed by every element of group: pass
-    :func:`~guhecke.rootdatum.weyl_group` (2^m * m! elements) for the
-    whole Weyl group, or :func:`~guhecke.rootdatum.weyl_generators`, which
-    is equivalent by closure."""
-    if any(len(w) != p.n for w in group):
+    """True iff every polynomial in polys is fixed by every element of
+    group: pass :func:`~guhecke.rootdatum.weyl_group` (2^m * m!
+    elements) for the whole Weyl group, or
+    :func:`~guhecke.rootdatum.weyl_generators`, which is equivalent by
+    closure.  Each element's row map is built once and serves every
+    polynomial.  ValueError if an element's size is not a polynomial's
+    n."""
+    if any(len(w) != p.n for p in polys for w in group):
         raise ValueError("size mismatch")
-    return _fixed_by(p, map(row_permuter, group))
+    images = [row_permuter(w) for w in group]
+    return all(_fixed_by(p, images) for p in polys)
 
 
 def check_sigma_invariance(p: LaurentPoly) -> bool:
@@ -242,7 +246,7 @@ def factors_weyl_invariant(n: int, center: Row,
     the true pairs.  The generators act on the rows of the 2m + 1
     roots; no quadratic is built."""
     gens = weyl_generators(n)
-    if not check_weyl_invariance(LaurentPoly.from_term(center), n, gens):
+    if not check_weyl_invariance([LaurentPoly.from_term(center)], n, gens):
         return False
     factors = Counter(tuple(sorted(pair)) for pair in pairs)
     for w in gens:

@@ -10,8 +10,11 @@ import sys
 import pytest
 
 import guhecke.acceptance as acceptance
+import guhecke.dieudonne as dieudonne
+import guhecke.hecke as hecke
 from guhecke.acceptance import CRITERIA
-from guhecke.dieudonne import classify_type, model_space, random_basechange
+from guhecke.dieudonne import (classify_type, isocrystal_shape, model_space,
+                               random_basechange)
 from test_cli import src_env
 
 
@@ -49,7 +52,8 @@ def test_a_failed_check_raises_under_python_O():
 
 def test_roundtrip_shares_each_seed_draw_across_the_models(monkeypatch):
     # Criterion 8 draws its frames once per (n, p, seed) and applies them
-    # to all n models; each input must still be random_basechange's.
+    # to all n models, seeds outside and models inside; each input must
+    # still be random_basechange's.
     seen = []
 
     def recording_classify(space, n):
@@ -63,5 +67,51 @@ def test_roundtrip_shares_each_seed_draw_across_the_models(monkeypatch):
     expected = [random_basechange(model_space(n, r, p), seed * 100_003 + s)
                 for n in acceptance.CLASSIFY_NS
                 for p in acceptance.CLASSIFY_PRIMES
-                for r in range(1, n + 1) for s in range(3)]
+                for s in range(3) for r in range(1, n + 1)]
     assert seen == expected
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the
+    one-element list holding the count."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_roundtrip_certifies_each_frame_pair_once(monkeypatch):
+    # 3 dimensions x 2 primes x 20 seeds: one basechange per frame pair,
+    # not one per model (600).
+    calls = _counting(monkeypatch, acceptance, "basechange")
+    detail = acceptance.classification_roundtrip(3)
+    assert calls[0] == 120
+    assert detail.startswith("600 seeded base changes classified back")
+
+
+def test_weyl_criterion_builds_each_row_map_once_per_group(monkeypatch):
+    # The full groups at n = 3, 5, 7, 9 have 2 + 8 + 48 + 384 elements,
+    # and the factor certificate of each n maps c and then the pairs under
+    # its m generators: 442 + 2 * (1 + 2 + 3 + 4).  One map per
+    # coefficient was 8138.
+    calls = _counting(monkeypatch, hecke, "row_permuter")
+    detail = acceptance.weyl_invariance(0)
+    assert calls[0] == 462
+    assert detail.startswith("52 coefficients fixed")
+
+
+def test_strata_table_reuses_the_audited_shapes(monkeypatch):
+    # Criterion 9 builds the 1274 shapes (n odd to 99, r = 0..(n-1)/2);
+    # criterion 10 reads the 1225 even rows' shapes back from the memo.
+    # paired_block_slopes runs once per execution of the shape's body.
+    calls = _counting(monkeypatch, dieudonne, "paired_block_slopes")
+    isocrystal_shape.cache_clear()
+    acceptance.isocrystal_dimension_audit(0)
+    assert calls[0] == 1274
+    acceptance.strata_table(0)
+    assert calls[0] == 1274

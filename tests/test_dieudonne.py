@@ -402,7 +402,7 @@ def _random_space(p, k, rng):
     space = DieudonneSpace(p=p, ne=k, gram=gram, **blocks)
     (p_mat, p_inv), (q_mat, q_inv) = (_random_invertible(fld, k, rng),
                                       _random_invertible(fld, k, rng))
-    return basechange(space, p_mat, q_mat, p_inv, q_inv)
+    return basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
 
 
 def test_pairing_law_matches_basis_pair_loop_on_random_spaces():
@@ -706,7 +706,7 @@ def test_model_reductions_equal_the_validated_spaces():
 def test_basechange_with_identity_is_identity():
     space = model_space(5, 3, 3)
     unit = identity_mat(5)
-    assert basechange(space, unit, unit, unit, unit) == space
+    assert basechange([space], unit, unit, unit, unit)[0] == space
 
 
 def test_random_basechange_preserves_invariants():
@@ -753,10 +753,10 @@ def test_basechange_checks_the_inverses_it_is_given():
     for n in (3, 5):
         space = model_space(n, 2, 5)
         (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, n, 4)
-        moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
+        moved = basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
         assert moved == random_basechange(space, 4)
-        assert moved == basechange(space, p_mat, q_mat, mat_inv(fld, p_mat),
-                                   mat_inv(fld, q_mat))
+        assert moved == basechange([space], p_mat, q_mat, mat_inv(fld, p_mat),
+                                   mat_inv(fld, q_mat))[0]
         # 2 P^-1 is no inverse, yet the blocks it gives are a valid space
         # that passes check_bt1: validating the result, as the earlier
         # basechange did, lets it through, and the frame certificate does
@@ -769,7 +769,38 @@ def test_basechange_checks_the_inverses_it_is_given():
                  (p_inv, tuple(row + (0,) for row in q_inv)))  # n x (n+1)
         for p_given, q_given in wrong:
             with pytest.raises(ValueError, match="given inverse is not I"):
-                basechange(space, p_mat, q_mat, p_given, q_given)
+                basechange([space], p_mat, q_mat, p_given, q_given)
+
+
+def test_basechange_of_several_spaces_moves_each_as_alone():
+    # One certificate of the frames serves every space: the list result is
+    # the spaces moved one at a time, in order, and the earlier route's.
+    for n, p in ((3, 3), (5, 7)):
+        spaces = [model_space(n, r, p) for r in range(1, n + 1)]
+        spaces.append(random_basechange(spaces[0], n))
+        (p_mat, p_inv), (q_mat, q_inv) = random_frames(gfp2(p), n, 17 * n)
+        moved = basechange(spaces, p_mat, q_mat, p_inv, q_inv)
+        assert moved == [basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+                         for space in spaces]
+        assert moved == [ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
+                         for space in spaces]
+
+
+def test_basechange_refuses_no_space_and_mixed_spaces():
+    fld = gfp2(5)
+    (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, 3, 4)
+    space = model_space(3, 2, 5)
+    # No space gives no field to certify the frames in.
+    with pytest.raises(ValueError, match="given inverse is not I"):
+        basechange([], p_mat, q_mat, p_inv, q_inv)
+    wider, other_p = model_space(5, 2, 5), model_space(3, 2, 7)
+    for spaces in ([space, wider], [wider, space], [wider],
+                   [space, other_p], [other_p, space]):
+        with pytest.raises(ValueError, match="share one p and have ne = 3"):
+            basechange(spaces, p_mat, q_mat, p_inv, q_inv)
+    scaled = tuple(tuple(fld.mul(2, x) for x in row) for row in p_inv)
+    with pytest.raises(ValueError, match="given inverse is not I"):
+        basechange([space, space], p_mat, q_mat, scaled, q_inv)
 
 
 def _outcome(classify, space, n):
@@ -798,7 +829,7 @@ def test_certified_basechange_and_classification_match_the_earlier_route(n):
             (p_mat, p_inv), (q_mat, q_inv) = random_frames(
                 gfp2(p), n, 1009 * n + 31 * p + seed)
             for space in spaces:
-                moved = basechange(space, p_mat, q_mat, p_inv, q_inv)
+                moved = basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
                 assert moved == dataclasses.replace(moved) \
                     == ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
                 for m in (n, n + 2):
@@ -1055,6 +1086,30 @@ def test_isocrystal_shape_totals_and_symmetry():
             assert shape.slopes.total() == 2 * n
             assert shape.slopes.is_symmetric()
             assert sum(f.dim * f.count for f in shape.factors) == 2 * n
+
+
+def test_isocrystal_shape_is_one_object_per_n_and_r():
+    isocrystal_shape.cache_clear()
+    first = isocrystal_shape(7, 2)
+    assert isocrystal_shape(7, 2) is first
+    assert isocrystal_shape(7, 1) is not first
+    isocrystal_shape.cache_clear()
+    assert isocrystal_shape(7, 2) == first
+    assert isocrystal_shape(7, 2) is not first
+    # The memo keys on types too: a bool r does not stand in for an int.
+    assert isocrystal_shape(7, True).r is True
+    assert type(isocrystal_shape(7, 1).r) is int
+
+
+def test_strata_dims_equals_a_cache_cleared_build():
+    for n in range(3, 16, 2):
+        for r in range((n - 1) // 2 + 1):
+            isocrystal_shape(n, r)
+        warm = strata_dims(n)
+        isocrystal_shape.cache_clear()
+        assert strata_dims(n) == warm
+        half = SlopeMultiset.from_pairs([(Fraction(1, 2), 2 * n)])
+        assert all(row.slopes == half for row in warm if row.r % 2 == 1)
 
 
 def test_isocrystal_shape_range_checks():

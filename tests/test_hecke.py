@@ -104,14 +104,14 @@ def test_hecke_coefficients_are_weyl_invariant(n):
     group = weyl_group(n)
     hp, quotient, _, _ = certified_factorization(n)
     for coeff in (*hp.coeffs, *quotient.coeffs):
-        assert check_weyl_invariance(coeff, n, group)
+        assert check_weyl_invariance([coeff], n, group)
 
 
 def test_weyl_invariance_negative_and_trivial_cases():
     group = weyl_group(3)
-    assert not check_weyl_invariance(var(3, 1), 3, group)
-    assert check_weyl_invariance(const(3, -5), 3, group)
-    assert check_weyl_invariance(LaurentPoly(3), 3, group)
+    assert not check_weyl_invariance([var(3, 1)], 3, group)
+    assert check_weyl_invariance([const(3, -5)], 3, group)
+    assert check_weyl_invariance([LaurentPoly(3)], 3, group)
 
 
 def test_weyl_check_agrees_with_polynomial_action():
@@ -129,10 +129,29 @@ def test_weyl_check_agrees_with_polynomial_action():
             for cand in (p, orbit_sum,
                          LaurentPoly(n, ref_add(orbit, p.exponent_rows()))):
                 expected = all(weyl_act(w, cand) == cand for w in group)
-                assert check_weyl_invariance(cand, n, group) == expected
-            assert check_weyl_invariance(orbit_sum, n, group)
+                assert check_weyl_invariance([cand], n, group) == expected
+            assert check_weyl_invariance([orbit_sum], n, group)
     with pytest.raises(ValueError):
-        check_weyl_invariance(LaurentPoly.one(5), 5, weyl_group(3))
+        check_weyl_invariance([LaurentPoly.one(5)], 5, weyl_group(3))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_weyl_check_of_several_polynomials_fails_if_any_one_moves(n):
+    # One set of row maps serves the whole sequence: it is fixed iff each
+    # polynomial is, wherever the moved one stands.
+    group = weyl_group(n)
+    hp, quotient, _, _ = certified_factorization(n)
+    coeffs = [*hp.coeffs, *quotient.coeffs]
+    assert check_weyl_invariance(coeffs, n, group)
+    assert check_weyl_invariance([], n, group)
+    moved = var(n, 1)
+    assert not check_weyl_invariance([moved], n, group)
+    for i in range(len(coeffs) + 1):
+        polys = coeffs[:i] + [moved] + coeffs[i:]
+        assert not check_weyl_invariance(polys, n, group), i
+        assert not check_weyl_invariance(polys, n, weyl_generators(n)), i
+    with pytest.raises(ValueError, match="size mismatch"):
+        check_weyl_invariance([*coeffs, LaurentPoly.one(n + 2)], n, group)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -141,17 +160,17 @@ def test_weyl_check_rejects_polynomial_fixed_by_a_proper_subgroup(n):
     m = (n - 1) // 2
     p = var_sum(n, range(1, m + 1))
     gens = weyl_generators(n)
-    assert check_weyl_invariance(p, n, gens[:-1])
-    assert not check_weyl_invariance(p, n, gens)
-    assert not check_weyl_invariance(p, n, weyl_group(n))
+    assert check_weyl_invariance([p], n, gens[:-1])
+    assert not check_weyl_invariance([p], n, gens)
+    assert not check_weyl_invariance([p], n, weyl_group(n))
 
 
 def test_generator_check_agrees_with_full_enumeration():
     n = 5
     gens = weyl_generators(n)
     for coeff in hecke_polynomial(n).coeffs:
-        assert check_weyl_invariance(coeff, n, gens)
-    assert not check_weyl_invariance(var(n, 2), n, gens)
+        assert check_weyl_invariance([coeff], n, gens)
+    assert not check_weyl_invariance([var(n, 2)], n, gens)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -165,7 +184,7 @@ def test_hecke_coefficients_are_sigma_invariant(n):
 def test_sigma_check_rejects_a_weyl_invariant_sum(n):
     # The twist sends x1 + ... + xn to 1/x1 + ... + 1/xn.
     p = var_sum(n, range(1, n + 1))
-    assert check_weyl_invariance(p, n, weyl_group(n))
+    assert check_weyl_invariance([p], n, weyl_group(n))
     assert not check_sigma_invariance(p)
 
 
@@ -336,8 +355,8 @@ def test_factor_weyl_certificate_agrees_with_expanded_check(n):
             for quadratic in quadratics[1:]:
                 product = product * quadratic
             full = product * linear
-            expanded = all(check_weyl_invariance(c, n, gens)
-                           for c in (*full.coeffs, *product.coeffs))
+            expanded = check_weyl_invariance(
+                (*full.coeffs, *product.coeffs), n, gens)
             assert factors_weyl_invariant(n, center, subset) == expanded
             assert quadratic_factors_weyl_invariant(n, center, subset) \
                 == expanded

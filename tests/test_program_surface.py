@@ -47,6 +47,7 @@ ALLOWED = {
     ("finitefield", "GFp2.add"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.mul"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.inv"): "the benchmark replay's warm_field calls it",
+    ("finitefield", "GFp2.neg"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.frob"): "the benchmark replay's warm_field calls it",
     ("finitefield", "GFp2.__repr__"): "debugging repr",
     ("dieudonne", "char_poly"):
