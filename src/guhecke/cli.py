@@ -18,6 +18,9 @@ The environment variable GUHECKE_MAX_N (default 15) caps accepted --n;
 a value that is not an integer is a usage error (exit 1).  ``dd slopes``
 accepts --d up to MAX_D (256), an input bound (the model is built in
 O(d)); a larger --d is a usage error (exit 1).
+``dd classify`` reads the input's ``ne`` first: one that is not an integer
+is malformed input (exit 1), and an integer other than --n exits 3 before
+any matrix is decoded or validated, whatever else the document holds.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from importlib import resources
 
 from .acceptance import run_all
 from .dieudonne import (ClassificationError, DieudonneSpace, check_bt1,
-                        classify_type, integral_model, isocrystal_shape,
-                        model_space, newton_slopes, signature, strata_dims)
+                        check_dimension, classify_type, integral_model,
+                        isocrystal_shape, model_space, newton_slopes,
+                        signature, strata_dims)
 from .hecke import (PairingCertificateError, certified_factorization,
                     hecke_report)
 from .laurent import LaurentPoly, NonZeroRemainderError
@@ -180,11 +184,17 @@ def _cmd_classify(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        space = DieudonneSpace.from_json(data)
+        ne = data["ne"]
+        # from_json refuses an ne that is not an int; an int ne other
+        # than n exits 3 below with no matrix decoded.
+        space = None
+        if type(ne) is not int or ne == n:
+            space = DieudonneSpace.from_json(data)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"guhecke dd classify: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        check_dimension(ne, n)
         r = classify_type(space, n)
     except ClassificationError as exc:
         print(f"guhecke dd classify: {exc}", file=sys.stderr)

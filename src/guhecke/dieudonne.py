@@ -586,6 +586,12 @@ def _model_fingerprints(n: int) -> tuple[tuple[int, tuple], ...]:
     return tuple(prints)
 
 
+def check_dimension(ne: int, n: int) -> None:
+    """NotBT1Error unless the graded pieces have dimension ne = n."""
+    if ne != n:
+        raise NotBT1Error(f"graded dimensions ({ne}, {ne}) != ({n}, {n})")
+
+
 def classify_type(space: DieudonneSpace, n: int) -> int:
     """The unique r with the space isomorphic to the type-r model.
 
@@ -595,9 +601,7 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
     :func:`check_bt1`, :func:`signature` and :func:`fingerprint`; the
     last three read the space's one elimination of each block.
     """
-    if space.ne != n:
-        raise NotBT1Error(
-            f"graded dimensions ({space.ne}, {space.ne}) != ({n}, {n})")
+    check_dimension(space.ne, n)
     if not check_bt1(space):
         raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
     sig = signature(space)
@@ -715,12 +719,12 @@ def isocrystal_shape(n: int, r: int) -> IsocrystalShape:
     the way down (frozen dataclasses of tuples, ints and Fractions), so
     every caller may share one object.  :func:`strata_dims` and the
     acceptance audit ask for the same shapes.  A refused (n, r) raises
-    each time, since lru_cache keeps no exception.  Keys are typed, so
-    a shape built for r = True is never handed to a caller asking for
-    r = 1.
+    each time, since lru_cache keeps no exception.  n and r must be ints
+    (a bool is not).  Keys are typed: untyped, r = True or n = 5.0 would
+    hit the shape cached for the equal int and skip the check.
     """
     _require_odd(n)
-    if not 0 <= r <= (n - 1) // 2:
+    if type(r) is not int or not 0 <= r <= (n - 1) // 2:
         raise ValueError(f"r={r} out of range 0..{(n - 1) // 2}")
     paired = paired_block_slopes(r)
     dim, count = (2 * r, 1) if r % 2 == 0 else (r, 2)

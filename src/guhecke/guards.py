@@ -6,6 +6,6 @@ only a guard does not load the Laurent or root-datum code with it.
 
 
 def _require_odd(n: int) -> None:
-    """ValueError unless n is odd and at least 3."""
-    if n < 3 or n % 2 == 0:
+    """ValueError unless n is an int (a bool is not), odd and at least 3."""
+    if type(n) is not int or n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")

@@ -32,17 +32,13 @@ tuple (w(1), ..., w(n)).
 
 An independent numeric route evaluates the same object from its matrix
 definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
-with explicit matrix inverses and the antidiagonal sign matrix, push it
-through the similitude-twisted dual representation (A, y) -> y*det(A)*
-transpose(A)^(-1), and take an exact characteristic-determinant value.
-The matrices come from :mod:`guhecke.rational`: every product from its
-sparse :func:`~guhecke.rational.mat_mul`, and every determinant and
-inverse from :func:`~guhecke.rational.gauss_jordan`, one exact
-elimination over Fraction, three per point.  det(A) and
-transpose(A)^(-1) share one, det(M) and transpose(M)^(-1) for the
-product M share another, and the characteristic determinant is the
-third.  The two routes share nothing but the definition, so agreement
-at random rational points cross-checks the expansion.
+with the antidiagonal sign matrix, push it through the similitude-twisted
+dual representation (A, y) -> y*det(A)*transpose(A)^(-1), and take an
+exact characteristic-determinant value.  Every matrix on that route is
+monomial, held as one (column, numerator, denominator) per row on
+integers, and one walk over its permutation's cycles gives det(t - B).
+The two routes share nothing but the definition, so agreement at random
+rational points cross-checks the expansion.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from typing import Callable, Iterable, Sequence
 
 from .guards import _require_odd
 from .laurent import LaurentPoly, TPoly
-from .rational import Matrix, gauss_jordan, mat_mul
 from .rootdatum import (Perm, Row, pairing, rho, row_permuter, twist_row,
                         weyl_generators)
 
@@ -146,15 +141,41 @@ def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-side evaluation (exact, over Fraction) for the numeric cross-check.
+# Matrix-side evaluation (exact, on monomial matrices) for the numeric
+# cross-check.  A monomial matrix is a list of (column, num, den), one per
+# row: the row's one nonzero entry num/den, with den > 0.
 
 
-def _antidiagonal_signs(n: int) -> Matrix:
-    """The matrix with (-1)^(i-1) at position (i, n+1-i), 1-indexed."""
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        m[i - 1][n - i] = Fraction((-1) ** (i - 1))
-    return m
+def _mono_mul(a: list, b: list) -> list:
+    """a @ b: row i is b's row at a's column i, the two entries multiplied."""
+    out = []
+    for col, num, den in a:
+        c, u, v = b[col]
+        out.append((c, num * u, den * v))
+    return out
+
+
+def _mono_inv_t(a: list) -> list:
+    """transpose(a)^(-1): each entry num/den becomes den/num in place."""
+    return [(c, -v, -u) if u < 0 else (c, v, u) for c, u, v in a]
+
+
+def _char_det(a: list, t_num: int, t_den: int) -> tuple[int, int]:
+    """det(t - a) as (num, den) for t = t_num/t_den: the product over
+    the cycles of a's permutation of t^l - w, l the cycle's length and w
+    the product of its entries.  At t = 0 this is det(-a), which is
+    -det(a) when a has odd size."""
+    arrows = dict(enumerate(a))  # row -> (column, num, den)
+    num, den = 1, 1
+    while arrows:
+        start, (i, u, v) = arrows.popitem()
+        length = 1
+        while i != start:
+            i, x, y = arrows.pop(i)
+            length, u, v = length + 1, u * x, v * y
+        num *= t_num ** length * v - u * t_den ** length
+        den *= t_den ** length * v
+    return num, den
 
 
 def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
@@ -166,25 +187,23 @@ def hecke_value_by_determinant(n: int, x0, xs: Sequence, p: int, t) -> Fraction:
         raise ValueError(f"need {n} torus coordinates")
     if x0 == 0 or 0 in xs:
         raise ValueError("torus coordinates must be nonzero")
-    x0 = Fraction(x0)
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i, v in enumerate(xs):
-        a[i][i] = Fraction(v)
-    j_signs = _antidiagonal_signs(n)
-    # det(A) = det(transpose(A)), so one elimination gives both.
-    det_a, a_t_inv = gauss_jordan(tuple(zip(*a)))
+    x0, t, q = Fraction(x0), Fraction(t), Fraction(p) ** (n - 1)
+    a = [(i, v.numerator, v.denominator)
+         for i, v in enumerate(map(Fraction, xs))]
+    # the signed antidiagonal: (-1)^(i-1) at (i, n+1-i), 1-indexed
+    j_signs = [(n - 1 - i, (-1) ** i, 1) for i in range(n)]
     # twist(A, y) = (J * transpose(A)^(-1) * J, det(A) * y)
-    twisted = mat_mul(mat_mul(j_signs, a_t_inv), j_signs)
-    prod_mat = mat_mul(a, twisted)
-    prod_scalar = x0 * det_a * x0
-    # r(M, y) = y * det(M) * transpose(M)^(-1), again from one elimination
-    det_m, r_mat = gauss_jordan(tuple(zip(*prod_mat)))
-    scale = prod_scalar * det_m
-    factor, tv = -Fraction(p) ** (n - 1) * scale, Fraction(t)
-    char = [[factor * v if v else v for v in row] for row in r_mat]
-    for i in range(n):
-        char[i][i] += tv
-    return gauss_jordan(char)[0]
+    twisted = _mono_mul(_mono_mul(j_signs, _mono_inv_t(a)), j_signs)
+    prod_mat = _mono_mul(a, twisted)
+    # B = p^(n-1) * r(M, y) with y = x0 * det(A) * x0 and
+    # r(M, y) = y * det(M) * transpose(M)^(-1).  n is odd, so
+    # det(A) * det(M) = det(-A) * det(-M), the two values at t = 0.
+    (a_num, a_den), (m_num, m_den) = (_char_det(a, 0, 1),
+                                      _char_det(prod_mat, 0, 1))
+    num = q.numerator * x0.numerator ** 2 * a_num * m_num
+    den = q.denominator * x0.denominator ** 2 * a_den * m_den
+    b = [(c, num * u, den * v) for c, u, v in _mono_inv_t(prod_mat)]
+    return Fraction(*_char_det(b, t.numerator, t.denominator))
 
 
 # ---------------------------------------------------------------------------

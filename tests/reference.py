@@ -12,8 +12,11 @@ maps and the JSON text against these.  Then the twist and the Weyl
 action on whole polynomials, built term by term, and the earlier factor
 certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
-definition, the F_{p^2} vector operations, the vector-level operators
-and identity test that only the tests use, the earlier
+definition, one Gauss-Jordan elimination over Fraction, and on them the
+earlier dense route of the Hecke value by determinant, which the
+monomial-matrix route is checked against; then the F_{p^2} vector
+operations, the vector-level operators and identity test that only the
+tests use, the earlier
 two-elimination sampler of base changes, the earlier base change that
 validated its result as a new space, and the earlier classification,
 which ranked the blocks before its closure eliminated them again.  Then the dense integer view of
@@ -207,6 +210,56 @@ def dense_mat_mul(a, b):
     """a @ b by the definition: every row of a against every column of b."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
                  for row in a)
+
+
+def gauss_jordan(a):
+    """(det(a), a^-1) for a square matrix of ints or Fractions, from one
+    Gauss-Jordan elimination of [a | I] over Fraction; the inverse is None
+    when det(a) = 0."""
+    size = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j))
+                                       for j in range(size)]
+         for i, row in enumerate(a)]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        pivot_value = m[col][col]
+        det *= pivot_value
+        m[col] = [v / pivot_value for v in m[col]]
+        for r in range(size):
+            if r != col:
+                f = m[r][col]
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return det, [row[size:] for row in m]
+
+
+def antidiagonal_signs(n):
+    """The matrix with (-1)^(i-1) at position (i, n+1-i), 1-indexed."""
+    return [[Fraction((-1) ** i) if i + j == n - 1 else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def ref_hecke_value_by_determinant(n, x0, xs, p, t):
+    """det(t - p^(n-1) * r(g * twist(g))) for the torus point
+    g = (diag(xs), x0) on dense Fraction matrices: the earlier route of
+    hecke_value_by_determinant, three eliminations per point."""
+    x0 = Fraction(x0)
+    a = [[Fraction(xs[i]) if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    j_signs = antidiagonal_signs(n)
+    det_a, a_t_inv = gauss_jordan(list(zip(*a)))
+    twisted = dense_mat_mul(dense_mat_mul(j_signs, a_t_inv), j_signs)
+    prod_mat = dense_mat_mul(a, twisted)
+    det_m, r_mat = gauss_jordan(list(zip(*prod_mat)))
+    factor = -Fraction(p) ** (n - 1) * x0 * det_a * x0 * det_m
+    char = [[factor * v + (Fraction(t) if i == j else 0)
+             for j, v in enumerate(row)] for i, row in enumerate(r_mat)]
+    return gauss_jordan(char)[0]
 
 
 def mat_vec(fld, m, v):

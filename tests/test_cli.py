@@ -390,6 +390,51 @@ def test_dd_classify_refuses_unequal_pieces(capsys, tmp_path, nebar):
                    "pairing must be nondegenerate\n")
 
 
+def test_dd_classify_compares_the_dimension_before_decoding(
+        capsys, tmp_path, monkeypatch):
+    # An all-zero 300 x 300 document (3.6 MB) with --n 5: its degenerate
+    # gram and its size do not matter, the dimension decides, and no
+    # matrix is decoded.
+    zero = [[[0, 0]] * 300 for _ in range(300)]
+    data = {"p": 3, "ne": 300, "nebar": 300}
+    for name in ("F_e2ebar", "F_ebar2e", "V_e2ebar", "V_ebar2e", "gram"):
+        data[name] = zero
+    target = tmp_path / "zero-300.json"
+    target.write_text(json.dumps(data))
+    calls = []
+    monkeypatch.setattr(cli_module.DieudonneSpace, "from_json",
+                        classmethod(lambda cls, doc: calls.append(doc)))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(target),
+                             "--n", "5")
+    assert (code, out) == (3, "")
+    assert err == ("guhecke dd classify: graded dimensions (300, 300) "
+                   "!= (5, 5)\n")
+    # Not even p is looked at once the dimension is off.
+    data = json.loads(fixture_path().read_text())
+    data["p"] = "not a prime"
+    target.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(target),
+                             "--n", "7")
+    assert (code, out) == (3, "")
+    assert err == "guhecke dd classify: graded dimensions (5, 5) != (7, 7)\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("ne", ("5", 5.0, True, None))
+def test_dd_classify_refuses_an_ne_that_is_not_an_int_before_comparing(
+        capsys, tmp_path, ne):
+    data = json.loads(fixture_path().read_text())
+    data["ne"] = ne
+    bad = tmp_path / "ne.json"
+    bad.write_text(json.dumps(data))
+    for n in ("3", "5"):
+        code, out, err = run_cli(capsys, "dd", "classify", "--input",
+                                 str(bad), "--n", n)
+        assert (code, out) == (1, "")
+        assert err.startswith("guhecke dd classify: malformed input: "
+                              "p, ne and nebar must be integers, got [")
+
+
 @pytest.mark.parametrize("entry", [[1.0, 0], [0, 2.5], [True, 0], ["1", 0],
                                    [0, 0, 0], 7])
 def test_dd_classify_refuses_an_entry_that_is_not_a_pair_of_ints(

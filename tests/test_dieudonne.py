@@ -22,11 +22,10 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                random_frames, signature, strata_dims)
 from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_inv,
                                   mat_mul, mat_transpose, rref)
-from guhecke.rational import gauss_jordan, mat_mul as mat_mul_q
-from reference import (apply_f, apply_v, dense_mat_mul, dense_view, mat_vec,
-                       padic_newton_slopes, ref_basechange, ref_classify_type,
-                       ref_direct_sum, ref_random_basechange,
-                       ref_random_invertible, vec_frob)
+from reference import (apply_f, apply_v, dense_mat_mul, dense_view,
+                       gauss_jordan, mat_vec, padic_newton_slopes,
+                       ref_basechange, ref_classify_type, ref_direct_sum,
+                       ref_random_basechange, ref_random_invertible, vec_frob)
 
 PRIMES = (3, 5, 7)
 
@@ -98,54 +97,6 @@ def test_fv_equals_p_for_all_models(p):
         p_id = tuple(tuple(p * int(i == j) for j in range(dim)) for i in range(dim))
         assert dense_mat_mul(f, v) == p_id
         assert dense_mat_mul(v, f) == p_id
-
-
-def test_sparse_int_mat_mul_matches_dense_definition():
-    rng = random.Random(17)
-    f, v, _ = dense_view(banded(4, 5))
-    cases = [(((0, 0), (0, 0)), ((0, 0), (0, 0))),
-             (((1, 2, 3),), ((0,), (0,), (0,))),
-             ((), ((1, 2),)),
-             (f, v)]
-    for _ in range(60):
-        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
-        for density in (0.0, 0.2, 0.6, 1.0):
-            a = tuple(tuple(rng.randint(-9, 9) if rng.random() < density else 0
-                            for _ in range(inner)) for _ in range(rows))
-            b = tuple(tuple(rng.randint(-9, 9) if rng.random() < density else 0
-                            for _ in range(cols)) for _ in range(inner))
-            cases.append((a, b))
-    for a, b in cases:
-        got = mat_mul_q(a, b)
-        assert got == dense_mat_mul(a, b), (a, b)
-        # A product of int matrices stays int, zeros included.
-        assert all(type(v) is int for row in got for v in row), (a, b)
-
-
-def test_gauss_jordan_is_exact_on_integer_and_rational_matrices():
-    rng = random.Random(23)
-    mats = [[[0, 1], [-1, 0]], [[3, 1], [1, 1]], [[0, 0], [0, 0]],
-            [list(row) for row in dense_view(banded(3, 7))[2]]]
-    for size in (1, 2, 3, 4, 5):
-        for _ in range(6):
-            mats.append([[rng.choice((0, 0, rng.randint(-5, 5)))
-                          for _ in range(size)] for _ in range(size)])
-            mats.append([[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                          for _ in range(size)] for _ in range(size)])
-    for mat in mats:
-        det, inverse = gauss_jordan(mat)
-        assert type(det) is Fraction
-        assert det == _det_by_permutation_expansion(mat), mat
-        if det == 0:
-            assert inverse is None, mat
-            continue
-        assert all(type(v) is Fraction for row in inverse for v in row), mat
-        size = len(mat)
-        assert [[sum(mat[i][k] * inverse[k][j] for k in range(size))
-                 for j in range(size)] for i in range(size)] \
-            == [[int(i == j) for j in range(size)] for i in range(size)], mat
-    assert gauss_jordan([[1, 2], [2, 4]]) == (0, None)
-    assert gauss_jordan([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == (0, None)
 
 
 @pytest.mark.parametrize("p", (3, 7))
@@ -1096,9 +1047,27 @@ def test_isocrystal_shape_is_one_object_per_n_and_r():
     isocrystal_shape.cache_clear()
     assert isocrystal_shape(7, 2) == first
     assert isocrystal_shape(7, 2) is not first
-    # The memo keys on types too: a bool r does not stand in for an int.
-    assert isocrystal_shape(7, True).r is True
-    assert type(isocrystal_shape(7, 1).r) is int
+    # The memo keys on types too: a bool or float equal to a cached int
+    # key misses the cache and is refused.
+    isocrystal_shape(7, 1)
+    for n, r in ((7, True), (7, 1.0), (7.0, 2)):
+        with pytest.raises(ValueError):
+            isocrystal_shape(n, r)
+
+
+def test_shapes_and_strata_refuse_a_bool_or_float_argument():
+    for call in (lambda: isocrystal_shape(5, True),
+                 lambda: isocrystal_shape(5.0, 1),
+                 lambda: isocrystal_shape(5, 1.0), lambda: strata_dims(5.0),
+                 lambda: strata_dims(True)):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(ValueError) as info:
+        strata_dims(5.0)
+    assert str(info.value) == "n must be odd and >= 3, got 5.0"
+    with pytest.raises(ValueError) as info:
+        isocrystal_shape(5, True)
+    assert str(info.value) == "r=True out of range 0..2"
 
 
 def test_strata_dims_equals_a_cache_cleared_build():

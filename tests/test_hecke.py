@@ -14,11 +14,11 @@ from guhecke.hecke import (PairingCertificateError, central_monomial,
                            hecke_value_by_determinant, root_pairs,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, TPoly
-from guhecke.rational import mat_mul
 from guhecke.rootdatum import twist_row, weyl_generators, weyl_group
-from reference import (const, dense_mat_mul, quadratic_factors_weyl_invariant,
-                       ref_add, ref_divmod, ref_mul, ref_tmul, row_mul,
-                       sigma_twist_poly, var, weyl_act, x_row)
+from reference import (const, quadratic_factors_weyl_invariant, ref_add,
+                       ref_divmod, ref_hecke_value_by_determinant, ref_mul,
+                       ref_tmul, row_mul, sigma_twist_poly, var, weyl_act,
+                       x_row)
 
 
 def var_sum(n, indices):
@@ -438,30 +438,27 @@ def test_product_form_matches_determinant_at_random_points():
                 assert hp.evaluate(t, p, [x0, *xs]) == value
 
 
-def test_sparse_mat_mul_matches_dense_products():
-    rng = random.Random(88)
+@pytest.mark.parametrize("n", (3, 5, 7, 9))
+def test_monomial_route_matches_the_dense_determinant(n):
+    rng = random.Random(f"monomial:{n}")
 
-    def sample(size, density):
-        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                 if rng.random() < density else Fraction(0)
-                 for _ in range(size)] for _ in range(size)]
+    def coordinate(kind):
+        if kind == "int":
+            return rng.choice((1, 2, 3, 7, 12))
+        if kind == "negative":
+            return -rng.choice((1, 2, 5)) * rng.choice((1, Fraction(1, 3)))
+        return Fraction(rng.choice((1, -1, 2, 5, -7)), rng.choice((2, 3, 4)))
 
-    cases = []
-    for size in (1, 3, 5):
-        diag = [[Fraction(rng.randint(1, 7)) if i == j else Fraction(0)
-                 for j in range(size)] for i in range(size)]
-        anti = [[Fraction((-1) ** i) if i + j == size - 1 else Fraction(0)
-                 for j in range(size)] for i in range(size)]
-        cases += [(diag, anti), (anti, diag), (anti, anti),
-                  (sample(size, 0.0), sample(size, 1.0))]
-        cases += [(sample(size, d), sample(size, d))
-                  for d in (0.2, 0.6, 1.0) for _ in range(10)]
-    for a, b in cases:
-        got = mat_mul(a, b)
-        assert got == dense_mat_mul(a, b), (a, b)
-        # A reached entry is a Fraction; one no product reaches is int 0.
-        assert all(type(v) is Fraction or (type(v) is int and v == 0)
-                   for row in got for v in row), (a, b)
+    kinds = ("int", "negative", "fraction")
+    for p in (2, 3, 5):
+        for trial in range(6):
+            x0 = coordinate(kinds[trial % 3])
+            xs = [coordinate(rng.choice(kinds)) for _ in range(n)]
+            for t in (0, rng.randint(-9, 9), coordinate(rng.choice(kinds))):
+                got = hecke_value_by_determinant(n, x0, xs, p, t)
+                assert type(got) is Fraction
+                assert got == ref_hecke_value_by_determinant(n, x0, xs, p, t), \
+                    (n, p, x0, xs, t)
 
 
 def test_determinant_route_validates_arguments():

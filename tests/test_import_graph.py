@@ -34,13 +34,8 @@ def reachable(graph, start) -> set[str]:
 def test_exact_core_does_not_reach_the_hecke_side_or_the_front_ends():
     graph = relative_imports()
     assert "finitefield" in graph["dieudonne"]
-    # Integral models are monomial, so no integer matrix is multiplied or
-    # reduced: the hecke cross-check is the one user of rational.
-    assert "rational" not in reachable(graph, "dieudonne")
-    assert {m for m, targets in graph.items() if "rational" in targets} \
-        == {"hecke"}
     assert {"dieudonne", "hecke", "acceptance"} <= graph["cli"]
-    for module in ("dieudonne", "finitefield", "rational"):
+    for module in ("dieudonne", "finitefield"):
         assert not reachable(graph, module) & {"hecke", "acceptance", "cli"}, \
             module
 
