@@ -143,7 +143,7 @@ def bt1_axioms(seed: int = 0) -> str:
 def classification_roundtrip(seed: int = 0) -> str:
     recovered = 0
     for n in CLASSIFY_NS:
-        # The closed-form fingerprints classify_type matches against.
+        # The index-set model fingerprints classify_type matches against.
         prints = [fp for _, fp in _model_fingerprints(n)]
         _check(len(set(prints)) == n, f"fingerprint collision at n={n}")
         for p in CLASSIFY_PRIMES:

@@ -22,12 +22,12 @@ banded block and n-r supersingular planes.  Types are recognized by an
 isomorphism-invariant fingerprint: close {0, everything} under taking
 F-images and V-preimages of graded subspaces, then record the multiset
 of (dim X, dim F(X), dim(X & ker F)) over the closure.  An input's
-closure is computed by row reduction over F_{p^2}.  The n candidate
-models' fingerprints depend on (n, r) alone and are written down in
-closed form, so classification builds no model; the test suite checks
-the formula against the models' row-reduced closures and asserts that
-the n fingerprints are pairwise distinct, which makes the lookup well
-defined.
+closure is computed by row reduction over F_{p^2}; the n candidate
+models are monomial, so theirs are closures on index sets of their
+arrows, with no field (the test suite checks the two routes agree and
+that the n model fingerprints are pairwise distinct, which makes the
+lookup well defined).  A model's signature and BT1 flag are read off
+its arrows too, so only classification and the criteria build tables.
 
 Both the BT1 test and the fingerprint rest on rank-nullity for a
 semilinear map x -> A frob(x): its image is the column span of A and
@@ -65,7 +65,7 @@ class NotBT1Error(ClassificationError):
 
 
 class NoMatchError(ClassificationError):
-    """The input's fingerprint is none of the n closed-form model
+    """The input's fingerprint is none of the n models' index-set
     fingerprints, so the input is isomorphic to no type-r model.  Those
     fingerprints are pairwise distinct (the test suite checks every odd
     n <= 99), so a match, when there is one, is unique."""
@@ -121,6 +121,12 @@ def _json_ints(what: str, *values) -> tuple[int, ...]:
     if any(type(v) is not int for v in values):
         raise ValueError(f"{what} must be integers, got {list(values)}")
     return values
+
+
+def _check_square(name: str, m, n: int) -> None:
+    """ValueError unless m has n rows of n entries each."""
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"{name} must be {n}x{n}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +191,19 @@ class DieudonneModuleZ:
             gram=mat_transpose(block(self.pair, 0)),
         )
 
+    def signature_and_bt1(self) -> tuple[tuple[int, int], bool]:
+        """(:func:`signature`, :func:`check_bt1`) of the reduction, off the
+        arrows: Ker V is spanned by the vectors with a dead V-arrow, and as
+        w x = p, Im F = Ker V and Im V = Ker F hold arrow by arrow, which
+        leaves the pairing law <F b_j, b_k> = <b_j, V b_k> mod p."""
+        p, pair = self.p, self.pair
+        dead = [j < self.ne for j, (_, x) in enumerate(self.v_map) if x % p == 0]
+        lhs = {(j, pair[i][0]): w * pair[i][1] % p
+               for j, (i, w) in enumerate(self.f_map) if w % p}
+        rhs = {(pair[l][0], k): -x * pair[l][1] % p
+               for k, (l, x) in enumerate(self.v_map) if x % p}
+        return (dead.count(False), dead.count(True)), lhs == rhs
+
 
 def integral_model(n: int, r: int, p: int) -> DieudonneModuleZ:
     """B_r + (n-r) SS on the graded basis e_1..e_r, g_1..g_(n-r),
@@ -244,8 +263,7 @@ class DieudonneSpace:
         for name in ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e", "gram"):
             m = tuple(tuple(row) for row in getattr(self, name))
             object.__setattr__(self, name, m)
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ValueError(f"{name} must be {n}x{n}")
+            _check_square(name, m, n)
             for row in m:
                 for x in _json_ints(f"{name} entries", *row):
                     if not 0 <= x < fld.size:
@@ -324,14 +342,11 @@ class DieudonneSpace:
 
         if nebar != ne:
             raise ValueError("pairing must be nondegenerate")
-        return cls(
-            p=p, ne=ne,
-            f_e2ebar=decode(data["F_e2ebar"]),
-            f_ebar2e=decode(data["F_ebar2e"]),
-            v_e2ebar=decode(data["V_e2ebar"]),
-            v_ebar2e=decode(data["V_ebar2e"]),
-            gram=decode(data["gram"]),
-        )
+        mats = {key.lower(): data[key] for key in
+                ("F_e2ebar", "F_ebar2e", "V_e2ebar", "V_ebar2e", "gram")}
+        for name, m in mats.items():  # every shape before any entry
+            _check_square(name, m, ne)
+        return cls(p=p, ne=ne, **{name: decode(m) for name, m in mats.items()})
 
 
 def signature(space: DieudonneSpace) -> tuple[int, int]:
@@ -552,37 +567,27 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _model_fingerprints(n: int) -> tuple[tuple[int, tuple], ...]:
-    """(r, fingerprint of the type-r model) for r = 1..n, in closed form:
-    :func:`fingerprint` of ``model_space(n, r, p)``, which is the same for
-    every p (the test suite checks the two agree).
-
-    Mod p the model is B + S, the banded block B = B_r and the n - r
-    supersingular planes S.  On S, F and V kill the conjugate lines and
-    map each e line onto its conjugate line, so every subspace in the
-    closure holds all of S's piece in its grade or none of it, and its
-    part in B is a node of B's own closure.  That is a complete flag
-    B_0 < ... < B_r in each grade: the e piece fills in the order e_r,
-    e_(r-2), ..., then the other e_i ascending, the conjugate piece
-    f_(r-1), f_(r-3), ..., then the other f_j ascending.  In grade g the
-    closure holds B_j for j <= c_g and B_j + S_g for j >= c_g, with
-    c_0 = ceil(r/2) and c_1 = floor(r/2); for r = n the two are one node
-    at j = c_g.  On the e piece F has rank j on B_j until its kernel e_1
-    enters (j > floor(r/2)), then j - 1, and n - r more on B_j + S_e; on
-    the conjugate piece it has rank 1 once f_1 has entered
-    (j >= ceil(r/2)), else 0.
-    """
+    """(r, :func:`fingerprint` of ``model_space(n, r, p)``) for r = 1..n,
+    on index sets: the model is monomial, so F(span S) is spanned by the
+    targets of S's live F-arrows (weight nonzero mod p), and V^-1(span S)
+    by the vectors of the other piece whose V-arrow is dead or lands in S.
+    Weights are +-1 or +-p, so every odd p gives the same; p = 3 is used."""
+    pieces = (range(n), range(n, 2 * n))
     prints = []
     for r in range(1, n + 1):
-        ss, low, high = n - r, r // 2, (r + 1) // 2
-        # per grade: c_g, the rank of F on B_j, and its rank on S_g
-        grades = ((high, lambda j: j - (j > low), ss),
-                  (low, lambda j: int(j >= high), 0))
-        nodes = set()
-        for grade, (split, rank_b, rank_s) in enumerate(grades):
-            nodes.update((grade, j, rank_b(j)) for j in range(split + 1))
-            nodes.update((grade, j + ss, rank_b(j) + rank_s)
-                         for j in range(split, r + 1))
-        prints.append((r, tuple(sorted((d, k, d - k) for _, d, k in nodes))))
+        model, dims = integral_model(n, r, 3), {}
+
+        def successors(node, f_map=model.f_map, v_map=model.v_map):
+            grade, s = node
+            image = frozenset(i for i, w in map(f_map.__getitem__, s) if w % 3)
+            dims[node] = (len(s), len(image), len(s) - len(image))
+            pre = frozenset(j for j in pieces[1 - grade]
+                            if v_map[j][1] % 3 == 0 or v_map[j][0] in s)
+            return (1 - grade, image), (1 - grade, pre)
+
+        _closure([(g, frozenset(x)) for g in (0, 1) for x in ((), pieces[g])],
+                 successors)
+        prints.append((r, tuple(sorted(dims.values()))))
     return tuple(prints)
 
 

@@ -11,6 +11,7 @@ import pytest
 import guhecke.cli as cli_module
 from guhecke.cli import fixture_path, main
 from guhecke.dieudonne import model_space, random_basechange
+from guhecke.finitefield import GFp2, gfp2
 from guhecke.laurent import LaurentPoly, TPoly
 
 
@@ -263,17 +264,16 @@ def test_dd_slopes_past_the_d_cap_exits_1(capsys):
 
 
 def test_field_tables_past_the_bound_exit_1(capsys, tmp_path):
-    # The model JSON needs no field arithmetic and answers at any p; the
-    # pretty signature and BT1 flag need tables.
+    # The models need no field arithmetic and answer at any p: the JSON
+    # space, and the pretty signature and BT1 flag read off the arrows.
+    # Classification needs tables.
     code, out, err = run_cli(capsys, "dd", "models", "--n", "3",
                              "--p", "1009", "--r", "1")
     assert (code, err) == (0, "")
     assert json.loads(out) == model_space(3, 1, 1009).to_json()
     code, out, err = run_cli(capsys, "dd", "models", "--n", "3",
                              "--p", "1009", "--r", "1", "--format", "pretty")
-    assert (code, out) == (1, "")
-    assert err == ("guhecke: error: F_(p^2) arithmetic tables are built "
-                   "only for p <= 47, got p=1009\n")
+    assert (code, out, err) == (0, "r=1: signature=(2, 1) bt1=True\n", "")
     data = json.loads(fixture_path().read_text())
     data["p"] = 1009
     target = tmp_path / "big-p.json"
@@ -283,6 +283,17 @@ def test_field_tables_past_the_bound_exit_1(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("guhecke dd classify: malformed input: ")
     assert "p <= 47, got p=1009" in err
+
+
+def test_dd_models_builds_no_field_table(capsys):
+    gfp2.cache_clear()
+    for p in ("47", "1009"):
+        for fmt in ("json", "pretty"):
+            code, _, err = run_cli(capsys, "dd", "models", "--n", "5",
+                                   "--p", p, "--format", fmt)
+            assert (code, err) == (0, "")
+        tables = {"_add", "_mul", "_neg", "_inv", "_frob"}
+        assert not tables & vars(gfp2(int(p))).keys(), p
 
 
 def test_dd_strata_table(capsys):
@@ -418,6 +429,30 @@ def test_dd_classify_compares_the_dimension_before_decoding(
     assert (code, out) == (3, "")
     assert err == "guhecke dd classify: graded dimensions (5, 5) != (7, 7)\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("oversized", (
+    ("F_e2ebar", "F_ebar2e", "V_e2ebar", "V_ebar2e", "gram"), ("gram",)),
+    ids=("all", "gram"))
+def test_dd_classify_refuses_a_shape_before_decoding(
+        capsys, tmp_path, monkeypatch, oversized):
+    # All-zero 300 x 300 matrices under ne = nebar = 5: every matrix's
+    # shape is checked before any entry is decoded, so the first bad one
+    # is refused with no entry of any matrix decoded.
+    data = json.loads(fixture_path().read_text())
+    for name in oversized:
+        data[name] = [[[0, 0]] * 300 for _ in range(300)]
+    target = tmp_path / "zero-300.json"
+    target.write_text(json.dumps(data))
+    decoded = []
+    monkeypatch.setattr(GFp2, "from_pair",
+                        lambda self, ab: decoded.append(ab))
+    code, out, err = run_cli(capsys, "dd", "classify", "--input", str(target),
+                             "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == (f"guhecke dd classify: malformed input: "
+                   f"{oversized[0].lower()} must be 5x5\n")
+    assert decoded == []
 
 
 @pytest.mark.parametrize("ne", ("5", 5.0, True, None))
