@@ -119,15 +119,17 @@ def _emit_json(data) -> None:
     """Write data to stdout as one line of compact JSON.
 
     A dict value that is a list of LaurentPolys (the hecke report's H
-    and R) is written one coefficient at a time, each by its own
+    and R) is written one coefficient at a time, each as its
     :meth:`LaurentPoly.json_text`, so the document is never held whole;
-    everything else goes through json.dumps.
+    all the coefficients of one call share one texts dict, so each
+    distinct lane pair is rendered once per report.  Everything else
+    goes through json.dumps.
     """
     write = sys.stdout.write
     if not (isinstance(data, dict) and any(map(_is_poly_list, data.values()))):
         write(_dumps(data) + "\n")
         return
-    sep = "{"
+    sep, texts = "{", {}
     for key, value in data.items():
         write(f"{sep}{_dumps(key)}:")
         sep = ","
@@ -138,7 +140,7 @@ def _emit_json(data) -> None:
         for i, coeff in enumerate(value):
             if i:
                 write(",")
-            write(coeff.json_text())
+            write(coeff.json_text(texts))
         write("]")
     write("}\n")
 

@@ -47,6 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
@@ -147,10 +148,15 @@ class DieudonneModuleZ:
     pair: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        maps = [tuple(_json_ints("arrows", *arrow) for arrow in arrows)
-                for arrows in (self.f_map, self.v_map, self.pair)]
-        for name, arrows in zip(("f_map", "v_map", "pair"), maps):
+        maps = []
+        for name in ("f_map", "v_map", "pair"):
+            arrows = tuple(map(tuple, getattr(self, name)))
+            # One type pass over the map; the first bad arrow is named.
+            if not set(map(type, chain.from_iterable(arrows))) <= {int}:
+                for arrow in arrows:
+                    _json_ints("arrows", *arrow)
             object.__setattr__(self, name, arrows)
+            maps.append(arrows)
         _json_ints("p and ne", self.p, self.ne)
         gfp2(self.p)  # validates that p is an odd prime
         dim, ne = 2 * self.ne, self.ne

@@ -301,8 +301,9 @@ def hecke_report(n: int) -> dict:
 
     ``"Hp"`` and ``"R"`` are the coefficients themselves, lists of
     :class:`LaurentPoly` by ascending degree in t, not term lists; the
-    CLI writes each one as its :meth:`LaurentPoly.json_text`.  The other
-    fields are plain JSON values.
+    CLI writes each one as its :meth:`LaurentPoly.json_text`, all of
+    them through one cache of lane-pair texts.  The other fields are
+    plain JSON values.
     """
     hp, quotient, center, invariant = certified_factorization(n)
     ((q_exp, *x_exps), coeff), = center.exponent_rows().items()

@@ -37,7 +37,15 @@ rows: :meth:`LaurentPoly.exponent_rows` is the one decoded view.
 The JSON term format has one definition, :meth:`LaurentPoly.json_text`:
 compact text of the term list in canonical order, rendered straight from
 the sorted codes.  :meth:`LaurentPoly.to_json` parses that text back
-into term dicts, and the CLI writes the text as it is.
+into term dicts, and the CLI writes the text as it is.  The JSON text
+and ``str`` are both rendered with no Python call per term: the sorted
+codes are laid into one byte buffer and read as 32-bit words of two
+lanes each (one leading pad lane when n + 2 is odd), and each word is
+mapped through a cache, one per word position and format, that renders
+a lane pair's text the first time it is seen.  A caller that renders
+many polynomials (the CLI, all of H and R in one report; ``TPoly``, its
+coefficients) passes one ``texts`` dict to hold the caches of them all;
+it lives as long as the caller keeps it.
 
 :class:`TPoly` is a polynomial in an extra indeterminate ``t`` whose
 coefficients are LaurentPolys.  It multiplies, and it has one division,
@@ -52,7 +60,10 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -144,20 +155,85 @@ def _mul_into(sums: dict[int, int], lhs: "LaurentPoly",
     return bound
 
 
-def _term_str(row: Row, coeff: int) -> str:
-    factors = []
-    for lane, e in enumerate(row):
-        if e:
-            name = f"x{lane - 1}" if lane else "q"
-            factors.append(name if e == 1 else f"{name}^{e}")
-    if not factors:
-        return str(coeff)
-    body = "*".join(factors)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
+# -- text from lane pairs -----------------------------------------------------
+#
+# A term's text is rendered from its code read as 32-bit words, two lanes
+# each (a leading pad lane, named None, evens an odd lane count), and from
+# its coefficient.  Each word position and the coefficient have a form, a
+# tuple (render function, *args); a shared ``texts`` dict maps each form
+# to a _Texts cache, so a word's text at a position is rendered once per
+# cache however many terms carry it.
+
+
+class _Texts(dict):
+    """key -> text, each text rendered by ``render(key)`` on first sight."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _lane_names(n: int) -> list[str | None]:
+    """The names of the lanes of a term's words, in word order: the pad
+    lane None first when n + 2 is odd, then q, x0, ..., xn."""
+    return [None] * (n % 2) + ["q"] + [f"x{i}" for i in range(n + 1)]
+
+
+def _json_coeff(coeff: int) -> str:
+    return f',{{"coeff":"{coeff}'
+
+
+def _json_pair(hi: str | None, lo: str, after: str, word: int) -> str:
+    """The JSON of one word's lanes, each after its text ``hi``/``lo``;
+    ``hi`` is None for the pad lane."""
+    text = f"{lo}{(word & 0xFFFF) - 0x8000}{after}"
+    if hi is None:
+        return text
+    return f"{hi}{(word >> 16) - 0x8000}{text}"
+
+
+def _str_coeff(coeff: int) -> str:
+    """The separator and |coeff| before a term's factors; a unit gives
+    the separator alone."""
+    sign = " - " if coeff < 0 else " + "
+    return sign if coeff in (1, -1) else f"{sign}{abs(coeff)}*"
+
+
+def _str_factor(name: str | None, lane: int) -> str:
+    e = lane - 0x8000
+    if not e or name is None:
+        return ""
+    return f"{name}*" if e == 1 else f"{name}^{e}*"
+
+
+def _str_pair(hi: str | None, lo: str, word: int) -> str:
+    """The factors, each with a trailing ``*``, of one word's lanes."""
+    return _str_factor(hi, word >> 16) + _str_factor(lo, word & 0xFFFF)
+
+
+def _json_forms(n: int) -> list[tuple]:
+    """The JSON form of each word position: the text before each lane
+    (`","q":` before q, `,"x":[` before x0, a comma before the others),
+    and ``]}`` after the last word."""
+    names = _lane_names(n)
+    before = {None: None, "q": '","q":', "x0": ',"x":['}
+    lanes = [before.get(name, ",") for name in names]
+    last = len(names) // 2 - 1
+    return [(_json_pair, lanes[2 * k], lanes[2 * k + 1],
+             "]}" if k == last else "") for k in range(last + 1)]
+
+
+def _str_forms(n: int) -> list[tuple]:
+    """The text form of each word position: its two lanes' names."""
+    names = _lane_names(n)
+    return [(_str_pair, names[k], names[k + 1])
+            for k in range(0, len(names), 2)]
 
 
 class LaurentPoly:
@@ -243,44 +319,70 @@ class LaurentPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Row, int]]:
+    def _parts(self, texts: dict, coeff_form: tuple,
+               word_forms: list[tuple]) -> tuple[list[int], list[str]]:
+        """(sorted codes, text parts): per term in canonical order, the
+        coefficient's text and then its words' texts, each looked up in
+        the cache of its form in texts (made there if missing)."""
         codes = sorted(self._codes)
-        return list(zip(_rows(self.n, codes),
-                        map(self._codes.__getitem__, codes)))
+        width = len(word_forms)
+        # "I" is 32 bits wide on every platform CPython supports.
+        words = array("I", b"".join(map(int.to_bytes, codes,
+                                        repeat(4 * width), repeat("big"))))
+        if _SWAP:
+            words.byteswap()
+        parts: list = [None] * (len(codes) * (width + 1))
+        for k, form in enumerate((coeff_form, *word_forms)):
+            cache = texts.get(form)
+            if cache is None:
+                cache = texts[form] = _Texts(partial(*form))
+            keys = (map(self._codes.__getitem__, codes) if k == 0
+                    else words[k - 1::width])
+            parts[k::width + 1] = map(cache.__getitem__, keys)
+        return codes, parts
 
-    def __str__(self) -> str:
+    def _pretty(self, texts: dict) -> str:
+        """The text ``-3*q^2*x0^2*x1*x3^-1 + x2``: terms in canonical
+        order, a coefficient of 1 or -1 written only as its sign, 0 for
+        the zero polynomial.  Polynomials rendered with one texts dict
+        share its caches."""
         if not self._codes:
             return "0"
-        parts = []
-        for row, coeff in self.sorted_terms():
-            if not parts:
-                parts.append(_term_str(row, coeff))
-            elif coeff < 0:
-                parts.append(" - " + _term_str(row, -coeff))
-            else:
-                parts.append(" + " + _term_str(row, coeff))
-        return "".join(parts)
+        forms = _str_forms(self.n)
+        codes, parts = self._parts(texts, (_str_coeff,), forms)
+        one = _one_code(self.n)
+        k = bisect_left(codes, one)
+        if k < len(codes) and codes[k] == one and self._codes[one] in (1, -1):
+            parts[k * (len(forms) + 1)] += "1*"  # a constant +-1
+        head = parts[0]
+        parts[0] = head[3:] if head[1] == "+" else "-" + head[3:]
+        # Every term ends in "*": the term that follows starts with " ".
+        return "".join(parts).replace("* ", " ")[:-1]
+
+    def __str__(self) -> str:
+        return self._pretty({})
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-    def json_text(self) -> str:
+    def json_text(self, texts: dict | None = None) -> str:
         """The term list as compact JSON text, terms in canonical order,
         each ``{"coeff":"-3","q":2,"x":[...]}``: the bytes of
         ``json.dumps(self.to_json(), separators=(",", ":"))``.
 
-        One %-template per term, every field a %d, filled from the sorted
-        codes' int coefficients and their flat decoded exponents.
+        Rendered from the sorted codes as 32-bit words of two lanes each,
+        with no Python call per term: each distinct coefficient and each
+        distinct word at a position is rendered once per cache.
+        Polynomials rendered with one texts dict share its caches;
+        without one, a cache is made for this call.
         """
-        codes = sorted(self._codes)
-        width = self.n + 2
-        args: list = [None] * (len(codes) * (width + 1))
-        args[::width + 1] = map(self._codes.__getitem__, codes)
-        flat = _decode(self.n, codes)
-        for lane in range(width):
-            args[lane + 1::width + 1] = flat[lane::width]
-        term = '{"coeff":"%d","q":%d,"x":[' + ",".join(["%d"] * (width - 1)) + "]}"
-        return "[" + ",".join([term] * len(codes)) % tuple(args) + "]"
+        if not self._codes:
+            return "[]"
+        _, parts = self._parts({} if texts is None else texts,
+                               (_json_coeff,), _json_forms(self.n))
+        parts[0] = "[" + parts[0][1:]
+        parts[-1] += "]"
+        return "".join(parts)
 
     def to_json(self) -> list[dict]:
         """Terms in canonical order, each `{"coeff": "-3", "q": 2, "x": [...]}`;
@@ -390,20 +492,22 @@ class TPoly:
                             for k, term in zip(coeffs, zip(*powers))), den)
 
     def __str__(self) -> str:
+        """Terms by descending degree in t, each coefficient rendered
+        through one texts dict for the whole polynomial."""
         if not self.coeffs:
             return "0"
-        parts = []
+        parts, texts = [], {}
         for deg in range(self.degree, -1, -1):
             c = self.coeffs[deg]
             if c.is_zero():
                 continue
             tpart = "" if deg == 0 else ("t" if deg == 1 else f"t^{deg}")
             if not tpart:
-                parts.append(f"({c})")
+                parts.append(f"({c._pretty(texts)})")
             elif c == LaurentPoly.one(self.n):
                 parts.append(tpart)
             else:
-                parts.append(f"({c})*{tpart}")
+                parts.append(f"({c._pretty(texts)})*{tpart}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

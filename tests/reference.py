@@ -6,9 +6,10 @@ their rows (:func:`row_mul`).  The library's LaurentPoly has no ring
 operators, so tests build their polynomials from these maps (and from
 :func:`x_row`, :func:`var` and :func:`const`) with
 ``LaurentPoly(n, terms)``.  Then the substitution engine the library no
-longer carries, on images with coefficient +-1, the Galois images it used, and the per-term dict builder
-of the JSON term format.  Tests check the packed kernel, the monomial
-maps and the JSON text against these.  Then the twist and the Weyl
+longer carries, on images with coefficient +-1, the Galois images it used, the per-term dict builder
+of the JSON term format, and the term-by-term text of a polynomial.
+Tests check the packed kernel, the monomial maps, the JSON text and the
+pretty text against these.  Then the twist and the Weyl
 action on whole polynomials, built term by term, and the earlier factor
 certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
@@ -121,6 +122,42 @@ def ref_to_json(poly):
     ``{"coeff": "-3", "q": 2, "x": [...]}``."""
     return [{"coeff": str(coeff), "q": row[0], "x": list(row[1:])}
             for row, coeff in sorted(poly.exponent_rows().items())]
+
+
+def ref_sorted_terms(poly):
+    """The (row, coefficient) terms of poly in row order."""
+    return sorted(poly.exponent_rows().items())
+
+
+def ref_term_str(row, coeff):
+    """One term's text: its factors joined by ``*``, a coefficient of 1
+    or -1 written only as its sign unless the row is constant."""
+    factors = []
+    for lane, e in enumerate(row):
+        if e:
+            name = f"x{lane - 1}" if lane else "q"
+            factors.append(name if e == 1 else f"{name}^{e}")
+    if not factors:
+        return str(coeff)
+    body = "*".join(factors)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return f"{coeff}*{body}"
+
+
+def ref_str(poly):
+    """The text of poly, built term by term: what ``str`` gives."""
+    parts = []
+    for row, coeff in ref_sorted_terms(poly):
+        if not parts:
+            parts.append(ref_term_str(row, coeff))
+        elif coeff < 0:
+            parts.append(" - " + ref_term_str(row, -coeff))
+        else:
+            parts.append(" + " + ref_term_str(row, coeff))
+    return "".join(parts) or "0"
 
 
 def substitute(poly, x_images, q_image=None):

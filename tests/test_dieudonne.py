@@ -206,6 +206,20 @@ def test_module_refuses_p_or_ne_that_is_not_an_int(field, value):
         DieudonneModuleZ(**{**SS3, field: value})
 
 
+def test_module_names_the_first_arrow_that_is_not_an_int():
+    # Maps are checked in the order f_map, v_map, pair and arrows in
+    # order within each, so the error names the first bad arrow; a bool
+    # is refused like any other type that is not int.
+    for change, named in (
+            (dict(v_map=((1, -1), (0, 3.0)), pair=((1, True), (0, -1))),
+             "[0, 3.0]"),
+            (dict(f_map=((1, True), (0, Fraction(-3)))), "[1, True]"),
+            (dict(pair=[(1, 1), [0, "-1"]]), "[0, '-1']")):
+        with pytest.raises(ValueError) as info:
+            DieudonneModuleZ(**{**SS3, **change})
+        assert str(info.value) == f"arrows must be integers, got {named}"
+
+
 def test_module_arrows_are_stored_as_int_tuples():
     module = DieudonneModuleZ(**{**SS3, "f_map": [[1, 1], [0, -3]]})
     assert module == DieudonneModuleZ(**SS3)
@@ -853,7 +867,9 @@ def test_coordinate_fingerprint_matches_row_reduced_closure(p):
             assert by_index == fingerprint(model_space(n, r, p)), (n, r)
 
 
-def test_closed_form_fingerprints_pairwise_distinct_to_99():
+def test_index_closure_fingerprints_pairwise_distinct_to_99():
+    # The index closure of _model_fingerprints tells the n types apart
+    # for every odd n < 100.
     for n in range(1, 100, 2):
         types, prints = zip(*_model_fingerprints(n))
         assert types == tuple(range(1, n + 1)) and len(set(prints)) == n, n

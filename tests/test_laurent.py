@@ -7,8 +7,8 @@ import pytest
 from guhecke.hecke import satake_alpha
 from guhecke.laurent import (LANE_MAX, LaurentPoly, NonZeroRemainderError,
                              TPoly, _mul_into)
-from reference import (const, ref_add, ref_divmod, ref_mul, ref_tmul,
-                       ref_to_json, substitute, var, x_row)
+from reference import (const, ref_add, ref_divmod, ref_mul, ref_str,
+                       ref_tmul, ref_to_json, substitute, var, x_row)
 
 N = 3
 
@@ -307,10 +307,95 @@ def test_json_text_matches_the_reference_builder_byte_for_byte():
 
 
 def test_sorted_terms_are_deterministic():
-    p = LaurentPoly(N, {(0, 0, 0, 0, 1): 1, (0, 0, 1, 0, 0): 1,
-                        (1, 0, 0, 0, 0): 1})
-    keys = [m for m, _ in p.sorted_terms()]
-    assert keys == sorted(keys)
+    # Text and JSON list the terms in row order, whatever the build order.
+    rows = [(1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1)]
+    for order in (rows, rows[::-1]):
+        p = LaurentPoly(N, dict.fromkeys(order, 1))
+        assert str(p) == "x3 + x1 + q"
+        assert [(t["q"], *t["x"]) for t in p.to_json()] == sorted(rows)
+
+
+def _edge_polys(rng, n):
+    """Polynomials in n that reach each case of the text: zero, the
+    constants 1, -1 and 5, unit and larger coefficients of either sign,
+    a negative first term, every lane at each end of its range, and a
+    constant +-1 among other terms."""
+    one = (0,) * (n + 2)
+    polys = [LaurentPoly(n), const(n, 1), const(n, -1), const(n, 5),
+             const(n, -3 * 10 ** 30)]
+    for _ in range(4):
+        polys.append(rand_poly(rng, n, terms=12, span=4))
+    for slot in range(n + 2):
+        for e in (-LANE_MAX, LANE_MAX, -1, 1):
+            exps = [rng.randint(-2, 2) for _ in range(n + 2)]
+            exps[slot] = e
+            terms = {tuple(exps): rng.choice([1, -1, 9 ** 40, -7])}
+            polys.append(LaurentPoly(n, terms))
+            terms[one] = rng.choice([1, -1])
+            polys.append(LaurentPoly(n, terms))
+    first = min(rand_terms(rng, n, terms=5, span=2) or {one: 1})
+    polys.append(LaurentPoly(n, {first: -1, (LANE_MAX,) * (n + 2): 1}))
+    polys.append(LaurentPoly(n, {one: -1, (LANE_MAX,) * (n + 2): -2}))
+    return polys
+
+
+def test_pretty_text_matches_the_reference_byte_for_byte():
+    # n = 1..16 covers both parities of the lane count n + 2, so both
+    # with and without the pad lane.
+    rng = random.Random(2828)
+    for n in range(1, 17):
+        for p in _edge_polys(rng, n):
+            assert str(p) == ref_str(p), (n, p.exponent_rows())
+        assert str(LaurentPoly(n)) == "0"
+        assert str(const(n, 1)) == "1" and str(const(n, -1)) == "-1"
+        assert str(const(n, 5)) == "5"
+        assert str(LaurentPoly(n, {x_row(n, 0): -1, x_row(n, 1): 1})) == \
+            "x1 - x0"
+        assert str(LaurentPoly(n, {x_row(n, 0): 3, x_row(n, 1): -1})) == \
+            "-x1 + 3*x0"
+
+
+def test_texts_shared_across_polynomials_match_each_alone():
+    # One texts dict for many polynomials, of every n at once, renders
+    # each as a fresh dict would.
+    rng = random.Random(2829)
+    polys = [p for n in range(1, 17) for p in _edge_polys(rng, n)]
+    rng.shuffle(polys)
+    json_texts, str_texts = {}, {}
+    for p in polys:
+        assert p.json_text(json_texts) == p.json_text() == _dumps(ref_to_json(p))
+        assert p._pretty(str_texts) == str(p) == ref_str(p)
+
+
+def test_a_lane_pair_at_two_word_positions_gets_each_its_names():
+    # The same 32-bit word, lanes (2, -1), sits at two positions of one
+    # term: (x0, x1) and (x2, x3) at n = 3 (a pad lane before q), and
+    # (x1, x2) and (x3, x4) at n = 4 (q and x0 share the first word).
+    cases = {3: ((0, 2, -1, 2, -1), "x0^2*x1^-1*x2^2*x3^-1",
+                 '[{"coeff":"1","q":0,"x":[2,-1,2,-1]}]'),
+             4: ((2, -1, 2, -1, 2, -1), "q^2*x0^-1*x1^2*x2^-1*x3^2*x4^-1",
+                 '[{"coeff":"1","q":2,"x":[-1,2,-1,2,-1]}]')}
+    for n, (row, text, json_text) in cases.items():
+        p = LaurentPoly.from_term(row)
+        texts = {}
+        assert p._pretty(texts) == text == ref_str(p)
+        assert p.json_text(texts) == json_text == _dumps(ref_to_json(p))
+        # the word rendered at its first position does not leak into the
+        # second through the shared dict
+        assert p._pretty(texts) == text and p.json_text(texts) == json_text
+
+
+def test_tpoly_text_units_and_low_degrees():
+    one, x1 = LaurentPoly.one(N), x(1)
+    assert str(TPoly(N)) == "0"
+    assert str(TPoly(N, [one])) == "(1)"
+    assert str(TPoly(N, [-one])) == "(-1)"
+    assert str(TPoly(N, [const(N, 5), one])) == "t + (5)"
+    assert str(TPoly(N, [-one, -one])) == "(-1)*t + (-1)"
+    assert str(TPoly(N, [x1, LaurentPoly(N), one])) == "t^2 + (x1)"
+    p = LaurentPoly(N, {(1, 0, 1, 0, 0): -1, (0, 0, 0, 0, 0): 1})
+    assert str(TPoly(N, [p, p, -p])) == (
+        "(-1 + q*x1)*t^2 + (1 - q*x1)*t + (1 - q*x1)")
 
 
 def test_exponent_rows_return_the_rows_built_from():
@@ -502,7 +587,7 @@ def test_code_order_is_the_monomial_order():
             mono = tuple(rng.choice(values) for _ in range(n + 2))
             terms[mono] = rng.randint(1, 9)
         p = LaurentPoly(n, terms)
-        assert [m for m, _ in p.sorted_terms()] == sorted(terms)
+        assert str(p) == ref_str(p)
         assert [(t["q"], *t["x"]) for t in p.to_json()] == sorted(terms)
         assert p.exponent_rows() == terms
 
