@@ -416,11 +416,14 @@ def model_space(n: int, r: int, p: int) -> DieudonneSpace:
 # Base change
 
 
-def _shared_left(fld: GFp2, left: Mat, a: Mat, b: Mat) -> tuple[Mat, Mat]:
-    """(left @ a, left @ b) as one product, on [a | b]."""
-    both = mat_mul(fld, left, tuple(x + y for x, y in zip(a, b)))
-    k = len(a[0])
-    return tuple(row[:k] for row in both), tuple(row[k:] for row in both)
+def _shared_left(fld: GFp2, left: Mat, *blocks: Mat) -> tuple[Mat, ...]:
+    """(left @ b for b in blocks) as one product, on [b_1 | b_2 | ...];
+    the blocks share one width.  A row operation has a fixed cost larger
+    than its cost per entry at these sizes, so wider rows pay."""
+    wide = mat_mul(fld, left, [sum(rows, ()) for rows in zip(*blocks)])
+    k = len(blocks[0][0])
+    return tuple(tuple(row[i:i + k] for row in wide)
+                 for i in range(0, k * len(blocks), k))
 
 
 def basechange(spaces: Sequence[DieudonneSpace], p_mat: Mat, q_mat: Mat,
@@ -441,7 +444,10 @@ def basechange(spaces: Sequence[DieudonneSpace], p_mat: Mat, q_mat: Mat,
     from grade a to b and N from c to a, M' frob(N') = T_b^-1 M
     frob(T_a T_a^-1) frob(N) T_c = T_b^-1 (M frob(N)) T_c, and F V = V F
     = 0 holds.  And P^T G Q has the rank of G.  frob(P), frob(Q) and P^T
-    are made once and shared by the spaces.
+    are made once and shared by the spaces, and each frame side is one
+    product over all of them, sliced back per space
+    (:func:`_shared_left`): q_inv @ [F_e frob(P) | V_e frob(P) | ...],
+    p_inv @ [F_ebar frob(Q) | V_ebar frob(Q) | ...] and P^T @ [G Q | ...].
     """
     n = len(p_mat)
     if any(space.ne != n or space.p != spaces[0].p for space in spaces):
@@ -452,19 +458,18 @@ def basechange(spaces: Sequence[DieudonneSpace], p_mat: Mat, q_mat: Mat,
                 or mat_mul(fld, t, t_inv) != identity_mat(n)):
             raise ValueError("a frame times its given inverse is not I")
     p_tw, q_tw = mat_frob(fld, p_mat), mat_frob(fld, q_mat)
-    p_t = mat_transpose(p_mat)
-    moved = []
-    for space in spaces:
-        f_e, v_e = _shared_left(fld, q_inv, mat_mul(fld, space.f_e2ebar, p_tw),
-                                mat_mul(fld, space.v_e2ebar, p_tw))
-        f_ebar, v_ebar = _shared_left(fld, p_inv,
-                                      mat_mul(fld, space.f_ebar2e, q_tw),
-                                      mat_mul(fld, space.v_ebar2e, q_tw))
-        moved.append(DieudonneSpace._certified(
-            p=space.p, ne=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
-            v_e2ebar=v_e, v_ebar2e=v_ebar,
-            gram=mat_mul(fld, p_t, mat_mul(fld, space.gram, q_mat))))
-    return moved
+    e_side = _shared_left(fld, q_inv, *(mat_mul(fld, m, p_tw) for s in spaces
+                                        for m in (s.f_e2ebar, s.v_e2ebar)))
+    ebar_side = _shared_left(fld, p_inv, *(mat_mul(fld, m, q_tw)
+                                           for s in spaces
+                                           for m in (s.f_ebar2e, s.v_ebar2e)))
+    grams = _shared_left(fld, mat_transpose(p_mat),
+                         *(mat_mul(fld, s.gram, q_mat) for s in spaces))
+    return [DieudonneSpace._certified(
+                p=space.p, ne=n, f_e2ebar=e_side[2 * i],
+                v_e2ebar=e_side[2 * i + 1], f_ebar2e=ebar_side[2 * i],
+                v_ebar2e=ebar_side[2 * i + 1], gram=grams[i])
+            for i, space in enumerate(spaces)]
 
 
 def _random_invertible(fld: GFp2, size: int,
@@ -533,38 +538,64 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     last entry is dim X - dim F(X), by rank-nullity for F restricted to
     X; every subspace is kept as its reduced basis.
 
-    Each node costs two eliminations.  F(X) is the rref of the one
-    product frob(X) @ transpose(F).  The V-preimage is the Frobenius
+    In general a node costs two eliminations.  F(X) is the rref of the
+    one product frob(X) @ transpose(F).  The V-preimage is the Frobenius
     twist of a linear kernel, which :func:`kernel_basis` returns already
     reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  The
     four start nodes, the only 0 and full ones, are expanded from the
     space's block eliminations, with none of their own.
+
+    A map of rank at most one, read off those eliminations, takes no
+    elimination and gives no new node (under signature (n-1, 1): F and V
+    out of the conjugate piece, as Im F = Ker V).  F(X) is then 0 or
+    F(piece), and V^-1(X), which holds Ker V and meets the image line of
+    V or not, is Ker V or the whole piece: successors of the start nodes
+    already.  What is left is dim F(X) for F of rank one.  If F(piece g)
+    is the line of the row r, every row of transpose(F_g) is a multiple
+    of r, so frob(X) @ transpose(F_g) is (frob(X) u) r, u the column of
+    transpose(F_g) at r's pivot, and dim F(X) is 1 iff some
+    x . frob(u) = frob(frob(x) . u) is nonzero.
     """
     fld, n = space.field, space.ne
     images, kernels = space._blocks
-    f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
-
-    def f_image(grade, basis):
-        return 1 - grade, rref(fld, mat_mul(fld, mat_frob(fld, basis),
-                                            f_rows[grade]))
-
-    def v_preimage(grade, basis):
-        # {y in the other piece : V(y) in span(basis)}
-        src = 1 - grade
-        ann = annihilator_rows(fld, basis, n)
-        lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)), n)
-        return src, mat_frob(fld, lin)
-
+    mul, add, frob = fld._mul, fld._add, fld._frob
     full = identity_mat(n)
+    f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
+    # frob(u) for each F_g of rank one, by source grade g
+    f_lines = {g: tuple(frob[row[images[g][0].index(1)]] for row in f_rows[g])
+               for g in (0, 1) if len(images[g]) == 1}
     first = {(g, ()): ((1 - g, ()), (1 - g, kernels[1 - g])) for g in (0, 1)}
     first.update({(g, full): ((1 - g, images[g]), (1 - g, full))
                   for g in (0, 1)})
     image_dim: dict = {}
 
     def successors(node):
-        img, pre = first.get(node) or (f_image(*node), v_preimage(*node))
-        image_dim[node] = len(img[1])
-        return img, pre
+        if node in first:
+            img, pre = first[node]
+            image_dim[node] = len(img[1])
+            return img, pre
+        grade, basis = node
+        src, out = 1 - grade, []
+        u = f_lines.get(grade)
+        if u is None:
+            img = rref(fld, mat_mul(fld, mat_frob(fld, basis), f_rows[grade]))
+            image_dim[node] = len(img)
+            out.append((src, img))
+        else:
+            image_dim[node] = 0
+            for row in basis:
+                dot = 0
+                for x, y in zip(row, u):
+                    dot = add[dot][mul[x][y]]
+                if dot:
+                    image_dim[node] = 1
+                    break
+        if len(kernels[src]) < n - 1:
+            # {y in the other piece : V(y) in span(basis)}
+            ann = annihilator_rows(fld, basis, n)
+            lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)), n)
+            out.append((src, mat_frob(fld, lin)))
+        return out
 
     seen = _closure(list(first), successors)
     return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])

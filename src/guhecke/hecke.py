@@ -46,12 +46,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from operator import add, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .guards import _require_odd
 from .laurent import LaurentPoly, TPoly
-from .rootdatum import (Perm, Row, pairing, rho, row_permuter, twist_row,
-                        weyl_generators)
+from .rootdatum import (Perm, Row, is_weyl_group, pairing, rho, row_permuter,
+                        twist_row, weyl_generators)
 
 
 def central_monomial(n: int) -> Row:
@@ -89,12 +89,28 @@ def hecke_polynomial(n: int) -> TPoly:
     return poly * linear[m]
 
 
-def _fixed_by(p: LaurentPoly, images: Iterable[Callable[[Row], Row]]) -> bool:
+def _fixed_by(p: LaurentPoly, images: Sequence[Callable[[Row], Row]],
+              orbits: bool = False) -> bool:
     """True iff every monomial map in images fixes p.  A map permutes
     monomials bijectively, so it fixes p iff each term's image has the
-    same coefficient in p; the maps run on :meth:`LaurentPoly.exponent_rows`."""
+    same coefficient in p; the maps run on :meth:`LaurentPoly.exponent_rows`.
+
+    With ``orbits``, images must be the maps of a whole group.  Then the
+    images of one term t are its orbit: each must carry t's coefficient,
+    and each is then marked checked.  For a marked term s = v.t and any
+    w, w.s = (wv).t was checked with t, so the maps are applied to one
+    term per orbit and every (map, term) pair is still covered."""
     rows = p.exponent_rows()
     get = rows.get
+    if orbits:
+        checked: set[Row] = set()
+        for row, coeff in rows.items():
+            if row not in checked:
+                orbit = {image(row) for image in images}
+                if any(get(moved) != coeff for moved in orbit):
+                    return False
+                checked |= orbit
+        return True
     items = rows.items()
     for image in images:
         for row, coeff in items:
@@ -110,12 +126,18 @@ def check_weyl_invariance(polys: Sequence[LaurentPoly], n: int,
     elements) for the whole Weyl group, or
     :func:`~guhecke.rootdatum.weyl_generators`, which is equivalent by
     closure.  Each element's row map is built once and serves every
-    polynomial.  ValueError if an element's size is not a polynomial's
-    n."""
-    if any(len(w) != p.n for p in polys for w in group):
+    polynomial.
+
+    When group is the whole Weyl group, in any order, the maps are
+    applied to one term per orbit (see :func:`_fixed_by`); any other
+    list, a subgroup, generators or a list with a repeat, is checked
+    term by term.  ValueError("size mismatch") if a polynomial's n or an
+    element's size is not n."""
+    if any(p.n != n for p in polys) or any(len(w) != n for w in group):
         raise ValueError("size mismatch")
     images = [row_permuter(w) for w in group]
-    return all(_fixed_by(p, images) for p in polys)
+    orbits = is_weyl_group(group, n)
+    return all(_fixed_by(p, images, orbits) for p in polys)
 
 
 def check_sigma_invariance(p: LaurentPoly) -> bool:

@@ -18,7 +18,8 @@ torus equations x̄_1 x_n = x̄_2 x_{n-1} = ...)  Every element fixes the
 middle index k = (n+1)/2.  An element is its permutation tuple
 (w(1), ..., w(n)), a plain tuple like a row; :func:`weyl_group` and
 :func:`weyl_generators` build only tuples that keep the pairing, so
-nothing re-checks them.
+nothing re-checks them one by one.  :func:`is_weyl_group` tells the
+whole group, in any order, from any other list of elements.
 
 The Galois twist acts on torus monomials (:func:`twist_row`) by
 
@@ -34,6 +35,7 @@ the similitude factor.  It is an involution.
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
@@ -68,6 +70,21 @@ def weyl_group(n: int) -> tuple[Perm, ...]:
                 perm[n - i] = n + 1 - image
             out.append(tuple(perm))
     return tuple(out)
+
+
+def is_weyl_group(group: Sequence[Perm], n: int) -> bool:
+    """True iff group lists every permutation of 1..n that keeps the
+    pairing i <-> n+1-i, in any order: 2^h * h! distinct such tuples,
+    h = n // 2 (for odd n, the whole group, as :func:`weyl_group` builds
+    it).  The length is tested first, so a generator list is refused at
+    once and no group is built."""
+    h = n // 2
+    if len(group) != 2 ** h * factorial(h) or len(set(group)) != len(group):
+        return False
+    full = set(range(1, n + 1))
+    return all(set(w) == full and all(w[i] + w[-1 - i] == n + 1
+                                      for i in range(h))
+               for w in group)
 
 
 def weyl_generators(n: int) -> tuple[Perm, ...]:

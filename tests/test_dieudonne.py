@@ -20,12 +20,14 @@ from guhecke.dieudonne import (ClassificationError, ClosureLimitError,
                                newton_slopes, paired_block_slopes,
                                pairing_law_holds, random_basechange,
                                random_frames, signature, strata_dims)
-from guhecke.finitefield import (gfp2, identity_mat, kernel_basis, mat_inv,
-                                  mat_mul, mat_transpose, rref)
+from guhecke.finitefield import (annihilator_rows, gfp2, identity_mat,
+                                  kernel_basis, mat_frob, mat_inv, mat_mul,
+                                  mat_transpose, rref)
 from reference import (apply_f, apply_v, dense_mat_mul, dense_view,
                        gauss_jordan, mat_vec, padic_newton_slopes,
                        ref_basechange, ref_classify_type, ref_direct_sum,
-                       ref_random_basechange, ref_random_invertible, vec_frob)
+                       ref_fingerprint, ref_random_basechange,
+                       ref_random_invertible, vec_frob)
 
 PRIMES = (3, 5, 7)
 
@@ -611,6 +613,117 @@ def test_fingerprint_matches_intersection_reference():
             assert fingerprint(space) == _fingerprint_by_intersections(space)
 
 
+def _ranked_space(p, k, f_rank, v_rank, rng):
+    """A random space with both pieces of dimension k whose conjugate-piece
+    F and V have ranks f_rank and v_rank, usually not BT1.
+
+    F_ebar and V_ebar are diagonal with nonzero entries on index sets A
+    and B; V_e and F_e get random entries on the rows and columns outside
+    A and B, so F V = V F = 0.  The gram is a random invertible matrix,
+    and a random base change then fills in the zeros."""
+    fld = gfp2(p)
+    a, b = set(rng.sample(range(k), f_rank)), set(rng.sample(range(k), v_rank))
+
+    def diagonal(on):
+        return tuple(tuple(rng.randrange(1, fld.size) if i == j and i in on
+                           else 0 for j in range(k)) for i in range(k))
+
+    def outside(off):
+        return tuple(tuple(rng.randrange(fld.size)
+                           if i not in off and j not in off else 0
+                           for j in range(k)) for i in range(k))
+
+    space = DieudonneSpace(p=p, ne=k, f_ebar2e=diagonal(a),
+                           v_e2ebar=outside(a), v_ebar2e=diagonal(b),
+                           f_e2ebar=outside(b),
+                           gram=_random_invertible(fld, k, rng)[0])
+    (p_mat, p_inv), (q_mat, q_inv) = (_random_invertible(fld, k, rng),
+                                      _random_invertible(fld, k, rng))
+    return basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+
+
+def _conjugate_ranks(space):
+    """(rank F, rank V) out of the conjugate piece, from the space's block
+    eliminations."""
+    images, kernels = space._blocks
+    return len(images[1]), space.ne - len(kernels[1])
+
+
+def test_rank_one_steps_match_the_reference_closure():
+    # Conjugate-piece F and V of rank 0, 1 and 2, in every combination,
+    # mostly not BT1; and BT1 spaces of rank 0 (supersingular), 1 (the
+    # models) and 2 (sums of two models), all moved by a random base change.
+    rng = random.Random(29)
+    covered = set()
+    for p in PRIMES:
+        spaces = [_ranked_space(p, k, f_rank, v_rank, rng)
+                  for k in (2, 3, 4, 5) for f_rank in (0, 1, 2)
+                  for v_rank in (0, 1, 2) for _ in range(2)]
+        spaces += [random_basechange(integral_model(n, 0, p).reduction(), n)
+                   for n in (2, 3, 4)]
+        spaces += [random_basechange(model_space(n, r, p), 7 * n + r)
+                   for n in (3, 4, 5) for r in range(1, n + 1)]
+        spaces += [random_basechange(ref_direct_sum(model_space(n, r, p),
+                                                    model_space(m, s, p)), n + m)
+                   for n, r, m, s in ((1, 1, 2, 2), (2, 1, 2, 2), (3, 2, 2, 1),
+                                      (3, 3, 2, 2))]
+        for space in spaces:
+            assert fingerprint(space) == ref_fingerprint(space), space
+            covered.add((*_conjugate_ranks(space), check_bt1(space)))
+    assert {c[:2] for c in covered} == set(itertools.product((0, 1, 2),
+                                                             repeat=2))
+    for ranks in ((0, 0), (1, 1), (2, 2)):
+        assert (*ranks, True) in covered and (*ranks, False) in covered
+
+
+def test_a_map_of_rank_at_most_one_gives_no_new_node():
+    # Why fingerprint expands no node through such a map: through the
+    # general route, the V-preimage of any subspace under V of rank <= 1
+    # is Ker V or the whole piece, and the F-image under F of rank <= 1 is
+    # 0 or F(piece), all four successors of the start nodes.  Subspaces
+    # are drawn with and without V's image line, and inside and outside
+    # Ker F, so that each map gives both answers.
+    rng = random.Random(30)
+    outcomes = set()
+    for p, k in itertools.product(PRIMES, (2, 3, 4)):
+        for f_rank, v_rank in itertools.product((0, 1), repeat=2):
+            space = _ranked_space(p, k, f_rank, v_rank, rng)
+            fld, (images, kernels) = space.field, space._blocks
+            for grade, _ in itertools.product((0, 1), range(6)):
+                src = 1 - grade
+                v_cols = [c for c in zip(*space.v_matrix(src)) if any(c)]
+                rows = [tuple(rng.randrange(fld.size) for _ in range(k))
+                        for _ in range(rng.randint(0, k - 1))]
+                rows += rng.sample(v_cols, min(len(v_cols), rng.randint(0, 1)))
+                ker_f = _semilinear_kernel(fld, space.f_matrix(grade), k)
+                for basis in (rref(fld, rows), ker_f[:rng.randint(1, k)]):
+                    ann = annihilator_rows(fld, basis, k)
+                    pre = mat_frob(fld, kernel_basis(
+                        fld, mat_mul(fld, ann, space.v_matrix(src)), k))
+                    img = rref(fld, mat_mul(fld, mat_frob(fld, basis),
+                                            mat_transpose(space.f_matrix(grade))))
+                    if len(kernels[src]) >= k - 1:
+                        assert pre in (kernels[src], identity_mat(k))
+                        outcomes.add(("V", k - len(kernels[src]),
+                                      pre == kernels[src]))
+                    if len(images[grade]) <= 1:
+                        assert img in ((), images[grade])
+                        outcomes.add(("F", len(images[grade]), img == ()))
+    assert outcomes >= {("V", 1, True), ("V", 1, False), ("F", 1, True),
+                        ("F", 1, False)}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fingerprint_of_every_model_to_7_matches_the_reference(p):
+    # Every model with n <= 7, supersingular (r = 0) included, as reduced
+    # and after a base change.
+    for n in range(1, 8):
+        for r in range(n + 1):
+            model = integral_model(n, r, p).reduction()
+            for space in (model, random_basechange(model, 13 * n + r)):
+                assert fingerprint(space) == ref_fingerprint(space), (n, r)
+
+
 def test_closure_step_limit_is_a_classification_error(monkeypatch):
     assert dieudonne.CLOSURE_STEP_LIMIT == 100_000
     assert issubclass(ClosureLimitError, ClassificationError)
@@ -783,6 +896,24 @@ def test_basechange_of_several_spaces_moves_each_as_alone():
                          for space in spaces]
         assert moved == [ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
                          for space in spaces]
+
+
+@pytest.mark.parametrize("n", (3, 5, 7))
+def test_batched_basechange_equals_the_reference_space_by_space(n):
+    # One product per frame side over the whole list: for lists of 1 to n
+    # spaces, models and random spaces mixed, the result is the earlier
+    # route's, one space at a time, in order.
+    rng = random.Random(290 + n)
+    for p in PRIMES:
+        pool = [model_space(n, r, p) for r in range(1, n + 1)]
+        pool += [_random_space(p, n, rng) for _ in range(2)]
+        pool += [_ranked_space(p, n, 2, 1, rng)]
+        (p_mat, p_inv), (q_mat, q_inv) = random_frames(gfp2(p), n, 31 * n + p)
+        for count in range(1, n + 1):
+            spaces = rng.sample(pool, count)
+            assert basechange(spaces, p_mat, q_mat, p_inv, q_inv) == [
+                ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
+                for space in spaces], (p, count)
 
 
 def test_basechange_refuses_no_space_and_mixed_spaces():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from guhecke.hecke import (PairingCertificateError, central_monomial,
                            hecke_value_by_determinant, root_pairs,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, TPoly
-from guhecke.rootdatum import twist_row, weyl_generators, weyl_group
+from guhecke.rootdatum import (is_weyl_group, row_permuter, twist_row,
+                               weyl_generators, weyl_group)
 from reference import (const, quadratic_factors_weyl_invariant, ref_add,
                        ref_divmod, ref_hecke_value_by_determinant, ref_mul,
                        ref_tmul, row_mul, sigma_twist_poly, var, weyl_act,
@@ -163,6 +165,86 @@ def test_weyl_check_rejects_polynomial_fixed_by_a_proper_subgroup(n):
     assert check_weyl_invariance([p], n, gens[:-1])
     assert not check_weyl_invariance([p], n, gens)
     assert not check_weyl_invariance([p], n, weyl_group(n))
+
+
+def _random_poly(n, rng):
+    """One to three random terms with small exponents and coefficients."""
+    return LaurentPoly(n, {(rng.randint(-1, 1), *(
+        rng.randint(-1, 1) for _ in range(n + 1))): rng.randint(1, 3)
+        for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_whole_group_orbit_check_agrees_with_term_walk_and_action(n):
+    # weyl_group(n), in its order or shuffled, takes the one-term-per-orbit
+    # path; a list of the same length with a repeat, and the generators,
+    # take the per-term walk.  Every answer equals the per-term walk over
+    # the same elements and the polynomial action of each element.
+    rng = random.Random(290 + n)
+    group = weyl_group(n)
+    shuffled = tuple(rng.sample(group, len(group)))
+    repeat = (*group[:-1], group[0])
+    gens = weyl_generators(n)
+    assert is_weyl_group(group, n)
+    assert is_weyl_group(shuffled, n) and shuffled != group
+    assert not is_weyl_group(repeat, n)
+    assert not is_weyl_group(gens, n)
+    m = (n - 1) // 2
+    polys = [var_sum(n, range(1, m + 1))]  # fixed by gens[:-1] only
+    for _ in range(12):
+        p = _random_poly(n, rng)
+        orbit = {}
+        for w in group:
+            orbit = ref_add(orbit, weyl_act(w, p).exponent_rows())
+        bumped = dict(orbit)
+        bumped[rng.choice(sorted(orbit))] += 1
+        dropped = dict(orbit)
+        del dropped[rng.choice(sorted(orbit))]
+        polys += [p, LaurentPoly(n, orbit), LaurentPoly(n, bumped),
+                  LaurentPoly(n, dropped),
+                  LaurentPoly(n, ref_add(orbit, p.exponent_rows()))]
+    outcomes = set()
+    for elements in (group, shuffled, repeat, gens, gens[:-1]):
+        maps = [row_permuter(w) for w in elements]
+        for p in polys:
+            expected = all(weyl_act(w, p) == p for w in elements)
+            assert hecke._fixed_by(p, maps) == expected
+            assert check_weyl_invariance([p], n, elements) == expected
+            outcomes.add((len(elements), expected))
+    assert {fixed for _, fixed in outcomes} == {True, False}
+    assert (len(group), True) in outcomes and (len(group), False) in outcomes
+
+
+def test_generator_check_at_n15_builds_no_group(monkeypatch):
+    # The hecke path's check of c on m generators is sized out at once: no
+    # module builds the 645 120-element group, and m row maps are made.
+    def refuse(n):
+        raise AssertionError(f"weyl_group({n}) built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("guhecke") and hasattr(module, "weyl_group"):
+            monkeypatch.setattr(module, "weyl_group", refuse)
+    built = []
+    real = hecke.row_permuter
+    monkeypatch.setattr(hecke, "row_permuter",
+                        lambda w: built.append(w) or real(w))
+    center, _ = root_pairs(15)
+    gens = weyl_generators(15)
+    assert check_weyl_invariance([LaurentPoly.from_term(center)], 15, gens)
+    assert built == list(gens) and len(gens) == 7
+
+
+def test_weyl_check_reads_n():
+    # A polynomial's n or an element's size other than n is refused, also
+    # where the two agree with each other, and with no polynomial at all.
+    for polys, n, group in (([LaurentPoly.one(5)], 5, weyl_group(3)),
+                            ([LaurentPoly.one(3)], 5, weyl_group(3)),
+                            ([LaurentPoly.one(3)], 5, weyl_group(5)),
+                            ([], 5, weyl_group(3)),
+                            ([LaurentPoly.one(5)], 5, weyl_generators(7))):
+        with pytest.raises(ValueError, match="size mismatch"):
+            check_weyl_invariance(polys, n, group)
+    assert check_weyl_invariance([], 5, weyl_group(5))
 
 
 def test_generator_check_agrees_with_full_enumeration():
