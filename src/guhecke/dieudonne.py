@@ -52,7 +52,7 @@ from typing import Sequence
 
 from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
                           kernel_basis, mat_frob, mat_inv, mat_mul,
-                          mat_transpose, rank, rref)
+                          mat_neg, mat_transpose, mat_vec, rank, rref)
 from .guards import _require_odd
 
 
@@ -374,17 +374,14 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
 
         -(G F_e)^T = frob(G V_e)   and   -(G^T F_ebar)^T = frob(G^T V_ebar).
 
-    Each side is one product on [F | V]; the negation reads the field's
-    table once per entry.
+    Each side is one product on [F | V].
     """
     fld = space.field
-    neg = fld._neg.__getitem__
     gram_t = mat_transpose(space.gram)
     for g, f, v in ((space.gram, space.f_e2ebar, space.v_e2ebar),
                     (gram_t, space.f_ebar2e, space.v_ebar2e)):
         gf, gv = _shared_left(fld, g, f, v)
-        lhs = tuple(tuple(map(neg, col)) for col in zip(*gf))
-        if lhs != mat_frob(fld, gv):
+        if mat_neg(fld, mat_transpose(gf)) != mat_frob(fld, gv):
             return False
     return True
 
@@ -558,11 +555,11 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     """
     fld, n = space.field, space.ne
     images, kernels = space._blocks
-    mul, add, frob = fld._mul, fld._add, fld._frob
     full = identity_mat(n)
     f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
-    # frob(u) for each F_g of rank one, by source grade g
-    f_lines = {g: tuple(frob[row[images[g][0].index(1)]] for row in f_rows[g])
+    # frob(u) for each F_g of rank one, by source grade g; u, the column
+    # of transpose(F_g) at the pivot, is that row of F_g
+    f_lines = {g: mat_frob(fld, (space.f_matrix(g)[images[g][0].index(1)],))[0]
                for g in (0, 1) if len(images[g]) == 1}
     first = {(g, ()): ((1 - g, ()), (1 - g, kernels[1 - g])) for g in (0, 1)}
     first.update({(g, full): ((1 - g, images[g]), (1 - g, full))
@@ -582,14 +579,7 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
             image_dim[node] = len(img)
             out.append((src, img))
         else:
-            image_dim[node] = 0
-            for row in basis:
-                dot = 0
-                for x, y in zip(row, u):
-                    dot = add[dot][mul[x][y]]
-                if dot:
-                    image_dim[node] = 1
-                    break
+            image_dim[node] = int(any(mat_vec(fld, basis, u)))
         if len(kernels[src]) < n - 1:
             # {y in the other piece : V(y) in span(basis)}
             ann = annihilator_rows(fld, basis, n)

@@ -3,11 +3,14 @@
 Elements of F_{p^2} = F_p[u]/(u^2 - c), with c the smallest quadratic
 non-residue mod p, are encoded as the single integer a + p*b for the
 element a + b*u.  A :class:`GFp2` instance precomputes full addition,
-multiplication, negation, inversion and Frobenius tables, so all field
-operations are table lookups; this keeps the elimination below fast
-enough for the classification search.  :func:`rref` is the only routine
-that does row operations: ranks, kernels and :func:`mat_inv` (the rref
-of [m | I]) all go through it, one elimination each.
+multiplication and Frobenius tables, and reads its negation and
+inversion tables off the multiplication table, so all field operations
+are table lookups; this keeps the elimination below fast enough for the
+classification search.  No other module reads the tables: the rest of
+the package goes through the element operations and the matrix routines
+here.  :func:`rref` is the only routine that does row operations: ranks,
+kernels and :func:`mat_inv` (the rref of [m | I]) all go through it, one
+elimination each.
 
 Frobenius x -> x^p sends a + b*u to a - b*u (conjugation), hence is an
 involution; in particular its inverse is itself, which the semilinear
@@ -23,7 +26,7 @@ subspace.  :func:`kernel_basis` returns its basis in that form too.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -97,9 +100,8 @@ class GFp2:
 
     @cached_property
     def _neg(self):
-        p = self.p
-        return tuple((-x % p) % p + p * ((-(x // p)) % p)
-                     for x in range(self._table_size()))
+        """The multiplication table's row of -1, whose code is p - 1."""
+        return self._mul[self.p - 1]
 
     @cached_property
     def _frob(self):
@@ -127,14 +129,10 @@ class GFp2:
 
     @cached_property
     def _inv(self):
-        p, c = self.p, self.nonresidue
-        inv = [0] * self._table_size()
-        for x in range(1, self.size):
-            a1, b1 = x % p, x // p
-            norm = (a1 * a1 - c * b1 * b1) % p
-            ninv = pow(norm, p - 2, p)
-            inv[x] = (a1 * ninv) % p + p * ((-b1 * ninv) % p)
-        return tuple(inv)
+        """The position of 1 in each row of the multiplication table; the
+        row of 0 has none, and 0 maps to 0."""
+        return tuple(row.index(1) if x else 0
+                     for x, row in enumerate(self._mul))
 
     # -- element operations --------------------------------------------------
 
@@ -208,6 +206,22 @@ def mat_mul(fld: GFp2, a: Mat, b: Mat) -> Mat:
 def mat_frob(fld: GFp2, m: Mat) -> Mat:
     frob = fld._frob.__getitem__
     return tuple(tuple(map(frob, row)) for row in m)
+
+
+def mat_neg(fld: GFp2, m: Mat) -> Mat:
+    neg = fld._neg.__getitem__
+    return tuple(tuple(map(neg, row)) for row in m)
+
+
+def mat_vec(fld: GFp2, m: Mat, v: Vec) -> Iterator[int]:
+    """m @ v, one dot product per row of m, yielded in turn, so that a
+    caller looking for a nonzero entry stops at the first."""
+    mul, add = fld._mul, fld._add
+    for row in m:
+        dot = 0
+        for x, y in zip(row, v):
+            dot = add[dot][mul[x][y]]
+        yield dot
 
 
 def mat_transpose(m: Mat) -> Mat:

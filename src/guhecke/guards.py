@@ -1,7 +1,9 @@
 """Argument guards shared across the package.
 
-This module imports nothing from :mod:`guhecke`, so a module that needs
-only a guard does not load the Laurent or root-datum code with it.
+This module imports nothing from :mod:`guhecke`, and the package root
+re-exports nothing, so a module that needs only a guard does not load
+the Laurent or root-datum code with it, at run time as well as in the
+import graph.
 """
 
 

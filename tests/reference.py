@@ -15,11 +15,13 @@ certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
 definition, one Gauss-Jordan elimination over Fraction, and on them the
 earlier dense route of the Hecke value by determinant, which the
-monomial-matrix route is checked against; then the F_{p^2} vector
-operations, the vector-level operators and identity test that only the
-tests use, the earlier
-two-elimination sampler of base changes, the earlier base change that
-validated its result as a new space, and the earlier classification,
+monomial-matrix route is checked against; then the earlier negation
+and inversion tables of F_{p^2}, by their formulas, which the tables
+read off the multiplication table are checked against, the F_{p^2}
+vector operations, the vector-level operators and identity test that
+only the tests use, the earlier two-elimination sampler of base
+changes, the earlier base change that validated its result as a new
+space, and the earlier classification,
 which ranked the blocks before its closure eliminated them again.  Then the dense integer view of
 an integral model's arrows, on which the tests keep the matrix identities
 (F V = V F = p, the pairing law), and the block sum of Dieudonne spaces
@@ -297,6 +299,24 @@ def ref_hecke_value_by_determinant(n, x0, xs, p, t):
     char = [[factor * v + (Fraction(t) if i == j else 0)
              for j, v in enumerate(row)] for i, row in enumerate(r_mat)]
     return gauss_jordan(char)[0]
+
+
+def ref_neg_table(fld):
+    """The earlier negation table, by its formula: -(a + b u) = -a - b u."""
+    p = fld.p
+    return tuple((-x % p) % p + p * ((-(x // p)) % p) for x in range(fld.size))
+
+
+def ref_inv_table(fld):
+    """The earlier inversion table, by the norm formula: 1/(a + b u) =
+    (a - b u) / (a^2 - c b^2), c the non-residue; 0 maps to 0."""
+    p, c = fld.p, fld.nonresidue
+    inv = [0] * fld.size
+    for x in range(1, fld.size):
+        a1, b1 = x % p, x // p
+        ninv = pow((a1 * a1 - c * b1 * b1) % p, p - 2, p)
+        inv[x] = (a1 * ninv) % p + p * ((-b1 * ninv) % p)
+    return tuple(inv)
 
 
 def mat_vec(fld, m, v):

@@ -7,7 +7,7 @@ from guhecke.finitefield import (MR_EXACT_BOUND, TABLE_MAX_P, GFp2, _is_prime,
                                  annihilator_rows, gfp2, identity_mat,
                                  kernel_basis, mat_frob, mat_inv, mat_mul,
                                  rank, rref)
-from reference import mat_vec
+from reference import mat_vec, ref_inv_table, ref_neg_table
 
 PRIMES = (3, 5, 7)
 
@@ -44,6 +44,13 @@ def test_field_axioms_exhaustive(p):
         assert fld.mul(x, y) == fld.mul(y, x)
         assert fld.mul(x, fld.add(y, z)) == fld.add(fld.mul(x, y), fld.mul(x, z))
         assert fld.mul(fld.mul(x, y), z) == fld.mul(x, fld.mul(y, z))
+
+
+@pytest.mark.parametrize("p", PRIMES + (11,))
+def test_negation_and_inversion_are_read_off_the_multiplication(p):
+    fld = GFp2(p)
+    assert fld._neg == ref_neg_table(fld)
+    assert fld._inv == ref_inv_table(fld)
 
 
 def _power(fld, x, k):
@@ -342,6 +349,35 @@ def test_mat_frob_entrywise_and_keeps_rref():
     for _ in range(30):
         red = rref(fld, rand_mat(fld, rng, rng.randint(1, 4), 5))
         assert rref(fld, mat_frob(fld, red)) == mat_frob(fld, red)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mat_neg_is_entrywise_negation(p):
+    fld, rng = gfp2(p), random.Random(p)
+    neg = ref_neg_table(fld)
+    for nrows, ncols in ((1, 1), (2, 5), (4, 3), (0, 0)):
+        m = rand_mat(fld, rng, nrows, ncols)
+        assert finitefield.mat_neg(fld, m) == tuple(
+            tuple(neg[x] for x in row) for row in m)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mat_vec_matches_the_reference(p):
+    fld, rng = gfp2(p), random.Random(p)
+    for nrows, ncols in ((1, 1), (3, 4), (5, 2), (4, 4)):
+        m = rand_mat(fld, rng, nrows, ncols)
+        v = tuple(rng.randrange(fld.size) for _ in range(ncols))
+        assert tuple(finitefield.mat_vec(fld, m, v)) == mat_vec(fld, m, v)
+    assert tuple(finitefield.mat_vec(fld, (), (1, 2))) == ()
+
+
+def test_mat_vec_yields_each_row_before_reading_the_next():
+    # any() over it stops at the first nonzero entry: the row after it,
+    # which holds no field code, is never read.
+    fld = gfp2(3)
+    rows = iter(((0, 0), (1, 0), (fld.size, fld.size)))
+    assert any(finitefield.mat_vec(fld, rows, (1, 1)))
+    assert next(rows) == (fld.size, fld.size)
 
 
 def _kernel_cases(fld, rng):

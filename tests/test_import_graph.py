@@ -1,7 +1,10 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import guhecke
+from test_cli import src_env
 
 PACKAGE = Path(guhecke.__file__).resolve().parent
 
@@ -71,3 +74,45 @@ def test_only_laurent_reads_the_packed_state():
                 readers.setdefault(path.stem, set()).add(name)
     assert set(readers) == {"laurent"}
     assert readers["laurent"] == PACKED_STATE
+
+
+FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_frob"}
+
+
+def test_only_finitefield_reads_the_field_tables():
+    # Outside finitefield the field is used through its element
+    # operations and matrix routines, so a new representation of F_{p^2}
+    # touches finitefield only.
+    readers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES:
+                readers.setdefault(path.stem, set()).add(node.attr)
+    assert set(readers) == {"finitefield"}
+    assert readers["finitefield"] == FIELD_TABLES
+
+
+LIST_PACKAGE_MODULES = (
+    "import importlib, sys; importlib.import_module(sys.argv[1]); "
+    "print(' '.join(sorted(m for m in sys.modules "
+    "if m == 'guhecke' or m.startswith('guhecke.'))))")
+
+
+def test_each_module_loads_only_what_it_imports():
+    # The static graph above holds at run time: the package root
+    # re-exports nothing, so importing one module alone loads the root,
+    # the module and what its relative imports reach, and no more.
+    graph = relative_imports()
+    children = {}
+    for module in sorted(set(graph) - {"__main__"}):
+        name = "guhecke" if module == "__init__" else f"guhecke.{module}"
+        children[module] = subprocess.Popen(
+            [sys.executable, "-c", LIST_PACKAGE_MODULES, name], env=src_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for module, child in children.items():
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, err
+        expected = {"guhecke"} | {f"guhecke.{m}" for m in
+                                  reachable(graph, module) | {module}
+                                  if m != "__init__"}
+        assert set(out.split()) == expected, module
