@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from .dieudonne import (_model_fingerprints, basechange, check_bt1,
@@ -27,7 +28,8 @@ from .hecke import (central_monomial, certified_factorization,
                     hecke_polynomial, hecke_value_by_determinant,
                     satake_alpha)
 from .laurent import LaurentPoly, TPoly
-from .rootdatum import norm_monomial, pairing, rho, weyl_group
+from .rootdatum import (norm_monomial, pairing, rho, weyl_generators,
+                        weyl_group)
 
 FACTOR_NS = (3, 5, 7, 9, 11, 13, 15)
 WEYL_NS = (3, 5, 7, 9)
@@ -69,7 +71,16 @@ def weyl_invariance(seed: int = 0) -> str:
     for n in WEYL_NS:
         hp, quotient, _, _ = certified_factorization(n)
         coeffs = (*hp.coeffs, *quotient.coeffs)
-        _check(check_weyl_invariance(coeffs, n, weyl_group(n)), n)
+        gens = weyl_generators(n)
+        _check(check_weyl_invariance(coeffs, n, gens), n)
+        # Generators that keep the pairing i <-> n+1-i close to a subgroup
+        # of W; with |W| = 2^m * m! elements it is W, which then fixes H, R.
+        _check(all(sorted(g) == list(range(1, n + 1))
+                   and all(g[i] + g[-1 - i] == n + 1 for i in range(n))
+                   for g in gens), f"a generator breaks the pairing at n={n}")
+        m = (n - 1) // 2
+        _check(len(weyl_group(n)) == 2 ** m * factorial(m),
+               f"the generators do not generate W at n={n}")
         checked += len(coeffs)
     return (f"{checked} coefficients fixed by all group elements, "
             f"n in {WEYL_NS}")

