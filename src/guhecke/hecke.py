@@ -13,15 +13,17 @@ roots come in pairs c*y_i and c/y_i (i = 1..m, m = (n-1)/2), so
 
     R(t) = H(t) / (t - c) = prod_{i=1..m} ( t^2 - c*(y_i + 1/y_i)*t + c^2 ).
 
-H is expanded from its linear factors pair by pair, so every partial
-product is a factor of R.  :func:`certified_factorization` is the one
+:func:`hecke_roots` is the one root table: :func:`root_pairs` reads c
+and the m pairs off it, and H is expanded from those pairs, so every
+partial product is a factor of R and the pairing that builds H is the
+one the certificate checks.  :func:`certified_factorization` is the one
 entry point, behind the acceptance criteria, :func:`hecke_report` and the
 CLI: it returns H, R, c and a Weyl flag.  Dividing out t - c exactly,
 one synthetic division (:meth:`~guhecke.laurent.TPoly.divide_exact`), is
 the factorization certificate.  The Weyl flag is certified on the
 2m + 1 root monomials, with no quadratic or expanded coefficient built:
 the paired roots are the roots of H, each pair multiplies to c^2, and
-every Weyl generator fixes c and maps the pairs onto themselves.  The
+one generator check fixes both c and the sum of the paired roots.  The
 acceptance criteria and the tests check the expanded coefficients of H
 and R for Weyl invariance on the generators, which criterion 2 certifies
 generate the group (:func:`check_weyl_invariance`), and for Galois-twist
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Callable, Sequence
 
 from .guards import _require_odd
@@ -75,19 +77,27 @@ def hecke_roots(n: int) -> list[Row]:
     return roots
 
 
+def root_pairs(n: int) -> tuple[Row, list[tuple[Row, Row]]]:
+    """(c, [(c*y_i, c/y_i) for i = 1..m]) read off :func:`hecke_roots`,
+    with c = q^(n-1)*x0^2*x1...xn, y_i = x_{n+1-i}/x_i and m = (n-1)/2:
+    the middle root of H and its other n - 1 roots, paired i <-> n+1-i,
+    as rows."""
+    roots = hecke_roots(n)
+    m = (n - 1) // 2
+    return roots[m], [(roots[i], roots[n - 1 - i]) for i in range(m)]
+
+
 def hecke_polynomial(n: int) -> TPoly:
     """The expanded Hecke polynomial, monic of degree n in t: the product
-    of t - root over :func:`hecke_roots`, taken pair by pair.  Roots i and
-    n+1-i multiply to c^2 (c the middle root), so each pair gives the
-    three-term t^2 - (c*y_i + c/y_i)*t + c^2, every partial product is a
-    factor of R, and the middle factor t - c comes last."""
-    linear = [TPoly.linear(LaurentPoly.from_term(row))
-              for row in hecke_roots(n)]
-    m = (n - 1) // 2
+    of the quadratics (t - a)*(t - b) over :func:`root_pairs`, each the
+    three-term t^2 - (c*y_i + c/y_i)*t + c^2, so every partial product is
+    a factor of R, and then the middle factor t - c."""
+    center, pairs = root_pairs(n)
     poly = TPoly(n, [LaurentPoly.one(n)])
-    for i in range(m):
-        poly = poly * (linear[i] * linear[n - 1 - i])
-    return poly * linear[m]
+    for a, b in pairs:
+        poly = poly * (TPoly.linear(LaurentPoly.from_term(a))
+                       * TPoly.linear(LaurentPoly.from_term(b)))
+    return poly * TPoly.linear(LaurentPoly.from_term(center))
 
 
 def _fixed_by(p: LaurentPoly,
@@ -214,20 +224,6 @@ class PairingCertificateError(ArithmeticError):
     must never happen."""
 
 
-def root_pairs(n: int) -> tuple[Row, list[tuple[Row, Row]]]:
-    """(c, [(c*y_i, c/y_i) for i = 1..m]) with c = q^(n-1)*x0^2*x1...xn,
-    y_i = x_{n+1-i}/x_i and m = (n-1)/2: the middle root of H and its
-    other n - 1 roots, paired i <-> n+1-i, as rows."""
-    _require_odd(n)
-    center = (n - 1, *central_monomial(n)[1:])
-    pairs = []
-    for i in range(1, (n - 1) // 2 + 1):
-        y = [0] * (n + 2)
-        y[n + 2 - i], y[i + 1] = 1, -1
-        pairs.append((tuple(map(add, center, y)), tuple(map(sub, center, y))))
-    return center, pairs
-
-
 def certify_root_pairs(n: int, center: Row,
                        pairs: Sequence[tuple[Row, Row]]) -> None:
     """Certify that the pairs (a, b) factor R = H / (t - c) as the
@@ -255,24 +251,22 @@ def certify_root_pairs(n: int, center: Row,
 
 def factors_weyl_invariant(n: int, center: Row,
                            pairs: Sequence[tuple[Row, Row]]) -> bool:
-    """True iff every Weyl generator fixes c and maps the pairs (as a
-    multiset of unordered pairs) onto themselves.  Then it permutes the
-    quadratics (t - a)*(t - b), so it fixes R, their product, and
-    H = R*(t - c), hence every coefficient of both; and a polynomial
-    fixed by each generator is fixed by the group.  Each w keeps the
-    pairing i <-> n+1-i, so it sends y_i to some y_j^(+-1) and permutes
-    the true pairs.  The generators act on the rows of the 2m + 1
-    roots; no quadratic is built."""
-    gens = weyl_generators(n)
-    if not check_weyl_invariance([LaurentPoly.from_term(center)], n, gens):
+    """True iff every pair (a, b) multiplies to c^2, a lane-wise sum of
+    rows, and every Weyl generator fixes c and the sum of the paired roots
+    with their multiplicities.  A generator w is a monomial map, so if it
+    fixes c it commutes with a -> c^2/a; if it also fixes the sum, it
+    permutes the paired roots as a multiset, so it maps each pair
+    {a, c^2/a} to a pair.  Then it permutes the quadratics (t - a)*(t - b),
+    so it fixes R, their product, and H = R*(t - c), hence every
+    coefficient of both; and a polynomial fixed by each generator is
+    fixed by the group.  One :func:`check_weyl_invariance` call on two
+    polynomials of 1 and at most 2m terms; no quadratic is built."""
+    c_sq = tuple(map(add, center, center))
+    if any(tuple(map(add, a, b)) != c_sq for a, b in pairs):
         return False
-    factors = Counter(tuple(sorted(pair)) for pair in pairs)
-    for w in gens:
-        permute = row_permuter(w)
-        if Counter(tuple(sorted(map(permute, pair)))
-                   for pair in pairs) != factors:
-            return False
-    return True
+    roots = LaurentPoly(n, Counter(root for pair in pairs for root in pair))
+    return check_weyl_invariance([LaurentPoly.from_term(center), roots], n,
+                                 weyl_generators(n))
 
 
 def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:

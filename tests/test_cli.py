@@ -111,7 +111,8 @@ def test_a_closed_stdout_pipe_exits_1_with_one_line():
                             stderr=subprocess.PIPE, env=src_env())
     assert proc.stdout.read(10) == b'{"n":13,"H'
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == WRITE_FAILED + "[Errno 32] Broken pipe\n"
 

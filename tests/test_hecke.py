@@ -175,7 +175,7 @@ def _random_poly(n, rng):
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
-def test_whole_group_orbit_check_agrees_with_term_walk_and_action(n):
+def test_term_walk_agrees_with_weyl_act(n):
     # The whole group in its order or shuffled, a list of the same length
     # with a repeat, the generators and all but the reflection: every
     # answer equals the per-term walk over the same elements and the
@@ -464,6 +464,19 @@ def test_factor_weyl_certificate_rejects_unpermuted_factors(n):
     moved = row_mul(center, x_row(n, 1))
     assert not factors_weyl_invariant(n, moved, pairs)
     assert not quadratic_factors_weyl_invariant(n, moved, pairs)
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_factor_weyl_certificate_rejects_pairs_without_product_c_squared(n):
+    # Every pair (c^3, 1): the generators fix c, c^3 and 1, so the sum of
+    # the paired roots is fixed too, but (t - c^3)*(t - 1) has constant
+    # term c^3, not c^2, and the pairs need not map to pairs.
+    center, pairs = root_pairs(n)
+    one = (0,) * (n + 2)
+    c_cubed = row_mul(center, row_mul(center, center))
+    roots = LaurentPoly(n, {c_cubed: len(pairs), one: len(pairs)})
+    assert check_weyl_invariance([roots], n, weyl_generators(n))
+    assert not factors_weyl_invariant(n, center, [(c_cubed, one)] * len(pairs))
 
 
 # -- Satake normalization -----------------------------------------------------

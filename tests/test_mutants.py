@@ -55,17 +55,9 @@ def generators_without_reflection(monkeypatch):
 
 
 def q_n_on_every_root(monkeypatch):
+    # root_pairs and so H read the roots off hecke_roots.
     _replace(monkeypatch, hecke, "hecke_roots",
              lambda real: lambda n: [_bump_q(row) for row in real(n)])
-
-    def root_pairs(real):
-        def mutant(n):
-            center, pairs = real(n)
-            return _bump_q(center), [(_bump_q(a), _bump_q(b))
-                                     for a, b in pairs]
-        return mutant
-
-    _replace(monkeypatch, hecke, "root_pairs", root_pairs)
 
 
 def q_n_on_one_root(monkeypatch):
@@ -76,6 +68,34 @@ def q_n_on_one_root(monkeypatch):
         return mutant
 
     _replace(monkeypatch, hecke, "hecke_roots", hecke_roots)
+
+
+def first_two_pairs_crossed(monkeypatch):
+    # (c*y1, c/y2) and (c*y2, c/y1): the roots of H, in the same product,
+    # but neither pair multiplies to c^2.  n = 3 has a single pair.
+    def root_pairs(real):
+        def mutant(n):
+            center, pairs = real(n)
+            if n >= 5:
+                (a1, b1), (a2, b2), *rest = pairs
+                pairs = [(a1, b2), (a2, b1), *rest]
+            return center, pairs
+        return mutant
+
+    _replace(monkeypatch, hecke, "root_pairs", root_pairs)
+
+
+def pairs_off_by_one(monkeypatch):
+    # Root i paired with root n - i, not n + 1 - i (1-indexed): the last
+    # root is dropped and c is paired with root m, so H changes too.
+    def root_pairs(real):
+        def mutant(n):
+            roots = hecke.hecke_roots(n)
+            m = (n - 1) // 2
+            return roots[m], [(roots[i], roots[n - 2 - i]) for i in range(m)]
+        return mutant
+
+    _replace(monkeypatch, hecke, "root_pairs", root_pairs)
 
 
 def twist_without_x0_shift(monkeypatch):
@@ -100,6 +120,8 @@ MUTANTS = (
     (generators_without_reflection, HECKE_SIDE, {2}),
     (q_n_on_every_root, HECKE_SIDE, {3}),
     (q_n_on_one_root, HECKE_SIDE, {1, 2, 3}),
+    (first_two_pairs_crossed, HECKE_SIDE, {1, 2}),
+    (pairs_off_by_one, HECKE_SIDE, {1, 2, 3}),
     (twist_without_x0_shift, HECKE_SIDE, {1}),
     (strata_rows_1_and_2_swapped, DIEUDONNE_SIDE, {10}),
 )
