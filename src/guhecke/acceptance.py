@@ -57,7 +57,8 @@ def _nonzero_fraction(rng: random.Random) -> Fraction:
 
 def factorization_certificate(seed: int = 0) -> str:
     for n in FACTOR_NS:
-        hp, quotient, root, _ = certified_factorization(n)
+        hp, quotient, root, invariant = certified_factorization(n)
+        _check(invariant, f"the Weyl flag is false at n={n}")
         _check(quotient.degree == n - 1 and quotient.is_monic(), n)
         _check(quotient * TPoly.linear(root) == hp,
                f"recomposition fails at n={n}")
@@ -73,6 +74,18 @@ def weyl_invariance(seed: int = 0) -> str:
         coeffs = (*hp.coeffs, *quotient.coeffs)
         gens = weyl_generators(n)
         _check(check_weyl_invariance(coeffs, n, gens), n)
+        # Negative control: a coefficient of H with the coefficient of a
+        # term some generator moves raised by 1, the term drawn from the
+        # seed; the generator maps it to a term whose coefficient stayed.
+        d, row = random.Random(f"weyl:{n}:{seed}").choice(sorted(
+            (d, row) for d, coeff in enumerate(hp.coeffs)
+            for row in coeff.exponent_rows()
+            if any(row[1 + w] != row[2 + i]
+                   for g in gens for i, w in enumerate(g))))
+        rows = hp.coeffs[d].exponent_rows()
+        rows[row] += 1
+        _check(not check_weyl_invariance([LaurentPoly(n, rows)], n, gens),
+               f"a near miss of H passes the Weyl check at n={n}")
         # Generators that keep the pairing i <-> n+1-i close to a subgroup
         # of W; with |W| = 2^m * m! elements it is W, which then fixes H, R.
         _check(all(sorted(g) == list(range(1, n + 1))

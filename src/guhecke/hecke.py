@@ -20,14 +20,15 @@ one the certificate checks.  :func:`certified_factorization` is the one
 entry point, behind the acceptance criteria, :func:`hecke_report` and the
 CLI: it returns H, R, c and a Weyl flag.  Dividing out t - c exactly,
 one synthetic division (:meth:`~guhecke.laurent.TPoly.divide_exact`), is
-the factorization certificate.  The Weyl flag is certified on the
-2m + 1 root monomials, with no quadratic or expanded coefficient built:
-the paired roots are the roots of H, each pair multiplies to c^2, and
-one generator check fixes both c and the sum of the paired roots.  The
-acceptance criteria and the tests check the expanded coefficients of H
-and R for Weyl invariance on the generators, which criterion 2 certifies
-generate the group (:func:`check_weyl_invariance`), and for Galois-twist
-invariance (:func:`check_sigma_invariance`).  A monomial is its exponent
+the factorization certificate.  One pair certificate,
+:func:`certify_root_pairs`, works on the 2m + 1 root monomials with no
+quadratic or expanded coefficient built: the paired roots are the roots
+of H and each pair multiplies to c^2, or it raises; it returns the Weyl
+flag from one generator check on c and the sum of the paired roots.
+Acceptance criterion 1 asserts the flag and the Galois-twist invariance
+of the expanded coefficients of H and R (:func:`check_sigma_invariance`);
+criterion 2 checks them on the generators, which it certifies generate
+the group (:func:`check_weyl_invariance`).  A monomial is its exponent
 row (q, x0, ..., xn): the roots are built and compared as rows, a
 product of monomials is the lane-wise sum of their rows, and every
 monomial map acts on rows.  A Weyl element is its permutation tuple
@@ -225,9 +226,10 @@ class PairingCertificateError(ArithmeticError):
 
 
 def certify_root_pairs(n: int, center: Row,
-                       pairs: Sequence[tuple[Row, Row]]) -> None:
+                       pairs: Sequence[tuple[Row, Row]]) -> bool:
     """Certify that the pairs (a, b) factor R = H / (t - c) as the
-    quadratics t^2 - (a + b)*t + c^2:
+    quadratics t^2 - (a + b)*t + c^2, and return whether the Weyl group
+    fixes H and R:
 
     (a) c and the flattened pairs are hecke_roots(n) as a multiset, and
     (b) a*b = c^2 for each pair, a lane-wise sum of rows, so its
@@ -236,6 +238,14 @@ def certify_root_pairs(n: int, center: Row,
     Then the product of the quadratics is the product of the linear
     factors t - root over every root but c, in another order, so it is
     the quotient H / (t - c).  Raises PairingCertificateError otherwise.
+
+    The flag is one :func:`check_weyl_invariance` call on c and the sum
+    of the paired roots.  A generator w is a monomial map, so if it fixes
+    c it commutes with a -> c^2/a; if it also fixes the sum, it permutes
+    the paired roots as a multiset, so by (b) it maps each pair
+    {a, c^2/a} to a pair.  Then it permutes the quadratics, so it fixes
+    R, their product, and H = R*(t - c), hence every coefficient of both;
+    and a polynomial fixed by each generator is fixed by the group.
     """
     flat = [center] + [root for pair in pairs for root in pair]
     if Counter(flat) != Counter(hecke_roots(n)):
@@ -247,24 +257,7 @@ def certify_root_pairs(n: int, center: Row,
             raise PairingCertificateError(
                 f"(t - {LaurentPoly.from_term(a)})*(t - "
                 f"{LaurentPoly.from_term(b)}) has constant term other than c^2")
-
-
-def factors_weyl_invariant(n: int, center: Row,
-                           pairs: Sequence[tuple[Row, Row]]) -> bool:
-    """True iff every pair (a, b) multiplies to c^2, a lane-wise sum of
-    rows, and every Weyl generator fixes c and the sum of the paired roots
-    with their multiplicities.  A generator w is a monomial map, so if it
-    fixes c it commutes with a -> c^2/a; if it also fixes the sum, it
-    permutes the paired roots as a multiset, so it maps each pair
-    {a, c^2/a} to a pair.  Then it permutes the quadratics (t - a)*(t - b),
-    so it fixes R, their product, and H = R*(t - c), hence every
-    coefficient of both; and a polynomial fixed by each generator is
-    fixed by the group.  One :func:`check_weyl_invariance` call on two
-    polynomials of 1 and at most 2m terms; no quadratic is built."""
-    c_sq = tuple(map(add, center, center))
-    if any(tuple(map(add, a, b)) != c_sq for a, b in pairs):
-        return False
-    roots = LaurentPoly(n, Counter(root for pair in pairs for root in pair))
+    roots = LaurentPoly(n, Counter(flat[1:]))
     return check_weyl_invariance([LaurentPoly.from_term(center), roots], n,
                                  weyl_generators(n))
 
@@ -277,15 +270,14 @@ def certified_factorization(n: int) -> tuple[TPoly, TPoly, LaurentPoly, bool]:
     nonzero remainder raises NonZeroRemainderError, which would falsify
     the factorization and must never happen.  The Weyl flag is certified
     on the root pairs that give the m quadratic factors of R
-    (:func:`certify_root_pairs`, :func:`factors_weyl_invariant`) rather
-    than on the expanded coefficients, which acceptance criterion 2 and
-    the tests check with :func:`check_weyl_invariance`."""
+    (:func:`certify_root_pairs`) rather than on the expanded
+    coefficients, which acceptance criterion 2 and the tests check with
+    :func:`check_weyl_invariance`."""
     hp = hecke_polynomial(n)
     center, pairs = root_pairs(n)
     root = LaurentPoly.from_term(center)
     quotient = hp.divide_exact(root)
-    certify_root_pairs(n, center, pairs)
-    return hp, quotient, root, factors_weyl_invariant(n, center, pairs)
+    return hp, quotient, root, certify_root_pairs(n, center, pairs)
 
 
 def hecke_report(n: int) -> dict:

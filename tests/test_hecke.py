@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,7 @@ from guhecke.cli import main
 from guhecke.hecke import (PairingCertificateError, central_monomial,
                            certified_factorization, certify_root_pairs,
                            check_sigma_invariance, check_weyl_invariance,
-                           factors_weyl_invariant, hecke_polynomial,
-                           hecke_report, hecke_roots,
+                           hecke_polynomial, hecke_report, hecke_roots,
                            hecke_value_by_determinant, root_pairs,
                            satake_alpha)
 from guhecke.laurent import LaurentPoly, TPoly
@@ -359,8 +359,7 @@ def test_root_pairs_certify_for_every_odd_n_to_49():
     for n in range(3, 50, 2):
         center, pairs = root_pairs(n)
         assert len(pairs) == (n - 1) // 2
-        certify_root_pairs(n, center, pairs)
-        assert factors_weyl_invariant(n, center, pairs)
+        assert certify_root_pairs(n, center, pairs) is True
         assert quadratic_factors_weyl_invariant(n, center, pairs)
 
 
@@ -419,12 +418,15 @@ def test_cli_maps_a_failed_pair_certificate_to_exit_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_factor_weyl_certificate_agrees_with_expanded_check(n):
-    # Over every nonempty subset S of the pairs: the pair certificate, the
-    # quadratic reference, and the expanded generator check on the product
-    # of S's quadratics and on it times (t - c) agree (true only for the
-    # full set: the group moves every pair).
+    # Over every nonempty subset S of the pairs: the pair certificate's
+    # flag predicate (one generator check on c and the sum of S's roots),
+    # the quadratic reference, and the expanded generator check on the
+    # product of S's quadratics and on it times (t - c) agree (true only
+    # for the full set: the group moves every pair).  The certificate
+    # itself refuses every proper subset: its roots are not those of H.
     center, pairs = root_pairs(n)
-    linear = TPoly.linear(LaurentPoly.from_term(center))
+    c = LaurentPoly.from_term(center)
+    linear = TPoly.linear(c)
     gens = weyl_generators(n)
     outcomes = set()
     for size in range(1, len(pairs) + 1):
@@ -436,9 +438,16 @@ def test_factor_weyl_certificate_agrees_with_expanded_check(n):
             full = product * linear
             expanded = check_weyl_invariance(
                 (*full.coeffs, *product.coeffs), n, gens)
-            assert factors_weyl_invariant(n, center, subset) == expanded
+            roots = LaurentPoly(n, Counter(r for pair in subset for r in pair))
+            assert check_weyl_invariance([c, roots], n, gens) == expanded
             assert quadratic_factors_weyl_invariant(n, center, subset) \
                 == expanded
+            if size < len(pairs):
+                with pytest.raises(PairingCertificateError,
+                                   match="not the roots"):
+                    certify_root_pairs(n, center, subset)
+            else:
+                assert certify_root_pairs(n, center, subset) == expanded
             outcomes.add(expanded)
     assert outcomes == ({True} if n == 3 else {True, False})
 
@@ -446,37 +455,54 @@ def test_factor_weyl_certificate_agrees_with_expanded_check(n):
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_factor_weyl_certificate_rejects_unpermuted_factors(n):
     center, pairs = root_pairs(n)
-    assert factors_weyl_invariant(n, center, pairs)
+    assert certify_root_pairs(n, center, pairs) is True
     # The order within a pair is immaterial: a pair stands for its
     # quadratic.
     swapped = [(b, a) for a, b in pairs]
-    certify_root_pairs(n, center, swapped)
-    assert factors_weyl_invariant(n, center, swapped)
-    assert factors_weyl_invariant(n, center, [swapped[0], *pairs[1:]])
+    assert certify_root_pairs(n, center, swapped) is True
+    assert certify_root_pairs(n, center, [swapped[0], *pairs[1:]]) is True
     # (c*y1, c*y2) and (c/y1, c/y2) give quadratics with the same product
     # as the first two true ones, but some generator moves them off the
-    # set (at n = 5 the reflection, which inverts y2 alone).
+    # set (at n = 5 the reflection, which inverts y2 alone); neither pair
+    # multiplies to c^2, so the certificate refuses them.
     (a1, b1), (a2, b2) = pairs[:2]
     crossed = [(a1, a2), (b1, b2), *pairs[2:]]
-    assert not factors_weyl_invariant(n, center, crossed)
+    with pytest.raises(PairingCertificateError, match="c\\^2"):
+        certify_root_pairs(n, center, crossed)
     assert not quadratic_factors_weyl_invariant(n, center, crossed)
-    # A center some generator moves.
+    # A center some generator moves: not a root of H.
     moved = row_mul(center, x_row(n, 1))
-    assert not factors_weyl_invariant(n, moved, pairs)
+    with pytest.raises(PairingCertificateError, match="not the roots"):
+        certify_root_pairs(n, moved, pairs)
     assert not quadratic_factors_weyl_invariant(n, moved, pairs)
 
 
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_factor_weyl_certificate_rejects_pairs_without_product_c_squared(n):
-    # Every pair (c^3, 1): the generators fix c, c^3 and 1, so the sum of
-    # the paired roots is fixed too, but (t - c^3)*(t - 1) has constant
-    # term c^3, not c^2, and the pairs need not map to pairs.
+    # Every pair (c^3, 1): the generators fix c, c^3 and 1, so the flag's
+    # generator check alone would pass, but (t - c^3)*(t - 1) has constant
+    # term c^3, not c^2, and the pairs need not map to pairs.  The
+    # certificate refuses them before the flag: they are not H's roots.
     center, pairs = root_pairs(n)
     one = (0,) * (n + 2)
     c_cubed = row_mul(center, row_mul(center, center))
     roots = LaurentPoly(n, {c_cubed: len(pairs), one: len(pairs)})
-    assert check_weyl_invariance([roots], n, weyl_generators(n))
-    assert not factors_weyl_invariant(n, center, [(c_cubed, one)] * len(pairs))
+    assert check_weyl_invariance([LaurentPoly.from_term(center), roots], n,
+                                 weyl_generators(n))
+    with pytest.raises(PairingCertificateError, match="not the roots"):
+        certify_root_pairs(n, center, [(c_cubed, one)] * len(pairs))
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_factor_weyl_certificate_is_false_under_a_generator_off_the_pairing(
+        monkeypatch, n):
+    # The transposition (1 2) added to hecke's generators for n >= 5 does
+    # not keep the pairing i <-> n+1-i: it maps c*x_n/x_1 to c*x_n/x_2, not
+    # a root of H, so the flag is false.  At n = 3 nothing is added.
+    extra = ((2, 1, *range(3, n + 1)),) if n >= 5 else ()
+    monkeypatch.setattr(hecke, "weyl_generators",
+                        lambda k: weyl_generators(k) + extra)
+    assert certified_factorization(n)[3] is (n == 3)
 
 
 # -- Satake normalization -----------------------------------------------------

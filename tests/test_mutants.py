@@ -11,11 +11,12 @@ of one side cannot move a criterion of the other, and running only its
 side keeps the file well under two seconds.  Every criterion passes
 unmutated (``tests/test_acceptance.py``).
 
-Not yet rows: ``check_weyl_invariance``, ``check_sigma_invariance`` and
-``check_bt1`` replaced in ``acceptance`` by a function that always
-returns True.  All ten criteria still pass under each of them, because
-no criterion shows its predicate an input it must refuse; they become
-rows with the criteria's negative controls (ROADMAP item 17).
+Not yet rows: ``check_sigma_invariance`` and ``check_bt1`` replaced in
+``acceptance`` by a function that always returns True.  All ten criteria
+still pass under each of them, because no criterion shows its predicate
+an input it must refuse; they become rows with the criteria's negative
+controls (ROADMAP item 17), as ``check_weyl_invariance`` did with
+criterion 2's near miss of H.
 """
 
 import dataclasses
@@ -98,6 +99,20 @@ def pairs_off_by_one(monkeypatch):
     _replace(monkeypatch, hecke, "root_pairs", root_pairs)
 
 
+def hecke_generators_break_the_pairing(monkeypatch):
+    # The transposition (1 2) added for n >= 5, in hecke's namespace only:
+    # it moves the roots off the root set, so the pair certificate's flag
+    # is false, while criterion 2 keeps the true generators.
+    real = hecke.weyl_generators
+    monkeypatch.setattr(hecke, "weyl_generators", lambda n: real(n) + (
+        ((2, 1, *range(3, n + 1)),) if n >= 5 else ()))
+
+
+def weyl_check_always_true(monkeypatch):
+    _replace(monkeypatch, hecke, "check_weyl_invariance",
+             lambda real: lambda polys, n, group: True)
+
+
 def twist_without_x0_shift(monkeypatch):
     # x_i -> 1/x_{n+1-i} with x0 fixed, in hecke's namespace only:
     # rootdatum.norm_monomial keeps the true twist.
@@ -123,6 +138,8 @@ MUTANTS = (
     (first_two_pairs_crossed, HECKE_SIDE, {1, 2}),
     (pairs_off_by_one, HECKE_SIDE, {1, 2, 3}),
     (twist_without_x0_shift, HECKE_SIDE, {1}),
+    (hecke_generators_break_the_pairing, HECKE_SIDE, {1}),
+    (weyl_check_always_true, HECKE_SIDE, {2}),
     (strata_rows_1_and_2_swapped, DIEUDONNE_SIDE, {10}),
 )
 
