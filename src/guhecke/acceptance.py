@@ -13,16 +13,17 @@ Both the pytest module ``tests/test_acceptance.py`` and the CLI
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Callable
 
 from .dieudonne import (_model_fingerprints, basechange, check_bt1,
                         classify_type, integral_model, isocrystal_shape,
-                        model_space, newton_slopes, random_basechange,
-                        random_frames, signature, strata_dims)
-from .finitefield import gfp2
+                        model_space, newton_slopes, pairing_law_holds,
+                        random_basechange, random_frames, signature,
+                        strata_dims)
+from .finitefield import gfp2, rank
 from .hecke import (central_monomial, certified_factorization,
                     check_sigma_invariance, check_weyl_invariance,
                     hecke_polynomial, hecke_value_by_determinant,
@@ -160,6 +161,15 @@ def bt1_axioms(seed: int = 0) -> str:
     for i in range(BASECHANGE_COUNT):
         space = spaces[i % len(spaces)]
         _check(check_bt1(random_basechange(space, seed * 100_003 + i)), i)
+    # One refused space per half of check_bt1, from B_3 at p = 3: F = V = 0
+    # keeps the law; gram entry (0, 0) set to 2 keeps F's ranks (sum 3).
+    model, zero = spaces[3], ((0,) * 3,) * 3
+    dead = replace(model, f_e2ebar=zero, f_ebar2e=zero, v_e2ebar=zero,
+                   v_ebar2e=zero)
+    changed = replace(model, gram=((2, 0, 0), *model.gram[1:]))
+    _check(pairing_law_holds(dead) and not check_bt1(dead), "F = V = 0 passes")
+    _check(not pairing_law_holds(changed) and not check_bt1(changed) and sum(
+        rank(model.field, changed.f_matrix(g)) for g in (0, 1)) == 3, changed)
     return (f"{len(spaces)} model reductions and {BASECHANGE_COUNT} "
             f"base changes pass")
 

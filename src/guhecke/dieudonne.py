@@ -33,8 +33,9 @@ Both the BT1 test and the fingerprint rest on rank-nullity for a
 semilinear map x -> A frob(x): its image is the column span of A and
 its kernel has dimension (source dim) - rank A, since frob is a
 bijection.  So dim(X & ker F) = dim X - dim F(X), and, as F V = V F = 0
-already gives Im F <= Ker V and Im V <= Ker F, the BT1 equalities are
-rank identities; no kernel or intersection is formed.
+gives Im F <= Ker V and Im V <= Ker F, the BT1 equalities are rank
+identities: of F's ranks alone under the pairing law, as V is then F's
+adjoint.  Closure nodes of the e piece are kept as frob(X).
 
 Newton slopes of an integral model are read off the cycles of its F.
 They are the isocrystal's slopes because F's weights are integers
@@ -302,15 +303,22 @@ class DieudonneSpace:
         return gfp2(self.p)
 
     @cached_property
-    def _blocks(self) -> tuple[tuple[Mat, Mat], tuple[Mat, Mat]]:
-        """(images, kernels), one elimination per block, made on first
-        use: ``images[g]`` = rref(F_g^T) = F(piece g), of length rank F_g,
-        and ``kernels[g]`` = Ker V_g = V^-1(0), of length n - rank V_g."""
-        fld = self.field
-        images = tuple(rref(fld, mat_transpose(self.f_matrix(g))) for g in (0, 1))
-        kernels = tuple(mat_frob(fld, kernel_basis(fld, self.v_matrix(g), self.ne))
-                        for g in (0, 1))
-        return images, kernels
+    def _images(self) -> tuple[Mat, Mat]:
+        """``images[g]`` = rref(F_g^T) = F(piece g), of length rank F_g."""
+        return tuple(rref(self.field, mat_transpose(self.f_matrix(g)))
+                     for g in (0, 1))
+
+    @cached_property
+    def _bt1(self) -> bool:
+        return pairing_law_holds(self) and sum(map(len, self._images)) == self.ne
+
+    @cached_property
+    def _kernels(self) -> tuple[Mat, Mat]:
+        """``kernels[g]`` = Ker V_g, Im F_(1-g) if BT1 (see :func:`check_bt1`)."""
+        if self._bt1:
+            return self._images[::-1]
+        return tuple(mat_frob(self.field, kernel_basis(self.field, m, self.ne))
+                     for m in (self.v_e2ebar, self.v_ebar2e))
 
     def f_matrix(self, grade: int) -> Mat:
         return self.f_e2ebar if grade == 0 else self.f_ebar2e
@@ -357,9 +365,9 @@ class DieudonneSpace:
 
 def signature(space: DieudonneSpace) -> tuple[int, int]:
     """(dim M_e / V M_ebar, dim M_ebar / V M_e) = (len Ker V_ebar,
-    len Ker V_e), as a semilinear kernel has dimension n - rank."""
-    _, kernels = space._blocks
-    return len(kernels[1]), len(kernels[0])
+    len Ker V_e), as a semilinear kernel has dimension n - rank; on a
+    BT1 space, (rank F_e, rank F_ebar), read off F (see :func:`check_bt1`)."""
+    return len(space._kernels[1]), len(space._kernels[0])
 
 
 def pairing_law_holds(space: DieudonneSpace) -> bool:
@@ -388,17 +396,17 @@ def pairing_law_holds(space: DieudonneSpace) -> bool:
 
 def check_bt1(space: DieudonneSpace) -> bool:
     """True iff Im F = Ker V and Im V = Ker F (gradedwise, as subspace
-    equalities) and the pairing law holds on all basis pairs.
+    equalities) and the pairing law holds on all basis pairs, decided
+    once, as :func:`pairing_law_holds` and rank F_e + rank F_ebar = n.
 
-    The space already has F V = V F = 0, so Im F_g <= Ker V_(1-g) and
-    Im V_(1-g) <= Ker F_g; a semilinear kernel has dimension n - rank,
-    so these two equalities are the one identity rank F_g +
-    rank V_(1-g) = n, that is len F(piece g) = len Ker V_(1-g) in the
-    space's block eliminations, for g = 0 and 1."""
-    images, kernels = space._blocks
-    if any(len(images[g]) != len(kernels[1 - g]) for g in (0, 1)):
-        return False
-    return pairing_law_holds(space)
+    With the law, -(G F_e)^T = frob(G V_e), G invertible, gives rank V_e
+    = rank F_e, and the G^T identity rank V_ebar = rank F_ebar.  F V = V F
+    = 0 gives Im F_g <= Ker V_(1-g) and Im V_(1-g) <= Ker F_g, so, as a
+    semilinear kernel has dimension n - rank, both equalities are rank F_g
+    + rank V_(1-g) = rank F_e + rank F_ebar = n.  Ker V_(1-g) is then
+    Im F_g, the same rref, which :func:`signature` and :func:`fingerprint`
+    read."""
+    return space._bt1
 
 
 def model_space(n: int, r: int, p: int) -> DieudonneSpace:
@@ -533,37 +541,40 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     X -> preimage of X under V, then collect the sorted multiset of
     (dim X, dim F(X), dim(X & Ker F)) over all subspaces found.  The
     last entry is dim X - dim F(X), by rank-nullity for F restricted to
-    X; every subspace is kept as its reduced basis.
+    X.  A subspace X is kept as its reduced basis, in the e piece as
+    frob(X): frob fixes 0 and 1, so it keeps bases reduced and commutes
+    with rref, :func:`kernel_basis` and :func:`annihilator_rows`.
 
-    In general a node costs two eliminations.  F(X) is the rref of the
-    one product frob(X) @ transpose(F).  The V-preimage is the Frobenius
-    twist of a linear kernel, which :func:`kernel_basis` returns already
-    reduced; Frobenius fixes 0 and 1, so the twist stays reduced.  The
-    four start nodes, the only 0 and full ones, are expanded from the
-    space's block eliminations, with none of their own.
-
-    A map of rank at most one, read off those eliminations, takes no
-    elimination and gives no new node (under signature (n-1, 1): F and V
-    out of the conjugate piece, as Im F = Ker V).  F(X) is then 0 or
-    F(piece), and V^-1(X), which holds Ker V and meets the image line of
-    V or not, is Ker V or the whole piece: successors of the start nodes
-    already.  What is left is dim F(X) for F of rank one.  If F(piece g)
-    is the line of the row r, every row of transpose(F_g) is a multiple
-    of r, so frob(X) @ transpose(F_g) is (frob(X) u) r, u the column of
-    transpose(F_g) at r's pivot, and dim F(X) is 1 iff some
-    x . frob(u) = frob(frob(x) . u) is nonzero.
+    A node costs two eliminations: F(X), the rref of frob(X) @
+    transpose(F), and V^-1(X), frob of the kernel of ann(X) @ V, are
+    rref(node @ M) and kernel_basis(ann(node) @ M') in the target's
+    frame, M and M' twisted by frob out of the conjugate piece only, once
+    per space.  The four start nodes, the only 0 and full ones, are
+    expanded from the space's block eliminations (F's alone if BT1).  A
+    map of rank at most one takes no elimination and gives no new node
+    (under signature (n-1, 1): F and V out of the conjugate piece): F(X)
+    is 0 or F(piece), and V^-1(X), which holds Ker V and meets V's image
+    line or not, is Ker V or the whole piece.  If F(piece g) is the line
+    of the row r, frob(X) @ transpose(F_g) is (frob(X) u) r, u the column
+    of transpose(F_g) at r's pivot, so dim F(X) is 1 iff some row of the
+    node times u, twisted as F_g, is nonzero.
     """
     fld, n = space.field, space.ne
-    images, kernels = space._blocks
+    images, kernels = space._images, space._kernels
     full = identity_mat(n)
-    f_rows = {g: mat_transpose(space.f_matrix(g)) for g in (0, 1)}
-    # frob(u) for each F_g of rank one, by source grade g; u, the column
-    # of transpose(F_g) at the pivot, is that row of F_g
-    f_lines = {g: mat_frob(fld, (space.f_matrix(g)[images[g][0].index(1)],))[0]
+
+    def twisted(g, m):  # a map or subspace out of piece g, in node frame
+        return mat_frob(fld, m) if g else m
+
+    f_rows = {g: twisted(g, mat_transpose(space.f_matrix(g)))
+              for g in (0, 1) if len(images[g]) != 1}
+    v_rows = {g: twisted(g, space.v_matrix(g))
+              for g in (0, 1) if len(kernels[g]) < n - 1}
+    f_lines = {g: twisted(g, (space.f_matrix(g)[images[g][0].index(1)],))[0]
                for g in (0, 1) if len(images[g]) == 1}
-    first = {(g, ()): ((1 - g, ()), (1 - g, kernels[1 - g])) for g in (0, 1)}
-    first.update({(g, full): ((1 - g, images[g]), (1 - g, full))
-                  for g in (0, 1)})
+    first = {(g, x): ((1 - g, twisted(g, img)), (1 - g, twisted(g, pre)))
+             for g in (0, 1) for x, img, pre in (((), (), kernels[1 - g]),
+                                                 (full, images[g], full))}
     image_dim: dict = {}
 
     def successors(node):
@@ -575,16 +586,15 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
         src, out = 1 - grade, []
         u = f_lines.get(grade)
         if u is None:
-            img = rref(fld, mat_mul(fld, mat_frob(fld, basis), f_rows[grade]))
+            img = rref(fld, mat_mul(fld, basis, f_rows[grade]))
             image_dim[node] = len(img)
             out.append((src, img))
         else:
             image_dim[node] = int(any(mat_vec(fld, basis, u)))
-        if len(kernels[src]) < n - 1:
-            # {y in the other piece : V(y) in span(basis)}
+        if src in v_rows:  # {y in the other piece : V(y) in span(basis)}
             ann = annihilator_rows(fld, basis, n)
-            lin = kernel_basis(fld, mat_mul(fld, ann, space.v_matrix(src)), n)
-            out.append((src, mat_frob(fld, lin)))
+            out.append((src, kernel_basis(fld, mat_mul(fld, ann, v_rows[src]),
+                                          n)))
         return out
 
     seen = _closure(list(first), successors)
@@ -631,7 +641,7 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
     with graded pieces of dimension n, and NoMatchError if no model
     fingerprint matches.  Checked in turn: the dimension,
     :func:`check_bt1`, :func:`signature` and :func:`fingerprint`; the
-    last three read the space's one elimination of each block.
+    last three read the space's one elimination of each F block.
     """
     check_dimension(space.ne, n)
     if not check_bt1(space):

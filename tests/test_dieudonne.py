@@ -478,24 +478,27 @@ def _fingerprint_by_intersections(space):
     return tuple(sorted(triples))
 
 
-def test_check_bt1_ranks_match_subspace_equalities_on_random_spaces(monkeypatch):
+def test_check_bt1_ranks_match_subspace_equalities_on_random_spaces():
     rng = random.Random(57)
     spaces = [_random_space(p, k, rng)
               for p in PRIMES for k in (1, 2, 3, 4, 5) for _ in range(30)]
     for space in spaces:
         equal = all(all(pair) for pair in _bt1_equalities(space))
         assert check_bt1(space) == (equal and pairing_law_holds(space))
-    # With the pairing law out of the way the rank identities alone decide,
-    # including on the spaces where, in one grade, exactly one of the two
-    # equalities fails.
-    monkeypatch.setattr(dieudonne, "pairing_law_holds", lambda space: True)
-    outcomes = set()
-    for space in spaces:
+    # On the spaces that satisfy the law, check_bt1 is the subspace
+    # equalities, and in each grade the two stand or fall together, as
+    # the law makes V F's adjoint.  Moved models and supersingular sums,
+    # all BT1, join the random spaces, so that both answers occur.
+    spaces += [random_basechange(integral_model(n, r, p).reduction(), n + r)
+               for p in PRIMES for n in (1, 2, 3, 4) for r in range(n + 1)]
+    outcomes, answers = set(), set()
+    for space in filter(pairing_law_holds, spaces):
         pairs = _bt1_equalities(space)
         assert check_bt1(space) == all(all(pair) for pair in pairs), space
         outcomes.update(pairs)
-    assert outcomes == {(True, True), (True, False), (False, True),
-                        (False, False)}
+        answers.add(check_bt1(space))
+    assert outcomes == {(True, True), (False, False)}
+    assert answers == {True, False}
 
 
 def test_signature_and_bt1_match_the_transposed_rank_reference():
@@ -559,9 +562,12 @@ def test_arrow_signature_and_bt1_match_the_reduction():
 
 def test_classify_ranks_each_block_once(monkeypatch, capsys):
     # Every elimination of the whole classification, the closure included,
-    # is recorded; each of F_e, F_ebar, V_e and V_ebar, as itself or as
-    # its transpose, is eliminated exactly once.  The ``dd models --format
-    # pretty`` path reads the model's arrows and eliminates nothing.
+    # is recorded; each of F_e and F_ebar, as itself or as its transpose,
+    # is eliminated exactly once, and V_e and V_ebar never, as on a BT1
+    # space Ker V is read off Im F.  A space that breaks the pairing law
+    # still eliminates each V block once for its signature and its
+    # fingerprint.  The ``dd models --format pretty`` path reads the
+    # model's arrows and eliminates nothing.
     space = random_basechange(model_space(5, 2, 3), 11)
     dieudonne._model_fingerprints(5)  # built beforehand
     names = ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e")
@@ -582,8 +588,17 @@ def test_classify_ranks_each_block_once(monkeypatch, capsys):
 
         monkeypatch.setattr(dieudonne, name, counting)
     assert classify_type(space, 5) == 2
-    assert counts(space) == dict.fromkeys(names, 1)
-    assert len(eliminated) > 4  # the closure's own nodes were eliminated too
+    assert counts(space) == {"f_e2ebar": 1, "f_ebar2e": 1,
+                             "v_e2ebar": 0, "v_ebar2e": 0}
+    assert len(eliminated) > 2  # the closure's own nodes were eliminated too
+    eliminated.clear()
+    fld, gram = space.field, [list(row) for row in space.gram]
+    gram[0][0] = fld.add(gram[0][0], 1)
+    lawless = dataclasses.replace(space, gram=gram)
+    assert not check_bt1(lawless)
+    assert signature(lawless) == (4, 1)
+    assert fingerprint(lawless) == ref_fingerprint(lawless)
+    assert counts(lawless) == dict.fromkeys(names, 1)
     eliminated.clear()
     assert main(["dd", "models", "--n", "5", "--p", "3", "--r", "3",
                  "--format", "pretty"]) == 0
@@ -645,7 +660,7 @@ def _ranked_space(p, k, f_rank, v_rank, rng):
 def _conjugate_ranks(space):
     """(rank F, rank V) out of the conjugate piece, from the space's block
     eliminations."""
-    images, kernels = space._blocks
+    images, kernels = space._images, space._kernels
     return len(images[1]), space.ne - len(kernels[1])
 
 
@@ -676,6 +691,45 @@ def test_rank_one_steps_match_the_reference_closure():
         assert (*ranks, True) in covered and (*ranks, False) in covered
 
 
+def test_the_pairing_law_makes_v_the_adjoint_of_f():
+    # The lemma behind check_bt1, against V's own eliminations: wherever
+    # the pairing law holds, rank V_g = rank F_g; on a BT1 space the
+    # eliminated Ker V_(1-g) is Im F_g, the same reduced basis, which the
+    # space reads as its kernels, and the signature is the elimination
+    # route's.  Over the random suites, moved models (supersingular ones
+    # included), direct sums and F = V = 0.
+    rng = random.Random(34)
+    zero = ((0,) * 3,) * 3
+    spaces = []
+    for p in PRIMES:
+        spaces += [_random_space(p, k, rng) for k in (1, 2, 3, 4)
+                   for _ in range(20)]
+        spaces += [_ranked_space(p, k, f_rank, v_rank, rng) for k in (2, 3, 4)
+                   for f_rank in (0, 1, 2) for v_rank in (0, 1, 2)]
+        spaces += [random_basechange(integral_model(n, r, p).reduction(),
+                                     n + r)
+                   for n in (1, 2, 3, 5) for r in range(n + 1)]
+        spaces += [random_basechange(ref_direct_sum(model_space(n, r, p),
+                                                    model_space(m, s, p)), n + m)
+                   for n, r, m, s in ((1, 1, 2, 2), (3, 2, 2, 1))]
+        spaces.append(DieudonneSpace(
+            p=p, ne=3, f_e2ebar=zero, f_ebar2e=zero, v_e2ebar=zero,
+            v_ebar2e=zero, gram=_random_invertible(gfp2(p), 3, rng)[0]))
+    flags = {True: 0, False: 0}
+    for space in filter(pairing_law_holds, spaces):
+        fld, n = space.field, space.ne
+        kernels = tuple(mat_frob(fld, kernel_basis(fld, space.v_matrix(g), n))
+                        for g in (0, 1))
+        images = tuple(rref(fld, mat_transpose(space.f_matrix(g)))
+                       for g in (0, 1))
+        assert [n - len(k) for k in kernels] == list(map(len, images)), space
+        if check_bt1(space):
+            assert kernels == images[::-1] == space._kernels, space
+            assert signature(space) == (len(kernels[1]), len(kernels[0]))
+        flags[check_bt1(space)] += 1
+    assert flags[True] >= 40 and flags[False] >= 20, flags
+
+
 def test_a_map_of_rank_at_most_one_gives_no_new_node():
     # Why fingerprint expands no node through such a map: through the
     # general route, the V-preimage of any subspace under V of rank <= 1
@@ -688,7 +742,7 @@ def test_a_map_of_rank_at_most_one_gives_no_new_node():
     for p, k in itertools.product(PRIMES, (2, 3, 4)):
         for f_rank, v_rank in itertools.product((0, 1), repeat=2):
             space = _ranked_space(p, k, f_rank, v_rank, rng)
-            fld, (images, kernels) = space.field, space._blocks
+            fld, images, kernels = space.field, space._images, space._kernels
             for grade, _ in itertools.product((0, 1), range(6)):
                 src = 1 - grade
                 v_cols = [c for c in zip(*space.v_matrix(src)) if any(c)]

@@ -11,12 +11,12 @@ of one side cannot move a criterion of the other, and running only its
 side keeps the file well under two seconds.  Every criterion passes
 unmutated (``tests/test_acceptance.py``).
 
-Not yet rows: ``check_sigma_invariance`` and ``check_bt1`` replaced in
-``acceptance`` by a function that always returns True.  All ten criteria
-still pass under each of them, because no criterion shows its predicate
-an input it must refuse; they become rows with the criteria's negative
-controls (ROADMAP item 17), as ``check_weyl_invariance`` did with
-criterion 2's near miss of H.
+Not yet a row: ``check_sigma_invariance`` replaced in ``acceptance`` by
+a function that always returns True.  All ten criteria still pass under
+it, because no criterion shows it an input it must refuse; it becomes a
+row with a negative control (ROADMAP item 17), as ``check_weyl_invariance``
+did with criterion 2's near miss of H, and ``check_bt1`` and
+``pairing_law_holds`` with criterion 7's two refused spaces.
 """
 
 import dataclasses
@@ -120,6 +120,17 @@ def twist_without_x0_shift(monkeypatch):
         row[0], row[1], *[-e for e in row[:1:-1]]))
 
 
+def bt1_check_always_true(monkeypatch):
+    _replace(monkeypatch, dieudonne, "check_bt1",
+             lambda real: lambda space: True)
+
+
+def pairing_law_always_true(monkeypatch):
+    # check_bt1 then decides on the F ranks alone.
+    _replace(monkeypatch, dieudonne, "pairing_law_holds",
+             lambda real: lambda space: True)
+
+
 def strata_rows_1_and_2_swapped(monkeypatch):
     def strata_dims(real):
         def mutant(n):
@@ -140,6 +151,8 @@ MUTANTS = (
     (twist_without_x0_shift, HECKE_SIDE, {1}),
     (hecke_generators_break_the_pairing, HECKE_SIDE, {1}),
     (weyl_check_always_true, HECKE_SIDE, {2}),
+    (bt1_check_always_true, DIEUDONNE_SIDE, {7}),
+    (pairing_law_always_true, DIEUDONNE_SIDE, {7}),
     (strata_rows_1_and_2_swapped, DIEUDONNE_SIDE, {10}),
 )
 
