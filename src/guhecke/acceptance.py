@@ -65,6 +65,15 @@ def factorization_certificate(seed: int = 0) -> str:
                f"recomposition fails at n={n}")
         for coeff in (*hp.coeffs, *quotient.coeffs):
             _check(check_sigma_invariance(coeff), f"twist moves H or R at n={n}")
+        # Negative control: x1 times a seeded root, raised by 1 in H's
+        # coefficient of t^(n-1); the twist fixes H's terms, not this one.
+        rows = hp.coeffs[n - 1].exponent_rows()
+        rng = random.Random(f"twist:{n}:{seed}")
+        q, e0, e1, *rest = rng.choice(sorted(rows))
+        near = (q, e0, e1 + 1, *rest)
+        rows[near] = rows.get(near, 0) + 1
+        _check(not check_sigma_invariance(LaurentPoly(n, rows)),
+               f"a near miss of H passes the twist check at n={n}")
     return f"exact remainder 0 and recomposition for n in {FACTOR_NS}"
 
 

@@ -34,8 +34,8 @@ semilinear map x -> A frob(x): its image is the column span of A and
 its kernel has dimension (source dim) - rank A, since frob is a
 bijection.  So dim(X & ker F) = dim X - dim F(X), and, as F V = V F = 0
 gives Im F <= Ker V and Im V <= Ker F, the BT1 equalities are rank
-identities: of F's ranks alone under the pairing law, as V is then F's
-adjoint.  Closure nodes of the e piece are kept as frob(X).
+identities of F's ranks under the pairing law (V is then F's adjoint),
+and the signature and the fingerprint, of BT1 spaces only, eliminate no V.
 
 Newton slopes of an integral model are read off the cycles of its F.
 They are the isocrystal's slopes because F's weights are integers
@@ -74,7 +74,7 @@ class NoMatchError(ClassificationError):
 
 
 class ClosureLimitError(ClassificationError):
-    """The fingerprint closure took more than CLOSURE_STEP_LIMIT steps."""
+    """The fingerprint closure passed 2n + 2 nodes (see :func:`_closure`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +312,6 @@ class DieudonneSpace:
     def _bt1(self) -> bool:
         return pairing_law_holds(self) and sum(map(len, self._images)) == self.ne
 
-    @cached_property
-    def _kernels(self) -> tuple[Mat, Mat]:
-        """``kernels[g]`` = Ker V_g, Im F_(1-g) if BT1 (see :func:`check_bt1`)."""
-        if self._bt1:
-            return self._images[::-1]
-        return tuple(mat_frob(self.field, kernel_basis(self.field, m, self.ne))
-                     for m in (self.v_e2ebar, self.v_ebar2e))
-
     def f_matrix(self, grade: int) -> Mat:
         return self.f_e2ebar if grade == 0 else self.f_ebar2e
 
@@ -363,11 +355,15 @@ class DieudonneSpace:
         return cls(p=p, ne=ne, **{name: decode(m) for name, m in mats.items()})
 
 
+_NOT_BT1 = "Im F = Ker V / Im V = Ker F or the pairing law fails"
+
+
 def signature(space: DieudonneSpace) -> tuple[int, int]:
-    """(dim M_e / V M_ebar, dim M_ebar / V M_e) = (len Ker V_ebar,
-    len Ker V_e), as a semilinear kernel has dimension n - rank; on a
-    BT1 space, (rank F_e, rank F_ebar), read off F (see :func:`check_bt1`)."""
-    return len(space._kernels[1]), len(space._kernels[0])
+    """(dim M_e / V M_ebar, dim M_ebar / V M_e) = (rank F_e, rank F_ebar)
+    of a BT1 space (see :func:`check_bt1`); NotBT1Error on any other."""
+    if not space._bt1:
+        raise NotBT1Error(_NOT_BT1)
+    return tuple(map(len, space._images))
 
 
 def pairing_law_holds(space: DieudonneSpace) -> bool:
@@ -405,7 +401,7 @@ def check_bt1(space: DieudonneSpace) -> bool:
     semilinear kernel has dimension n - rank, both equalities are rank F_g
     + rank V_(1-g) = rank F_e + rank F_ebar = n.  Ker V_(1-g) is then
     Im F_g, the same rref, which :func:`signature` and :func:`fingerprint`
-    read."""
+    read, on the spaces this accepts only."""
     return space._bt1
 
 
@@ -512,30 +508,26 @@ def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
 # Fingerprint and classification
 
 
-# Worklist steps after which a fingerprint closure is given up.
-CLOSURE_STEP_LIMIT = 100_000
-
-
-def _closure(start, successors) -> set:
+def _closure(start, successors, n: int) -> set:
     """The smallest set holding ``start`` and closed under ``successors``
-    (a node -> iterable of nodes); every node is expanded exactly once.
-    Raises ClosureLimitError after CLOSURE_STEP_LIMIT expansions."""
+    (a node -> iterable of nodes), each expanded once.  A piece's nodes
+    form a flag (Oort 2001): both maps keep inclusions, and an F-image lies
+    in Im F <= Ker V <= any V-preimage.  So ClosureLimitError past 2n + 2."""
     seen = set(start)
     work = list(start)
-    steps = 0
     while work:
-        steps += 1
-        if steps > CLOSURE_STEP_LIMIT:
-            raise ClosureLimitError("canonical filtration failed to stabilize")
         for nxt in successors(work.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
+        if len(seen) > 2 * n + 2:
+            raise ClosureLimitError("canonical filtration failed to stabilize")
     return seen
 
 
 def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
-    """Isomorphism-invariant signature of the canonical filtration.
+    """Isomorphism-invariant signature of the canonical filtration (a
+    flag, see :func:`_closure`) of a BT1 space; NotBT1Error on any other.
 
     Close {0, full} (in each graded piece) under X -> F(X) and
     X -> preimage of X under V, then collect the sorted multiset of
@@ -545,59 +537,58 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
     frob(X): frob fixes 0 and 1, so it keeps bases reduced and commutes
     with rref, :func:`kernel_basis` and :func:`annihilator_rows`.
 
-    A node costs two eliminations: F(X), the rref of frob(X) @
-    transpose(F), and V^-1(X), frob of the kernel of ann(X) @ V, are
-    rref(node @ M) and kernel_basis(ann(node) @ M') in the target's
-    frame, M and M' twisted by frob out of the conjugate piece only, once
-    per space.  The four start nodes, the only 0 and full ones, are
-    expanded from the space's block eliminations (F's alone if BT1).  A
-    map of rank at most one takes no elimination and gives no new node
-    (under signature (n-1, 1): F and V out of the conjugate piece): F(X)
-    is 0 or F(piece), and V^-1(X), which holds Ker V and meets V's image
-    line or not, is Ker V or the whole piece.  If F(piece g) is the line
-    of the row r, frob(X) @ transpose(F_g) is (frob(X) u) r, u the column
-    of transpose(F_g) at r's pivot, so dim F(X) is 1 iff some row of the
-    node times u, twisted as F_g, is nonzero.
+    A node costs two eliminations, F(X) = rref(node @ M) and V^-1(X) =
+    kernel_basis(ann(node) @ M') in the target's frame, with M = F^T and
+    M' = V twisted by frob out of the conjugate piece only, once per
+    space.  The four start nodes, the only 0 and full ones, are expanded
+    from F's block eliminations, as V^-1(0) = Ker V = Im F.  The maps out
+    of a piece with rank F_g = rank V_g at most one (under signature
+    (n-1, 1), the conjugate piece) take no elimination and give no new
+    node: F(X) is 0 or F(piece), and V^-1(X), which holds Ker V and meets
+    V's image line or not, is Ker V or the whole piece.  If F(piece g) is
+    the line of the row r, frob(X) @ F_g^T is (frob(X) u) r, u the column
+    of F_g^T at r's pivot, so dim F(X) is 1 iff some row of the node times
+    u, twisted as F_g, is nonzero.
     """
-    fld, n = space.field, space.ne
-    images, kernels = space._images, space._kernels
+    if not space._bt1:
+        raise NotBT1Error(_NOT_BT1)
+    fld, n, images = space.field, space.ne, space._images
     full = identity_mat(n)
 
     def twisted(g, m):  # a map or subspace out of piece g, in node frame
         return mat_frob(fld, m) if g else m
 
-    f_rows = {g: twisted(g, mat_transpose(space.f_matrix(g)))
-              for g in (0, 1) if len(images[g]) != 1}
-    v_rows = {g: twisted(g, space.v_matrix(g))
-              for g in (0, 1) if len(kernels[g]) < n - 1}
-    f_lines = {g: twisted(g, (space.f_matrix(g)[images[g][0].index(1)],))[0]
-               for g in (0, 1) if len(images[g]) == 1}
-    first = {(g, x): ((1 - g, twisted(g, img)), (1 - g, twisted(g, pre)))
-             for g in (0, 1) for x, img, pre in (((), (), kernels[1 - g]),
-                                                 (full, images[g], full))}
-    image_dim: dict = {}
+    # By rank F_g: F^T and V past one, F's line at one, nothing at zero.
+    maps, first, image_dim = {}, {}, {}
+    for g, img in enumerate(images):
+        if len(img) > 1:
+            maps[g] = (twisted(g, mat_transpose(space.f_matrix(g))),
+                       twisted(g, space.v_matrix(g)))
+        elif img:
+            maps[g] = twisted(g, (space.f_matrix(g)[img[0].index(1)],))[0]
+        image = 1 - g, twisted(g, img)  # F(piece g) = V^-1(0)
+        first[g, ()] = (1 - g, ()), image
+        first[g, full] = image, (1 - g, full)
+        image_dim[g, ()], image_dim[g, full] = 0, len(img)
 
     def successors(node):
         if node in first:
-            img, pre = first[node]
-            image_dim[node] = len(img[1])
-            return img, pre
+            return first[node]
         grade, basis = node
         src, out = 1 - grade, []
-        u = f_lines.get(grade)
-        if u is None:
-            img = rref(fld, mat_mul(fld, basis, f_rows[grade]))
+        if len(images[grade]) > 1:
+            img = rref(fld, mat_mul(fld, basis, maps[grade][0]))
             image_dim[node] = len(img)
             out.append((src, img))
         else:
-            image_dim[node] = int(any(mat_vec(fld, basis, u)))
-        if src in v_rows:  # {y in the other piece : V(y) in span(basis)}
-            ann = annihilator_rows(fld, basis, n)
-            out.append((src, kernel_basis(fld, mat_mul(fld, ann, v_rows[src]),
-                                          n)))
+            image_dim[node] = int(grade in maps
+                                  and any(mat_vec(fld, basis, maps[grade])))
+        if len(images[src]) > 1:  # {y in the other piece : V(y) in span(basis)}
+            pre = mat_mul(fld, annihilator_rows(fld, basis, n), maps[src][1])
+            out.append((src, kernel_basis(fld, pre, n)))
         return out
 
-    seen = _closure(list(first), successors)
+    seen = _closure(list(first), successors, n)
     return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
                         for g, x in seen))
 
@@ -623,7 +614,7 @@ def _model_fingerprints(n: int) -> tuple[tuple[int, tuple], ...]:
             return (1 - grade, image), (1 - grade, pre)
 
         _closure([(g, frozenset(x)) for g in (0, 1) for x in ((), pieces[g])],
-                 successors)
+                 successors, n)
         prints.append((r, tuple(sorted(dims.values()))))
     return tuple(prints)
 
@@ -645,7 +636,7 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
     """
     check_dimension(space.ne, n)
     if not check_bt1(space):
-        raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
+        raise NotBT1Error(_NOT_BT1)
     sig = signature(space)
     if sig != (n - 1, 1):
         raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")

@@ -24,7 +24,8 @@ vector operations, the vector-level operators and identity test that
 only the tests use, the earlier two-elimination sampler of base
 changes, the earlier base change that validated its result as a new
 space, and the earlier classification,
-which ranked the blocks before its closure eliminated them again.  Then the dense integer view of
+which ranked the blocks before its closure eliminated them again, with
+the earlier signature off V's kernels and a worklist of its own.  Then the dense integer view of
 an integral model's arrows, on which the tests keep the matrix identities
 (F V = V F = p, the pairing law), and the block sum of Dieudonne spaces
 that once assembled the type-r model.  Last, the p-adic lower Newton
@@ -41,7 +42,7 @@ from operator import add
 from typing import Sequence
 
 from guhecke.dieudonne import (DieudonneSpace, NoMatchError, NotBT1Error,
-                               _closure, _model_fingerprints, basechange)
+                               _model_fingerprints, basechange)
 from guhecke.finitefield import (annihilator_rows, identity_mat, kernel_basis,
                                  mat_frob, mat_inv, mat_mul, mat_transpose,
                                  rank, rref)
@@ -430,10 +431,37 @@ def ref_pairing_law(space):
     return True
 
 
+def ref_v_kernels(space):
+    """(Ker V_e, Ker V_ebar) on every space, each by the elimination of
+    its block: the deleted route, before Ker V was read off Im F."""
+    fld, n = space.field, space.ne
+    return tuple(mat_frob(fld, kernel_basis(fld, space.v_matrix(g), n))
+                 for g in (0, 1))
+
+
+def ref_signature(space):
+    """The earlier signature, on every space: (dim Ker V_ebar, dim Ker V_e),
+    n minus the rank of each V block, off :func:`ref_v_kernels`."""
+    kernels = ref_v_kernels(space)
+    return len(kernels[1]), len(kernels[0])
+
+
+def ref_closure(start, successors):
+    """A plain worklist: the smallest set holding ``start`` and closed
+    under ``successors``, with no bound on its size."""
+    seen, work = set(start), list(start)
+    while work:
+        for nxt in successors(work.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return seen
+
+
 def ref_fingerprint(space):
-    """The earlier fingerprint closure: every node, 0 and full included,
-    expanded by its own eliminations, except F(0) = 0 and V^-1(full) =
-    full."""
+    """The earlier fingerprint closure, on every space: every node, 0 and
+    full included, expanded by its own eliminations, except F(0) = 0 and
+    V^-1(full) = full, on :func:`ref_closure`."""
     fld, n = space.field, space.ne
 
     def successors(node):
@@ -454,8 +482,8 @@ def ref_fingerprint(space):
         return (src, img), (src, pre)
 
     image_dim = {}
-    seen = _closure([(0, ()), (1, ()), (0, identity_mat(n)),
-                     (1, identity_mat(n))], successors)
+    seen = ref_closure([(0, ()), (1, ()), (0, identity_mat(n)),
+                        (1, identity_mat(n))], successors)
     return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
                         for g, x in seen))
 
@@ -473,7 +501,7 @@ def ref_classify_type(space, n):
     if not (all(rank(fld, space.f_matrix(g)) + rank_v[1 - g] == n
                 for g in (0, 1)) and ref_pairing_law(space)):
         raise NotBT1Error("Im F = Ker V / Im V = Ker F or the pairing law fails")
-    sig = (n - rank_v[1], n - rank_v[0])
+    sig = ref_signature(space)
     if sig != (n - 1, 1):
         raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")
     fp = ref_fingerprint(space)

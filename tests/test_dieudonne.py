@@ -26,8 +26,9 @@ from guhecke.finitefield import (annihilator_rows, gfp2, identity_mat,
 from reference import (apply_f, apply_v, dense_mat_mul, dense_view,
                        gauss_jordan, mat_vec, padic_newton_slopes,
                        ref_basechange, ref_classify_type, ref_direct_sum,
-                       ref_fingerprint, ref_random_basechange,
-                       ref_random_invertible, vec_frob)
+                       ref_closure, ref_fingerprint, ref_random_basechange,
+                       ref_random_invertible, ref_signature, ref_v_kernels,
+                       vec_frob)
 
 PRIMES = (3, 5, 7)
 
@@ -465,8 +466,8 @@ def _fingerprint_by_intersections(space):
         return ((1 - grade, rref(fld, rows)),
                 (1 - grade, rref(fld, tuple(vec_frob(fld, u) for u in lin))))
 
-    seen = dieudonne._closure([(0, ()), (1, ()), (0, identity_mat(n)),
-                               (1, identity_mat(n))], successors)
+    seen = ref_closure([(0, ()), (1, ()), (0, identity_mat(n)),
+                        (1, identity_mat(n))], successors)
     ker_f = {g: _semilinear_kernel(fld, space.f_matrix(g), n)
              for g in (0, 1)}
     triples = []
@@ -501,10 +502,19 @@ def test_check_bt1_ranks_match_subspace_equalities_on_random_spaces():
     assert answers == {True, False}
 
 
+def _assert_refused(space):
+    """signature and fingerprint both raise NotBT1Error on the space."""
+    for gated in (signature, fingerprint):
+        with pytest.raises(NotBT1Error, match="the pairing law fails"):
+            gated(space)
+
+
 def test_signature_and_bt1_match_the_transposed_rank_reference():
     # The earlier signature, n minus the ranks of the transposed V blocks,
     # and the earlier rank identities, rank F_g + rank V_(1-g) = n, each
     # rank by an elimination of its own, against the block eliminations.
+    # The signature and the fingerprint take BT1 spaces only; the others
+    # get NotBT1Error.
     rng = random.Random(58)
     spaces = [_random_space(p, k, rng)
               for p in PRIMES for k in (1, 2, 3, 4) for _ in range(10)]
@@ -515,11 +525,15 @@ def test_signature_and_bt1_match_the_transposed_rank_reference():
         fld, n = space.field, space.ne
         rank_v = [len(rref(fld, mat_transpose(space.v_matrix(g))))
                   for g in (0, 1)]
-        assert signature(space) == (n - rank_v[1], n - rank_v[0])
+        assert ref_signature(space) == (n - rank_v[1], n - rank_v[0])
         identities = all(len(rref(fld, space.f_matrix(g))) + rank_v[1 - g] == n
                          for g in (0, 1))
         bt1 = check_bt1(space)
         assert bt1 == (identities and pairing_law_holds(space))
+        if bt1:
+            assert signature(space) == ref_signature(space), space
+        else:
+            _assert_refused(space)
         answers.add(bt1)
     assert answers == {True, False}
 
@@ -544,7 +558,9 @@ def _random_module(p, ne, rng):
 def test_arrow_signature_and_bt1_match_the_reduction():
     # Read off the arrows against the eliminations of the reduction over
     # F_{p^2}: every model with n <= 9, and 1200 random monomial modules,
-    # which reach both BT1 outcomes.
+    # which reach both BT1 outcomes.  The signature is the earlier V-kernel
+    # route's on every reduction, and the library's on the BT1 ones; the
+    # others get NotBT1Error from signature and fingerprint.
     models = [integral_model(n, r, p) for p in PRIMES
               for n in range(1, 10) for r in range(n + 1)]
     rng = random.Random(27)
@@ -555,7 +571,11 @@ def test_arrow_signature_and_bt1_match_the_reduction():
         for module in modules:
             space = module.reduction()
             got = module.signature_and_bt1()
-            assert got == (signature(space), check_bt1(space)), module
+            assert got == (ref_signature(space), check_bt1(space)), module
+            if got[1]:
+                assert signature(space) == got[0], module
+            else:
+                _assert_refused(space)
             flags.add((kind, got[1]))
     assert flags == {("model", True), ("random", True), ("random", False)}
 
@@ -565,9 +585,10 @@ def test_classify_ranks_each_block_once(monkeypatch, capsys):
     # is recorded; each of F_e and F_ebar, as itself or as its transpose,
     # is eliminated exactly once, and V_e and V_ebar never, as on a BT1
     # space Ker V is read off Im F.  A space that breaks the pairing law
-    # still eliminates each V block once for its signature and its
-    # fingerprint.  The ``dd models --format pretty`` path reads the
-    # model's arrows and eliminates nothing.
+    # gets NotBT1Error from its signature and its fingerprint and
+    # eliminates no block: check_bt1 decides on the law first.  The
+    # ``dd models --format pretty`` path reads the model's arrows and
+    # eliminates nothing.
     space = random_basechange(model_space(5, 2, 3), 11)
     dieudonne._model_fingerprints(5)  # built beforehand
     names = ("f_e2ebar", "f_ebar2e", "v_e2ebar", "v_ebar2e")
@@ -596,9 +617,10 @@ def test_classify_ranks_each_block_once(monkeypatch, capsys):
     gram[0][0] = fld.add(gram[0][0], 1)
     lawless = dataclasses.replace(space, gram=gram)
     assert not check_bt1(lawless)
-    assert signature(lawless) == (4, 1)
-    assert fingerprint(lawless) == ref_fingerprint(lawless)
-    assert counts(lawless) == dict.fromkeys(names, 1)
+    for gated in (signature, fingerprint):
+        with pytest.raises(NotBT1Error, match="the pairing law fails"):
+            gated(lawless)
+    assert counts(lawless) == dict.fromkeys(names, 0)
     eliminated.clear()
     assert main(["dd", "models", "--n", "5", "--p", "3", "--r", "3",
                  "--format", "pretty"]) == 0
@@ -616,16 +638,37 @@ def test_check_bt1_ranks_match_subspace_equalities_on_base_changed_models():
                     assert check_bt1(space)
 
 
+def _fingerprint_or_refusal(space):
+    """fingerprint(space) if the space is BT1, else None, after checking
+    that signature and fingerprint refuse it."""
+    if check_bt1(space):
+        return fingerprint(space)
+    _assert_refused(space)
+    return None
+
+
 def test_fingerprint_matches_intersection_reference():
+    # On the BT1 spaces; the random ones, mostly not BT1, are refused.
     rng = random.Random(58)
+    compared = 0
     for p in PRIMES:
         for k in (1, 2, 3, 4, 5):
             for _ in range(12):
                 space = _random_space(p, k, rng)
-                assert fingerprint(space) == _fingerprint_by_intersections(space)
+                got = _fingerprint_or_refusal(space)
+                if got is not None:
+                    assert got == _fingerprint_by_intersections(space)
+                    compared += 1
         for n, r in ((3, 1), (3, 2), (5, 4), (5, 5)):
             space = random_basechange(model_space(n, r, p), n * r)
             assert fingerprint(space) == _fingerprint_by_intersections(space)
+        for n, r, m, s in ((1, 1, 2, 2), (3, 2, 2, 1), (2, 0, 3, 3)):
+            space = random_basechange(ref_direct_sum(
+                integral_model(n, r, p).reduction(), model_space(m, s, p)),
+                n + m)
+            assert fingerprint(space) == _fingerprint_by_intersections(space)
+            compared += 1
+    assert compared >= 9
 
 
 def _ranked_space(p, k, f_rank, v_rank, rng):
@@ -658,16 +701,17 @@ def _ranked_space(p, k, f_rank, v_rank, rng):
 
 
 def _conjugate_ranks(space):
-    """(rank F, rank V) out of the conjugate piece, from the space's block
-    eliminations."""
-    images, kernels = space._images, space._kernels
-    return len(images[1]), space.ne - len(kernels[1])
+    """(rank F, rank V) out of the conjugate piece, each from an
+    elimination of its own."""
+    fld = space.field
+    return len(rref(fld, space.f_ebar2e)), len(rref(fld, space.v_ebar2e))
 
 
 def test_rank_one_steps_match_the_reference_closure():
     # Conjugate-piece F and V of rank 0, 1 and 2, in every combination,
-    # mostly not BT1; and BT1 spaces of rank 0 (supersingular), 1 (the
-    # models) and 2 (sums of two models), all moved by a random base change.
+    # mostly not BT1, which fingerprint refuses; and BT1 spaces of rank 0
+    # (supersingular), 1 (the models) and 2 (sums of two models), all
+    # moved by a random base change.
     rng = random.Random(29)
     covered = set()
     for p in PRIMES:
@@ -683,8 +727,9 @@ def test_rank_one_steps_match_the_reference_closure():
                    for n, r, m, s in ((1, 1, 2, 2), (2, 1, 2, 2), (3, 2, 2, 1),
                                       (3, 3, 2, 2))]
         for space in spaces:
-            assert fingerprint(space) == ref_fingerprint(space), space
-            covered.add((*_conjugate_ranks(space), check_bt1(space)))
+            got = _fingerprint_or_refusal(space)
+            assert got in (None, ref_fingerprint(space)), space
+            covered.add((*_conjugate_ranks(space), got is not None))
     assert {c[:2] for c in covered} == set(itertools.product((0, 1, 2),
                                                              repeat=2))
     for ranks in ((0, 0), (1, 1), (2, 2)):
@@ -694,10 +739,11 @@ def test_rank_one_steps_match_the_reference_closure():
 def test_the_pairing_law_makes_v_the_adjoint_of_f():
     # The lemma behind check_bt1, against V's own eliminations: wherever
     # the pairing law holds, rank V_g = rank F_g; on a BT1 space the
-    # eliminated Ker V_(1-g) is Im F_g, the same reduced basis, which the
-    # space reads as its kernels, and the signature is the elimination
-    # route's.  Over the random suites, moved models (supersingular ones
-    # included), direct sums and F = V = 0.
+    # eliminated Ker V_(1-g) is Im F_g, the same reduced basis, so the
+    # signature read off F is the V-kernel route's; a space that keeps
+    # the law but is not BT1 gets NotBT1Error from it and from the
+    # fingerprint.  Over the random suites, moved models (supersingular
+    # ones included), direct sums and F = V = 0.
     rng = random.Random(34)
     zero = ((0,) * 3,) * 3
     spaces = []
@@ -717,15 +763,16 @@ def test_the_pairing_law_makes_v_the_adjoint_of_f():
             v_ebar2e=zero, gram=_random_invertible(gfp2(p), 3, rng)[0]))
     flags = {True: 0, False: 0}
     for space in filter(pairing_law_holds, spaces):
-        fld, n = space.field, space.ne
-        kernels = tuple(mat_frob(fld, kernel_basis(fld, space.v_matrix(g), n))
-                        for g in (0, 1))
+        fld, n, kernels = space.field, space.ne, ref_v_kernels(space)
         images = tuple(rref(fld, mat_transpose(space.f_matrix(g)))
                        for g in (0, 1))
         assert [n - len(k) for k in kernels] == list(map(len, images)), space
         if check_bt1(space):
-            assert kernels == images[::-1] == space._kernels, space
-            assert signature(space) == (len(kernels[1]), len(kernels[0]))
+            assert kernels == images[::-1] == space._images[::-1], space
+            assert signature(space) == ref_signature(space) \
+                == (len(kernels[1]), len(kernels[0]))
+        else:
+            _assert_refused(space)
         flags[check_bt1(space)] += 1
     assert flags[True] >= 40 and flags[False] >= 20, flags
 
@@ -742,7 +789,8 @@ def test_a_map_of_rank_at_most_one_gives_no_new_node():
     for p, k in itertools.product(PRIMES, (2, 3, 4)):
         for f_rank, v_rank in itertools.product((0, 1), repeat=2):
             space = _ranked_space(p, k, f_rank, v_rank, rng)
-            fld, images, kernels = space.field, space._images, space._kernels
+            fld, images = space.field, space._images
+            kernels = ref_v_kernels(space)
             for grade, _ in itertools.product((0, 1), range(6)):
                 src = 1 - grade
                 v_cols = [c for c in zip(*space.v_matrix(src)) if any(c)]
@@ -778,13 +826,49 @@ def test_fingerprint_of_every_model_to_7_matches_the_reference(p):
                 assert fingerprint(space) == ref_fingerprint(space), (n, r)
 
 
-def test_closure_step_limit_is_a_classification_error(monkeypatch):
-    assert dieudonne.CLOSURE_STEP_LIMIT == 100_000
-    assert issubclass(ClosureLimitError, ClassificationError)
-    space = random_basechange(model_space(3, 2, 3), 1)
-    monkeypatch.setattr(dieudonne, "CLOSURE_STEP_LIMIT", 3)
-    with pytest.raises(ClosureLimitError, match="failed to stabilize"):
+def test_closure_nodes_of_each_piece_form_a_flag(monkeypatch):
+    # The theorem behind the closure bound: on every BT1 space built here,
+    # the fingerprint's nodes in each piece are totally ordered by
+    # inclusion, so a piece holds at most n + 1 of them.  Moved models of
+    # every type with n <= 7, the supersingular planes (r = 0) among them,
+    # and moved direct sums of two models.  An e-piece node is frob(X),
+    # and frob keeps inclusions.
+    real, found = dieudonne._closure, []
+
+    def recording(start, successors, n):
+        found.append(real(start, successors, n))
+        return found[-1]
+
+    monkeypatch.setattr(dieudonne, "_closure", recording)
+    spaces = [random_basechange(integral_model(n, r, p).reduction(), 5 * n + r)
+              for p in PRIMES for n in range(1, 8) for r in range(n + 1)]
+    spaces += [random_basechange(ref_direct_sum(
+                   integral_model(n, r, p).reduction(),
+                   integral_model(m, s, p).reduction()), n + m + r)
+               for p in PRIMES for n, r, m, s in ((1, 1, 2, 2), (3, 2, 2, 1),
+                                                  (2, 0, 3, 3), (3, 3, 4, 1))]
+    for space in spaces:
+        assert check_bt1(space)
         fingerprint(space)
+        fld, n = space.field, space.ne
+        for g in (0, 1):
+            flag = sorted((x for grade, x in found[-1] if grade == g), key=len)
+            assert len(flag) <= n + 1, space
+            for small, big in zip(flag, flag[1:]):
+                assert len(small) < len(big), space
+                assert rref(fld, small + big) == big, space
+
+
+def test_closure_bound_is_a_classification_error():
+    # The closure stops past 2n + 2 nodes, not at: a chain 0 -> 1 -> ...
+    # of 2n + 2 nodes closes, one of 2n + 3 nodes is refused.
+    assert issubclass(ClosureLimitError, ClassificationError)
+    for n in (1, 3, 5):
+        last = 2 * n + 1
+        assert dieudonne._closure([0], lambda k: [min(k + 1, last)], n) \
+            == set(range(last + 1))
+        with pytest.raises(ClosureLimitError, match="failed to stabilize"):
+            dieudonne._closure([0], lambda k: [min(k + 1, last + 1)], n)
 
 
 # -- direct sums ---------------------------------------------------------------
@@ -1025,11 +1109,24 @@ def test_certified_basechange_and_classification_match_the_earlier_route(n):
 
 
 def test_closure_limit_matches_the_earlier_route(monkeypatch):
+    # The bound forced lower by handing the closure a smaller n: the
+    # classification is refused exactly when the earlier route's closure,
+    # one node per triple, has more than 2n + 2 nodes for that n.  The
+    # model fingerprints are built beforehand, under the true bound.
     space = random_basechange(model_space(5, 3, 7), 2)
-    monkeypatch.setattr(dieudonne, "CLOSURE_STEP_LIMIT", 5)
-    got = _outcome(classify_type, space, 5)
-    assert got == _outcome(ref_classify_type, space, 5)
-    assert got == (ClosureLimitError, "canonical filtration failed to stabilize")
+    size = len(ref_fingerprint(space))
+    assert size <= 2 * 5 + 2
+    real = dieudonne._closure
+    dieudonne._model_fingerprints(5)
+    for bound_n in range(1, 6):
+        monkeypatch.setattr(dieudonne, "_closure", lambda start, successors, n:
+                            real(start, successors, bound_n))
+        got = _outcome(classify_type, space, 5)
+        if size > 2 * bound_n + 2:
+            assert got == (ClosureLimitError,
+                           "canonical filtration failed to stabilize"), bound_n
+        else:
+            assert got == _outcome(ref_classify_type, space, 5) == 3, bound_n
 
 
 # -- classification ------------------------------------------------------------
@@ -1054,10 +1151,12 @@ def test_coordinate_fingerprint_matches_row_reduced_closure(p):
 
 def test_index_closure_fingerprints_pairwise_distinct_to_99():
     # The index closure of _model_fingerprints tells the n types apart
-    # for every odd n < 100.
+    # for every odd n < 100, and no index closure has more than 2n + 2
+    # nodes (one triple per node).
     for n in range(1, 100, 2):
         types, prints = zip(*_model_fingerprints(n))
         assert types == tuple(range(1, n + 1)) and len(set(prints)) == n, n
+        assert all(len(fp) <= 2 * n + 2 for fp in prints), n
 
 
 def test_classify_models_and_roundtrip():

@@ -11,12 +11,12 @@ of one side cannot move a criterion of the other, and running only its
 side keeps the file well under two seconds.  Every criterion passes
 unmutated (``tests/test_acceptance.py``).
 
-Not yet a row: ``check_sigma_invariance`` replaced in ``acceptance`` by
-a function that always returns True.  All ten criteria still pass under
-it, because no criterion shows it an input it must refuse; it becomes a
-row with a negative control (ROADMAP item 17), as ``check_weyl_invariance``
-did with criterion 2's near miss of H, and ``check_bt1`` and
-``pairing_law_holds`` with criterion 7's two refused spaces.
+Every always-true predicate is a row: ``check_weyl_invariance`` fails
+criterion 2 through its near miss of H, ``check_sigma_invariance``
+criterion 1 through its near miss of H for the twist, and ``check_bt1``
+and ``pairing_law_holds`` criterion 7 through its two refused spaces.
+Not yet a row: the gates of the open ROADMAP items, each of which joins
+the table with the criterion or certificate that checks it.
 """
 
 import dataclasses
@@ -113,6 +113,11 @@ def weyl_check_always_true(monkeypatch):
              lambda real: lambda polys, n, group: True)
 
 
+def sigma_check_always_true(monkeypatch):
+    _replace(monkeypatch, hecke, "check_sigma_invariance",
+             lambda real: lambda poly: True)
+
+
 def twist_without_x0_shift(monkeypatch):
     # x_i -> 1/x_{n+1-i} with x0 fixed, in hecke's namespace only:
     # rootdatum.norm_monomial keeps the true twist.
@@ -151,6 +156,7 @@ MUTANTS = (
     (twist_without_x0_shift, HECKE_SIDE, {1}),
     (hecke_generators_break_the_pairing, HECKE_SIDE, {1}),
     (weyl_check_always_true, HECKE_SIDE, {2}),
+    (sigma_check_always_true, HECKE_SIDE, {1}),
     (bt1_check_always_true, DIEUDONNE_SIDE, {7}),
     (pairing_law_always_true, DIEUDONNE_SIDE, {7}),
     (strata_rows_1_and_2_swapped, DIEUDONNE_SIDE, {10}),
