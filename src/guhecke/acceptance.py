@@ -18,16 +18,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .dieudonne import (_model_fingerprints, basechange, check_bt1,
-                        classify_type, integral_model, isocrystal_shape,
-                        model_space, newton_slopes, pairing_law_holds,
-                        random_basechange, random_frames, signature,
-                        strata_dims)
+from .dieudonne import (NotBT1Error, _model_fingerprints, basechange,
+                        check_bt1, classify_type, integral_model,
+                        isocrystal_shape, model_space, newton_slopes,
+                        pairing_law_holds, random_basechange, random_frames,
+                        signature, strata_dims)
 from .finitefield import gfp2, rank
 from .hecke import (central_monomial, certified_factorization,
                     check_sigma_invariance, check_weyl_invariance,
-                    hecke_polynomial, hecke_value_by_determinant,
-                    satake_alpha)
+                    hecke_polynomial, hecke_value_by_determinant)
 from .laurent import LaurentPoly, TPoly
 from .rootdatum import (norm_monomial, pairing, rho, weyl_generators,
                         weyl_group)
@@ -131,8 +130,7 @@ def central_element(seed: int = 0) -> str:
         x0 = (0, 1) + (0,) * n
         e = central_monomial(n)
         _check(norm_monomial(x0) == e, n)
-        as_poly = LaurentPoly.from_term(e)
-        _check(satake_alpha(as_poly, n) == as_poly, n)
+        # alpha shifts q by -2<rho, nu>, so <rho, e> = 0 is alpha fixing e.
         _check(pairing(rho(n), e[1:]) == 0, n)
     return f"twist-norm of x0 is central and alpha-fixed for n in {FACTOR_NS}"
 
@@ -191,16 +189,27 @@ def classification_roundtrip(seed: int = 0) -> str:
         _check(len(set(prints)) == n, f"fingerprint collision at n={n}")
         for p in CLASSIFY_PRIMES:
             models = [model_space(n, r, p) for r in range(1, n + 1)]
+            planes = integral_model(n, 0, p).reduction()
             for s in range(CLASSIFY_SEEDS):
                 # random_basechange's draws depend on the seed and the
                 # dimension only, so all n models share each seed's
                 # frames, and basechange certifies them once for all.
                 (p_mat, p_inv), (q_mat, q_inv) = random_frames(
                     gfp2(p), n, seed * 100_003 + s)
-                moved = basechange(models, p_mat, q_mat, p_inv, q_inv)
-                for r, space in enumerate(moved, 1):
+                # Negative control with the first seed's frames: the planes
+                # are BT1 of signature (n, 0), so classify_type refuses them.
+                extra = [planes] if s == 0 else []
+                moved = basechange(models + extra, p_mat, q_mat, p_inv, q_inv)
+                for r, space in enumerate(moved[:n], 1):
                     _check(classify_type(space, n) == r, (n, p, r, s))
                     recovered += 1
+                for space in moved[n:]:
+                    try:
+                        got = classify_type(space, n)
+                    except NotBT1Error as exc:
+                        got = str(exc)
+                    _check(got == f"signature ({n}, 0) != ({n - 1}, 1)",
+                           f"signature ({n}, 0) at p={p}: {got!r}")
     return (f"{recovered} seeded base changes classified back, "
             f"fingerprints pairwise distinct")
 

@@ -362,9 +362,6 @@ def main(argv=None) -> int:
         print(f"guhecke: factorization certificate FAILED: {exc}",
               file=sys.stderr)
         return EXIT_CERTIFICATE
-    except ClassificationError as exc:
-        print(f"guhecke: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         print(f"guhecke: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -73,10 +73,6 @@ class NoMatchError(ClassificationError):
     n <= 99), so a match, when there is one, is unique."""
 
 
-class ClosureLimitError(ClassificationError):
-    """The fingerprint closure passed 2n + 2 nodes (see :func:`_closure`)."""
-
-
 # ---------------------------------------------------------------------------
 # Slope multisets
 
@@ -508,11 +504,11 @@ def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
 # Fingerprint and classification
 
 
-def _closure(start, successors, n: int) -> set:
+def _closure(start, successors) -> set:
     """The smallest set holding ``start`` and closed under ``successors``
     (a node -> iterable of nodes), each expanded once.  A piece's nodes
-    form a flag (Oort 2001): both maps keep inclusions, and an F-image lies
-    in Im F <= Ker V <= any V-preimage.  So ClosureLimitError past 2n + 2."""
+    form a flag (Oort 2001), so at most n + 1: both maps keep inclusions,
+    and an F-image lies in Im F <= Ker V (as V F = 0) <= any V-preimage."""
     seen = set(start)
     work = list(start)
     while work:
@@ -520,8 +516,6 @@ def _closure(start, successors, n: int) -> set:
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
-        if len(seen) > 2 * n + 2:
-            raise ClosureLimitError("canonical filtration failed to stabilize")
     return seen
 
 
@@ -588,7 +582,7 @@ def fingerprint(space: DieudonneSpace) -> tuple[tuple[int, int, int], ...]:
             out.append((src, kernel_basis(fld, pre, n)))
         return out
 
-    seen = _closure(list(first), successors, n)
+    seen = _closure(list(first), successors)
     return tuple(sorted((len(x), image_dim[g, x], len(x) - image_dim[g, x])
                         for g, x in seen))
 
@@ -614,7 +608,7 @@ def _model_fingerprints(n: int) -> tuple[tuple[int, tuple], ...]:
             return (1 - grade, image), (1 - grade, pre)
 
         _closure([(g, frozenset(x)) for g in (0, 1) for x in ((), pieces[g])],
-                 successors, n)
+                 successors)
         prints.append((r, tuple(sorted(dims.values()))))
     return tuple(prints)
 

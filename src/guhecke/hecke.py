@@ -1,5 +1,5 @@
-"""Hecke polynomial of GU(n-1,1) at an inert prime: construction,
-factorization certificate, and Satake-side normalization.
+"""Hecke polynomial of GU(n-1,1) at an inert prime: construction and
+factorization certificate.
 
 Everything is computed with the prime kept formal (the variable q), so
 the identities checked here hold for every prime at once.  The polynomial
@@ -54,8 +54,7 @@ from typing import Callable, Sequence
 
 from .guards import _require_odd
 from .laurent import LaurentPoly, TPoly
-from .rootdatum import (Perm, Row, pairing, rho, row_permuter, twist_row,
-                        weyl_generators)
+from .rootdatum import Perm, Row, row_permuter, twist_row, weyl_generators
 
 
 def central_monomial(n: int) -> Row:
@@ -132,22 +131,6 @@ def check_sigma_invariance(p: LaurentPoly) -> bool:
     """True iff p is fixed by the multiplicative extension of the Galois
     twist (twisted-conjugation invariance at the diagonal level)."""
     return _fixed_by(p, (twist_row,))
-
-
-def satake_alpha(p: LaurentPoly, n: int) -> LaurentPoly:
-    """Dilate each monomial nu by q^(-2<rho,nu>).
-
-    Converts twisted-Satake coefficients to the untwisted normalization.
-    Since n is odd the exponent 2<rho,nu> is always an even integer, so
-    the result stays in the ring.  This is a ring homomorphism.
-    """
-    _require_odd(n)
-    rho_coords = rho(n)
-    out: dict[Row, int] = {}
-    for (q_exp, *x_exps), coeff in p.exponent_rows().items():
-        new = (q_exp - 2 * pairing(rho_coords, x_exps), *x_exps)
-        out[new] = out.get(new, 0) + coeff
-    return LaurentPoly(p.n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ only the tests use, the earlier two-elimination sampler of base
 changes, the earlier base change that validated its result as a new
 space, and the earlier classification,
 which ranked the blocks before its closure eliminated them again, with
-the earlier signature off V's kernels and a worklist of its own.  Then the dense integer view of
+the earlier signature off V's kernels and a worklist of its own, and a
+sampler of BT1 spaces of signature (n - 1, 1) that no model built, which
+it is checked on.  Then the dense integer view of
 an integral model's arrows, on which the tests keep the matrix identities
 (F V = V F = p, the pairing law), and the block sum of Dieudonne spaces
 that once assembled the type-r model.  Last, the p-adic lower Newton
@@ -44,8 +46,8 @@ from typing import Sequence
 from guhecke.dieudonne import (DieudonneSpace, NoMatchError, NotBT1Error,
                                _model_fingerprints, basechange)
 from guhecke.finitefield import (annihilator_rows, identity_mat, kernel_basis,
-                                 mat_frob, mat_inv, mat_mul, mat_transpose,
-                                 rank, rref)
+                                 mat_frob, mat_inv, mat_mul, mat_neg,
+                                 mat_transpose, rank, rref)
 from guhecke.laurent import LaurentPoly, TPoly
 from guhecke.rootdatum import twist_row, weyl_generators
 
@@ -447,8 +449,8 @@ def ref_signature(space):
 
 
 def ref_closure(start, successors):
-    """A plain worklist: the smallest set holding ``start`` and closed
-    under ``successors``, with no bound on its size."""
+    """A worklist of its own: the smallest set holding ``start`` and closed
+    under ``successors``, each node expanded once."""
     seen, work = set(start), list(start)
     while work:
         for nxt in successors(work.pop()):
@@ -509,6 +511,39 @@ def ref_classify_type(space, n):
         if fp == model_fp:
             return r
     raise NoMatchError(f"fingerprint matches no model for n={n}, p={space.p}")
+
+
+def ref_bt1_space(fld, n, rng):
+    """A BT1 space of signature (n - 1, 1) with gram I, uniform among them,
+    drawn from rng: F_e = A D B with A, B uniform invertible and D =
+    diag(1, ..., 1, 0), F_ebar = lam u w^T with lam != 0 uniform, w = B^-1
+    e_n and u^T = e_n^T A^-1, and V_g = frob(-F_g^T).
+
+    Every BT1 space with gram I and signature (n - 1, 1) has this form.
+    With G = I the pairing law reads -F_g^T = frob(V_g), which gives V_g.
+    The signature is (rank F_e, rank F_ebar), so rank F_e = n - 1, and
+    F_ebar = a b^T with a, b nonzero.  With V so, F V = V F = 0 says
+    F_ebar F_e^T = 0 and F_ebar^T F_e = 0, up to sign, frob and
+    transposes: a (F_e b)^T = 0 and b (a^T F_e) = 0.  So b spans Ker F_e
+    and a its left kernel, both lines, and F_ebar = lam u w^T, as w spans
+    Ker D B = Ker F_e and u^T A D = 0.  Conversely a draw has those products
+    0 (the constructor checks them again), the law by construction and
+    rank F_e + rank F_ebar = n, so it is BT1 of that signature.  The draw
+    is uniform: GL_n x GL_n acts transitively on the matrices of rank
+    n - 1, so A D B is uniform among them, and given F_e every lam u w^T
+    is one of the p^2 - 1 nonzero multiples of one matrix."""
+    a, b = (ref_random_invertible(fld, n, rng) for _ in range(2))
+    f_e = mat_mul(fld, tuple(row[:-1] + (0,) for row in a), b)
+    u, w = mat_inv(fld, a)[-1], [row[-1] for row in mat_inv(fld, b)]
+    lam = rng.randrange(1, fld.size)
+    f_ebar = tuple(tuple(fld.mul(lam, fld.mul(x, y)) for y in w) for x in u)
+
+    def adjoint(m):  # V_g by the pairing law with G = I
+        return mat_frob(fld, mat_neg(fld, mat_transpose(m)))
+
+    return DieudonneSpace(p=fld.p, ne=n, f_e2ebar=f_e, f_ebar2e=f_ebar,
+                          v_e2ebar=adjoint(f_e), v_ebar2e=adjoint(f_ebar),
+                          gram=identity_mat(n))
 
 
 def dense_view(module):

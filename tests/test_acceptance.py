@@ -13,8 +13,8 @@ import guhecke.acceptance as acceptance
 import guhecke.dieudonne as dieudonne
 import guhecke.hecke as hecke
 from guhecke.acceptance import CRITERIA
-from guhecke.dieudonne import (classify_type, isocrystal_shape, model_space,
-                               random_basechange)
+from guhecke.dieudonne import (classify_type, integral_model,
+                               isocrystal_shape, model_space, random_basechange)
 from test_cli import src_env
 
 
@@ -52,8 +52,9 @@ def test_a_failed_check_raises_under_python_O():
 
 def test_roundtrip_shares_each_seed_draw_across_the_models(monkeypatch):
     # Criterion 8 draws its frames once per (n, p, seed) and applies them
-    # to all n models, seeds outside and models inside; each input must
-    # still be random_basechange's.
+    # to all n models, seeds outside and models inside, and at the first
+    # seed to its negative control, the n supersingular planes, after the
+    # models; each input must still be random_basechange's.
     seen = []
 
     def recording_classify(space, n):
@@ -64,10 +65,12 @@ def test_roundtrip_shares_each_seed_draw_across_the_models(monkeypatch):
     monkeypatch.setattr(acceptance, "CLASSIFY_SEEDS", 3)
     seed = 2
     acceptance.classification_roundtrip(seed)
-    expected = [random_basechange(model_space(n, r, p), seed * 100_003 + s)
+    expected = [random_basechange(space, seed * 100_003 + s)
                 for n in acceptance.CLASSIFY_NS
                 for p in acceptance.CLASSIFY_PRIMES
-                for s in range(3) for r in range(1, n + 1)]
+                for s in range(3)
+                for space in [model_space(n, r, p) for r in range(1, n + 1)]
+                + ([integral_model(n, 0, p).reduction()] if s == 0 else [])]
     assert seen == expected
 
 

@@ -521,20 +521,6 @@ def test_dd_classify_corrupted_space(capsys, tmp_path):
     assert code == 3
 
 
-def test_dd_classify_closure_bound_is_data_error(capsys, monkeypatch):
-    # No space passes the 2n + 2 node bound, so it is forced: the closure
-    # is handed n = 1, a bound of 4 nodes, which the input's closure passes.
-    import guhecke.dieudonne as dieudonne
-    real = dieudonne._closure
-    monkeypatch.setattr(dieudonne, "_closure",
-                        lambda start, successors, n: real(start, successors, 1))
-    code, out, err = run_cli(capsys, "dd", "classify",
-                             "--input", str(fixture_path()), "--n", "5")
-    assert code == 3
-    assert out == ""
-    assert "failed to stabilize" in err
-
-
 def test_dd_classify_wrong_n_is_data_error(capsys):
     code, _, err = run_cli(capsys, "dd", "classify",
                            "--input", str(fixture_path()), "--n", "7")

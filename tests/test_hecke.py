@@ -12,15 +12,13 @@ from guhecke.hecke import (PairingCertificateError, central_monomial,
                            certified_factorization, certify_root_pairs,
                            check_sigma_invariance, check_weyl_invariance,
                            hecke_polynomial, hecke_report, hecke_roots,
-                           hecke_value_by_determinant, root_pairs,
-                           satake_alpha)
+                           hecke_value_by_determinant, root_pairs)
 from guhecke.laurent import LaurentPoly, TPoly
 from guhecke.rootdatum import (row_permuter, twist_row, weyl_generators,
                                weyl_group)
 from reference import (const, quadratic_factors_weyl_invariant, ref_add,
-                       ref_divmod, ref_hecke_value_by_determinant, ref_mul,
-                       ref_tmul, row_mul, sigma_twist_poly, var, weyl_act,
-                       x_row)
+                       ref_divmod, ref_hecke_value_by_determinant, ref_tmul,
+                       row_mul, sigma_twist_poly, var, weyl_act, x_row)
 
 
 def var_sum(n, indices):
@@ -503,39 +501,6 @@ def test_factor_weyl_certificate_is_false_under_a_generator_off_the_pairing(
     monkeypatch.setattr(hecke, "weyl_generators",
                         lambda k: weyl_generators(k) + extra)
     assert certified_factorization(n)[3] is (n == 3)
-
-
-# -- Satake normalization -----------------------------------------------------
-
-
-def test_satake_alpha_frozen_values():
-    for n in (3, 5, 7):
-        e = LaurentPoly.from_term(central_monomial(n))
-        assert satake_alpha(e, n) == e
-        x1 = x_row(n, 1)
-        assert satake_alpha(LaurentPoly.from_term(x1), n) == \
-            LaurentPoly.from_term((-(n - 1), *x1[1:]))
-        assert satake_alpha(LaurentPoly.one(n), n) == LaurentPoly.one(n)
-
-
-def test_satake_alpha_is_ring_homomorphism():
-    rng = random.Random(1234)
-    n = 5
-
-    def rand_poly():
-        out = {}
-        for _ in range(rng.randint(1, 4)):
-            mono = tuple(rng.randint(-2, 2) for _ in range(n + 2))
-            out = ref_add(out, {mono: rng.randint(-5, 5)})
-        return LaurentPoly(n, out)
-
-    def alpha(terms):
-        return satake_alpha(LaurentPoly(n, terms), n).exponent_rows()
-
-    for _ in range(25):
-        a, b = rand_poly().exponent_rows(), rand_poly().exponent_rows()
-        assert alpha(ref_mul(a, b)) == ref_mul(alpha(a), alpha(b))
-        assert alpha(ref_add(a, b)) == ref_add(alpha(a), alpha(b))
 
 
 # -- the matrix-determinant route ----------------------------------------------

@@ -15,6 +15,9 @@ Every always-true predicate is a row: ``check_weyl_invariance`` fails
 criterion 2 through its near miss of H, ``check_sigma_invariance``
 criterion 1 through its near miss of H for the twist, and ``check_bt1``
 and ``pairing_law_holds`` criterion 7 through its two refused spaces.
+A ``classify_type`` that skips its signature comparison fails criterion 8
+through the supersingular planes, BT1 of signature (n, 0), which it must
+refuse.
 Not yet a row: the gates of the open ROADMAP items, each of which joins
 the table with the criterion or certificate that checks it.
 """
@@ -136,6 +139,14 @@ def pairing_law_always_true(monkeypatch):
              lambda real: lambda space: True)
 
 
+def classify_without_signature_check(monkeypatch):
+    # signature reads (n - 1, 1) in dieudonne's namespace only, so
+    # classify_type's comparison passes every BT1 space; criterion 5
+    # keeps the true signature.
+    monkeypatch.setattr(dieudonne, "signature",
+                        lambda space: (space.ne - 1, 1))
+
+
 def strata_rows_1_and_2_swapped(monkeypatch):
     def strata_dims(real):
         def mutant(n):
@@ -159,6 +170,7 @@ MUTANTS = (
     (sigma_check_always_true, HECKE_SIDE, {1}),
     (bt1_check_always_true, DIEUDONNE_SIDE, {7}),
     (pairing_law_always_true, DIEUDONNE_SIDE, {7}),
+    (classify_without_signature_check, DIEUDONNE_SIDE, {8}),
     (strata_rows_1_and_2_swapped, DIEUDONNE_SIDE, {10}),
 )
 
