@@ -14,10 +14,10 @@ does a failed write to stdout (a closed pipe or fd, a full disk), with
 ``guhecke: error: cannot write output: ...``.
 Output is byte-identical across runs for identical flags and seeds; JSON
 is emitted compact, one document per run.
-The environment variable GUHECKE_MAX_N (default 15) caps accepted --n;
-a value that is not an integer is a usage error (exit 1).  H has about
-3.3x more terms per step in n (14 580 at n = 15, 157 464 at n = 19), so
-raise it knowingly.  ``dd models`` answers at any prime --p.  ``dd slopes``
+Every command that takes --n accepts odd n up to MAX_N (15), the n that
+``selftest`` certifies; a larger --n is a usage error (exit 1).  H has
+about 3.3x more terms per step in n (14 580 at n = 15, 157 464 at
+n = 19).  ``dd models`` answers at any prime --p.  ``dd slopes``
 accepts --d up to MAX_D (256), an input bound (the model is built in
 O(d)); a larger --d is a usage error (exit 1).
 ``dd classify`` reads the input's ``ne`` first: one that is not an integer
@@ -46,7 +46,7 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
 EXIT_DATA = 3
 
-DEFAULT_MAX_N = 15
+MAX_N = 15  # every --n; selftest certifies each odd n up to it
 MAX_D = 256  # dd slopes: the input bound on --d; the build is O(d)
 
 
@@ -86,23 +86,11 @@ class _CheckedStdout:
             raise UsageError(f"cannot write output: {exc}") from None
 
 
-def _max_n() -> int:
-    raw = os.environ.get("GUHECKE_MAX_N", "")
-    if not raw:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(
-            f"GUHECKE_MAX_N must be an integer, got {raw!r}") from None
-
-
 def _check_n(n: int) -> int:
     if n < 3 or n % 2 == 0:
         raise UsageError("n must be odd and >= 3")
-    cap = _max_n()
-    if n > cap:
-        raise UsageError(f"n={n} exceeds GUHECKE_MAX_N={cap}")
+    if n > MAX_N:
+        raise UsageError(f"n={n} exceeds the cap {MAX_N}")
     return n
 
 
@@ -262,8 +250,8 @@ def _cmd_strata(args) -> int:
     return EXIT_OK
 
 
-def fixture_path(name: str = "ss_sum.json"):
-    return resources.files("guhecke").joinpath("fixtures", name)
+def fixture_path():
+    return resources.files("guhecke").joinpath("fixtures", "ss_sum.json")
 
 
 def _cmd_selftest(args) -> int:

@@ -625,12 +625,11 @@ def classify_type(space: DieudonneSpace, n: int) -> int:
     Raises NotBT1Error if the space is not a BT1 of signature (n-1, 1)
     with graded pieces of dimension n, and NoMatchError if no model
     fingerprint matches.  Checked in turn: the dimension,
-    :func:`check_bt1`, :func:`signature` and :func:`fingerprint`; the
-    last three read the space's one elimination of each F block.
+    :func:`signature`, which refuses a space that fails
+    :func:`check_bt1`, and :func:`fingerprint`; the last two read the
+    space's one elimination of each F block.
     """
     check_dimension(space.ne, n)
-    if not check_bt1(space):
-        raise NotBT1Error(_NOT_BT1)
     sig = signature(space)
     if sig != (n - 1, 1):
         raise NotBT1Error(f"signature {sig} != ({n - 1}, 1)")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import guhecke.acceptance as acceptance
 import guhecke.cli as cli_module
 from guhecke.cli import fixture_path, main
 from guhecke.dieudonne import model_space, random_basechange
@@ -185,19 +186,18 @@ def test_hecke_csv_is_a_usage_error(capsys):
 
 
 def test_max_n_cap(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "hecke", "--n", "17")
-    assert code == 1 and "GUHECKE_MAX_N" in err
+    # The cap is a constant: the environment neither raises nor lowers it.
+    monkeypatch.setenv("GUHECKE_MAX_N", "99")
+    code, out, err = run_cli(capsys, "hecke", "--n", "17")
+    assert (code, out) == (1, "")
+    assert err == "guhecke: error: n=17 exceeds the cap 15\n"
     monkeypatch.setenv("GUHECKE_MAX_N", "3")
-    code, _, err = run_cli(capsys, "dd", "strata", "--n", "5")
-    assert code == 1 and "GUHECKE_MAX_N=3" in err
+    code, out, _ = run_cli(capsys, "dd", "strata", "--n", "5")
+    assert code == 0 and out
 
 
-@pytest.mark.parametrize("raw", ["abc", "15.0", "1e3"])
-def test_malformed_max_n_is_a_usage_error(capsys, monkeypatch, raw):
-    monkeypatch.setenv("GUHECKE_MAX_N", raw)
-    code, out, err = run_cli(capsys, "hecke", "--n", "3")
-    assert code == 1 and out == ""
-    assert "GUHECKE_MAX_N" in err and repr(raw) in err
+def test_selftest_certifies_every_n_that_hecke_answers():
+    assert acceptance.FACTOR_NS == tuple(range(3, cli_module.MAX_N + 1, 2))
 
 
 def test_dd_slopes_exact_output(capsys):
@@ -572,7 +572,7 @@ def test_selftest_corrupted_fixture_exits_3(capsys, tmp_path, monkeypatch):
     data["V_ebar2e"] = zero
     bad = tmp_path / "ss_sum.json"
     bad.write_text(json.dumps(data))
-    monkeypatch.setattr(cli_module, "fixture_path", lambda name="ss_sum.json": bad)
+    monkeypatch.setattr(cli_module, "fixture_path", lambda: bad)
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3
     assert "corrupted" in err

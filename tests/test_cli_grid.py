@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -74,13 +73,11 @@ def test_grid_covers_every_recorded_call():
 
 
 @pytest.mark.parametrize("key", sorted(RECORDED))
-def test_cli_call_matches_recorded_bytes(monkeypatch, key):
-    monkeypatch.delenv("GUHECKE_MAX_N", raising=False)
+def test_cli_call_matches_recorded_bytes(key):
     assert run_case(key.split()) == RECORDED[key]
 
 
 if __name__ == "__main__":
-    os.environ.pop("GUHECKE_MAX_N", None)
     GRID.parent.mkdir(exist_ok=True)
     cases = {" ".join(argv): run_case(argv) for argv in grid_argvs()}
     GRID.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n",

@@ -4,8 +4,7 @@ documented exit code, in bounded time.
 Two generators share one fixed seed, and both are stdlib only:
 
 * argv over every command and flag, with extreme, negative, wrong-type,
-  empty and missing values, repeated and unknown flags, and a few
-  settings of GUHECKE_MAX_N no larger than its default.  ``selftest``
+  empty and missing values, and repeated and unknown flags.  ``selftest``
   runs in full once; its other cases are refused by the parser.
 * ``dd classify`` documents: seeded base changes of the type-r models,
   mutated with wrong types, shapes and keys, non-field codes and huge
@@ -60,7 +59,6 @@ FLAGS = {
     ("dd", "isoc"): ("--n", "--r", "--format"),
     ("dd", "strata"): ("--n", "--format"),
 }
-MAX_N_SETTINGS = (None,) * 12 + ("abc", "", "-1", "7", " 9", "15")
 
 MAX_INT_DIGITS = 4300  # CPython's default int <-> str digit limit
 
@@ -141,18 +139,13 @@ def oracle(argv, result) -> str | None:
     return None
 
 
-def check_all(cases, monkeypatch):
-    """Run (label, argv, max_n, budget) cases; assert none breaks the
-    oracle."""
+def check_all(cases):
+    """Run (label, argv, budget) cases; assert none breaks the oracle."""
     broken = []
-    for label, argv, max_n, budget in cases:
-        if max_n is None:
-            monkeypatch.delenv("GUHECKE_MAX_N", raising=False)
-        else:
-            monkeypatch.setenv("GUHECKE_MAX_N", max_n)
+    for label, argv, budget in cases:
         why = oracle(argv, run_case(argv, budget))
         if why:
-            broken.append(f"{label} {argv!r} GUHECKE_MAX_N={max_n!r}: {why}")
+            broken.append(f"{label} {argv!r}: {why}")
     assert not broken, "\n".join(broken[:20])
 
 
@@ -210,7 +203,7 @@ FIXED = ([], ["dd"], ["bogus"], ["hecke"], ["dd", "bogus"], ["--n", "5"],
          ["hecke", "--format", "json"], ["dd", "classify", "--n", "5"])
 
 
-def test_fuzz_argv(tmp_path, monkeypatch):
+def test_fuzz_argv(tmp_path):
     rng = random.Random(SEED)
     empty = tmp_path / "empty.json"
     empty.write_text("", encoding="utf-8")
@@ -219,15 +212,14 @@ def test_fuzz_argv(tmp_path, monkeypatch):
                       encoding="utf-8")
     inputs = (str(fixture_path()), str(models), str(empty), str(tmp_path),
               str(tmp_path / "missing.json"), "")
-    cases = [("fixed", argv, None, BUDGET_S) for argv in FIXED]
-    cases += [("selftest refused", argv, None, BUDGET_S)
+    cases = [("fixed", argv, BUDGET_S) for argv in FIXED]
+    cases += [("selftest refused", argv, BUDGET_S)
               for argv in SELFTEST_REFUSED]
     cases.append(("selftest", ["selftest", "--seed", str(rng.randrange(100))],
-                  None, SELFTEST_BUDGET_S))
-    cases += [(f"argv {i}", fuzz_argv(rng, inputs),
-               rng.choice(MAX_N_SETTINGS), BUDGET_S)
+                  SELFTEST_BUDGET_S))
+    cases += [(f"argv {i}", fuzz_argv(rng, inputs), BUDGET_S)
               for i in range(ARGV_CASES)]
-    check_all(cases, monkeypatch)
+    check_all(cases)
 
 
 # -- dd classify documents -----------------------------------------------------
@@ -300,7 +292,7 @@ def raw_texts(rng, doc):
     )
 
 
-def test_fuzz_classify_documents(tmp_path, monkeypatch):
+def test_fuzz_classify_documents(tmp_path):
     rng = random.Random(SEED)
     cases = []
     for i in range(DOCUMENT_CASES):
@@ -311,17 +303,17 @@ def test_fuzz_classify_documents(tmp_path, monkeypatch):
         path = tmp_path / f"doc{i}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         cases.append((f"document {i}", ["dd", "classify", "--input", str(path),
-                                        "--n", n], None, BUDGET_S))
+                                        "--n", n], BUDGET_S))
     for i, text in enumerate(raw_texts(rng, base_document(rng))):
         path = tmp_path / f"raw{i}.json"
         path.write_text(text, encoding="utf-8")
         cases.append((f"raw text {i}", ["dd", "classify", "--input", str(path),
-                                        "--n", "5"], None, BUDGET_S))
+                                        "--n", "5"], BUDGET_S))
     bad_utf8 = tmp_path / "bytes.json"
     bad_utf8.write_bytes(b'{"p": 3, "ne": \xff\xfe}')
     cases.append(("not UTF-8", ["dd", "classify", "--input", str(bad_utf8),
-                                "--n", "3"], None, BUDGET_S))
-    check_all(cases, monkeypatch)
+                                "--n", "3"], BUDGET_S))
+    check_all(cases)
 
 
 @pytest.mark.parametrize("result", (

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,45 @@ def test_only_finitefield_reads_the_field_tables():
                 readers.setdefault(path.stem, set()).add(node.attr)
     assert set(readers) == {"finitefield"}
     assert readers["finitefield"] == FIELD_TABLES
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+
+def environment_reads() -> set[str]:
+    """The names the package reads from the environment, through
+    ``os.environ[...]``, ``os.environ.get`` or ``os.getenv``.  A read of
+    a name that is not a string literal, and any other use of
+    ``environ`` or ``getenv``, is recorded as "?"."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        keys = {}  # id of the environ or getenv node -> the name read
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                keys[id(node.value)] = node.slice
+            elif isinstance(node, ast.Call) and node.args:
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "get":
+                    func = func.value
+                keys[id(func)] = node.args[0]
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("environ", "getenv"):
+                key = keys.get(id(node))
+                literal = (isinstance(key, ast.Constant)
+                           and isinstance(key.value, str))
+                names.add(key.value if literal else "?")
+    return names
+
+
+def test_the_package_reads_only_the_environment_readme_documents():
+    # Each read is an option, so README names each one.
+    documented = set(re.findall(r"GUHECKE_[A-Z0-9_]+",
+                                README.read_text(encoding="utf-8")))
+    assert environment_reads() == documented
 
 
 LIST_PACKAGE_MODULES = (

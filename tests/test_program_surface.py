@@ -111,7 +111,6 @@ def tracing(codes: dict):
 
 
 def entered_functions(monkeypatch) -> set[tuple[str, int]]:
-    monkeypatch.delenv("GUHECKE_MAX_N", raising=False)
     assert UNTRACED in {c.name for c in acceptance.CRITERIA}
     clear_caches()
     codes: dict = {}
