@@ -57,13 +57,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class UsageError(Exception):
-    pass
-
-
 class _CheckedStdout:
     """sys.stdout during :func:`main`: an OSError from a write or a flush
-    is a usage error, and no other OSError is taken for one."""
+    is raised as a ValueError, which :func:`main` reports with exit 1;
+    no other OSError is taken for one."""
 
     def __init__(self, stream):
         self.stream = stream
@@ -76,21 +73,21 @@ class _CheckedStdout:
 
     def _checked(self, method, *args):
         if self.stream is None:  # fd 1 was closed at start-up
-            raise UsageError("cannot write output: stdout is closed")
+            raise ValueError("cannot write output: stdout is closed")
         try:
             return getattr(self.stream, method)(*args)
         except OSError as exc:
             if self.stream is sys.__stdout__:
                 # so that the flush at exit cannot fail again (Python docs)
                 os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
-            raise UsageError(f"cannot write output: {exc}") from None
+            raise ValueError(f"cannot write output: {exc}") from None
 
 
 def _check_n(n: int) -> int:
     if n < 3 or n % 2 == 0:
-        raise UsageError("n must be odd and >= 3")
+        raise ValueError("n must be odd and >= 3")
     if n > MAX_N:
-        raise UsageError(f"n={n} exceeds the cap {MAX_N}")
+        raise ValueError(f"n={n} exceeds the cap {MAX_N}")
     return n
 
 
@@ -136,7 +133,7 @@ def _emit_json(data) -> None:
 def _cmd_hecke(args) -> int:
     n = _check_n(args.n)
     if args.format == "csv":
-        raise UsageError("csv output is only available for tabular commands")
+        raise ValueError("csv output is only available for tabular commands")
     if args.format == "json":
         _emit_json(hecke_report(n))
         return EXIT_OK
@@ -154,14 +151,14 @@ def _cmd_models(args) -> int:
     rs = [args.r] if args.r is not None else list(range(1, n + 1))
     for r in rs:
         if not 1 <= r <= n:
-            raise UsageError(f"r must be in 1..{n}")
+            raise ValueError(f"r must be in 1..{n}")
     if args.format == "pretty":
         for r in rs:
             sig, bt1 = integral_model(n, r, args.p).signature_and_bt1()
             print(f"r={r}: signature={sig} bt1={bt1}")
         return EXIT_OK
     if args.format == "csv":
-        raise UsageError("csv output is only available for tabular commands")
+        raise ValueError("csv output is only available for tabular commands")
     if args.r is not None:
         _emit_json(model_space(n, args.r, args.p).to_json())
     else:
@@ -196,9 +193,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_slopes(args) -> int:
     if args.d < 1:
-        raise UsageError("d must be >= 1")
+        raise ValueError("d must be >= 1")
     if args.d > MAX_D:
-        raise UsageError(f"d={args.d} exceeds the cap {MAX_D}")
+        raise ValueError(f"d={args.d} exceeds the cap {MAX_D}")
     multiset = newton_slopes(integral_model(args.d, args.d, args.p))
     if args.format == "json":
         _emit_json(multiset.to_json())
@@ -339,14 +336,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except UsageError as exc:
-        print(f"guhecke: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonZeroRemainderError as exc:
-        print(f"guhecke: factorization certificate FAILED: remainder "
-              f"{exc.remainder}", file=sys.stderr)
-        return EXIT_CERTIFICATE
-    except PairingCertificateError as exc:
+    except (NonZeroRemainderError, PairingCertificateError) as exc:
         print(f"guhecke: factorization certificate FAILED: {exc}",
               file=sys.stderr)
         return EXIT_CERTIFICATE

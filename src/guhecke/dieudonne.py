@@ -48,7 +48,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import Sequence
 
 from .finitefield import (GFp2, Mat, annihilator_rows, gfp2, identity_mat,
@@ -116,8 +115,9 @@ class SlopeMultiset:
 
 def _json_ints(what: str, *values) -> tuple[int, ...]:
     """values, if every one is an int (a bool is not), else ValueError."""
-    if any(type(v) is not int for v in values):
-        raise ValueError(f"{what} must be integers, got {list(values)}")
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {list(values)}")
     return values
 
 
@@ -147,11 +147,8 @@ class DieudonneModuleZ:
     def __post_init__(self):
         maps = []
         for name in ("f_map", "v_map", "pair"):
-            arrows = tuple(map(tuple, getattr(self, name)))
-            # One type pass over the map; the first bad arrow is named.
-            if not set(map(type, chain.from_iterable(arrows))) <= {int}:
-                for arrow in arrows:
-                    _json_ints("arrows", *arrow)
+            arrows = tuple(_json_ints("arrows", *arrow)
+                           for arrow in getattr(self, name))
             object.__setattr__(self, name, arrows)
             maps.append(arrows)
         _json_ints("p and ne", self.p, self.ne)
@@ -788,12 +785,12 @@ def strata_dims(n: int) -> list[StratumRow]:
     row's flag keeps the name ``ordinary``, as it is part of the JSON
     and CSV output; it marks the mu-ordinary row.
 
-    The even rows read the memoized :func:`isocrystal_shape`, and the odd
-    rows share one supersingular multiset {1/2 x 2n}, built once per n;
-    both are frozen, so sharing them is safe.
+    Every row reads the memoized :func:`isocrystal_shape`: an even row
+    that of type r/2, an odd row the supersingular {1/2 x 2n} of type 0.
+    Shapes are frozen, so sharing them is safe.
     """
     _require_odd(n)
-    supersingular = SlopeMultiset.from_pairs([(Fraction(1, 2), 2 * n)])
+    supersingular = isocrystal_shape(n, 0).slopes
     rows = []
     for r in range(1, n + 1):
         if r % 2 == 0:

@@ -40,7 +40,8 @@ with the antidiagonal sign matrix, push it through the similitude-twisted
 dual representation (A, y) -> y*det(A)*transpose(A)^(-1), and take an
 exact characteristic-determinant value.  Every matrix on that route is
 monomial, held as one (column, numerator, denominator) per row on
-integers, and one walk over its permutation's cycles gives det(t - B).
+integers.  All but the signed antidiagonal J are diagonal (J * A^-T * J
+is) and J is only multiplied, so det(t - B) is the product of t - b_ii.
 The two routes share nothing but the definition, so agreement at random
 rational points cross-checks the expansion.
 """
@@ -66,11 +67,12 @@ def central_monomial(n: int) -> Row:
 
 def hecke_roots(n: int) -> list[Row]:
     """The n linear roots q^(n-1)*x0^2*(x1...xn)*x_{n+1-i}/x_i, i = 1..n,
-    as rows."""
+    as rows, from c = q^(n-1) * :func:`central_monomial`, the middle one."""
     _require_odd(n)
+    center = (n - 1, *central_monomial(n)[1:])
     roots = []
     for i in range(1, n + 1):
-        row = [n - 1, 2] + [1] * n
+        row = list(center)
         row[n + 2 - i] += 1
         row[i + 1] -= 1
         roots.append(tuple(row))
@@ -154,20 +156,15 @@ def _mono_inv_t(a: list) -> list:
 
 
 def _char_det(a: list, t_num: int, t_den: int) -> tuple[int, int]:
-    """det(t - a) as (num, den) for t = t_num/t_den: the product over
-    the cycles of a's permutation of t^l - w, l the cycle's length and w
-    the product of its entries.  At t = 0 this is det(-a), which is
-    -det(a) when a has odd size."""
-    arrows = dict(enumerate(a))  # row -> (column, num, den)
+    """det(t - a) as (num, den) for t = t_num/t_den, for a diagonal a:
+    the product of t - a_ii.  At t = 0 this is det(-a), which is -det(a)
+    when a has odd size.  ValueError if a is not diagonal."""
     num, den = 1, 1
-    while arrows:
-        start, (i, u, v) = arrows.popitem()
-        length = 1
-        while i != start:
-            i, x, y = arrows.pop(i)
-            length, u, v = length + 1, u * x, v * y
-        num *= t_num ** length * v - u * t_den ** length
-        den *= t_den ** length * v
+    for i, (col, u, v) in enumerate(a):
+        if col != i:
+            raise ValueError(f"row {i} is off the diagonal")
+        num *= t_num * v - u * t_den
+        den *= t_den * v
     return num, den
 
 

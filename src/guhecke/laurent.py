@@ -83,7 +83,7 @@ class NonZeroRemainderError(ArithmeticError):
     """
 
     def __init__(self, remainder: "TPoly", quotient: "TPoly"):
-        super().__init__("polynomial division left a nonzero remainder")
+        super().__init__(f"remainder {remainder}")
         self.remainder = remainder
         self.quotient = quotient
 

@@ -112,7 +112,7 @@ def test_weyl_criterion_builds_each_row_map_once_per_group(monkeypatch):
 
 def test_strata_table_reuses_the_audited_shapes(monkeypatch):
     # Criterion 9 builds the 1274 shapes (n odd to 99, r = 0..(n-1)/2);
-    # criterion 10 reads the 1225 even rows' shapes back from the memo.
+    # criterion 10 reads every row's shape back from the memo.
     # paired_block_slopes runs once per execution of the shape's body.
     calls = _counting(monkeypatch, dieudonne, "paired_block_slopes")
     isocrystal_shape.cache_clear()

@@ -1502,6 +1502,16 @@ def test_strata_even_rows_carry_newton_shape():
     assert rows[3].slopes == isocrystal_shape(7, 2).slopes  # r = 4
 
 
+def test_strata_odd_rows_share_the_type_0_shape():
+    # Every odd row reads its {1/2 x 2n} off the memoized shape of type 0,
+    # the same object, not an equal one built per table.
+    for n in range(3, 16, 2):
+        supersingular = isocrystal_shape(n, 0).slopes
+        for row in strata_dims(n):
+            if row.r % 2 == 1:
+                assert row.slopes is supersingular
+
+
 @pytest.mark.parametrize("p", (3, 5))
 def test_strata_slopes_are_the_newton_slopes_of_the_type_r_model(p):
     # The Ekedahl-Oort stratum of type r lies in the Newton stratum of its

@@ -414,6 +414,42 @@ def test_cli_maps_a_failed_pair_certificate_to_exit_2(capsys, monkeypatch):
         assert "certificate FAILED" in captured.err
 
 
+def test_cli_maps_a_nonzero_remainder_to_exit_2(capsys, monkeypatch):
+    # H with one term of its constant coefficient doubled (the one term
+    # -c^n: plus one would cancel it): the real division by t - c leaves
+    # a nonzero remainder.
+    real = hecke.hecke_polynomial
+
+    def bumped(n):
+        hp = real(n)
+        rows = hp.coeffs[0].exponent_rows()
+        row = next(iter(rows))
+        rows[row] *= 2
+        return TPoly(n, [LaurentPoly(n, rows), *hp.coeffs[1:]])
+
+    monkeypatch.setattr(hecke, "hecke_polynomial", bumped)
+    for fmt in ("json", "pretty"):
+        assert main(["hecke", "--n", "5", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "guhecke: factorization certificate FAILED: remainder ")
+
+
+def test_char_det_is_the_diagonal_product_and_refuses_the_rest():
+    a = [(0, 2, 3), (1, -5, 1), (2, 7, 2)]
+    for t in (Fraction(0), Fraction(3, 4), Fraction(-2)):
+        expected = Fraction(1)
+        for _, u, v in a:
+            expected *= t - Fraction(u, v)
+        value = hecke._char_det(a, t.numerator, t.denominator)
+        assert Fraction(*value) == expected
+    # the signed antidiagonal J of size 3 is monomial but not diagonal
+    j_signs = [(2, 1, 1), (1, -1, 1), (0, 1, 1)]
+    with pytest.raises(ValueError, match="off the diagonal"):
+        hecke._char_det(j_signs, 1, 1)
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_factor_weyl_certificate_agrees_with_expanded_check(n):
     # Over every nonempty subset S of the pairs: the pair certificate's

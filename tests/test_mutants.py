@@ -17,7 +17,9 @@ criterion 1 through its near miss of H for the twist, and ``check_bt1``
 and ``pairing_law_holds`` criterion 7 through its two refused spaces.
 A ``classify_type`` that skips its signature comparison fails criterion 8
 through the supersingular planes, BT1 of signature (n, 0), which it must
-refuse.
+refuse.  The matrix route of the determinant cross-check is a row too: a
+``_mono_inv_t`` that returns its matrix unchanged fails criterion 3 alone.
+The registry has 14 rows.
 Not yet a row: the gates of the open ROADMAP items, each of which joins
 the table with the criterion or certificate that checks it.
 """
@@ -128,6 +130,12 @@ def twist_without_x0_shift(monkeypatch):
         row[0], row[1], *[-e for e in row[:1:-1]]))
 
 
+def inverse_transpose_skipped(monkeypatch):
+    # transpose(A)^(-1) read as A on the matrix route: the determinant
+    # cross-check's matrix value no longer matches the expansion.
+    _replace(monkeypatch, hecke, "_mono_inv_t", lambda real: lambda a: a)
+
+
 def bt1_check_always_true(monkeypatch):
     _replace(monkeypatch, dieudonne, "check_bt1",
              lambda real: lambda space: True)
@@ -168,6 +176,7 @@ MUTANTS = (
     (hecke_generators_break_the_pairing, HECKE_SIDE, {1}),
     (weyl_check_always_true, HECKE_SIDE, {2}),
     (sigma_check_always_true, HECKE_SIDE, {1}),
+    (inverse_transpose_skipped, HECKE_SIDE, {3}),
     (bt1_check_always_true, DIEUDONNE_SIDE, {7}),
     (pairing_law_always_true, DIEUDONNE_SIDE, {7}),
     (classify_without_signature_check, DIEUDONNE_SIDE, {8}),
