@@ -15,11 +15,12 @@ does a failed write to stdout (a closed pipe or fd, a full disk), with
 Output is byte-identical across runs for identical flags and seeds; JSON
 is emitted compact, one document per run.
 Every command that takes --n accepts odd n up to MAX_N (15), the n that
-``selftest`` certifies; a larger --n is a usage error (exit 1).  H has
-about 3.3x more terms per step in n (14 580 at n = 15, 157 464 at
-n = 19).  ``dd models`` answers at any prime --p.  ``dd slopes``
-accepts --d up to MAX_D (256), an input bound (the model is built in
-O(d)); a larger --d is a usage error (exit 1).
+``selftest`` certifies; ``acceptance`` owns MAX_N, beside the n it checks
+(FACTOR_NS).  A larger --n is a usage error (exit 1).  H has about 3.3x
+more terms per step in n (14 580 at n = 15, 157 464 at n = 19).
+``dd models`` answers at any prime --p.  ``dd slopes`` accepts --d up to
+MAX_D (256), an input bound (the model is built in O(d)); a larger --d
+is a usage error (exit 1).
 ``dd classify`` reads the input's ``ne`` first: one that is not an integer
 is malformed input (exit 1), and an integer other than --n exits 3 before
 any matrix is decoded or validated, whatever else the document holds.
@@ -33,7 +34,7 @@ import os
 import sys
 from importlib import resources
 
-from .acceptance import run_all
+from .acceptance import MAX_N, run_all
 from .dieudonne import (ClassificationError, DieudonneSpace, check_dimension,
                         classify_type, integral_model, isocrystal_shape,
                         model_space, newton_slopes, strata_dims)
@@ -46,7 +47,6 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATE = 2
 EXIT_DATA = 3
 
-MAX_N = 15  # every --n; selftest certifies each odd n up to it
 MAX_D = 256  # dd slopes: the input bound on --d; the build is O(d)
 
 

@@ -420,17 +420,17 @@ def _shared_left(fld: GFp2, left: Mat, *blocks: Mat) -> tuple[Mat, ...]:
                  for i in range(0, k * len(blocks), k))
 
 
-def basechange(spaces: Sequence[DieudonneSpace], p_mat: Mat, q_mat: Mat,
-               p_inv: Mat, q_inv: Mat) -> list[DieudonneSpace]:
-    """Rewrite each space in the bases given by the columns of p_mat (on
-    the e piece) and q_mat (on the conjugate piece), in order.
+def basechange(spaces: Sequence[DieudonneSpace], p_frame: tuple[Mat, Mat],
+               q_frame: tuple[Mat, Mat]) -> list[DieudonneSpace]:
+    """Rewrite each space, in order, in the column bases of P on the e piece
+    and of Q on the conjugate piece: p_frame = (P, P^-1), q_frame = (Q, Q^-1).
 
     Semilinear transformation rule: a matrix from grade g to grade h
     becomes inv(T_h) @ M @ frob(T_g); the pairing becomes
     transpose(T_e) @ gram @ T_ebar.  ValueError unless every space has
-    ne = n = len(p_mat) and all share one p.  The frames are certified
-    once for all the spaces, not the results: ValueError unless p_inv
-    and q_inv are n x n with P p_inv = Q q_inv = I over the spaces'
+    ne = n = len(P) and all share one p.  The frames are certified
+    once for all the spaces, not the results: ValueError unless P^-1
+    and Q^-1 are n x n with P P^-1 = Q Q^-1 = I over the spaces'
     field, which makes them two-sided inverses.  No space gives no field
     to certify them in, so an empty sequence raises too.  Then the result
     of a valid space is valid.  Table products of codes are codes, all
@@ -440,14 +440,15 @@ def basechange(spaces: Sequence[DieudonneSpace], p_mat: Mat, q_mat: Mat,
     = 0 holds.  And P^T G Q has the rank of G.  frob(P), frob(Q) and P^T
     are made once and shared by the spaces, and each frame side is one
     product over all of them, sliced back per space
-    (:func:`_shared_left`): q_inv @ [F_e frob(P) | V_e frob(P) | ...],
-    p_inv @ [F_ebar frob(Q) | V_ebar frob(Q) | ...] and P^T @ [G Q | ...].
+    (:func:`_shared_left`): Q^-1 @ [F_e frob(P) | V_e frob(P) | ...],
+    P^-1 @ [F_ebar frob(Q) | V_ebar frob(Q) | ...] and P^T @ [G Q | ...].
     """
+    (p_mat, p_inv), (q_mat, q_inv) = p_frame, q_frame
     n = len(p_mat)
     if any(space.ne != n or space.p != spaces[0].p for space in spaces):
         raise ValueError(f"the spaces must share one p and have ne = {n}")
     fld = spaces[0].field if spaces else None
-    for t, t_inv in ((p_mat, p_inv), (q_mat, q_inv)):
+    for t, t_inv in (p_frame, q_frame):
         if (fld is None or {len(t), len(t_inv), *map(len, (*t, *t_inv))} != {n}
                 or mat_mul(fld, t, t_inv) != identity_mat(n)):
             raise ValueError("a frame times its given inverse is not I")
@@ -493,8 +494,7 @@ def random_frames(fld: GFp2, n: int,
 def random_basechange(space: DieudonneSpace, seed: int) -> DieudonneSpace:
     """A seeded random isomorphic copy of the space: :func:`basechange`
     of the one space by :func:`random_frames`."""
-    (p_mat, p_inv), (q_mat, q_inv) = random_frames(space.field, space.ne, seed)
-    return basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+    return basechange([space], *random_frames(space.field, space.ne, seed))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,17 +591,17 @@ def _model_fingerprints(n: int) -> tuple[tuple[int, tuple], ...]:
     targets of S's live F-arrows (weight nonzero mod p), and V^-1(span S)
     by the vectors of the other piece whose V-arrow is dead or lands in S.
     Weights are +-1 or +-p, so every odd p gives the same; p = 3 is used."""
-    pieces = (range(n), range(n, 2 * n))
+    pieces, p = (range(n), range(n, 2 * n)), 3
     prints = []
     for r in range(1, n + 1):
-        model, dims = integral_model(n, r, 3), {}
+        model, dims = integral_model(n, r, p), {}
 
         def successors(node, f_map=model.f_map, v_map=model.v_map):
             grade, s = node
-            image = frozenset(i for i, w in map(f_map.__getitem__, s) if w % 3)
+            image = frozenset(i for i, w in map(f_map.__getitem__, s) if w % p)
             dims[node] = (len(s), len(image), len(s) - len(image))
             pre = frozenset(j for j in pieces[1 - grade]
-                            if v_map[j][1] % 3 == 0 or v_map[j][0] in s)
+                            if v_map[j][1] % p == 0 or v_map[j][0] in s)
             return (1 - grade, image), (1 - grade, pre)
 
         _closure([(g, frozenset(x)) for g in (0, 1) for x in ((), pieces[g])],

@@ -138,7 +138,7 @@ def check_sigma_invariance(p: LaurentPoly) -> bool:
 # ---------------------------------------------------------------------------
 # Matrix-side evaluation (exact, on monomial matrices) for the numeric
 # cross-check.  A monomial matrix is a list of (column, num, den), one per
-# row: the row's one nonzero entry num/den, with den > 0.
+# row: the row's one nonzero entry num/den.
 
 
 def _mono_mul(a: list, b: list) -> list:
@@ -152,7 +152,7 @@ def _mono_mul(a: list, b: list) -> list:
 
 def _mono_inv_t(a: list) -> list:
     """transpose(a)^(-1): each entry num/den becomes den/num in place."""
-    return [(c, -v, -u) if u < 0 else (c, v, u) for c, u, v in a]
+    return [(c, v, u) for c, u, v in a]
 
 
 def _char_det(a: list, t_num: int, t_den: int) -> tuple[int, int]:

@@ -265,20 +265,15 @@ class LaurentPoly:
         self._bound = bound
 
     @classmethod
-    def _wrap(cls, n: int, codes: dict[int, int], bound: int) -> "LaurentPoly":
-        """A polynomial on a code map of nonzero int coefficients."""
-        res = cls.__new__(cls)
-        res.n = n
-        res._codes = codes
-        res._bound = bound
-        return res
-
-    @classmethod
     def _from_sums(cls, n: int, sums: Mapping[int, int],
                    bound: int) -> "LaurentPoly":
         """Wrap a code map built by this module's own arithmetic, its zero
-        sums dropped."""
-        return cls._wrap(n, {k: c for k, c in sums.items() if c}, bound)
+        sums dropped, so that every code maps to a nonzero int."""
+        res = cls.__new__(cls)
+        res.n = n
+        res._codes = {k: c for k, c in sums.items() if c}
+        res._bound = bound
+        return res
 
     def exponent_rows(self) -> dict[Row, int]:
         """The map from exponent row (q, x0, ..., xn) to nonzero
@@ -289,7 +284,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, n: int) -> "LaurentPoly":
-        return cls._wrap(n, {_one_code(n): 1}, 0)
+        return cls._from_sums(n, {_one_code(n): 1}, 0)
 
     @classmethod
     def from_term(cls, row: Row, coeff: int = 1) -> "LaurentPoly":
@@ -306,7 +301,7 @@ class LaurentPoly:
         return len(self._codes)
 
     def __neg__(self):
-        return LaurentPoly._wrap(
+        return LaurentPoly._from_sums(
             self.n, {k: -c for k, c in self._codes.items()}, self._bound)
 
     def __eq__(self, other):

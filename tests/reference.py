@@ -400,8 +400,8 @@ def ref_random_basechange(space, seed):
     fld = space.field
     p_mat = ref_random_invertible(fld, space.ne, rng)
     q_mat = ref_random_invertible(fld, space.ne, rng)
-    return basechange([space], p_mat, q_mat, mat_inv(fld, p_mat),
-                      mat_inv(fld, q_mat))[0]
+    return basechange([space], (p_mat, mat_inv(fld, p_mat)),
+                      (q_mat, mat_inv(fld, q_mat)))[0]
 
 
 def ref_basechange(space, p_mat, q_mat, p_inv, q_inv):

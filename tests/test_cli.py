@@ -2,9 +2,11 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
-from pathlib import Path
+from importlib import resources
+from pathlib import Path, PurePosixPath
 
 import pytest
 
@@ -337,6 +339,21 @@ def test_dd_classify_fixture(capsys):
                            "--input", str(fixture_path()), "--n", "5")
     assert code == 0
     assert out == '{"type":5}\n'
+
+
+def test_the_selftest_fixture_is_package_data():
+    # An installed wheel holds only the files that pyproject.toml lists as
+    # the package's data, and selftest exits 3 without its fixture.
+    pyproject = (Path(__file__).resolve().parent.parent
+                 / "pyproject.toml").read_text(encoding="utf-8")
+    globs = re.findall(r'"([^"]+)"', re.search(
+        r"\[tool\.setuptools\.package-data\]\s*guhecke = \[([^\]]*)\]",
+        pyproject).group(1))
+    package = Path(str(resources.files("guhecke")))
+    shipped = PurePosixPath(
+        Path(str(fixture_path())).relative_to(package).as_posix())
+    assert fixture_path().is_file()
+    assert any(shipped.match(glob) for glob in globs), (shipped, globs)
 
 
 def test_dd_classify_roundtrip_via_models(capsys, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 import guhecke.dieudonne as dieudonne
 import reference
+from guhecke.acceptance import MAX_N
 from guhecke.cli import main
 from guhecke.dieudonne import (DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                NotBT1Error, SlopeMultiset,
@@ -370,9 +371,8 @@ def _random_space(p, k, rng):
                       for j in range(k)) for i in range(k))
     gram, _ = _random_invertible(fld, k, rng)
     space = DieudonneSpace(p=p, ne=k, gram=gram, **blocks)
-    (p_mat, p_inv), (q_mat, q_inv) = (_random_invertible(fld, k, rng),
-                                      _random_invertible(fld, k, rng))
-    return basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+    frames = _random_invertible(fld, k, rng), _random_invertible(fld, k, rng)
+    return basechange([space], *frames)[0]
 
 
 def test_pairing_law_matches_basis_pair_loop_on_random_spaces():
@@ -559,12 +559,13 @@ def _random_module(p, ne, rng):
 
 def test_arrow_signature_and_bt1_match_the_reduction():
     # Read off the arrows against the eliminations of the reduction over
-    # F_{p^2}: every model with n <= 9, and 1200 random monomial modules,
-    # which reach both BT1 outcomes.  The signature is the earlier V-kernel
+    # F_{p^2}: every model with n <= MAX_N, each of which `dd models
+    # --format pretty` can print, and 1200 random monomial modules, which
+    # reach both BT1 outcomes.  The signature is the earlier V-kernel
     # route's on every reduction, and the library's on the BT1 ones; the
     # others get NotBT1Error from signature and fingerprint.
     models = [integral_model(n, r, p) for p in PRIMES
-              for n in range(1, 10) for r in range(n + 1)]
+              for n in range(1, MAX_N + 1) for r in range(n + 1)]
     rng = random.Random(27)
     randoms = [_random_module(p, rng.randint(1, 4), rng)
                for p in PRIMES for _ in range(400)]
@@ -697,9 +698,8 @@ def _ranked_space(p, k, f_rank, v_rank, rng):
                            v_e2ebar=outside(a), v_ebar2e=diagonal(b),
                            f_e2ebar=outside(b),
                            gram=_random_invertible(fld, k, rng)[0])
-    (p_mat, p_inv), (q_mat, q_inv) = (_random_invertible(fld, k, rng),
-                                      _random_invertible(fld, k, rng))
-    return basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+    frames = _random_invertible(fld, k, rng), _random_invertible(fld, k, rng)
+    return basechange([space], *frames)[0]
 
 
 def _conjugate_ranks(space):
@@ -976,7 +976,7 @@ def test_model_reductions_equal_the_validated_spaces():
 def test_basechange_with_identity_is_identity():
     space = model_space(5, 3, 3)
     unit = identity_mat(5)
-    assert basechange([space], unit, unit, unit, unit)[0] == space
+    assert basechange([space], (unit, unit), (unit, unit))[0] == space
 
 
 def test_random_basechange_preserves_invariants():
@@ -1022,11 +1022,11 @@ def test_basechange_checks_the_inverses_it_is_given():
     fld = gfp2(5)
     for n in (3, 5):
         space = model_space(n, 2, 5)
-        (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, n, 4)
-        moved = basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+        frames = (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, n, 4)
+        moved = basechange([space], *frames)[0]
         assert moved == random_basechange(space, 4)
-        assert moved == basechange([space], p_mat, q_mat, mat_inv(fld, p_mat),
-                                   mat_inv(fld, q_mat))[0]
+        assert moved == basechange([space], (p_mat, mat_inv(fld, p_mat)),
+                                   (q_mat, mat_inv(fld, q_mat)))[0]
         # 2 P^-1 is no inverse, yet the blocks it gives are a valid space
         # that passes check_bt1: validating the result, as the earlier
         # basechange did, lets it through, and the frame certificate does
@@ -1039,7 +1039,7 @@ def test_basechange_checks_the_inverses_it_is_given():
                  (p_inv, tuple(row + (0,) for row in q_inv)))  # n x (n+1)
         for p_given, q_given in wrong:
             with pytest.raises(ValueError, match="given inverse is not I"):
-                basechange([space], p_mat, q_mat, p_given, q_given)
+                basechange([space], (p_mat, p_given), (q_mat, q_given))
 
 
 def test_basechange_of_several_spaces_moves_each_as_alone():
@@ -1048,10 +1048,10 @@ def test_basechange_of_several_spaces_moves_each_as_alone():
     for n, p in ((3, 3), (5, 7)):
         spaces = [model_space(n, r, p) for r in range(1, n + 1)]
         spaces.append(random_basechange(spaces[0], n))
-        (p_mat, p_inv), (q_mat, q_inv) = random_frames(gfp2(p), n, 17 * n)
-        moved = basechange(spaces, p_mat, q_mat, p_inv, q_inv)
-        assert moved == [basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
-                         for space in spaces]
+        frames = (p_mat, p_inv), (q_mat, q_inv) = random_frames(
+            gfp2(p), n, 17 * n)
+        moved = basechange(spaces, *frames)
+        assert moved == [basechange([space], *frames)[0] for space in spaces]
         assert moved == [ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
                          for space in spaces]
 
@@ -1066,29 +1066,30 @@ def test_batched_basechange_equals_the_reference_space_by_space(n):
         pool = [model_space(n, r, p) for r in range(1, n + 1)]
         pool += [_random_space(p, n, rng) for _ in range(2)]
         pool += [_ranked_space(p, n, 2, 1, rng)]
-        (p_mat, p_inv), (q_mat, q_inv) = random_frames(gfp2(p), n, 31 * n + p)
+        frames = (p_mat, p_inv), (q_mat, q_inv) = random_frames(
+            gfp2(p), n, 31 * n + p)
         for count in range(1, n + 1):
             spaces = rng.sample(pool, count)
-            assert basechange(spaces, p_mat, q_mat, p_inv, q_inv) == [
+            assert basechange(spaces, *frames) == [
                 ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
                 for space in spaces], (p, count)
 
 
 def test_basechange_refuses_no_space_and_mixed_spaces():
     fld = gfp2(5)
-    (p_mat, p_inv), (q_mat, q_inv) = random_frames(fld, 3, 4)
+    frames = (p_mat, p_inv), q_frame = random_frames(fld, 3, 4)
     space = model_space(3, 2, 5)
     # No space gives no field to certify the frames in.
     with pytest.raises(ValueError, match="given inverse is not I"):
-        basechange([], p_mat, q_mat, p_inv, q_inv)
+        basechange([], *frames)
     wider, other_p = model_space(5, 2, 5), model_space(3, 2, 7)
     for spaces in ([space, wider], [wider, space], [wider],
                    [space, other_p], [other_p, space]):
         with pytest.raises(ValueError, match="share one p and have ne = 3"):
-            basechange(spaces, p_mat, q_mat, p_inv, q_inv)
+            basechange(spaces, *frames)
     scaled = tuple(tuple(fld.mul(2, x) for x in row) for row in p_inv)
     with pytest.raises(ValueError, match="given inverse is not I"):
-        basechange([space, space], p_mat, q_mat, scaled, q_inv)
+        basechange([space, space], (p_mat, scaled), q_frame)
 
 
 def _outcome(classify, space, n):
@@ -1114,10 +1115,10 @@ def test_certified_basechange_and_classification_match_the_earlier_route(n):
         spaces += [integral_model(n, 0, p).reduction()]
         spaces += [_random_space(p, n, rng) for _ in range(3)]
         for seed in range(3):
-            (p_mat, p_inv), (q_mat, q_inv) = random_frames(
+            frames = (p_mat, p_inv), (q_mat, q_inv) = random_frames(
                 gfp2(p), n, 1009 * n + 31 * p + seed)
             for space in spaces:
-                moved = basechange([space], p_mat, q_mat, p_inv, q_inv)[0]
+                moved = basechange([space], *frames)[0]
                 assert moved == dataclasses.replace(moved) \
                     == ref_basechange(space, p_mat, q_mat, p_inv, q_inv)
                 for m in (n, n + 2):

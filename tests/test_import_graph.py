@@ -59,7 +59,7 @@ def test_root_datum_loads_no_package_code_but_the_guard():
     assert reachable(relative_imports(), "rootdatum") == {"guards"}
 
 
-PACKED_STATE = {"_codes", "_bound", "_decode", "_from_sums", "_wrap"}
+PACKED_STATE = {"_codes", "_bound", "_decode", "_from_sums"}
 
 
 def test_only_laurent_reads_the_packed_state():
