@@ -24,6 +24,7 @@ from .dieudonne import (NotBT1Error, _model_fingerprints, basechange,
                         pairing_law_holds, random_basechange, random_frames,
                         signature, strata_dims)
 from .finitefield import gfp2, rank
+from .guards import MAX_N
 from .hecke import (central_monomial, certified_factorization,
                     check_sigma_invariance, check_weyl_invariance,
                     hecke_polynomial, hecke_value_by_determinant)
@@ -31,7 +32,6 @@ from .laurent import LaurentPoly, TPoly
 from .rootdatum import (norm_monomial, pairing, rho, weyl_generators,
                         weyl_group)
 
-MAX_N = 15  # every --n of the CLI; selftest certifies each odd n up to it
 FACTOR_NS = tuple(range(3, MAX_N + 1, 2))
 WEYL_NS = (3, 5, 7, 9)
 CROSSCHECK_POINTS = 100

@@ -15,8 +15,8 @@ does a failed write to stdout (a closed pipe or fd, a full disk), with
 Output is byte-identical across runs for identical flags and seeds; JSON
 is emitted compact, one document per run.
 Every command that takes --n accepts odd n up to MAX_N (15), the n that
-``selftest`` certifies; ``acceptance`` owns MAX_N, beside the n it checks
-(FACTOR_NS).  A larger --n is a usage error (exit 1).  H has about 3.3x
+``selftest`` certifies; ``guards`` owns MAX_N, so no acceptance code runs
+to check --n.  A larger --n is a usage error (exit 1).  H has about 3.3x
 more terms per step in n (14 580 at n = 15, 157 464 at n = 19).
 ``dd models`` answers at any prime --p.  ``dd slopes`` accepts --d up to
 MAX_D (256), an input bound (the model is built in O(d)); a larger --d
@@ -24,6 +24,12 @@ is a usage error (exit 1).
 ``dd classify`` reads the input's ``ne`` first: one that is not an integer
 is malformed input (exit 1), and an integer other than --n exits 3 before
 any matrix is decoded or validated, whatever else the document holds.
+
+Each command executes only its own side: every module but guards is bound
+lazily (importlib.util.LazyLoader) and runs on its first read, so ``hecke``
+executes laurent, rootdatum and hecke, ``dd`` finitefield and dieudonne.
+All are bound here, not imported per command, as the benchmark's replay
+reads them off sys.modules and the package until ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -32,15 +38,19 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from .acceptance import MAX_N, run_all
-from .dieudonne import (ClassificationError, DieudonneSpace, check_dimension,
-                        classify_type, integral_model, isocrystal_shape,
-                        model_space, newton_slopes, strata_dims)
-from .hecke import (PairingCertificateError, certified_factorization,
-                    hecke_report)
-from .laurent import LaurentPoly, NonZeroRemainderError
+from .guards import MAX_N
+
+for _name in ("acceptance", "dieudonne", "finitefield", "hecke", "laurent",
+              "rootdatum"):
+    if f"{__package__}.{_name}" not in sys.modules:  # else imported already
+        _spec = find_spec(f"{__package__}.{_name}")
+        _spec.loader = LazyLoader(_spec.loader)
+        sys.modules[_spec.name] = _module = module_from_spec(_spec)
+        _spec.loader.exec_module(_module)
+        setattr(sys.modules[__package__], _name, _module)
+from . import acceptance, dieudonne as dd, hecke, laurent  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,7 +107,7 @@ def _dumps(data) -> str:
 
 def _is_poly_list(value) -> bool:
     return (isinstance(value, list) and bool(value)
-            and all(isinstance(c, LaurentPoly) for c in value))
+            and all(hasattr(c, "json_text") for c in value))
 
 
 def _emit_json(data) -> None:
@@ -135,9 +145,9 @@ def _cmd_hecke(args) -> int:
     if args.format == "csv":
         raise ValueError("csv output is only available for tabular commands")
     if args.format == "json":
-        _emit_json(hecke_report(n))
+        _emit_json(hecke.hecke_report(n))
         return EXIT_OK
-    hp, quotient, root, invariant = certified_factorization(n)
+    hp, quotient, root, invariant = hecke.certified_factorization(n)
     print(f"n = {n}")
     print(f"H(t) = {hp}")
     print(f"linear factor: t - {root}")
@@ -154,15 +164,15 @@ def _cmd_models(args) -> int:
             raise ValueError(f"r must be in 1..{n}")
     if args.format == "pretty":
         for r in rs:
-            sig, bt1 = integral_model(n, r, args.p).signature_and_bt1()
+            sig, bt1 = dd.integral_model(n, r, args.p).signature_and_bt1()
             print(f"r={r}: signature={sig} bt1={bt1}")
         return EXIT_OK
     if args.format == "csv":
         raise ValueError("csv output is only available for tabular commands")
     if args.r is not None:
-        _emit_json(model_space(n, args.r, args.p).to_json())
+        _emit_json(dd.model_space(n, args.r, args.p).to_json())
     else:
-        _emit_json([{"r": r, "space": model_space(n, r, args.p).to_json()}
+        _emit_json([{"r": r, "space": dd.model_space(n, r, args.p).to_json()}
                     for r in rs])
     return EXIT_OK
 
@@ -177,14 +187,14 @@ def _cmd_classify(args) -> int:
         # than n exits 3 below with no matrix decoded.
         space = None
         if type(ne) is not int or ne == n:
-            space = DieudonneSpace.from_json(data)
+            space = dd.DieudonneSpace.from_json(data)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"guhecke dd classify: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        check_dimension(ne, n)
-        r = classify_type(space, n)
-    except ClassificationError as exc:
+        dd.check_dimension(ne, n)
+        r = dd.classify_type(space, n)
+    except dd.ClassificationError as exc:
         print(f"guhecke dd classify: {exc}", file=sys.stderr)
         return EXIT_DATA
     _emit_json({"type": r})
@@ -196,7 +206,7 @@ def _cmd_slopes(args) -> int:
         raise ValueError("d must be >= 1")
     if args.d > MAX_D:
         raise ValueError(f"d={args.d} exceeds the cap {MAX_D}")
-    multiset = newton_slopes(integral_model(args.d, args.d, args.p))
+    multiset = dd.newton_slopes(dd.integral_model(args.d, args.d, args.p))
     if args.format == "json":
         _emit_json(multiset.to_json())
     elif args.format == "csv":
@@ -210,7 +220,7 @@ def _cmd_slopes(args) -> int:
 
 def _cmd_isoc(args) -> int:
     n = _check_n(args.n)
-    shape = isocrystal_shape(n, args.r)
+    shape = dd.isocrystal_shape(n, args.r)
     if args.format == "json":
         _emit_json(shape.to_json())
     elif args.format == "csv":
@@ -226,7 +236,7 @@ def _cmd_isoc(args) -> int:
 
 def _cmd_strata(args) -> int:
     n = _check_n(args.n)
-    rows = strata_dims(n)
+    rows = dd.strata_dims(n)
     if args.format == "json":
         _emit_json([row.to_json() for row in rows])
     elif args.format == "csv":
@@ -248,6 +258,7 @@ def _cmd_strata(args) -> int:
 
 
 def fixture_path():
+    from importlib import resources  # only selftest and the tests read it
     return resources.files("guhecke").joinpath("fixtures", "ss_sum.json")
 
 
@@ -255,20 +266,20 @@ def _cmd_selftest(args) -> int:
     # Fixture integrity first: a corrupted shipped fixture is a data error.
     try:
         data = json.loads(fixture_path().read_text(encoding="utf-8"))
-        space = DieudonneSpace.from_json(data)
-        fixture_type = classify_type(space, 5)
+        space = dd.DieudonneSpace.from_json(data)
+        fixture_type = dd.classify_type(space, 5)
         if fixture_type != 5:
-            raise ClassificationError(
+            raise dd.ClassificationError(
                 f"fixture classified as type {fixture_type}, expected 5")
-    except (ClassificationError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (dd.ClassificationError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"fixture ss_sum.json: corrupted ({exc})", file=sys.stderr)
         return EXIT_DATA
     print("fixture ss_sum.json: type 5 ok")
-    results = run_all(seed=args.seed)
+    results = acceptance.run_all(seed=args.seed)
     failures = [exc for _, exc in results if exc is not None]
     if not failures:
         return EXIT_OK
-    if any(isinstance(exc, ClassificationError) for exc in failures):
+    if any(isinstance(exc, dd.ClassificationError) for exc in failures):
         return EXIT_DATA
     return EXIT_CERTIFICATE
 
@@ -279,14 +290,14 @@ def _build_parser() -> _Parser:
                                  "Dieudonne classification, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    hecke = sub.add_parser("hecke", help="build and certify the Hecke polynomial")
-    hecke.add_argument("--n", type=int, required=True)
-    hecke.add_argument("--format", choices=("json", "csv", "pretty"),
-                       default="json")
-    hecke.set_defaults(func=_cmd_hecke)
+    report = sub.add_parser("hecke", help="build and certify the Hecke polynomial")
+    report.add_argument("--n", type=int, required=True)
+    report.add_argument("--format", choices=("json", "csv", "pretty"),
+                        default="json")
+    report.set_defaults(func=_cmd_hecke)
 
-    dd = sub.add_parser("dd", help="Dieudonne module toolbox")
-    ddsub = dd.add_subparsers(dest="dd_command", required=True)
+    toolbox = sub.add_parser("dd", help="Dieudonne module toolbox")
+    ddsub = toolbox.add_subparsers(dest="dd_command", required=True)
 
     models = ddsub.add_parser("models", help="emit the classification models")
     models.add_argument("--n", type=int, required=True)
@@ -336,16 +347,18 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (NonZeroRemainderError, PairingCertificateError) as exc:
-        print(f"guhecke: factorization certificate FAILED: {exc}",
-              file=sys.stderr)
-        return EXIT_CERTIFICATE
+    # before the certificate clause, whose names execute laurent and hecke
     except ValueError as exc:
         print(f"guhecke: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         print("guhecke: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
+    except (laurent.NonZeroRemainderError,
+            hecke.PairingCertificateError) as exc:
+        print(f"guhecke: factorization certificate FAILED: {exc}",
+              file=sys.stderr)
+        return EXIT_CERTIFICATE
     finally:
         sys.stdout = stdout
 

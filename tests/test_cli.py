@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import json
@@ -10,11 +11,15 @@ from pathlib import Path, PurePosixPath
 
 import pytest
 
+import guhecke
 import guhecke.acceptance as acceptance
 import guhecke.cli as cli_module
+import guhecke.dieudonne as dieudonne
+import guhecke.hecke as hecke
 from guhecke.cli import fixture_path, main
 from guhecke.dieudonne import model_space, random_basechange
 from guhecke.finitefield import GFp2, gfp2
+from guhecke.guards import MAX_N
 from guhecke.laurent import LaurentPoly, TPoly
 
 
@@ -93,8 +98,8 @@ def test_memory_error_exits_1_without_a_traceback(capsys, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli_module, "hecke_report", out_of_memory)
-    monkeypatch.setattr(cli_module, "model_space", out_of_memory)
+    monkeypatch.setattr(hecke, "hecke_report", out_of_memory)
+    monkeypatch.setattr(dieudonne, "model_space", out_of_memory)
     for argv in (["hecke", "--n", "5"],
                  ["dd", "models", "--n", "5", "--p", "3", "--r", "1"]):
         code, out, err = run_cli(capsys, *argv)
@@ -153,7 +158,7 @@ def test_a_failed_stdout_write_exits_1_and_other_os_errors_do_not(
     def unreadable(*args):
         raise OSError(errno.EIO, "not a write")
 
-    monkeypatch.setattr(cli_module, "isocrystal_shape", unreadable)
+    monkeypatch.setattr(dieudonne, "isocrystal_shape", unreadable)
     with pytest.raises(OSError, match="not a write"):
         main(["dd", "isoc", "--n", "3", "--r", "1"])
     assert sys.stdout is full
@@ -198,8 +203,16 @@ def test_max_n_cap(capsys, monkeypatch):
     assert code == 0 and out
 
 
-def test_selftest_certifies_every_n_that_hecke_answers():
-    assert acceptance.FACTOR_NS == tuple(range(3, cli_module.MAX_N + 1, 2))
+def test_max_n_has_one_definition_in_guards():
+    # cli checks --n and acceptance certifies each n against this one
+    # constant, so neither can move the cap without the other.
+    package = Path(guhecke.__file__).resolve().parent
+    owners = {path.stem for path in package.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Name) and node.id == "MAX_N"
+              and isinstance(node.ctx, ast.Store)}
+    assert owners == {"guards"}
+    assert acceptance.FACTOR_NS == tuple(range(3, MAX_N + 1, 2))
 
 
 def test_dd_slopes_exact_output(capsys):
@@ -431,7 +444,7 @@ def test_dd_classify_compares_the_dimension_before_decoding(
     target = tmp_path / "zero-300.json"
     target.write_text(json.dumps(data))
     calls = []
-    monkeypatch.setattr(cli_module.DieudonneSpace, "from_json",
+    monkeypatch.setattr(dieudonne.DieudonneSpace, "from_json",
                         classmethod(lambda cls, doc: calls.append(doc)))
     code, out, err = run_cli(capsys, "dd", "classify", "--input", str(target),
                              "--n", "5")

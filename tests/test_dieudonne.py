@@ -12,7 +12,6 @@ import pytest
 
 import guhecke.dieudonne as dieudonne
 import reference
-from guhecke.acceptance import MAX_N
 from guhecke.cli import main
 from guhecke.dieudonne import (DieudonneModuleZ, DieudonneSpace, NoMatchError,
                                NotBT1Error, SlopeMultiset,
@@ -26,6 +25,7 @@ from guhecke.dieudonne import (DieudonneModuleZ, DieudonneSpace, NoMatchError,
 from guhecke.finitefield import (annihilator_rows, gfp2, identity_mat,
                                   kernel_basis, mat_frob, mat_inv, mat_mul,
                                   mat_transpose, rref)
+from guhecke.guards import MAX_N
 from reference import (apply_f, apply_v, dense_mat_mul, dense_view,
                        gauss_jordan, mat_vec, padic_newton_slopes,
                        ref_basechange, ref_bt1_space, ref_classify_type,
